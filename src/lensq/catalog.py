@@ -35,7 +35,12 @@ from .cone import (
     is_vertex,
     square_fundamental_solutions,
 )
-from .errors import NoExpectation, NotASolution, SquareConditionViolated
+from .errors import (
+    InternalInvariantError,
+    NoExpectation,
+    NotASolution,
+    SquareConditionViolated,
+)
 from .qsystem import (
     HALF_INTEGERS,
     INTEGERS,
@@ -99,7 +104,9 @@ def half_odd_sphere_sum(tri: LensTriangulation):
     for k in range(0, tri.p, 2):
         for j, x in enumerate(t_vecs[k]):
             total[j] += x
-    assert all(x % 2 == 0 for x in total)
+    if any(x % 2 for x in total):
+        raise InternalInvariantError(
+            f"odd-index sphere sum is not even: {tuple(total)}")
     return tuple(x // 2 for x in total)
 
 

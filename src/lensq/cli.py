@@ -46,21 +46,34 @@ def parse_vector(spec: str, p: int, q: int, index: int | None):
             return tuple(int(x) for x in spec.split(","))
         except ValueError as exc:
             raise LensQError(f"cannot parse vector: {exc}") from exc
+    path = spec[1:]
     matches = []
-    with open(spec[1:], encoding="utf-8") as handle:
-        for line in handle:
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            fp, fq, entries = line.split()[:3]
-            if (int(fp), int(fq)) == (p, q):
-                matches.append(tuple(int(x) for x in entries.split(",")))
+            try:
+                fp, fq, entries = line.split()[:3]
+                params = (int(fp), int(fq))
+                vector = tuple(int(x) for x in entries.split(","))
+            except ValueError:
+                raise LensQError(
+                    f"{path}:{lineno}: malformed record, expected "
+                    f"'p q entries tags' with integer entries") from None
+            if params == (p, q):
+                matches.append(vector)
     if not matches:
-        raise LensQError(f"no record for (p,q)=({p},{q}) in {spec[1:]}")
+        raise LensQError(f"no record for (p,q)=({p},{q}) in {path}")
     if len(matches) > 1 and index is None:
         raise LensQError(
             f"{len(matches)} records for (p,q)=({p},{q}); pass --index")
-    return matches[index or 0]
+    index = index or 0
+    if not 0 <= index < len(matches):
+        raise LensQError(
+            f"--index {index} out of range: {path} has {len(matches)} "
+            f"record(s) for (p,q)=({p},{q})")
+    return matches[index]
 
 
 def budget_from(args) -> Budget:
@@ -78,8 +91,7 @@ def cmd_matrix(args) -> int:
     else:
         rows = haken_matrix(tri)
         row_labels = [f"{face.label}.{CORNER_NAMES[corner]}"
-                      for face in tri.face_classes
-                      for corner, _ in face.corners()]
+                      for face, (_, corner, _), _ in tri.corner_gluings]
         col_labels = [f"tet{i}.{name}" for i in tri.tetrahedra
                       for name in ("tT", "tB", "tL", "tR", "x1", "x2", "x3")]
     if args.format == "json":

@@ -90,11 +90,11 @@ DEFAULT_BUDGET = Budget()
 
 
 class SolutionCone:
-    """An integer matrix A together with its rational kernel.
+    """An integer matrix A together with its solution cone.
 
     Wraps either a QMatrix or any explicit integer row list.  The
-    kernel basis and the primitive extreme rays are computed lazily in
-    exact arithmetic and cached.
+    primitive extreme rays are computed lazily in exact arithmetic and
+    cached.
     """
 
     def __init__(self, matrix, ncols: int | None = None):
@@ -111,14 +111,7 @@ class SolutionCone:
             raise DimensionMismatch("ragged matrix rows")
         self.rows = rows
         self.ncols = ncols
-        self._kernel = None
         self._rays = None
-
-    @property
-    def kernel(self):
-        if self._kernel is None:
-            self._kernel = tuple(exact.kernel_basis(self.rows, self.ncols))
-        return self._kernel
 
     @property
     def extreme_rays(self):
@@ -189,8 +182,10 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     Returns a tuple sorted in graded lexicographic order.  Raises
     BudgetExceeded rather than truncating.
     """
-    budget = budget or DEFAULT_BUDGET
-    clock = budget.clock()
+    return _hilbert_basis(cone, (budget or DEFAULT_BUDGET).clock())
+
+
+def _hilbert_basis(cone: SolutionCone, clock: _Clock):
     n = cone.ncols
     if n == 0:
         return ()
@@ -381,23 +376,15 @@ def square_fundamental_solutions(matrix: QMatrix,
     thread pool; the merged, sorted result does not depend on the
     thread count.  Returns a tuple in graded lexicographic order.
     """
-    budget = budget or DEFAULT_BUDGET
-    deadline = (None if budget.max_seconds is None
-                else time.monotonic() + budget.max_seconds)
+    clock = (budget or DEFAULT_BUDGET).clock()
     p = matrix.p
     n = 3 * p
 
     def solve_pattern(pattern):
         columns = [3 * i + (pattern[i] - 1) for i in range(p)]
         rows = tuple(tuple(row[c] for c in columns) for row in matrix.rows)
-        if deadline is None:
-            remaining = None
-        else:
-            remaining = max(0.001, deadline - time.monotonic())
-        sub_budget = Budget(max_seconds=remaining,
-                            max_frontier=budget.max_frontier)
         lifted = []
-        for small in hilbert_basis(SolutionCone(rows, ncols=p), sub_budget):
+        for small in _hilbert_basis(SolutionCone(rows, ncols=p), clock):
             full = [0] * n
             for c, value in zip(columns, small):
                 full[c] = value

@@ -75,23 +75,6 @@ def kernel_basis(rows, ncols=None):
     return basis
 
 
-def kernel_dimension(rows, ncols=None) -> int:
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return ncols
-    return len(rows[0]) - rank(rows)
-
-
 def restrict_columns(rows, columns):
     """The submatrix keeping only the given column indices, in order."""
     return [[row[c] for c in columns] for row in rows]
-
-
-def is_integral(x) -> bool:
-    return Fraction(x).denominator == 1
-
-
-def is_half_integral(x) -> bool:
-    """True when x lies in Z + 1/2."""
-    return Fraction(x).denominator == 2

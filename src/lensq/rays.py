@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import exact
+from .errors import InternalInvariantError
 
 
 def _primitive(vec):
@@ -92,7 +93,9 @@ def extreme_rays_of_kernel_cone(rows, ncols):
         rays.append(pivot)
         processed.append(b)
 
-    assert not lineality, "cone inside the orthant must be pointed"
+    if lineality:
+        raise InternalInvariantError(
+            "cone inside the orthant must be pointed")
 
     # Phase two: pointed double description steps.
     for b in remaining:
@@ -126,7 +129,8 @@ def extreme_rays_of_kernel_cone(rows, ncols):
         x = _primitive(tuple(
             _dot(tuple(kernel[k][j] for k in range(d)), r)
             for j in range(ncols)))
-        assert all(v >= 0 for v in x), "ray left the orthant"
+        if any(v < 0 for v in x):
+            raise InternalInvariantError(f"ray left the orthant: {x}")
         if any(x):
             out.add(x)
     return tuple(sorted(out, key=lambda v: (sum(v), v)))

@@ -23,6 +23,7 @@ global solution.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -48,17 +49,6 @@ from .triangulation import (
 SLOTS_PER_TET = 7
 
 
-def quad_type_at_corner(face: int, corner: int) -> int:
-    """The quad type whose arc cuts off ``corner`` in the face opposite
-    ``face``.  It is the type pairing the corner with the off-face
-    vertex, which is the face's own label."""
-    return PAIR_TO_QUAD[frozenset((corner, face))]
-
-
-def face_corners(face: int):
-    return tuple(c for c in CORNERS if c != face)
-
-
 class FullCoordinates:
     """A normal surface in full (trigon + quad) coordinates.
 
@@ -81,19 +71,13 @@ class FullCoordinates:
     def quads(self, tet: int, qtype: int) -> int:
         return self.entries[SLOTS_PER_TET * (tet - 1) + 4 + (qtype - 1)]
 
-    def quad_part(self):
-        out = []
-        for tet in self.tri.tetrahedra:
-            base = SLOTS_PER_TET * (tet - 1)
-            out.extend(self.entries[base + 4: base + 7])
-        return tuple(out)
-
     def total_disks(self) -> int:
         return sum(self.entries)
 
-    def arcs_at_corner(self, tet: int, face: int, corner: int) -> int:
-        return (self.trigons(tet, corner)
-                + self.quads(tet, quad_type_at_corner(face, corner)))
+    def arcs(self, tet: int, corner: int, qtype: int) -> int:
+        """Arcs cutting off ``corner`` in a face of ``tet`` whose corner
+        quad type is ``qtype``: one per trigon there, one per quad."""
+        return self.trigons(tet, corner) + self.quads(tet, qtype)
 
     def __eq__(self, other):
         return (isinstance(other, FullCoordinates)
@@ -104,7 +88,8 @@ class FullCoordinates:
 
 
 def haken_matrix(tri: LensTriangulation):
-    """The 6p x 7p full matching matrix, three rows per face class.
+    """The 6p x 7p full matching matrix, the dense form of
+    ``tri.corner_gluings`` for display: one row per glued face corner.
 
     Row blocks follow the face-class order (vertical then cone faces),
     with one row per corner of the first side, corners ascending.  Each
@@ -114,23 +99,20 @@ def haken_matrix(tri: LensTriangulation):
     """
     n = SLOTS_PER_TET * tri.p
     rows = []
-    for face in tri.face_classes:
-        (tet_a, fa), (tet_b, fb) = face.sides
-        for za, zb in face.corners():
-            row = [0] * n
-            row[SLOTS_PER_TET * (tet_a - 1) + za] += 1
-            row[SLOTS_PER_TET * (tet_a - 1) + 4
-                + quad_type_at_corner(fa, za) - 1] += 1
-            row[SLOTS_PER_TET * (tet_b - 1) + zb] -= 1
-            row[SLOTS_PER_TET * (tet_b - 1) + 4
-                + quad_type_at_corner(fb, zb) - 1] -= 1
-            rows.append(tuple(row))
+    for _, side_a, side_b in tri.corner_gluings:
+        row = [0] * n
+        for (tet, corner, qtype), sign in ((side_a, 1), (side_b, -1)):
+            row[SLOTS_PER_TET * (tet - 1) + corner] += sign
+            row[SLOTS_PER_TET * (tet - 1) + 3 + qtype] += sign
+        rows.append(tuple(row))
     return tuple(rows)
 
 
 def haken_residual(tri: LensTriangulation, full: FullCoordinates):
-    return tuple(sum(c * x for c, x in zip(row, full.entries) if c)
-                 for row in haken_matrix(tri))
+    """``haken_matrix(tri)`` applied to ``full.entries``, one entry per
+    glued face corner, without building the matrix."""
+    return tuple(full.arcs(*side_a) - full.arcs(*side_b)
+                 for _, side_a, side_b in tri.corner_gluings)
 
 
 def reconstruct_trigons(tri: LensTriangulation, v,
@@ -138,8 +120,9 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     """Fill in trigon counts for a quad solution with the square
     condition, normalized to have no trivial component.
 
-    Walks the corner identification graph: each glued face corner z
-    imposes t(z) + x(quad at z) = t(z') + x(quad at z'), fixing all
+    Walks the corner identification graph of ``tri.corner_gluings``:
+    each glued face corner z imposes
+    t(z) + x(quad at z) = t(z') + x(quad at z'), fixing all
     trigon counts up to one constant per vertex class, which the
     no-trivial-component normalization pins to make each class's
     minimum zero.  A contradiction on a cycle is impossible for a
@@ -160,29 +143,31 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     def quad_count(tet, qtype):
         return vec[3 * (tet - 1) + (qtype - 1)]
 
+    # Corner graph: the trigon level steps by the quad count here minus
+    # the quad count there across each glued corner.
+    adjacency = {(tet, c): [] for tet in tri.tetrahedra for c in CORNERS}
+    for _, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
+        step = quad_count(tet_a, qa) - quad_count(tet_b, qb)
+        adjacency[(tet_a, za)].append(((tet_b, zb), step))
+        adjacency[(tet_b, zb)].append(((tet_a, za), -step))
+
     # Relative trigon levels by breadth-first propagation.
-    adjacency = _corner_equations(tri)
     level = {}
     for corner_class in tri.vertex_classes():
         seed = corner_class[0]
         level[seed] = 0
-        queue = [seed]
-        seen = {seed}
+        queue = deque([seed])
         while queue:
-            node = queue.pop(0)
-            for other, quad_here, quad_there in adjacency[node]:
-                value = (level[node]
-                         + quad_count(*quad_here) - quad_count(*quad_there))
-                if other in level:
-                    if level[other] != value:
-                        raise InconsistentPropagation(
-                            f"corner {other} got levels {level[other]} "
-                            f"and {value}")
-                else:
+            node = queue.popleft()
+            for other, step in adjacency[node]:
+                value = level[node] + step
+                if other not in level:
                     level[other] = value
-                if other not in seen:
-                    seen.add(other)
                     queue.append(other)
+                elif level[other] != value:
+                    raise InconsistentPropagation(
+                        f"corner {other} got levels {level[other]} "
+                        f"and {value}")
         shift = min(level[c] for c in corner_class)
         for c in corner_class:
             level[c] -= shift
@@ -196,22 +181,6 @@ def reconstruct_trigons(tri: LensTriangulation, v,
         raise InconsistentPropagation(
             "reconstructed coordinates fail the full matching equations")
     return full
-
-
-def _corner_equations(tri: LensTriangulation):
-    """Adjacency of the corner graph: node -> list of
-    (matched corner, (tet, quad type) here, (tet, quad type) there)."""
-    if not hasattr(tri, "_corner_adjacency"):
-        adjacency = {(tet, c): [] for tet in tri.tetrahedra for c in CORNERS}
-        for face in tri.face_classes:
-            (tet_a, fa), (tet_b, fb) = face.sides
-            for za, zb in face.corners():
-                qa = (tet_a, quad_type_at_corner(fa, za))
-                qb = (tet_b, quad_type_at_corner(fb, zb))
-                adjacency[(tet_a, za)].append(((tet_b, zb), qa, qb))
-                adjacency[(tet_b, zb)].append(((tet_a, za), qb, qa))
-        tri._corner_adjacency = adjacency
-    return tri._corner_adjacency
 
 
 def edge_weights(tri: LensTriangulation, full: FullCoordinates):
@@ -237,17 +206,11 @@ def edge_weights(tri: LensTriangulation, full: FullCoordinates):
     return weights
 
 
-def face_arc_count(tri: LensTriangulation, full: FullCoordinates, face) -> int:
-    (tet_a, fa), _ = face.sides
-    return sum(full.arcs_at_corner(tet_a, fa, za)
-               for za, _ in face.corners())
-
-
 def euler_characteristic(tri: LensTriangulation, full: FullCoordinates) -> int:
     """chi = edge crossings - face arcs + disks, each counted once per
     class of the glued-up cell structure."""
     weights = edge_weights(tri, full)
-    arcs = sum(face_arc_count(tri, full, face) for face in tri.face_classes)
+    arcs = sum(full.arcs(*side_a) for _, side_a, _ in tri.corner_gluings)
     return sum(weights.values()) - arcs + full.total_disks()
 
 
@@ -290,13 +253,12 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates) -> DiskGraph:
                 index[(tet, ("Q", j), copy)] = len(disks)
                 disks.append((tet, ("Q", j), copy))
 
-    def stack(tet, face, corner):
-        """Arcs at a face corner, innermost first, as
-        (disk id, reference side faces the corner) pairs."""
+    def stack(tet, corner, j):
+        """Arcs at a face corner whose corner quad type is j, innermost
+        first, as (disk id, reference side faces the corner) pairs."""
         out = []
         for copy in range(full.trigons(tet, corner)):
             out.append((index[(tet, ("T", corner), copy)], False))
-        j = quad_type_at_corner(face, corner)
         count = full.quads(tet, j)
         ascending = corner in QUAD_PAIRS[j][0]
         copies = range(count) if ascending else range(count - 1, -1, -1)
@@ -321,22 +283,19 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates) -> DiskGraph:
         if rx != ry:
             corner_parent[rx] = ry
 
-    for face in tri.face_classes:
-        (tet_a, fa), (tet_b, fb) = face.sides
-        for za, zb in face.corners():
-            side_a = stack(tet_a, fa, za)
-            side_b = stack(tet_b, fb, zb)
-            if len(side_a) != len(side_b):
-                raise ArityMismatch(
-                    f"face {face.label} corner {za}->{zb}: "
-                    f"{len(side_a)} vs {len(side_b)} arcs")
-            others_a = [y for y in face_corners(fa) if y != za]
-            for (da, flip_a), (db, flip_b) in zip(side_a, side_b):
-                arcs.append((da, db, flip_a ^ flip_b))
-                for ya in others_a:
-                    yb = face.vertex_map[ya]
-                    union((da, frozenset((za, ya))),
-                          (db, frozenset((zb, yb))))
+    for face, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
+        side_a = stack(tet_a, za, qa)
+        side_b = stack(tet_b, zb, qb)
+        if len(side_a) != len(side_b):
+            raise ArityMismatch(
+                f"face {face.label} corner {za}->{zb}: "
+                f"{len(side_a)} vs {len(side_b)} arcs")
+        others = [(ya, yb) for ya, yb in face.corners() if ya != za]
+        for (da, flip_a), (db, flip_b) in zip(side_a, side_b):
+            arcs.append((da, db, flip_a ^ flip_b))
+            for ya, yb in others:
+                union((da, frozenset((za, ya))),
+                      (db, frozenset((zb, yb))))
 
     groups = {}
     for node in corner_parent:
@@ -403,10 +362,10 @@ def classify(tri: LensTriangulation, v,
         comp = len(orientable_flags)
         colour = {start: False}
         component_of[start] = comp
-        queue = [start]
+        queue = deque([start])
         consistent = True
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             for other, reverse in neighbors[node]:
                 want = colour[node] ^ reverse
                 if other in colour:

@@ -56,6 +56,13 @@ PAIR_TO_QUAD = {pair: j for j, pairs in QUAD_PAIRS.items() for pair in pairs}
 QUAD_TYPES = (1, 2, 3)
 
 
+def quad_type_at_corner(face: int, corner: int) -> int:
+    """The quad type whose arc cuts off ``corner`` in the face opposite
+    ``face``.  It is the type pairing the corner with the off-face
+    vertex, which is the face's own label."""
+    return PAIR_TO_QUAD[frozenset((corner, face))]
+
+
 @dataclass(frozen=True)
 class LensParams:
     """Validated parameters (p, q) of a lens space, gcd(p,q)=1."""
@@ -114,6 +121,8 @@ class LensTriangulation:
             [f"e{i}" for i in self.tetrahedra] + ["Eh", "Ev"])
         self._faces = self._build_face_classes()
         self._edge_slots = self._build_edge_slots()
+        self.corner_gluings = self._build_corner_gluings()
+        self._vertex_classes = self._build_vertex_classes()
 
     # -- index helpers ---------------------------------------------------
 
@@ -195,37 +204,48 @@ class LensTriangulation:
     def face_classes(self):
         return self._faces
 
+    def _build_corner_gluings(self):
+        """One entry per glued face corner, 6p in all: the rows of the
+        full matching system.  Each is (face class, side a, side b), a
+        side being (tetrahedron, corner, quad type whose arc cuts off
+        that corner in that face).  Face-class order, corners of the
+        first side ascending."""
+        gluings = []
+        for face in self._faces:
+            (tet_a, fa), (tet_b, fb) = face.sides
+            for za, zb in face.corners():
+                gluings.append((face,
+                                (tet_a, za, quad_type_at_corner(fa, za)),
+                                (tet_b, zb, quad_type_at_corner(fb, zb))))
+        return tuple(gluings)
+
+    def _build_vertex_classes(self):
+        parent = {(tet, c): (tet, c) for tet in self.tetrahedra
+                  for c in CORNERS}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for _, (tet_a, za, _), (tet_b, zb, _) in self.corner_gluings:
+            ra, rb = find((tet_a, za)), find((tet_b, zb))
+            if ra != rb:
+                parent[ra] = rb
+        groups = {}
+        for node in parent:
+            groups.setdefault(find(node), []).append(node)
+        return tuple(tuple(sorted(g)) for g in
+                     sorted(groups.values(), key=lambda g: min(g)))
+
     def vertex_classes(self):
         """Partition of the 4p local corners into vertex classes.
 
         Two corners are identified when some face gluing matches them.
-        The result is cached; for any coprime (p,q) there are exactly
-        two classes, the pole class and the equator class.
+        For any coprime (p,q) there are exactly two classes, the pole
+        class and the equator class.
         """
-        if not hasattr(self, "_vertex_classes"):
-            parent = {}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for tet in self.tetrahedra:
-                for c in CORNERS:
-                    parent[(tet, c)] = (tet, c)
-            for face in self._faces:
-                (tet_a, _), (tet_b, _) = face.sides
-                for za, zb in face.vertex_map.items():
-                    ra, rb = find((tet_a, za)), find((tet_b, zb))
-                    if ra != rb:
-                        parent[ra] = rb
-            groups = {}
-            for node in parent:
-                groups.setdefault(find(node), []).append(node)
-            self._vertex_classes = tuple(
-                tuple(sorted(g)) for g in
-                sorted(groups.values(), key=lambda g: min(g)))
         return self._vertex_classes
 
     # -- quad semantics --------------------------------------------------

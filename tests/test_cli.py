@@ -3,6 +3,7 @@ CLI tests: output shapes, formats, exit codes, file vectors, and the
 byte-for-byte determinism contract.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +46,14 @@ def test_haken_matrix_dimensions():
     payload = json.loads(result.stdout)["payload"]
     assert len(payload["rows"]) == 30
     assert len(payload["rows"][0]) == 35
+
+
+def test_haken_matrix_json_is_byte_stable():
+    result = run_cli("matrix", "--p", "5", "--q", "2", "--system", "haken",
+                     "--format", "json")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "111275b1479375820420d4b374b294f7abfe59efa7336688c837b4828b15212a")
 
 
 def test_matrix_csv_round_trips():
@@ -94,6 +103,13 @@ def test_enum_budget_exit_code():
     assert "budget" in result.stderr
 
 
+def test_enum_budget_message_names_the_users_limit():
+    result = run_cli("enum", "--p", "8", "--q", "3", "--max-seconds", "0.2")
+    assert result.returncode == 3
+    assert "0.2 seconds" in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 def test_enum_determinism_and_threads():
     runs = [run_cli("enum", "--p", "5", "--q", "2", "--format", "json",
                     "--threads", t).stdout for t in ("1", "1", "3")]
@@ -139,6 +155,29 @@ def test_classify_file_needs_index_when_ambiguous(tmp_path):
                      "--vector", f"@{path}", "--index", "1",
                      "--format", "json")
     assert json.loads(result.stdout)["payload"]["euler"] == 1
+
+
+def test_classify_file_index_out_of_range(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text("2 1 1,0,0,1,0,0 a\n2 1 0,1,0,0,0,1 b\n")
+    for index in ("2", "9", "-1"):
+        result = run_cli("classify", "--p", "2", "--q", "1",
+                         "--vector", f"@{path}", "--index", index)
+        assert result.returncode == 1, index
+        assert f"--index {index} out of range" in result.stderr
+        assert str(path) in result.stderr
+        assert result.stderr.count("\n") == 1
+
+
+def test_classify_file_malformed_record(tmp_path):
+    for bad in ("2 1 1,0,x,1,0,0 a", "2 1", "2 one 1,0,0,1,0,0 a"):
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"# records\n{bad}\n")
+        result = run_cli("classify", "--p", "2", "--q", "1",
+                         "--vector", f"@{path}")
+        assert result.returncode == 1, bad
+        assert f"{path}:2: malformed record" in result.stderr
+        assert result.stderr.count("\n") == 1
 
 
 def test_classify_zero_vector_is_invalid():

@@ -5,6 +5,7 @@ components, orientability, and the known topological answers.
 """
 
 import math
+import random
 
 import pytest
 
@@ -52,6 +53,27 @@ def test_haken_matrix_shape_and_entries(p, q):
         assert all(x in (-1, 0, 1) for x in row)
         assert sum(1 for x in row if x == 1) == 2
         assert sum(1 for x in row if x == -1) == 2
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(8))
+def test_haken_residual_matches_dense_product(p, q):
+    tri = build_triangulation(p, q)
+    rows = haken_matrix(tri)
+    rng = random.Random(1000 * p + q)
+    for _ in range(5):
+        full = FullCoordinates(tri, [rng.randrange(4) for _ in range(7 * p)])
+        dense = tuple(sum(c * x for c, x in zip(row, full.entries))
+                      for row in rows)
+        assert any(dense)
+        assert haken_residual(tri, full) == dense
+
+
+def test_classify_writes_nothing_onto_the_triangulation():
+    tri = build_triangulation(8, 3)
+    before = set(vars(tri))
+    classify(tri, (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+                   0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0))
+    assert set(vars(tri)) == before
 
 
 @pytest.mark.parametrize("p,q", [(2, 1), (5, 2), (7, 3), (8, 3)])

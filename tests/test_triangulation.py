@@ -79,6 +79,21 @@ def test_every_tetrahedron_fills_four_face_slots(p, q):
         assert sorted(slots[tet]) == sorted(CORNERS)
 
 
+@pytest.mark.parametrize("p,q", coprime_pairs(6))
+def test_corner_gluings_cover_each_corner_once_per_quad_type(p, q):
+    tri = build_triangulation(p, q)
+    assert len(tri.corner_gluings) == 6 * p
+    seen = {}
+    for _, side_a, side_b in tri.corner_gluings:
+        for tet, corner, qtype in (side_a, side_b):
+            seen.setdefault((tet, corner), []).append(qtype)
+    # A corner lies on three faces, and in each it is cut off by a
+    # different quad type.
+    assert sorted(seen) == [(tet, c) for tet in tri.tetrahedra
+                            for c in CORNERS]
+    assert all(sorted(types) == [1, 2, 3] for types in seen.values())
+
+
 def test_slanted_edge_joins_both_poles():
     tri = build_triangulation(7, 3)
     for i in tri.tetrahedra:
