@@ -147,14 +147,12 @@ def expected_for(p: int, q: int) -> ExpectedCatalog:
 
 
 def enumerate_q_fundamental(p: int, q: int,
-                            budget: Budget | None = None,
-                            threads: int = 1):
+                            budget: Budget | None = None):
     """All square-condition fundamental solutions with their surface
     reports, in graded lexicographic order."""
     tri = build_triangulation(p, q)
     matrix = q_matrix(tri)
-    vectors = square_fundamental_solutions(matrix, budget or DEFAULT_BUDGET,
-                                           threads=threads)
+    vectors = square_fundamental_solutions(matrix, budget or DEFAULT_BUDGET)
     return tuple((v, classify(tri, v, matrix=matrix)) for v in vectors)
 
 
@@ -173,8 +171,7 @@ class CheckResult:
     detail: str
 
 
-def verify_theorems(p: int, q: int, budget: Budget | None = None,
-                    threads: int = 1):
+def verify_theorems(p: int, q: int, budget: Budget | None = None):
     """Run every verifiable law for one parameter pair.
 
     Checks: (a) exact set equality with the closed-form list where one
@@ -193,7 +190,7 @@ def verify_theorems(p: int, q: int, budget: Budget | None = None,
     tri = build_triangulation(p, q)
     matrix = q_matrix(tri)
     results = []
-    enumerated = enumerate_q_fundamental(p, q, budget, threads=threads)
+    enumerated = enumerate_q_fundamental(p, q, budget)
     vectors = tuple(v for v, _ in enumerated)
 
     try:
@@ -303,7 +300,6 @@ def fixtures(verify: bool = True):
             raise NotASolution(
                 f"fixture file checksum mismatch: {digest}")
     out = []
-    matrices = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -312,9 +308,7 @@ def fixtures(verify: bool = True):
         p, q = int(p_str), int(q_str)
         vector = tuple(int(x) for x in entries.split(","))
         if verify:
-            if (p, q) not in matrices:
-                matrices[(p, q)] = q_matrix(build_triangulation(p, q))
-            if not is_q_solution(matrices[(p, q)], vector):
+            if not is_q_solution(q_matrix(build_triangulation(p, q)), vector):
                 raise NotASolution(
                     f"fixture ({p},{q}) fails the matching equations")
             if not square_condition(vector):

@@ -30,6 +30,10 @@ EXIT_INVALID = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_BUDGET = 3
 
+# Enumeration is pure Python and holds the interpreter lock, so threads
+# cannot speed it up; the flag stays so existing scripts keep running.
+THREADS_HELP = "accepted and ignored: enumeration runs in one thread"
+
 
 def envelope(command: str, p, q, payload) -> str:
     return json.dumps(
@@ -130,8 +134,7 @@ def _report_payload(report):
 
 def cmd_enum(args) -> int:
     budget = budget_from(args)
-    found = catalog.enumerate_q_fundamental(args.p, args.q, budget,
-                                            threads=args.threads)
+    found = catalog.enumerate_q_fundamental(args.p, args.q, budget)
     payload = {"fundamental": [
         {"vector": list(v), **_report_payload(report)}
         for v, report in found]}
@@ -172,8 +175,7 @@ def cmd_classify(args) -> int:
             "b": [str(x) for x in coeffs.b],
         },
         "integrality": integrality_class(coeffs, tri.p),
-        "haken_fundamental_criterion":
-            report.meets_cores_once and report.has_type23_quad,
+        "haken_fundamental_criterion": report.haken_fundamental_criterion,
     }
     if args.fundamental:
         payload["is_fundamental"] = is_fundamental(
@@ -213,7 +215,7 @@ def _verify_fixture(fixture, budget) -> list[tuple[str, bool, str]]:
     name = fixture.tags[0]
     checks = []
     report = classify(tri, fixture.vector, matrix=matrix)
-    criterion = report.meets_cores_once and report.has_type23_quad
+    criterion = report.haken_fundamental_criterion
     for tag in fixture.tags:
         label = f"({p},{q}) {name}: {tag}"
         if tag in ("solution", "square"):
@@ -254,8 +256,7 @@ def cmd_verify(args) -> int:
     else:
         if args.p is None or args.q is None:
             raise LensQError("verify needs --p and --q, or --fixtures")
-        for check in catalog.verify_theorems(args.p, args.q, budget,
-                                             threads=args.threads):
+        for check in catalog.verify_theorems(args.p, args.q, budget):
             all_ok &= check.passed
             lines.append((check.name, check.passed, check.detail))
     if args.format == "json":
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-frontier", type=int, default=10 ** 7,
                             help="search state cap (default 1e7)")
             sp.add_argument("--threads", type=int, default=1,
-                            help="worker threads for enumeration")
+                            help=THREADS_HELP)
 
     sp = sub.add_parser("matrix", help="print a matching matrix")
     common(sp, csv=True)
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.add_argument("--max-seconds", type=float, default=60.0)
     sp.add_argument("--max-frontier", type=int, default=10 ** 7)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sp.set_defaults(func=cmd_verify)
     return parser
 

@@ -22,7 +22,6 @@ independently of the completion algorithm.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -358,8 +357,7 @@ def _quad_type_patterns(p):
 
 
 def square_fundamental_solutions(matrix: QMatrix,
-                                 budget: Budget | None = None,
-                                 threads: int = 1):
+                                 budget: Budget | None = None):
     """All fundamental solutions of a quad matching system that satisfy
     the square condition, without enumerating the full Hilbert basis.
 
@@ -371,35 +369,21 @@ def square_fundamental_solutions(matrix: QMatrix,
     3^p pattern Hilbert bases is precisely the set of square-condition
     fundamental solutions.  Each pattern is a p-variable system, so
     this stays fast long after full enumeration has become infeasible.
-
-    ``threads`` > 1 fans the independent pattern subproblems out to a
-    thread pool; the merged, sorted result does not depend on the
-    thread count.  Returns a tuple in graded lexicographic order.
+    Returns a tuple in graded lexicographic order.
     """
     clock = (budget or DEFAULT_BUDGET).clock()
     p = matrix.p
     n = 3 * p
 
-    def solve_pattern(pattern):
+    found = set()
+    for pattern in _quad_type_patterns(p):
         columns = [3 * i + (pattern[i] - 1) for i in range(p)]
         rows = tuple(tuple(row[c] for c in columns) for row in matrix.rows)
-        lifted = []
         for small in _hilbert_basis(SolutionCone(rows, ncols=p), clock):
             full = [0] * n
             for c, value in zip(columns, small):
                 full[c] = value
-            lifted.append(tuple(full))
-        return lifted
-
-    found = set()
-    patterns = _quad_type_patterns(p)
-    if threads <= 1:
-        for pattern in patterns:
-            found.update(solve_pattern(pattern))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for lifted in pool.map(solve_pattern, patterns, chunksize=64):
-                found.update(lifted)
+            found.add(tuple(full))
     return tuple(sorted(found, key=graded_lex_key))
 
 

@@ -5,12 +5,13 @@ A surface's quad coordinate is a length-3p vector; entries come in p
 blocks of three, block i holding the counts of the three quad types of
 tetrahedron i.  Each edge class imposes one balance equation (equal
 numbers of climbing and descending quads around the edge), giving a
-(p+2) x 3p integer matrix whose rational rank is p.  The solution space
-therefore has dimension 2p, and it carries a standard basis of 2p
-vectors: one "full block" vector per tetrahedron and one "edge sphere"
-vector per slanted edge.  This module assembles the matrix, produces the
-basis, decomposes arbitrary solutions over it in exact rational
-arithmetic, and classifies the integrality pattern of the coefficients.
+(p+2) x 3p integer matrix whose rational rank is p, held as 3p sparse
+columns.  The solution space therefore has dimension 2p, and it carries
+a standard basis of 2p vectors: one "full block" vector per tetrahedron
+and one "edge sphere" vector per slanted edge.  This module assembles
+the matrix, produces the basis, decomposes arbitrary solutions over it
+in exact rational arithmetic, and classifies the integrality pattern of
+the coefficients.
 """
 
 from __future__ import annotations
@@ -52,43 +53,44 @@ def block(v, i: int):
 
 
 class QMatrix:
-    """The (p+2) x 3p quad matching matrix.
+    """The (p+2) x 3p quad matching matrix, held as 3p sparse columns.
 
-    Row order is e_1 .. e_p, Eh, Ev; column order is block-major with
-    the three quad types inside each block.  Rows are plain integer
-    tuples so dumps are byte-comparable between runs.
+    Column order is block-major with the three quad types inside each
+    block; row order is e_1 .. e_p, Eh, Ev.  ``columns[c]`` lists the
+    non-zero ``(row, coefficient)`` pairs of column c, at most four
+    since a quad meets four edges.  ``rows`` is the dense expansion as
+    plain integer tuples, for display and the cone code; it is built
+    on first use only.
     """
 
     def __init__(self, tri: LensTriangulation):
         self.p = tri.p
         self.q = tri.q
         self.row_labels = tri.edge_classes
-        n = 3 * tri.p
         index = {label: r for r, label in enumerate(self.row_labels)}
-        rows = [[0] * n for _ in self.row_labels]
-        for i in tri.tetrahedra:
-            for j in QUAD_TYPES:
-                col = 3 * (i - 1) + (j - 1)
-                for label, s in tri.sense_contributions(i, j):
-                    rows[index[label]][col] += s
-        self.rows = tuple(tuple(r) for r in rows)
+        self.columns = tuple(
+            tuple((index[label], s) for label, s in tri.quad_senses(i, j))
+            for i in tri.tetrahedra for j in QUAD_TYPES)
+        self._rows = None
 
     @property
-    def shape(self):
-        return (len(self.rows), 3 * self.p)
-
-    def column_labels(self):
-        return tuple((i, j) for i in range(1, self.p + 1) for j in QUAD_TYPES)
+    def rows(self):
+        if self._rows is None:
+            rows = [[0] * len(self.columns) for _ in self.row_labels]
+            for col, entries in enumerate(self.columns):
+                for r, s in entries:
+                    rows[r][col] = s
+            self._rows = tuple(tuple(r) for r in rows)
+        return self._rows
 
     def multiply(self, v):
         vec = check_qvector(v, self.p)
-        return tuple(sum(c * x for c, x in zip(row, vec) if c) for row in self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
+        out = [0] * len(self.row_labels)
+        for entries, x in zip(self.columns, vec):
+            if x:
+                for r, s in entries:
+                    out[r] += s * x
+        return tuple(out)
 
     def __repr__(self):
         return f"QMatrix(p={self.p}, q={self.q})"

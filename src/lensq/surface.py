@@ -332,6 +332,11 @@ class SurfaceReport:
     def component_count(self) -> int:
         return len(self.components)
 
+    @property
+    def haken_fundamental_criterion(self) -> bool:
+        """See :func:`haken_fundamental_criterion`."""
+        return self.meets_cores_once and self.has_type23_quad
+
 
 def classify(tri: LensTriangulation, v,
              matrix: QMatrix | None = None) -> SurfaceReport:
@@ -415,16 +420,22 @@ def classify(tri: LensTriangulation, v,
             f"component Euler sum {total_euler} != cell count "
             f"{formula_euler}")
 
-    vec = check_qvector(v, tri.p)
-    has_23 = any(vec[3 * i + 1] or vec[3 * i + 2] for i in range(tri.p))
+    meets_cores_once, has_type23_quad = _criterion_parts(tri, v, weights)
     return SurfaceReport(
         euler=total_euler,
         orientable=all(o for _, o in components),
         components=tuple(components),
         edge_weights=weights,
-        meets_cores_once=(weights["Ev"] == 1 and weights["Eh"] == 1),
-        has_type23_quad=has_23,
+        meets_cores_once=meets_cores_once,
+        has_type23_quad=has_type23_quad,
     )
+
+
+def _criterion_parts(tri: LensTriangulation, v, weights):
+    """(crosses each core circle once, has a type-2 or type-3 quad)."""
+    vec = check_qvector(v, tri.p)
+    return (weights["Ev"] == 1 and weights["Eh"] == 1,
+            any(vec[3 * i + 1] or vec[3 * i + 2] for i in range(tri.p)))
 
 
 def haken_fundamental_criterion(tri: LensTriangulation, v,
@@ -439,10 +450,7 @@ def haken_fundamental_criterion(tri: LensTriangulation, v,
     forbids next to a type-2 or type-3 quad.
     """
     full = reconstruct_trigons(tri, v, matrix=matrix)
-    weights = edge_weights(tri, full)
-    vec = check_qvector(v, tri.p)
-    has_23 = any(vec[3 * i + 1] or vec[3 * i + 2] for i in range(tri.p))
-    return weights["Ev"] == 1 and weights["Eh"] == 1 and has_23
+    return all(_criterion_parts(tri, v, edge_weights(tri, full)))
 
 
 def surface_name(euler: int, orientable: bool) -> str:

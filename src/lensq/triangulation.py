@@ -302,17 +302,24 @@ class LensTriangulation:
             )
         raise ValueError(f"quad type must be 1, 2 or 3, got {j}")
 
-    def sense(self, edge: str, quad: tuple[int, int]) -> int:
-        """Net sense of quad type ``quad = (i, j)`` at an edge class.
+    def quad_senses(self, i: int, j: int):
+        """Net sense of quad type (i, j) at each edge class it meets, as
+        (edge class, coefficient) pairs with zeros dropped.
 
-        Coincident index contributions accumulate, so small p or q = 1
-        produce the +-2 entries of the matching matrix.
+        Coincident contributions accumulate, so small p or q = 1
+        produce the +-2 entries of the matching matrix and p = 2 the
+        cancellations.
         """
+        net = {}
+        for label, s in self.sense_contributions(i, j):
+            net[label] = net.get(label, 0) + s
+        return tuple((label, s) for label, s in net.items() if s)
+
+    def sense(self, edge: str, quad: tuple[int, int]) -> int:
+        """Net sense of quad type ``quad = (i, j)`` at an edge class."""
         if edge not in self._edge_slots:
             raise ValueError(f"unknown edge class {edge!r}")
-        i, j = quad
-        return sum(s for label, s in self.sense_contributions(i, j)
-                   if label == edge)
+        return dict(self.quad_senses(*quad)).get(edge, 0)
 
     def __repr__(self):
         return f"LensTriangulation(p={self.p}, q={self.q})"

@@ -8,6 +8,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 TWO_ONE_ROWS = [
     [-2, 2, 0, 2, 0, -2],
     [2, 0, -2, -2, 2, 0],
@@ -54,6 +56,20 @@ def test_haken_matrix_json_is_byte_stable():
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
         "111275b1479375820420d4b374b294f7abfe59efa7336688c837b4828b15212a")
+
+
+@pytest.mark.parametrize("p,q,digest", [
+    ("5", "2",
+     "c4f818ea19ab6f4d71f0861c4825c3101ce4aeaa3ebc3c8a7be86acbf8a38ea9"),
+    ("2", "1",
+     "526029c53f7c68ad769bbe0304a4a91172fe19b34f752d62d4d085773dffe40f"),
+    ("7", "1",
+     "b1813a7e069a4da57dc9ecca184ff85cde93164c2e0d77240290f597987a3fe3"),
+])
+def test_q_matrix_json_is_byte_stable(p, q, digest):
+    result = run_cli("matrix", "--p", p, "--q", q, "--format", "json")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_matrix_csv_round_trips():

@@ -134,13 +134,6 @@ def test_pattern_decomposition_matches_filtered_basis(p, q):
     assert square_fundamental_solutions(matrix) == filtered
 
 
-def test_pattern_decomposition_thread_count_invariance():
-    matrix = q_matrix(build_triangulation(6, 1))
-    single = square_fundamental_solutions(matrix)
-    threaded = square_fundamental_solutions(matrix, threads=4)
-    assert single == threaded
-
-
 # ------------------------------------------------------------ fundamental
 
 def test_sphere_vectors_are_fundamental():

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from lensq import exact
+from lensq.catalog import alternating_vector
 from lensq.errors import (
     DimensionMismatch,
     IntegralityViolated,
@@ -19,6 +20,7 @@ from lensq.errors import (
 )
 from lensq.qsystem import (
     BasisCoefficients,
+    QMatrix,
     basis_vectors,
     decompose,
     expand,
@@ -27,6 +29,7 @@ from lensq.qsystem import (
     q_matrix,
     square_condition,
 )
+from lensq.surface import classify
 from lensq.triangulation import build_triangulation
 
 
@@ -83,6 +86,32 @@ def test_row_redundancies(p, q):
 def test_rank_is_p(p, q):
     matrix = q_matrix(build_triangulation(p, q))
     assert exact.rank(matrix.rows) == p
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(12))
+def test_multiply_matches_dense_rows(p, q):
+    matrix = q_matrix(build_triangulation(p, q))
+    rng = random.Random(1000 * p + q)
+    for _ in range(5):
+        v = [rng.randint(-5, 5) for _ in range(3 * p)]
+        assert matrix.multiply(v) == tuple(
+            sum(c * x for c, x in zip(row, v)) for row in matrix.rows)
+
+
+def test_large_p_checks_never_build_the_dense_rows(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense quad rows were built")
+
+    monkeypatch.setattr(QMatrix, "rows", property(refuse))
+    p = 4000
+    tri = build_triangulation(p, 3)
+    v = alternating_vector(p, 3)
+    matrix = q_matrix(tri)
+    assert is_q_solution(matrix, v)
+    report = classify(tri, v)
+    assert report.meets_cores_once and report.has_type23_quad
+    coeffs = decompose(tri, v, matrix=matrix)
+    assert expand(tri, coeffs) == v
 
 
 def test_is_q_solution_examples():

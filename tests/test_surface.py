@@ -8,13 +8,24 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lensq.catalog import expected_for, fixtures
 from lensq.errors import (
     EmptyVector,
+    NoExpectation,
     NotASolution,
     SquareConditionViolated,
 )
-from lensq.qsystem import basis_vectors
+from lensq.qsystem import (
+    BasisCoefficients,
+    basis_vectors,
+    expand,
+    is_q_solution,
+    q_matrix,
+    square_condition,
+)
 from lensq.surface import (
     FullCoordinates,
     classify,
@@ -238,6 +249,70 @@ def test_rotation_preserves_classification():
     rotated = classify(tri, rotate(v, 6, 2))
     assert (base.euler, base.orientable) == (rotated.euler,
                                              rotated.orientable)
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
+                             derandomize=True, database=None)
+
+
+def _square_fundamentals():
+    """Known square-condition fundamentals by (p,q): the closed-form
+    lists with p <= 9 and the fixtures with p <= 30."""
+    known = {}
+    for p, q in coprime_pairs(9):
+        try:
+            known[(p, q)] = list(expected_for(p, q).vectors)
+        except NoExpectation:
+            pass
+    for fixture in fixtures():
+        if fixture.params.p <= 30:
+            key = (fixture.params.p, fixture.params.q)
+            known.setdefault(key, []).append(fixture.vector)
+    return known
+
+
+SQUARE_FUNDAMENTALS = _square_fundamentals()
+
+
+@st.composite
+def square_solutions(draw):
+    """A pair (p,q) and a non-zero sum of multiples of its known
+    fundamentals that keeps the square condition."""
+    p, q = draw(st.sampled_from(sorted(SQUARE_FUNDAMENTALS)))
+    picks = draw(st.lists(
+        st.tuples(st.sampled_from(SQUARE_FUNDAMENTALS[(p, q)]),
+                  st.integers(1, 3)), min_size=1, max_size=4))
+    total = [0] * (3 * p)
+    for v, k in picks:
+        candidate = [t + k * x for t, x in zip(total, v)]
+        if square_condition(candidate):
+            total = candidate
+    return p, q, tuple(total)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(coprime_pairs(12)), st.data())
+def test_rotation_by_one_block_keeps_solutions(pair, data):
+    tri = build_triangulation(*pair)
+    p = tri.p
+    coeffs = st.lists(st.integers(-3, 3), min_size=p, max_size=p)
+    v = expand(tri, BasisCoefficients(a=tuple(data.draw(coeffs)),
+                                      b=tuple(data.draw(coeffs))))
+    assert is_q_solution(q_matrix(tri), rotate(v, p, 1))
+
+
+@PROPERTY_SETTINGS
+@given(square_solutions())
+def test_classify_is_equivariant_under_block_rotation(case):
+    p, q, v = case
+    tri = build_triangulation(p, q)
+    base = classify(tri, v)
+    turned = classify(tri, rotate(v, p, 1))
+    assert (turned.euler, turned.orientable) == (base.euler, base.orientable)
+    assert sorted(turned.components) == sorted(base.components)
+    relabelled = {label if label in ("Eh", "Ev") else tri.edge_label(
+        int(label[1:]) + 1): w for label, w in base.edge_weights.items()}
+    assert turned.edge_weights == relabelled
 
 
 # ------------------------------------------------------ doubling identities
