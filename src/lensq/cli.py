@@ -8,8 +8,8 @@ Hilbert basis), ``classify`` reports the topology of one vector, and
 wrapped in a stable envelope (sorted keys, plain integers) so repeated
 runs are byte-identical and diffable.
 
-Exit codes: 0 success, 1 invalid input, 2 verification failure,
-3 budget exceeded.
+Exit codes: 0 success, 1 invalid input (usage errors included),
+2 verification failure, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -80,9 +80,10 @@ def parse_vector(spec: str, p: int, q: int, index: int | None):
     return matches[index]
 
 
-def budget_from(args) -> Budget:
+def budget_from(args):
+    """The command's one running clock, shared by all its enumerations."""
     return Budget(max_seconds=args.max_seconds,
-                  max_frontier=args.max_frontier)
+                  max_frontier=args.max_frontier).clock()
 
 
 def cmd_matrix(args) -> int:
@@ -273,8 +274,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are invalid input: one line on stderr, exit 1."""
+
+    def error(self, message):
+        sys.stderr.write(f"error: {message}\n")
+        sys.exit(EXIT_INVALID)
+
+
+def _non_negative(convert):
+    def parse(text):
+        value = convert(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(
+                f"must be non-negative, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lensq",
         description="Exact quad-coordinate normal surface computations "
                     "in triangulated lens spaces.")
@@ -287,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices = ("table", "json", "csv") if csv else ("table", "json")
         sp.add_argument("--format", choices=choices, default="table")
         if budget:
-            sp.add_argument("--max-seconds", type=float, default=60.0,
-                            help="wall-clock cap (default 60)")
-            sp.add_argument("--max-frontier", type=int, default=10 ** 7,
+            sp.add_argument("--max-seconds", type=_non_negative(float),
+                            default=60.0, help="wall-clock cap (default 60)")
+            sp.add_argument("--max-frontier", type=_non_negative(int),
+                            default=10 ** 7,
                             help="search state cap (default 1e7)")
             sp.add_argument("--threads", type=int, default=1,
                             help=THREADS_HELP)
@@ -321,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixtures", action="store_true",
                     help="check the worked-example fixtures instead")
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.add_argument("--max-seconds", type=float, default=60.0)
-    sp.add_argument("--max-frontier", type=int, default=10 ** 7)
+    sp.add_argument("--max-seconds", type=_non_negative(float), default=60.0)
+    sp.add_argument("--max-frontier", type=_non_negative(int),
+                    default=10 ** 7)
     sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sp.set_defaults(func=cmd_verify)
     return parser

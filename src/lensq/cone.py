@@ -21,6 +21,7 @@ independently of the completion algorithm.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,7 @@ from .errors import (
     NotASolution,
 )
 from .qsystem import QMatrix
+from .triangulation import QUAD_TYPES
 
 # Magnitude guard for the vectorized integer paths; entries beyond this
 # would risk silent int64 overflow in the matrix products.
@@ -49,7 +51,9 @@ class Budget:
     ``max_seconds`` caps wall-clock time, ``max_frontier`` caps both the
     breadth-first frontier size and the number of visited search nodes.
     Exhaustion raises BudgetExceeded; partial results are never
-    returned.
+    returned.  A running clock (``Budget.clock()``) is accepted wherever
+    a Budget is, so one deadline and one node count can serve a whole
+    command.
     """
 
     max_seconds: float | None = 60.0
@@ -65,6 +69,9 @@ class _Clock:
         self.deadline = (None if budget.max_seconds is None
                          else time.monotonic() + budget.max_seconds)
         self.nodes = 0
+
+    def clock(self):
+        return self
 
     def charge(self, amount=1):
         self.nodes += amount
@@ -212,16 +219,15 @@ def _hilbert_basis(cone: SolutionCone, clock: _Clock):
         for row in frontier[sol_mask]:
             if not any((row >= m).all() for m in minimal):
                 minimal.append(row.copy())
-        rest = frontier[~sol_mask]
-        if not rest.shape[0]:
+        frontier, residuals = frontier[~sol_mask], residuals[~sol_mask]
+        if not frontier.shape[0]:
             break
         # Extend x by e_j exactly when <A x, A e_j> < 0.
-        scores = residuals[~sol_mask] @ A
-        where = np.argwhere(scores < 0)
+        where = np.argwhere(residuals @ A < 0)
         clock.check_size(where.shape[0], what="extension set")
         if not where.shape[0]:
             break
-        children = rest[where[:, 0]].copy()
+        children = frontier[where[:, 0]]
         children[np.arange(children.shape[0]), where[:, 1]] += 1
         children = np.unique(children, axis=0)
         children = children[(children <= bound).all(axis=1)]
@@ -342,20 +348,6 @@ def is_vertex_by_search(cone: SolutionCone, v, k: int = 3,
     return True
 
 
-def _quad_type_patterns(p):
-    """Every choice of one quad type per block, odometer order."""
-    pattern = [1] * p
-    while True:
-        yield tuple(pattern)
-        k = 0
-        while k < p and pattern[k] == 3:
-            pattern[k] = 1
-            k += 1
-        if k == p:
-            return
-        pattern[k] += 1
-
-
 def square_fundamental_solutions(matrix: QMatrix,
                                  budget: Budget | None = None):
     """All fundamental solutions of a quad matching system that satisfy
@@ -376,9 +368,9 @@ def square_fundamental_solutions(matrix: QMatrix,
     n = 3 * p
 
     found = set()
-    for pattern in _quad_type_patterns(p):
-        columns = [3 * i + (pattern[i] - 1) for i in range(p)]
-        rows = tuple(tuple(row[c] for c in columns) for row in matrix.rows)
+    for pattern in itertools.product(QUAD_TYPES, repeat=p):
+        columns = [3 * i + t - 1 for i, t in enumerate(pattern)]
+        rows = exact.restrict_columns(matrix.rows, columns)
         for small in _hilbert_basis(SolutionCone(rows, ncols=p), clock):
             full = [0] * n
             for c, value in zip(columns, small):

@@ -231,3 +231,45 @@ def test_verify_fixtures():
 def test_missing_verify_target():
     result = run_cli("verify")
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum", "--p", "3", "--q", "1", "--raw-hilbert"],
+    ["verify", "--fixtures"],
+    ["classify", "--p", "2", "--q", "1", "--vector", "1,0,0,1,0,0",
+     "--fundamental"],
+])
+def test_one_budget_clock_per_command(argv, monkeypatch, capsys):
+    from lensq import cli, cone
+    started = []
+    start = cone._Clock.__init__
+
+    def counting(self, budget):
+        started.append(budget)
+        start(self, budget)
+
+    monkeypatch.setattr(cone._Clock, "__init__", counting)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert len(started) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--p", "2", "--q", "1", "--vector", "-1,0,0,-1,0,0"),
+    ("enum", "--p", "2", "--q", "1", "--max-seconds", "-1"),
+    ("enum", "--p", "2", "--q", "1", "--max-frontier", "-5"),
+])
+def test_usage_errors_exit_one_with_one_line(args):
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [("--help",), ("--version",),
+                                  ("enum", "--help")])
+def test_help_and_version_exit_zero(args):
+    result = run_cli(*args)
+    assert result.returncode == 0
+    assert result.stdout
