@@ -7,9 +7,10 @@ solutions) is enumerated by the classic completion scheme of Contejean
 and Devie: grow candidate vectors breadth first from the unit vectors,
 extending x by a unit e_j only when the residual A x moves closer to
 zero in the direction of column j (formally <A x, A e_j> < 0), and
-discard any candidate that already dominates a known minimal solution.
-Every level of the frontier is deduplicated and processed in sorted
-order, so the output is deterministic regardless of batch sizes.
+discard any candidate that already dominates a known minimal solution
+(read from a bitset index over the minimal solutions).  Each level is
+extended in chunks with the budget read between them, then deduplicated
+into lexicographic order, so the output does not depend on chunk size.
 
 Alongside the enumerator there are direct, definition-level tests:
 ``is_fundamental`` runs an exhaustive box search below a given solution,
@@ -33,6 +34,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     EmptyVector,
+    InternalInvariantError,
     NegativeEntry,
     NotASolution,
 )
@@ -42,6 +44,9 @@ from .triangulation import QUAD_TYPES
 # Magnitude guard for the vectorized integer paths; entries beyond this
 # would risk silent int64 overflow in the matrix products.
 _SAFE_MAGNITUDE = 2 ** 30
+
+# Frontier rows extended between two reads of the budget clock.
+_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -159,18 +164,43 @@ def graded_lex_key(v):
     return (sum(v), tuple(v))
 
 
-def _dominates_any(vectors: np.ndarray, minimal: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows of ``vectors`` that dominate (>=) some row
-    of ``minimal``, computed in memory-bounded chunks."""
-    out = np.zeros(vectors.shape[0], dtype=bool)
-    if not minimal.shape[0]:
-        return out
-    chunk = max(1, 4_000_000 // max(1, minimal.shape[0] * vectors.shape[1]))
-    for lo in range(0, vectors.shape[0], chunk):
-        part = vectors[lo: lo + chunk]
-        out[lo: lo + chunk] = (
-            (part[:, None, :] >= minimal[None, :, :]).all(axis=2).any(axis=1))
-    return out
+class _DominationIndex:
+    """Which vectors of a batch dominate (>=) some row of ``minimal``.
+
+    Per column j the values ``minimal[:, j]`` are kept sorted, beside a
+    table whose row k is the bitset (uint64 words) of the minimal rows
+    holding the k smallest.  x dominates some minimal row iff the AND of
+    ``table_j[#{m_j <= x_j}]`` over all j is non-zero: O(n * M / 64) per
+    vector instead of O(n * M).
+    """
+
+    def __init__(self, minimal: np.ndarray):
+        m = minimal.shape[0]
+        order = np.argsort(minimal, axis=0, kind="stable").T
+        self.values = np.take_along_axis(minimal.T, order, axis=1)
+        rows = np.arange(m)
+        bits = np.zeros((m, max(1, -(-m // 64))), dtype=np.uint64)
+        bits[rows, rows // 64] = np.uint64(1) << (rows % 64).astype(np.uint64)
+        self.tables = np.zeros((minimal.shape[1], m + 1, bits.shape[1]),
+                               dtype=np.uint64)
+        self.tables[:, 1:] = np.bitwise_or.accumulate(bits[order], axis=1)
+
+    def dominates(self, vectors: np.ndarray) -> np.ndarray:
+        hit = np.full((vectors.shape[0], self.tables.shape[2]),
+                      ~np.uint64(0))
+        for values, table, column in zip(self.values, self.tables,
+                                         vectors.T):
+            hit &= table[np.searchsorted(values, column, side="right")]
+        return hit.any(axis=1)
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order, exactly as
+    ``np.unique(rows, axis=0)`` returns them."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
@@ -183,7 +213,9 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     (the primitive extreme rays are themselves minimal and are seeded
     up front), and candidates escaping the entrywise sum of the extreme
     rays die, because every minimal solution is a sub-one combination
-    of the rays and therefore lies inside that box.
+    of the rays and therefore lies inside that box.  The budget is
+    checked after every chunk of a level, so a level overruns the
+    deadline by at most one chunk and its final deduplication.
 
     Returns a tuple sorted in graded lexicographic order.  Raises
     BudgetExceeded rather than truncating.
@@ -204,35 +236,42 @@ def _hilbert_basis(cone: SolutionCone, clock: _Clock):
     if bound.max(initial=0) > _SAFE_MAGNITUDE:
         raise BudgetExceeded("extreme-ray box exceeds the safe integer "
                              "range")
-    minimal = [np.array(r, dtype=np.int64) for r in rays]
+    minimal = np.array(rays, dtype=np.int64)
+    index = _DominationIndex(minimal)
     frontier = np.eye(n, dtype=np.int64)
     frontier = frontier[(frontier <= bound).all(axis=1)]
-    frontier = frontier[~_dominates_any(frontier, np.array(minimal))]
+    frontier = frontier[~index.dominates(frontier)]
 
     while frontier.shape[0]:
         clock.check_size(frontier.shape[0])
         residuals = frontier @ A.T
         sol_mask = (residuals == 0).all(axis=1)
-        # np.unique keeps rows lexicographically sorted, so this scan is
-        # deterministic.  Same-degree solutions can never dominate each
-        # other; only lower levels matter.
-        for row in frontier[sol_mask]:
-            if not any((row >= m).all() for m in minimal):
-                minimal.append(row.copy())
-        frontier, residuals = frontier[~sol_mask], residuals[~sol_mask]
-        if not frontier.shape[0]:
-            break
-        # Extend x by e_j exactly when <A x, A e_j> < 0.
-        where = np.argwhere(residuals @ A < 0)
-        clock.check_size(where.shape[0], what="extension set")
-        if not where.shape[0]:
-            break
-        children = frontier[where[:, 0]]
-        children[np.arange(children.shape[0]), where[:, 1]] += 1
-        children = np.unique(children, axis=0)
-        children = children[(children <= bound).all(axis=1)]
-        keep = ~_dominates_any(children, np.array(minimal))
-        frontier = children[keep]
+        if sol_mask.any():
+            # Every frontier row has passed the domination filter against
+            # the seeded rays and all solutions of lower degree, and the
+            # rows of one level are distinct, so each solution is minimal.
+            solutions = frontier[sol_mask]
+            if index.dominates(solutions).any():
+                raise InternalInvariantError(
+                    "a new solution dominates a known minimal solution")
+            minimal = np.concatenate([minimal, solutions])
+            index = _DominationIndex(minimal)
+            frontier, residuals = frontier[~sol_mask], residuals[~sol_mask]
+        # Extend x by e_j exactly when <A x, A e_j> < 0, a chunk of rows
+        # at a time so that the clock is read often.  Both filters act
+        # row by row, so one deduplication of the survivors gives the
+        # same level as deduplicating first.
+        survivors = [frontier[:0]]
+        extended = 0
+        for lo in range(0, frontier.shape[0], _CHUNK_ROWS):
+            where = np.argwhere(residuals[lo: lo + _CHUNK_ROWS] @ A < 0)
+            extended += where.shape[0]
+            clock.check_size(extended, what="extension set")
+            children = frontier[lo + where[:, 0]]
+            children[np.arange(children.shape[0]), where[:, 1]] += 1
+            children = children[(children <= bound).all(axis=1)]
+            survivors.append(children[~index.dominates(children)])
+        frontier = _unique_rows(np.concatenate(survivors))
 
     out = [tuple(int(x) for x in m) for m in minimal]
     out.sort(key=graded_lex_key)

@@ -72,6 +72,14 @@ def test_q_matrix_json_is_byte_stable(p, q, digest):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
+def test_raw_hilbert_json_is_byte_stable():
+    result = run_cli("enum", "--p", "5", "--q", "2", "--raw-hilbert",
+                     "--format", "json")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "cde4320cfe51e28ec20d052e0545f570483dc7b958fc778f994add8f26cd93a2")
+
+
 def test_matrix_csv_round_trips():
     result = run_cli("matrix", "--p", "3", "--q", "1", "--format", "csv")
     lines = result.stdout.strip().splitlines()

@@ -1,18 +1,27 @@
 """
 Tests for fundamental/vertex solution machinery: the completion
-enumerator against the grid oracle, the box-search minimality test, the
-support-rank vertex test against bounded search and against the exact
-extreme rays, and budget/determinism behaviour.
+enumerator against the grid oracle and against a box search, its
+domination index and row deduplication against plain numpy
+references, the box-search minimality test, the support-rank vertex test
+against bounded search and against the exact extreme rays, and
+budget/determinism behaviour.
 """
 
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensq.cone import (
     Budget,
     SolutionCone,
+    _box_solutions,
+    _DominationIndex,
+    _unique_rows,
     brute_force_minimal_solutions,
     hilbert_basis,
     is_fundamental,
@@ -37,6 +46,9 @@ def coprime_pairs(max_p):
 
 
 B_GRID = [Fraction(k, 2) for k in range(-4, 5)]
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
+                             derandomize=True, database=None)
 
 TWO_ONE_BASIS = (
     (0, 0, 1, 0, 1, 0),
@@ -122,6 +134,76 @@ def test_budget_exhaustion_raises():
         hilbert_basis(cone, Budget(max_seconds=0.001))
     with pytest.raises(BudgetExceeded):
         hilbert_basis(cone, Budget(max_frontier=3))
+
+
+def test_budget_deadline_is_kept_inside_a_level():
+    # The (6,1) raw basis runs far past 2 s, and its late levels extend
+    # hundreds of thousands of rows; the clock is read between chunks.
+    cone = SolutionCone(q_matrix(build_triangulation(6, 1)))
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        hilbert_basis(cone, Budget(max_seconds=2))
+    assert time.monotonic() - start < 2 + 1.5
+
+
+# ------------------------------------------------- completion kernels
+
+def _int_rows(draw, count, n, high):
+    row = st.lists(st.integers(0, high), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=count, max_size=count))
+    return np.array(rows, dtype=np.int64).reshape(count, n)
+
+
+@st.composite
+def domination_inputs(draw):
+    """Up to 150 minimal rows (three uint64 words) and 30 query rows;
+    the small entry ranges give many ties and both verdicts."""
+    n = draw(st.integers(1, 8))
+    minimal = _int_rows(draw, draw(st.integers(0, 150)), n, 5)
+    vectors = _int_rows(draw, draw(st.integers(0, 30)), n, 3)
+    return minimal, vectors
+
+
+@PROPERTY_SETTINGS
+@given(domination_inputs())
+def test_domination_index_matches_the_broadcast(inputs):
+    minimal, vectors = inputs
+    naive = (vectors[:, None] >= minimal[None]).all(axis=2).any(axis=1)
+    got = _DominationIndex(minimal).dominates(vectors)
+    assert got.dtype == bool and np.array_equal(got, naive)
+
+
+@st.composite
+def row_batches(draw):
+    n = draw(st.integers(1, 5))
+    return _int_rows(draw, draw(st.integers(0, 60)), n, 2)
+
+
+@PROPERTY_SETTINGS
+@given(row_batches())
+def test_unique_rows_matches_numpy_unique(rows):
+    got = _unique_rows(rows)
+    want = np.unique(rows, axis=0)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 3 rows and 5 columns, entries in [-3, 3]."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return [draw(row) for _ in range(m)]
+
+
+@PROPERTY_SETTINGS
+@given(small_matrices())
+def test_hilbert_basis_matches_the_box_search(rows):
+    cone = SolutionCone(rows)
+    box = [sum(r[j] for r in cone.extreme_rays) for j in range(cone.ncols)]
+    clock = Budget(max_seconds=None, max_frontier=None).clock()
+    solutions = [s for s in _box_solutions(cone, box, clock) if any(s)]
+    assert hilbert_basis(cone) == minimal_elements(solutions)
 
 
 # ------------------------------------------------- square-pattern shortcut
