@@ -12,6 +12,14 @@ discard any candidate that already dominates a known minimal solution
 extended in chunks with the budget read between them, then deduplicated
 into lexicographic order, so the output does not depend on chunk size.
 
+The square-condition fundamentals of a quad system are the union of
+the Hilbert bases of its 3^p one-type-per-block pattern subcones.  The
+p-tetrahedron lens-space triangulation is a cyclic chain, so shifting
+every block by one tetrahedron permutes the matching equations; the
+search checks this exactly once, solves one pattern per rotation orbit
+(the orbit's lexicographically least rotation, a 3-ary necklace) and
+rotates each answer into every block position.
+
 Alongside the enumerator there are direct, definition-level tests:
 ``is_fundamental`` runs an exhaustive box search below a given solution,
 ``is_vertex`` checks that the rational kernel restricted to the support
@@ -22,7 +30,6 @@ independently of the completion algorithm.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +46,7 @@ from .errors import (
     NotASolution,
 )
 from .qsystem import QMatrix
+from .rays import extreme_rays_of_kernel_cone
 from .triangulation import QUAD_TYPES
 
 # Magnitude guard for the vectorized integer paths; entries beyond this
@@ -127,7 +135,6 @@ class SolutionCone:
     @property
     def extreme_rays(self):
         if self._rays is None:
-            from .rays import extreme_rays_of_kernel_cone
             self._rays = extreme_rays_of_kernel_cone(self.rows, self.ncols)
         return self._rays
 
@@ -220,17 +227,16 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     Returns a tuple sorted in graded lexicographic order.  Raises
     BudgetExceeded rather than truncating.
     """
-    return _hilbert_basis(cone, (budget or DEFAULT_BUDGET).clock())
+    return _hilbert_basis(cone.rows, cone.ncols, cone.extreme_rays,
+                          (budget or DEFAULT_BUDGET).clock())
 
 
-def _hilbert_basis(cone: SolutionCone, clock: _Clock):
-    n = cone.ncols
-    if n == 0:
+def _hilbert_basis(rows, n, rays, clock: _Clock):
+    """``hilbert_basis`` of the integer rows ``rows`` with ``n`` columns,
+    given their primitive extreme rays."""
+    if n == 0 or not rays:
         return ()
-    A = np.array(cone.rows, dtype=np.int64).reshape(len(cone.rows), n)
-    rays = cone.extreme_rays
-    if not rays:
-        return ()
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     bound = np.array([sum(r[j] for r in rays) for j in range(n)],
                      dtype=np.int64)
     if bound.max(initial=0) > _SAFE_MAGNITUDE:
@@ -387,6 +393,44 @@ def is_vertex_by_search(cone: SolutionCone, v, k: int = 3,
     return True
 
 
+def _block_rotation_guard(matrix: QMatrix):
+    """Check that shifting every block by one tetrahedron permutes the
+    matching equations: column c + 3 must be column c with row e_i
+    renamed e_(i+1) (e_p to e_1) and rows Eh, Ev left alone.  O(p).
+
+    Raises InternalInvariantError when it does not hold.
+    """
+    p = matrix.p
+    n = 3 * p
+    for c, entries in enumerate(matrix.columns):
+        shifted = sorted(((r + 1) % p if r < p else r, s)
+                         for r, s in entries)
+        if shifted != sorted(matrix.columns[(c + 3) % n]):
+            raise InternalInvariantError(
+                f"quad column {(c + 3) % n} is not column {c} shifted by "
+                f"one block for (p,q)=({p},{matrix.q})")
+
+
+def _necklaces(p, k):
+    """The lexicographically least rotation of every k-ary word of
+    length p, in lexicographic order (the Fredricksen-Kessler-Maiorana
+    algorithm: walk the prenecklaces in order and keep those whose
+    Lyndon prefix length divides p)."""
+    word = [0] * p
+    yield tuple(word)
+    while True:
+        i = p - 1
+        while i >= 0 and word[i] == k - 1:
+            i -= 1
+        if i < 0:
+            return
+        word[i] += 1
+        for j in range(i + 1, p):
+            word[j] = word[j - i - 1]
+        if p % (i + 1) == 0:
+            yield tuple(word)
+
+
 def square_fundamental_solutions(matrix: QMatrix,
                                  budget: Budget | None = None):
     """All fundamental solutions of a quad matching system that satisfy
@@ -400,21 +444,36 @@ def square_fundamental_solutions(matrix: QMatrix,
     3^p pattern Hilbert bases is precisely the set of square-condition
     fundamental solutions.  Each pattern is a p-variable system, so
     this stays fast long after full enumeration has become infeasible.
+
+    Shifting every block by one tetrahedron maps column c to column
+    c + 3 and, as checked exactly up front (InternalInvariantError
+    otherwise), renames the rows e_i -> e_(i+1) while fixing Eh and Ev.
+    A row permutation keeps every solution set, so the rotation of a
+    pattern's Hilbert basis is the Hilbert basis of the rotated
+    pattern.  Only one pattern per rotation orbit is solved, and each
+    of its basis elements enters the result with all p rotations.
     Returns a tuple in graded lexicographic order.
     """
     clock = (budget or DEFAULT_BUDGET).clock()
+    _block_rotation_guard(matrix)
     p = matrix.p
     n = 3 * p
+    nrows = len(matrix.row_labels)
 
     found = set()
-    for pattern in itertools.product(QUAD_TYPES, repeat=p):
-        columns = [3 * i + t - 1 for i, t in enumerate(pattern)]
-        rows = exact.restrict_columns(matrix.rows, columns)
-        for small in _hilbert_basis(SolutionCone(rows, ncols=p), clock):
+    for word in _necklaces(p, len(QUAD_TYPES)):
+        columns = [3 * i + t for i, t in enumerate(word)]
+        rows = [[0] * p for _ in range(nrows)]
+        for i, c in enumerate(columns):
+            for r, s in matrix.columns[c]:
+                rows[r][i] = s
+        rays = extreme_rays_of_kernel_cone(rows, p)
+        for small in _hilbert_basis(rows, p, rays, clock):
             full = [0] * n
             for c, value in zip(columns, small):
                 full[c] = value
-            found.add(tuple(full))
+            found.update(tuple(full[3 * k:] + full[:3 * k])
+                         for k in range(p))
     return tuple(sorted(found, key=graded_lex_key))
 
 

@@ -128,7 +128,7 @@ def test_enum_budget_exit_code():
 
 
 def test_enum_budget_message_names_the_users_limit():
-    result = run_cli("enum", "--p", "8", "--q", "3", "--max-seconds", "0.2")
+    result = run_cli("enum", "--p", "10", "--q", "3", "--max-seconds", "0.2")
     assert result.returncode == 3
     assert "0.2 seconds" in result.stderr
     assert result.stderr.count("\n") == 1

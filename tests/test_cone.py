@@ -3,10 +3,13 @@ Tests for fundamental/vertex solution machinery: the completion
 enumerator against the grid oracle and against a box search, its
 domination index and row deduplication against plain numpy
 references, the box-search minimality test, the support-rank vertex test
-against bounded search and against the exact extreme rays, and
-budget/determinism behaviour.
+against bounded search and against the exact extreme rays, the
+rotation-orbit pattern search against the plain 3^p pattern loop, its
+necklace representatives and symmetry guard, and budget/determinism
+behaviour.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -16,13 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lensq import cone as cone_module
+from lensq import exact
 from lensq.cone import (
     Budget,
     SolutionCone,
+    _block_rotation_guard,
     _box_solutions,
     _DominationIndex,
+    _necklaces,
     _unique_rows,
     brute_force_minimal_solutions,
+    graded_lex_key,
     hilbert_basis,
     is_fundamental,
     is_vertex,
@@ -33,11 +41,12 @@ from lensq.cone import (
 from lensq.errors import (
     BudgetExceeded,
     EmptyVector,
+    InternalInvariantError,
     NegativeEntry,
     NotASolution,
 )
-from lensq.qsystem import basis_vectors, q_matrix, square_condition
-from lensq.triangulation import build_triangulation
+from lensq.qsystem import QMatrix, basis_vectors, q_matrix, square_condition
+from lensq.triangulation import QUAD_TYPES, build_triangulation
 
 
 def coprime_pairs(max_p):
@@ -214,6 +223,82 @@ def test_pattern_decomposition_matches_filtered_basis(p, q):
     full = hilbert_basis(SolutionCone(matrix))
     filtered = tuple(v for v in full if square_condition(v))
     assert square_fundamental_solutions(matrix) == filtered
+
+
+def square_fundamentals_of_every_pattern(matrix):
+    """Reference for the orbit search: the Hilbert basis of each of the
+    3^p one-type-per-block patterns, every one solved from scratch."""
+    p = matrix.p
+    found = set()
+    for pattern in itertools.product(QUAD_TYPES, repeat=p):
+        columns = [3 * i + t - 1 for i, t in enumerate(pattern)]
+        rows = exact.restrict_columns(matrix.rows, columns)
+        for small in hilbert_basis(SolutionCone(rows, ncols=p)):
+            full = [0] * (3 * p)
+            for c, value in zip(columns, small):
+                full[c] = value
+            found.add(tuple(full))
+    return tuple(sorted(found, key=graded_lex_key))
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(8) + [(9, 2)])
+def test_orbit_search_matches_every_pattern(p, q):
+    matrix = q_matrix(build_triangulation(p, q))
+    assert (square_fundamental_solutions(matrix)
+            == square_fundamentals_of_every_pattern(matrix))
+
+
+@pytest.mark.parametrize("p,q,orbits", [(7, 2, 315), (8, 3, 834)])
+def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
+                                                   orbits):
+    calls = []
+    solve = cone_module._hilbert_basis
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cone_module, "_hilbert_basis", counted)
+    square_fundamental_solutions(q_matrix(build_triangulation(p, q)))
+    assert len(calls) == orbits
+
+
+def test_pattern_search_never_builds_the_dense_rows(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense quad rows were built")
+
+    monkeypatch.setattr(QMatrix, "rows", property(refuse))
+    matrix = q_matrix(build_triangulation(8, 3))
+    assert len(square_fundamental_solutions(matrix)) == 17
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_necklaces_are_one_per_rotation_orbit(p):
+    reps = list(_necklaces(p, 3))
+    assert reps == sorted(set(reps))
+    kept = set(reps)
+    for word in itertools.product(range(3), repeat=p):
+        rotations = {word[k:] + word[:k] for k in range(p)}
+        assert len(rotations & kept) == 1
+    totient = [sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+               for d in range(p + 1)]
+    assert len(reps) * p == sum(totient[d] * 3 ** (p // d)
+                                for d in range(1, p + 1) if p % d == 0)
+
+
+def test_block_rotation_guard_holds_below_forty():
+    for p, q in coprime_pairs(39):
+        _block_rotation_guard(q_matrix(build_triangulation(p, q)))
+
+
+def test_broken_block_rotation_raises():
+    matrix = q_matrix(build_triangulation(7, 2))
+    columns = list(matrix.columns)
+    (row, s), *rest = columns[4]
+    columns[4] = ((row, 2 * s), *rest)
+    matrix.columns = tuple(columns)
+    with pytest.raises(InternalInvariantError):
+        square_fundamental_solutions(matrix)
 
 
 # ------------------------------------------------------------ fundamental
