@@ -20,6 +20,7 @@ from .catalog import (
     expected_for,
     fixtures,
     half_odd_sphere_sum,
+    verify_fixture,
     verify_theorems,
 )
 from .cone import (

@@ -29,9 +29,9 @@ from importlib import resources
 
 from .cone import (
     Budget,
-    DEFAULT_BUDGET,
     SolutionCone,
     graded_lex_key,
+    is_fundamental,
     is_vertex,
     square_fundamental_solutions,
 )
@@ -52,7 +52,7 @@ from .qsystem import (
     q_matrix,
     square_condition,
 )
-from .surface import classify
+from .surface import classify, surface_name
 from .triangulation import LensParams, LensTriangulation, build_triangulation
 
 FIXTURE_FILE = "fixtures.txt"
@@ -152,7 +152,7 @@ def enumerate_q_fundamental(p: int, q: int,
     reports, in graded lexicographic order."""
     tri = build_triangulation(p, q)
     matrix = q_matrix(tri)
-    vectors = square_fundamental_solutions(matrix, budget or DEFAULT_BUDGET)
+    vectors = square_fundamental_solutions(matrix, budget)
     return tuple((v, classify(tri, v, matrix=matrix)) for v in vectors)
 
 
@@ -186,7 +186,6 @@ def verify_theorems(p: int, q: int, budget: Budget | None = None):
     Returns a list of CheckResult; overall success is their
     conjunction.
     """
-    budget = budget or DEFAULT_BUDGET
     tri = build_triangulation(p, q)
     matrix = q_matrix(tri)
     results = []
@@ -317,3 +316,43 @@ def fixtures(verify: bool = True):
         out.append(Fixture(params=LensParams(p, q), vector=vector,
                            tags=tuple(tags.split(","))))
     return tuple(out)
+
+
+def verify_fixture(fixture: Fixture, budget: Budget | None = None):
+    """Check every property tag of one fixture against its surface
+    report and, for the minimality tags, the box search of
+    ``is_fundamental``.  Returns a list of CheckResult, one per tag it
+    knows; ``solution`` and ``square`` were already checked on load."""
+    p, q = fixture.params.p, fixture.params.q
+    tri = build_triangulation(p, q)
+    matrix = q_matrix(tri)
+    name = fixture.tags[0]
+    checks = []
+    report = classify(tri, fixture.vector, matrix=matrix)
+    criterion = report.haken_fundamental_criterion
+    for tag in fixture.tags:
+        label = f"({p},{q}) {name}: {tag}"
+        if tag in ("solution", "square"):
+            checks.append(CheckResult(label, True, "validated on load"))
+        elif tag == "haken-criterion":
+            checks.append(CheckResult(label, criterion,
+                                      f"criterion={criterion}"))
+        elif tag in ("q-fundamental", "not-q-fundamental"):
+            fundamental = is_fundamental(SolutionCone(matrix),
+                                         fixture.vector, budget)
+            checks.append(CheckResult(
+                label, fundamental == (tag == "q-fundamental"),
+                f"is_fundamental={fundamental}"))
+        elif tag.startswith("euler="):
+            want = int(tag.split("=")[1])
+            checks.append(CheckResult(label, report.euler == want,
+                                      f"chi={report.euler}"))
+        elif tag == "orientable":
+            checks.append(CheckResult(label, report.orientable, ""))
+        elif tag == "non-orientable":
+            checks.append(CheckResult(label, not report.orientable, ""))
+        elif tag in ("klein-bottle", "torus"):
+            want = tag.replace("-", " ").replace("klein", "Klein")
+            got = [surface_name(e, o) for e, o in report.components]
+            checks.append(CheckResult(label, got == [want], f"got {got}"))
+    return checks

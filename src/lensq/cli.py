@@ -81,9 +81,9 @@ def parse_vector(spec: str, p: int, q: int, index: int | None):
 
 
 def budget_from(args):
-    """The command's one running clock, shared by all its enumerations."""
+    """The command's one Budget, shared by all its searches."""
     return Budget(max_seconds=args.max_seconds,
-                  max_frontier=args.max_frontier).clock()
+                  max_frontier=args.max_frontier)
 
 
 def cmd_matrix(args) -> int:
@@ -204,71 +204,26 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-_PROPERTY_TAGS = {"solution", "square", "haken-criterion", "q-fundamental",
-                  "not-q-fundamental", "orientable", "non-orientable",
-                  "klein-bottle", "torus"}
-
-
-def _verify_fixture(fixture, budget) -> list[tuple[str, bool, str]]:
-    p, q = fixture.params.p, fixture.params.q
-    tri = build_triangulation(p, q)
-    matrix = q_matrix(tri)
-    name = fixture.tags[0]
-    checks = []
-    report = classify(tri, fixture.vector, matrix=matrix)
-    criterion = report.haken_fundamental_criterion
-    for tag in fixture.tags:
-        label = f"({p},{q}) {name}: {tag}"
-        if tag in ("solution", "square"):
-            checks.append((label, True, "validated on load"))
-        elif tag == "haken-criterion":
-            checks.append((label, criterion, f"criterion={criterion}"))
-        elif tag == "q-fundamental":
-            ok = is_fundamental(SolutionCone(matrix), fixture.vector, budget)
-            checks.append((label, ok, f"is_fundamental={ok}"))
-        elif tag == "not-q-fundamental":
-            ok = not is_fundamental(SolutionCone(matrix), fixture.vector,
-                                    budget)
-            checks.append((label, ok, f"is_fundamental={not ok}"))
-        elif tag.startswith("euler="):
-            want = int(tag.split("=")[1])
-            checks.append((label, report.euler == want,
-                           f"chi={report.euler}"))
-        elif tag == "orientable":
-            checks.append((label, report.orientable, ""))
-        elif tag == "non-orientable":
-            checks.append((label, not report.orientable, ""))
-        elif tag in ("klein-bottle", "torus"):
-            want = tag.replace("-", " ").replace("klein", "Klein")
-            got = [surface_name(e, o) for e, o in report.components]
-            checks.append((label, got == [want], f"got {got}"))
-    return checks
-
-
 def cmd_verify(args) -> int:
     budget = budget_from(args)
-    lines = []
-    all_ok = True
     if args.fixtures:
-        for fixture in catalog.fixtures():
-            for label, ok, detail in _verify_fixture(fixture, budget):
-                all_ok &= ok
-                lines.append((label, ok, detail))
+        checks = [check for fixture in catalog.fixtures()
+                  for check in catalog.verify_fixture(fixture, budget)]
     else:
         if args.p is None or args.q is None:
             raise LensQError("verify needs --p and --q, or --fixtures")
-        for check in catalog.verify_theorems(args.p, args.q, budget):
-            all_ok &= check.passed
-            lines.append((check.name, check.passed, check.detail))
+        checks = catalog.verify_theorems(args.p, args.q, budget)
+    all_ok = all(check.passed for check in checks)
     if args.format == "json":
         payload = {"passed": all_ok, "checks": [
-            {"name": n, "passed": ok, "detail": d} for n, ok, d in lines]}
+            {"name": c.name, "passed": c.passed, "detail": c.detail}
+            for c in checks]}
         sys.stdout.write(envelope("verify", args.p, args.q, payload))
     else:
-        for name, ok, detail in lines:
-            status = "PASS" if ok else "FAIL"
-            suffix = f"  ({detail})" if detail else ""
-            sys.stdout.write(f"{status}  {name}{suffix}\n")
+        for check in checks:
+            status = "PASS" if check.passed else "FAIL"
+            suffix = f"  ({check.detail})" if check.detail else ""
+            sys.stdout.write(f"{status}  {check.name}{suffix}\n")
         sys.stdout.write("verification " +
                          ("passed" if all_ok else "FAILED") + "\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
@@ -301,17 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, budget=False, csv=False):
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--q", type=int, required=True)
+    def common(sp, budget=False, csv=False, required=True):
+        sp.add_argument("--p", type=int, required=required)
+        sp.add_argument("--q", type=int, required=required)
         choices = ("table", "json", "csv") if csv else ("table", "json")
         sp.add_argument("--format", choices=choices, default="table")
         if budget:
             sp.add_argument("--max-seconds", type=_non_negative(float),
-                            default=60.0, help="wall-clock cap (default 60)")
+                            default=60.0,
+                            help="wall-clock cap for the whole command "
+                                 "(default 60)")
             sp.add_argument("--max-frontier", type=_non_negative(int),
                             default=10 ** 7,
-                            help="search state cap (default 1e7)")
+                            help="most states one search may hold at once "
+                                 "(default 1e7)")
             sp.add_argument("--threads", type=int, default=1,
                             help=THREADS_HELP)
 
@@ -337,15 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("verify", help="run the verification suite")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
+    common(sp, budget=True, required=False)
     sp.add_argument("--fixtures", action="store_true",
                     help="check the worked-example fixtures instead")
-    sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.add_argument("--max-seconds", type=_non_negative(float), default=60.0)
-    sp.add_argument("--max-frontier", type=_non_negative(int),
-                    default=10 ** 7)
-    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sp.set_defaults(func=cmd_verify)
     return parser
 

@@ -31,7 +31,6 @@ independently of the completion algorithm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -53,59 +52,38 @@ from .triangulation import QUAD_TYPES
 # would risk silent int64 overflow in the matrix products.
 _SAFE_MAGNITUDE = 2 ** 30
 
-# Frontier rows extended between two reads of the budget clock.
+# Frontier rows extended between two budget checks.
 _CHUNK_ROWS = 2048
 
 
-@dataclass(frozen=True)
 class Budget:
-    """Resource limits for enumerations.
+    """Resource limits for the searches of one command.
 
-    ``max_seconds`` caps wall-clock time, ``max_frontier`` caps both the
-    breadth-first frontier size and the number of visited search nodes.
-    Exhaustion raises BudgetExceeded; partial results are never
-    returned.  A running clock (``Budget.clock()``) is accepted wherever
-    a Budget is, so one deadline and one node count can serve a whole
-    command.
+    ``max_seconds`` caps wall-clock time, counted from the moment the
+    Budget is made, so every search handed the same Budget shares one
+    deadline.  ``max_frontier`` caps the most states a search holds at
+    once: a completion level or its extension set, a coefficient grid
+    or candidate set, the solutions a box search has collected.  Either
+    limit may be None.  Exhaustion raises BudgetExceeded; partial
+    results are never returned.
     """
 
-    max_seconds: float | None = 60.0
-    max_frontier: int | None = 10 ** 7
+    def __init__(self, max_seconds: float | None = 60.0,
+                 max_frontier: int | None = 10 ** 7):
+        self.max_seconds = max_seconds
+        self.max_frontier = max_frontier
+        self.deadline = (None if max_seconds is None
+                         else time.monotonic() + max_seconds)
 
-    def clock(self):
-        return _Clock(self)
-
-
-class _Clock:
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.deadline = (None if budget.max_seconds is None
-                         else time.monotonic() + budget.max_seconds)
-        self.nodes = 0
-
-    def clock(self):
-        return self
-
-    def charge(self, amount=1):
-        self.nodes += amount
-        cap = self.budget.max_frontier
-        if cap is not None and self.nodes > cap:
+    def check(self, size=0, what="frontier"):
+        """Raise BudgetExceeded if ``size`` states exceed the frontier
+        cap or the deadline has passed."""
+        if self.max_frontier is not None and size > self.max_frontier:
             raise BudgetExceeded(
-                f"search visited more than {cap} states")
+                f"{what} grew past {self.max_frontier} states")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded(
-                f"search exceeded {self.budget.max_seconds} seconds")
-
-    def check_size(self, size, what="frontier"):
-        cap = self.budget.max_frontier
-        if cap is not None and size > cap:
-            raise BudgetExceeded(f"{what} grew past {cap} states")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded(
-                f"search exceeded {self.budget.max_seconds} seconds")
-
-
-DEFAULT_BUDGET = Budget()
+                f"search exceeded {self.max_seconds} seconds")
 
 
 class SolutionCone:
@@ -228,10 +206,10 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     BudgetExceeded rather than truncating.
     """
     return _hilbert_basis(cone.rows, cone.ncols, cone.extreme_rays,
-                          (budget or DEFAULT_BUDGET).clock())
+                          budget or Budget())
 
 
-def _hilbert_basis(rows, n, rays, clock: _Clock):
+def _hilbert_basis(rows, n, rays, budget: Budget):
     """``hilbert_basis`` of the integer rows ``rows`` with ``n`` columns,
     given their primitive extreme rays."""
     if n == 0 or not rays:
@@ -249,7 +227,7 @@ def _hilbert_basis(rows, n, rays, clock: _Clock):
     frontier = frontier[~index.dominates(frontier)]
 
     while frontier.shape[0]:
-        clock.check_size(frontier.shape[0])
+        budget.check(frontier.shape[0])
         residuals = frontier @ A.T
         sol_mask = (residuals == 0).all(axis=1)
         if sol_mask.any():
@@ -264,7 +242,7 @@ def _hilbert_basis(rows, n, rays, clock: _Clock):
             index = _DominationIndex(minimal)
             frontier, residuals = frontier[~sol_mask], residuals[~sol_mask]
         # Extend x by e_j exactly when <A x, A e_j> < 0, a chunk of rows
-        # at a time so that the clock is read often.  Both filters act
+        # at a time so that the deadline is read often.  Both filters act
         # row by row, so one deduplication of the survivors gives the
         # same level as deduplicating first.
         survivors = [frontier[:0]]
@@ -272,7 +250,7 @@ def _hilbert_basis(rows, n, rays, clock: _Clock):
         for lo in range(0, frontier.shape[0], _CHUNK_ROWS):
             where = np.argwhere(residuals[lo: lo + _CHUNK_ROWS] @ A < 0)
             extended += where.shape[0]
-            clock.check_size(extended, what="extension set")
+            budget.check(extended, what="extension set")
             children = frontier[lo + where[:, 0]]
             children[np.arange(children.shape[0]), where[:, 1]] += 1
             children = children[(children <= bound).all(axis=1)]
@@ -284,13 +262,14 @@ def _hilbert_basis(rows, n, rays, clock: _Clock):
     return tuple(out)
 
 
-def _box_solutions(cone: SolutionCone, bounds, clock, stop_after=None):
+def _box_solutions(cone: SolutionCone, bounds, budget, stop_after=None):
     """All integer solutions x with 0 <= x <= bounds, by depth-first
     search with interval pruning on every equation.
 
     ``bounds`` may be zero on most coordinates; only non-zero ones
     branch.  Returns a list of tuples, always including the zero
     vector; stops early once ``stop_after`` solutions are in hand.
+    Every node checks the budget, with the solution list as its size.
     """
     n = cone.ncols
     A = [list(map(int, row)) for row in cone.rows]
@@ -319,7 +298,7 @@ def _box_solutions(cone: SolutionCone, bounds, clock, stop_after=None):
     def rec(k, residual):
         if stop_after is not None and len(found) >= stop_after:
             return
-        clock.charge()
+        budget.check(len(found), what="box-search solution list")
         if k == len(support):
             if not any(residual):
                 found.append(tuple(x))
@@ -347,12 +326,11 @@ def is_fundamental(cone: SolutionCone, v, budget: Budget | None = None) -> bool:
     with the linear equations.  Exact but exponential in the support
     size; meant for the small explicit vectors this package handles.
     """
-    budget = budget or DEFAULT_BUDGET
-    clock = budget.clock()
     vec = cone.check_solution_vector(v)
     # The box below v always contains the solutions 0 and v itself; any
     # third one is a witness of non-minimality.
-    return len(_box_solutions(cone, vec, clock, stop_after=3)) <= 2
+    return len(_box_solutions(cone, vec, budget or Budget(),
+                              stop_after=3)) <= 2
 
 
 def is_vertex(cone: SolutionCone, v) -> bool:
@@ -379,11 +357,9 @@ def is_vertex_by_search(cone: SolutionCone, v, k: int = 3,
     Enumerates all solutions in [0, k v] and checks each is a multiple
     of v.  Exponential; use only on small vectors.
     """
-    budget = budget or DEFAULT_BUDGET
-    clock = budget.clock()
     vec = cone.check_solution_vector(v)
     bounds = tuple(k * x for x in vec)
-    for sol in _box_solutions(cone, bounds, clock):
+    for sol in _box_solutions(cone, bounds, budget or Budget()):
         if not any(sol):
             continue
         # sol must be a rational multiple of vec with matching support.
@@ -454,7 +430,7 @@ def square_fundamental_solutions(matrix: QMatrix,
     of its basis elements enters the result with all p rotations.
     Returns a tuple in graded lexicographic order.
     """
-    clock = (budget or DEFAULT_BUDGET).clock()
+    budget = budget or Budget()
     _block_rotation_guard(matrix)
     p = matrix.p
     n = 3 * p
@@ -468,7 +444,7 @@ def square_fundamental_solutions(matrix: QMatrix,
             for r, s in matrix.columns[c]:
                 rows[r][i] = s
         rays = extreme_rays_of_kernel_cone(rows, p)
-        for small in _hilbert_basis(rows, p, rays, clock):
+        for small in _hilbert_basis(rows, p, rays, budget):
             full = [0] * n
             for c, value in zip(columns, small):
                 full[c] = value
@@ -499,8 +475,7 @@ def brute_force_minimal_solutions(tri, a_values, b_values,
     no code path with the completion enumerator it validates.  Feasible
     for p up to about 4.
     """
-    budget = budget or DEFAULT_BUDGET
-    clock = budget.clock()
+    budget = budget or Budget()
     p = tri.p
     a_values = sorted(set(int(a) for a in a_values))
     b_values = sorted(set(Fraction(b) for b in b_values))
@@ -521,8 +496,8 @@ def brute_force_minimal_solutions(tri, a_values, b_values,
     grids_b = np.array(
         np.meshgrid(*([doubled_b] * p), indexing="ij"),
         dtype=np.int64).reshape(p, -1).T
-    clock.check_size(grids_a.shape[0] * grids_b.shape[0],
-                     what="coefficient grid")
+    budget.check(grids_a.shape[0] * grids_b.shape[0],
+                 what="coefficient grid")
 
     def col(k):  # 0-based column of b_k in the grid, index mod p
         return (k - 1) % p
@@ -546,9 +521,8 @@ def brute_force_minimal_solutions(tri, a_values, b_values,
     vectors[:, :, 1::3] = grids_a[:, None, :] + beta2[None, :, :]
     vectors[:, :, 2::3] = grids_a[:, None, :] + beta3[None, :, :]
     vectors = vectors.reshape(-1, 3 * p)
-    clock.check_size(vectors.shape[0], what="candidate set")
+    budget.check(vectors.shape[0], what="candidate set")
     vectors = vectors[(vectors >= 0).all(axis=1)]
     vectors = vectors[vectors.any(axis=1)]
     vectors = np.unique(vectors, axis=0)
-    clock.charge(vectors.shape[0])
     return minimal_elements(map(tuple, vectors.tolist()))

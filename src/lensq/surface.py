@@ -209,7 +209,11 @@ def edge_weights(tri: LensTriangulation, full: FullCoordinates):
 def euler_characteristic(tri: LensTriangulation, full: FullCoordinates) -> int:
     """chi = edge crossings - face arcs + disks, each counted once per
     class of the glued-up cell structure."""
-    weights = edge_weights(tri, full)
+    return _cell_euler(tri, full, edge_weights(tri, full))
+
+
+def _cell_euler(tri, full, weights):
+    """``euler_characteristic`` given the surface's edge weights."""
     arcs = sum(full.arcs(*side_a) for _, side_a, _ in tri.corner_gluings)
     return sum(weights.values()) - arcs + full.total_disks()
 
@@ -414,7 +418,7 @@ def classify(tri: LensTriangulation, v,
         components.append((euler, orientable))
 
     total_euler = sum(e for e, _ in components)
-    formula_euler = euler_characteristic(tri, full)
+    formula_euler = _cell_euler(tri, full, weights)
     if total_euler != formula_euler:
         raise InconsistentPropagation(
             f"component Euler sum {total_euler} != cell count "

@@ -249,17 +249,25 @@ def test_missing_verify_target():
 ])
 def test_one_budget_clock_per_command(argv, monkeypatch, capsys):
     from lensq import cli, cone
-    started = []
-    start = cone._Clock.__init__
+    made = []
+    make = cone.Budget.__init__
 
-    def counting(self, budget):
-        started.append(budget)
-        start(self, budget)
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        make(self, *args, **kwargs)
 
-    monkeypatch.setattr(cone._Clock, "__init__", counting)
+    monkeypatch.setattr(cone.Budget, "__init__", counting)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
-    assert len(started) == 1
+    assert len(made) == 1
+
+
+def test_max_frontier_caps_one_search_not_the_command():
+    # The eight minimality checks each hold at most three box-search
+    # solutions, though together they visit far more than 100 nodes.
+    result = run_cli("verify", "--fixtures", "--max-frontier", "100")
+    assert result.returncode == 0, result.stderr
+    assert "verification passed" in result.stdout
 
 
 @pytest.mark.parametrize("args", [

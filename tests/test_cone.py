@@ -210,8 +210,8 @@ def small_matrices(draw):
 def test_hilbert_basis_matches_the_box_search(rows):
     cone = SolutionCone(rows)
     box = [sum(r[j] for r in cone.extreme_rays) for j in range(cone.ncols)]
-    clock = Budget(max_seconds=None, max_frontier=None).clock()
-    solutions = [s for s in _box_solutions(cone, box, clock) if any(s)]
+    unlimited = Budget(max_seconds=None, max_frontier=None)
+    solutions = [s for s in _box_solutions(cone, box, unlimited) if any(s)]
     assert hilbert_basis(cone) == minimal_elements(solutions)
 
 
@@ -346,6 +346,19 @@ def test_sphere_and_torus_vectors_are_vertices():
         assert is_vertex(cone, t)
         assert is_vertex_by_search(cone, t, k=3)
     assert is_vertex(cone, (1, 0, 0) * 5)
+
+
+def test_vertex_search_frontier_caps_the_solutions_held():
+    # Below 3t lie the four solutions 0, t, 2t and 3t; the box search
+    # visits many more nodes than that, and only what it holds counts.
+    tri = build_triangulation(5, 1)
+    cone = SolutionCone(q_matrix(tri))
+    _, t_vecs = basis_vectors(tri)
+    with pytest.raises(BudgetExceeded, match="grew past 2 states"):
+        is_vertex_by_search(cone, t_vecs[0], k=3,
+                            budget=Budget(max_frontier=2))
+    assert is_vertex_by_search(cone, t_vecs[0], k=3,
+                               budget=Budget(max_frontier=4))
 
 
 def test_vertex_search_cross_check():
