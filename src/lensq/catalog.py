@@ -153,7 +153,8 @@ def enumerate_q_fundamental(p: int, q: int,
     tri = build_triangulation(p, q)
     matrix = q_matrix(tri)
     vectors = square_fundamental_solutions(matrix, budget)
-    return tuple((v, classify(tri, v, matrix=matrix)) for v in vectors)
+    return tuple((v, classify(tri, v, matrix=matrix, budget=budget))
+                 for v in vectors)
 
 
 def _bounds_for(cls_label):
@@ -328,6 +329,8 @@ def verify_fixture(fixture: Fixture, budget: Budget | None = None):
     matrix = q_matrix(tri)
     name = fixture.tags[0]
     checks = []
+    # Unbudgeted: the (418,153) fixture's 1,086 disks would trip a
+    # frontier cap meant for the minimality searches below.
     report = classify(tri, fixture.vector, matrix=matrix)
     criterion = report.haken_fundamental_criterion
     for tag in fixture.tags:

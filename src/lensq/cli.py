@@ -166,7 +166,8 @@ def cmd_classify(args) -> int:
     tri = build_triangulation(args.p, args.q)
     vector = parse_vector(args.vector, args.p, args.q, args.index)
     matrix = q_matrix(tri)
-    report = classify(tri, vector, matrix=matrix)
+    budget = budget_from(args)
+    report = classify(tri, vector, matrix=matrix, budget=budget)
     coeffs = decompose(tri, vector, matrix=matrix)
     payload = {
         "vector": list(vector),
@@ -180,7 +181,7 @@ def cmd_classify(args) -> int:
     }
     if args.fundamental:
         payload["is_fundamental"] = is_fundamental(
-            SolutionCone(matrix), vector, budget_from(args))
+            SolutionCone(matrix), vector, budget)
     if args.format == "json":
         sys.stdout.write(envelope("classify", args.p, args.q, payload))
     else:

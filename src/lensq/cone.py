@@ -63,9 +63,10 @@ class Budget:
     Budget is made, so every search handed the same Budget shares one
     deadline.  ``max_frontier`` caps the most states a search holds at
     once: a completion level or its extension set, a coefficient grid
-    or candidate set, the solutions a box search has collected.  Either
-    limit may be None.  Exhaustion raises BudgetExceeded; partial
-    results are never returned.
+    or candidate set, the solutions a box search has collected, the
+    normal disks ``surface.classify`` glues.  Either limit may be None.
+    Exhaustion raises BudgetExceeded; partial results are never
+    returned.
     """
 
     def __init__(self, max_seconds: float | None = 60.0,

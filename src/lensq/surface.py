@@ -10,22 +10,23 @@ trigon counts relative to one another around each vertex class; the
 surface with no trivial (vertex-linking) component is the shift that
 makes the minimum count in each class zero.
 
-The classification pipeline then instantiates one node per normal disk
-copy, glues arcs in nesting order across every face, and reads off
-components, Euler characteristic (crossings - arcs + disks), and
-orientability.  Orientability is decided by transporting a transverse
-side-choice across arc gluings: at a glued corner both disks either
-face the corner vertex or face away, which yields a parity constraint
-per arc; the surface is two-sided (equivalently orientable, the
-ambient space being orientable) exactly when the constraints admit a
-global solution.
+Classification numbers the disks slot by slot and glues them across
+every face corner, matching arcs in nesting order.  All gluing goes
+through one union-find with potentials (``triangulation.Potentials``):
+trigon levels are potentials on the 4p corners; each arc joins its
+disks' crossings with the face's other edges into surface vertices;
+and the disks, glued along the arcs with each arc's side parity mod 2,
+form the components.  A component is two-sided (equivalently
+orientable, the ambient space being orientable) exactly when no arc
+contradicts that parity.  chi = crossings - arcs + disks, per component.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
+from .cone import Budget
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -38,15 +39,21 @@ from .errors import (
 from .qsystem import QMatrix, check_qvector, is_q_solution, q_matrix, square_condition
 from .triangulation import (
     CORNERS,
+    LOCAL_EDGES,
     QUAD_PAIRS,
     QUAD_TYPES,
     PAIR_TO_QUAD,
     LensTriangulation,
+    Potentials,
 )
 
 # Per-tetrahedron layout of a full coordinate vector: four trigon counts
-# in corner order, then the three quad counts.
+# in corner order, then the three quad counts.  Disks are numbered in
+# the same order, each slot's copies in a row.
 SLOTS_PER_TET = 7
+DISK_KINDS = (tuple(("T", corner) for corner in CORNERS)
+              + tuple(("Q", j) for j in QUAD_TYPES))
+EDGE_INDEX = {edge: k for k, edge in enumerate(LOCAL_EDGES)}
 
 
 class FullCoordinates:
@@ -120,9 +127,9 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     """Fill in trigon counts for a quad solution with the square
     condition, normalized to have no trivial component.
 
-    Walks the corner identification graph of ``tri.corner_gluings``:
-    each glued face corner z imposes
-    t(z) + x(quad at z) = t(z') + x(quad at z'), fixing all
+    Each glued face corner z of ``tri.corner_gluings`` imposes
+    t(z) + x(quad at z) = t(z') + x(quad at z'), one difference between
+    two trigon levels in a union-find with potentials.  That fixes all
     trigon counts up to one constant per vertex class, which the
     no-trivial-component normalization pins to make each class's
     minimum zero.  A contradiction on a cycle is impossible for a
@@ -143,38 +150,25 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     def quad_count(tet, qtype):
         return vec[3 * (tet - 1) + (qtype - 1)]
 
-    # Corner graph: the trigon level steps by the quad count here minus
-    # the quad count there across each glued corner.
-    adjacency = {(tet, c): [] for tet in tri.tetrahedra for c in CORNERS}
+    # Corner node 4(tet-1)+c; its potential is the trigon level, which
+    # steps by the quad count here minus the quad count there across
+    # each glued corner.
+    levels = Potentials(4 * tri.p)
     for _, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
         step = quad_count(tet_a, qa) - quad_count(tet_b, qb)
-        adjacency[(tet_a, za)].append(((tet_b, zb), step))
-        adjacency[(tet_b, zb)].append(((tet_a, za), -step))
-
-    # Relative trigon levels by breadth-first propagation.
-    level = {}
-    for corner_class in tri.vertex_classes():
-        seed = corner_class[0]
-        level[seed] = 0
-        queue = deque([seed])
-        while queue:
-            node = queue.popleft()
-            for other, step in adjacency[node]:
-                value = level[node] + step
-                if other not in level:
-                    level[other] = value
-                    queue.append(other)
-                elif level[other] != value:
-                    raise InconsistentPropagation(
-                        f"corner {other} got levels {level[other]} "
-                        f"and {value}")
-        shift = min(level[c] for c in corner_class)
-        for c in corner_class:
-            level[c] -= shift
+        if not levels.union(4 * (tet_a - 1) + za, 4 * (tet_b - 1) + zb,
+                            step):
+            raise InconsistentPropagation(
+                f"corner {(tet_b, zb)} got contradictory trigon levels")
+    level = [levels.find(node)[1] for node in range(4 * tri.p)]
+    for corner_class in levels.classes():
+        shift = min(level[node] for node in corner_class)
+        for node in corner_class:
+            level[node] -= shift
 
     entries = []
     for tet in tri.tetrahedra:
-        entries.extend(level[(tet, c)] for c in CORNERS)
+        entries.extend(level[4 * (tet - 1): 4 * tet])
         entries.extend(quad_count(tet, j) for j in QUAD_TYPES)
     full = FullCoordinates(tri, entries)
     if any(haken_residual(tri, full)):
@@ -237,80 +231,63 @@ class DiskGraph:
     corner_edge_labels: tuple
 
 
-def glue_disks(tri: LensTriangulation, full: FullCoordinates) -> DiskGraph:
+def glue_disks(tri: LensTriangulation, full: FullCoordinates,
+               budget: Budget | None = None) -> DiskGraph:
     """Instantiate disk copies and glue their arcs across every face.
 
     At a glued corner the arcs are matched in nesting order: trigon
     copies sit nearest the vertex, quad copies follow, and parallel
     quad copies run toward or away from the corner according to which
-    side of the quad's partition the corner lies on.
+    side of the quad's partition the corner lies on.  Each arc also
+    glues its disks' crossings with the face's two other edges, node
+    6 * disk + LOCAL_EDGES index.  A ``budget``, if given, is charged
+    the disk count first and its deadline read once per glued corner.
     """
-    disks = []
-    index = {}
-    for tet in tri.tetrahedra:
-        for corner in CORNERS:
-            for copy in range(full.trigons(tet, corner)):
-                index[(tet, ("T", corner), copy)] = len(disks)
-                disks.append((tet, ("T", corner), copy))
-        for j in QUAD_TYPES:
-            for copy in range(full.quads(tet, j)):
-                index[(tet, ("Q", j), copy)] = len(disks)
-                disks.append((tet, ("Q", j), copy))
+    if budget:
+        budget.check(full.total_disks(), what="normal disks")
+    first = list(accumulate(full.entries, initial=0))
+    disks = [(slot // SLOTS_PER_TET + 1, DISK_KINDS[slot % SLOTS_PER_TET], c)
+             for slot, count in enumerate(full.entries) for c in range(count)]
 
     def stack(tet, corner, j):
         """Arcs at a face corner whose corner quad type is j, innermost
         first, as (disk id, reference side faces the corner) pairs."""
-        out = []
-        for copy in range(full.trigons(tet, corner)):
-            out.append((index[(tet, ("T", corner), copy)], False))
-        count = full.quads(tet, j)
-        ascending = corner in QUAD_PAIRS[j][0]
-        copies = range(count) if ascending else range(count - 1, -1, -1)
-        flip = not ascending
-        for copy in copies:
-            out.append((index[(tet, ("Q", j), copy)], flip))
+        slot = SLOTS_PER_TET * (tet - 1)
+        trigons = range(first[slot + corner], first[slot + corner + 1])
+        quads = range(first[slot + 3 + j], first[slot + 4 + j])
+        out = [(d, False) for d in trigons]
+        if corner in QUAD_PAIRS[j][0]:
+            out.extend((d, False) for d in quads)
+        else:
+            out.extend((d, True) for d in reversed(quads))
         return out
 
     arcs = []
-    corner_parent = {}
-
-    def find(x):
-        while corner_parent[x] != x:
-            corner_parent[x] = corner_parent[corner_parent[x]]
-            x = corner_parent[x]
-        return x
-
-    def union(x, y):
-        corner_parent.setdefault(x, x)
-        corner_parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            corner_parent[rx] = ry
-
+    crossings = Potentials(6 * len(disks))
+    crossed = bytearray(6 * len(disks))
     for face, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
+        if budget:
+            budget.check()
         side_a = stack(tet_a, za, qa)
         side_b = stack(tet_b, zb, qb)
         if len(side_a) != len(side_b):
             raise ArityMismatch(
                 f"face {face.label} corner {za}->{zb}: "
                 f"{len(side_a)} vs {len(side_b)} arcs")
-        others = [(ya, yb) for ya, yb in face.corners() if ya != za]
+        edges = [(EDGE_INDEX[frozenset((za, ya))],
+                  EDGE_INDEX[frozenset((zb, yb))])
+                 for ya, yb in face.corners() if ya != za]
         for (da, flip_a), (db, flip_b) in zip(side_a, side_b):
             arcs.append((da, db, flip_a ^ flip_b))
-            for ya, yb in others:
-                union((da, frozenset((za, ya))),
-                      (db, frozenset((zb, yb))))
+            for ea, eb in edges:
+                crossings.union(6 * da + ea, 6 * db + eb)
+                crossed[6 * da + ea] = crossed[6 * db + eb] = 1
 
-    groups = {}
-    for node in corner_parent:
-        groups.setdefault(find(node), []).append(node)
-    corner_classes = tuple(tuple(sorted(g)) for g in
-                           sorted(groups.values(), key=lambda g: min(g)))
-    labels = []
-    for cls in corner_classes:
-        disk_id, local_edge = cls[0]
-        labels.append(tri.edge_of(disks[disk_id][0], local_edge))
-    labels = tuple(labels)
+    corner_classes = tuple(
+        tuple((node // 6, LOCAL_EDGES[node % 6]) for node in cls)
+        for cls in crossings.classes() if crossed[cls[0]])
+    labels = tuple(tri.edge_of(disks[cls[0][0]][0], cls[0][1])
+                   for cls in corner_classes)
     # Sanity: one crossing point shows up once per slot around its edge.
     for cls, label in zip(corner_classes, labels):
         if len(cls) != tri.edge_degree(label):
@@ -342,74 +319,50 @@ class SurfaceReport:
         return self.meets_cores_once and self.has_type23_quad
 
 
-def classify(tri: LensTriangulation, v,
-             matrix: QMatrix | None = None) -> SurfaceReport:
+def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
+             budget: Budget | None = None) -> SurfaceReport:
     """Full topological report for a quad solution.
 
-    Components come from connectivity of the disk graph; per-component
-    Euler characteristics from crossings - arcs + disks within the
-    component; orientability from the two-sidedness transport.  The
-    ambient-space parity law (a connected surface is one-sided exactly
-    when it crosses each core circle an odd number of times) is checked
-    per component as an internal cross-validation.
+    Components glue the disks along every arc, with the arc's side
+    parity as potential mod 2; one whose arcs contradict that parity is
+    one-sided.  Per-component Euler characteristics count crossings -
+    arcs + disks.  The ambient-space parity law (a connected surface is
+    one-sided exactly when it crosses each core circle an odd number of
+    times) is checked per component as an internal cross-validation.
+    ``budget`` bounds the disk gluing (see :func:`glue_disks`).
     """
     full = reconstruct_trigons(tri, v, matrix=matrix)
     weights = edge_weights(tri, full)
-    graph = glue_disks(tri, full)
+    graph = glue_disks(tri, full, budget)
     n = len(graph.disks)
 
-    neighbors = {d: [] for d in range(n)}
-    for da, db, reverse in graph.arcs:
-        neighbors[da].append((db, reverse))
-        neighbors[db].append((da, reverse))
+    sides = Potentials(n, modulus=2)
+    one_sided_disks = [da for da, db, reverse in graph.arcs
+                       if not sides.union(da, db, reverse)]
+    component_of = [0] * n
+    classes = sides.classes()
+    for comp, cls in enumerate(classes):
+        for d in cls:
+            component_of[d] = comp
+    one_sided = {component_of[d] for d in one_sided_disks}
 
-    component_of = [None] * n
-    orientable_flags = []
-    for start in range(n):
-        if component_of[start] is not None:
-            continue
-        comp = len(orientable_flags)
-        colour = {start: False}
-        component_of[start] = comp
-        queue = deque([start])
-        consistent = True
-        while queue:
-            node = queue.popleft()
-            for other, reverse in neighbors[node]:
-                want = colour[node] ^ reverse
-                if other in colour:
-                    if colour[other] != want:
-                        consistent = False
-                else:
-                    colour[other] = want
-                    component_of[other] = comp
-                    queue.append(other)
-        orientable_flags.append(consistent)
-
-    arc_counts = [0] * len(orientable_flags)
-    for da, db, _ in graph.arcs:
-        if component_of[da] != component_of[db]:
-            raise InconsistentPropagation(
-                "arc joins two different components")
+    # An arc, and a crossing, lies in one component by construction:
+    # its disks were glued above.
+    arc_counts = [0] * len(classes)
+    for da, _, _ in graph.arcs:
         arc_counts[component_of[da]] += 1
-    disk_counts = [0] * len(orientable_flags)
-    for d in range(n):
-        disk_counts[component_of[d]] += 1
-    vertex_counts = [0] * len(orientable_flags)
-    core_parities = [dict(Ev=0, Eh=0) for _ in orientable_flags]
+    vertex_counts = [0] * len(classes)
+    core_parities = [dict(Ev=0, Eh=0) for _ in classes]
     for cls, label in zip(graph.corner_classes, graph.corner_edge_labels):
-        comps = {component_of[d] for d, _ in cls}
-        if len(comps) != 1:
-            raise InconsistentPropagation(
-                "one edge crossing met several components")
-        comp = comps.pop()
+        comp = component_of[cls[0][0]]
         vertex_counts[comp] += 1
         if label in ("Ev", "Eh"):
             core_parities[comp][label] ^= 1
 
     components = []
-    for comp, orientable in enumerate(orientable_flags):
-        euler = vertex_counts[comp] - arc_counts[comp] + disk_counts[comp]
+    for comp, cls in enumerate(classes):
+        orientable = comp not in one_sided
+        euler = vertex_counts[comp] - arc_counts[comp] + len(cls)
         if (not orientable) != bool(core_parities[comp]["Ev"]) or \
            (not orientable) != bool(core_parities[comp]["Eh"]):
             raise InconsistentPropagation(

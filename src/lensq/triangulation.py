@@ -63,6 +63,56 @@ def quad_type_at_corner(face: int, corner: int) -> int:
     return PAIR_TO_QUAD[frozenset((corner, face))]
 
 
+class Potentials:
+    """Union-find with potentials on the integer nodes 0..n-1, the one
+    gluing structure of the package (vertex classes, trigon levels,
+    surface vertices, components and sides).
+
+    ``offset[x]`` is the potential of x minus that of ``parent[x]``; a
+    root has potential 0.  With ``modulus`` set, differences are
+    compared modulo it (2 for a side parity).
+    """
+
+    def __init__(self, n: int, modulus: int | None = None):
+        self.parent = list(range(n))
+        self.offset = [0] * n
+        self.modulus = modulus
+
+    def find(self, x: int):
+        """(root of x, potential of x minus that of the root), halving
+        the path on the way."""
+        parent, offset = self.parent, self.offset
+        potential = 0
+        while parent[x] != x:
+            up = parent[x]
+            offset[x] += offset[up]
+            parent[x] = parent[up]
+            potential += offset[x]
+            x = parent[x]
+        return x, potential
+
+    def union(self, x: int, y: int, d: int = 0) -> bool:
+        """Record pot(y) - pot(x) = d.  False when the class of x and y
+        already implies another difference; the structure is then
+        unchanged."""
+        root_x, pot_x = self.find(x)
+        root_y, pot_y = self.find(y)
+        if root_x == root_y:
+            gap = pot_y - pot_x - d
+            return (gap % self.modulus if self.modulus else gap) == 0
+        self.parent[root_y] = root_x
+        self.offset[root_y] = d + pot_x - pot_y
+        return True
+
+    def classes(self):
+        """The classes as ascending node lists, in order of their least
+        node."""
+        groups = {}
+        for x in range(len(self.parent)):
+            groups.setdefault(self.find(x)[0], []).append(x)
+        return list(groups.values())
+
+
 @dataclass(frozen=True)
 class LensParams:
     """Validated parameters (p, q) of a lens space, gcd(p,q)=1."""
@@ -220,24 +270,11 @@ class LensTriangulation:
         return tuple(gluings)
 
     def _build_vertex_classes(self):
-        parent = {(tet, c): (tet, c) for tet in self.tetrahedra
-                  for c in CORNERS}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        corners = Potentials(4 * self.p)
         for _, (tet_a, za, _), (tet_b, zb, _) in self.corner_gluings:
-            ra, rb = find((tet_a, za)), find((tet_b, zb))
-            if ra != rb:
-                parent[ra] = rb
-        groups = {}
-        for node in parent:
-            groups.setdefault(find(node), []).append(node)
-        return tuple(tuple(sorted(g)) for g in
-                     sorted(groups.values(), key=lambda g: min(g)))
+            corners.union(4 * (tet_a - 1) + za, 4 * (tet_b - 1) + zb)
+        return tuple(tuple((node // 4 + 1, node % 4) for node in cls)
+                     for cls in corners.classes())
 
     def vertex_classes(self):
         """Partition of the 4p local corners into vertex classes.

@@ -134,6 +134,21 @@ def test_enum_budget_message_names_the_users_limit():
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("limit,message", [
+    (("--max-frontier", "1000"), "normal disks grew past 1000 states"),
+    (("--max-seconds", "0.05"), "search exceeded 0.05 seconds"),
+])
+def test_classify_obeys_the_budget(limit, message):
+    # The first (8,3) fixture times 10^4: 80,000 normal disks.
+    h = (0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0,
+         0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0)
+    result = run_cli("classify", "--p", "8", "--q", "3", "--vector",
+                     ",".join(str(10 ** 4 * x) for x in h), *limit)
+    assert result.returncode == 3
+    assert message in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 def test_enum_determinism_and_threads():
     runs = [run_cli("enum", "--p", "5", "--q", "2", "--format", "json",
                     "--threads", t).stdout for t in ("1", "1", "3")]

@@ -37,3 +37,25 @@ def test_only_budget_reads_the_clock():
                     node.lineno in lines for lines in inside):
                 outside.append(f"{path.name}:{node.lineno}")
     assert outside == []
+
+
+def test_one_union_find_and_no_breadth_first_queues():
+    # Every gluing goes through triangulation.Potentials: no deque is
+    # used, and the only functions named find or union are its methods.
+    deques, stray = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "Potentials" for item in node.body}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "deque" for alias in node.names)) or (
+                    isinstance(node, ast.Attribute) and node.attr == "deque"):
+                deques.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in ("find", "union")
+                    and id(node) not in methods):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert deques == []
+    assert stray == []

@@ -8,7 +8,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lensq.catalog import expected_for, fixtures
@@ -275,19 +275,25 @@ SQUARE_FUNDAMENTALS = _square_fundamentals()
 
 
 @st.composite
-def square_solutions(draw):
+def square_solutions(draw, base=None):
     """A pair (p,q) and a non-zero sum of multiples of its known
-    fundamentals that keeps the square condition."""
-    p, q = draw(st.sampled_from(sorted(SQUARE_FUNDAMENTALS)))
+    fundamentals that keeps the square condition.  Given ``base`` =
+    (p, q, vector), the sum is for that pair and keeps the square
+    condition when added to the vector; it may then be zero."""
+    if base is None:
+        p, q = draw(st.sampled_from(sorted(SQUARE_FUNDAMENTALS)))
+        start = (0,) * (3 * p)
+    else:
+        p, q, start = base
     picks = draw(st.lists(
         st.tuples(st.sampled_from(SQUARE_FUNDAMENTALS[(p, q)]),
                   st.integers(1, 3)), min_size=1, max_size=4))
-    total = [0] * (3 * p)
+    total = list(start)
     for v, k in picks:
         candidate = [t + k * x for t, x in zip(total, v)]
         if square_condition(candidate):
             total = candidate
-    return p, q, tuple(total)
+    return p, q, tuple(t - x for t, x in zip(total, start))
 
 
 @PROPERTY_SETTINGS
@@ -313,6 +319,39 @@ def test_classify_is_equivariant_under_block_rotation(case):
     relabelled = {label if label in ("Eh", "Ev") else tri.edge_label(
         int(label[1:]) + 1): w for label, w in base.edge_weights.items()}
     assert turned.edge_weights == relabelled
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_euler_and_edge_weights_are_additive(data):
+    # chi and the edge weights add over a Haken sum that keeps the
+    # square condition, up to the vertex links its normalization drops:
+    # no quads, one trigon count per vertex class, each link a sphere.
+    p, q, u = data.draw(square_solutions())
+    _, _, v = data.draw(square_solutions(base=(p, q, u)))
+    assume(any(v))
+    tri = build_triangulation(p, q)
+    total = tuple(a + b for a, b in zip(u, v))
+    full_u, full_v, full_sum = (reconstruct_trigons(tri, w)
+                                for w in (u, v, total))
+    links = FullCoordinates(tri, [a + b - c for a, b, c in zip(
+        full_u.entries, full_v.entries, full_sum.entries)])
+    assert all(links.quads(tet, j) == 0
+               for tet in tri.tetrahedra for j in (1, 2, 3))
+    counts = []
+    for corner_class in tri.vertex_classes():
+        levels = {links.trigons(tet, c) for tet, c in corner_class}
+        assert len(levels) == 1 and min(levels) >= 0
+        counts.extend(levels)
+    assert euler_characteristic(tri, links) == 2 * sum(counts)
+    reports = [classify(tri, w) for w in (u, v, total)]
+    assert reports[0].euler + reports[1].euler == \
+        reports[2].euler + 2 * sum(counts)
+    link_weights = edge_weights(tri, links)
+    for label in tri.edge_classes:
+        assert (reports[0].edge_weights[label]
+                + reports[1].edge_weights[label]) == \
+            reports[2].edge_weights[label] + link_weights[label]
 
 
 # ------------------------------------------------------ doubling identities

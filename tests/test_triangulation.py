@@ -6,6 +6,8 @@ and edge incidence, vertex classes, and the sense tables.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensq.errors import InvalidParams
 from lensq.triangulation import (
@@ -16,6 +18,7 @@ from lensq.triangulation import (
     RIGHT,
     TOP,
     LensParams,
+    Potentials,
     build_triangulation,
     face_gluings,
     sense,
@@ -227,3 +230,59 @@ def test_local_edges_cover_tetrahedron():
     assert len(LOCAL_EDGES) == 6
     assert frozenset((TOP, BOT)) in LOCAL_EDGES
     assert frozenset((LEFT, RIGHT)) in LOCAL_EDGES
+
+
+# ------------------------------------------------------------ potentials
+
+def bfs_oracle(n, constraints, modulus):
+    """Verdict of each (x, y, d) given the ones before it, then the
+    classes and potentials, by breadth-first search over the constraints
+    that joined two classes."""
+    edges = {x: [] for x in range(n)}
+
+    def search(start):
+        pot, queue = {start: 0}, [start]
+        for node in queue:
+            for other, d in edges[node]:
+                if other not in pot:
+                    pot[other] = pot[node] + d
+                    queue.append(other)
+        return pot
+
+    verdicts = []
+    for x, y, d in constraints:
+        pot = search(x)
+        if y in pot:
+            gap = pot[y] - pot[x] - d
+            verdicts.append((gap % modulus if modulus else gap) == 0)
+        else:
+            edges[x].append((y, d))
+            edges[y].append((x, -d))
+            verdicts.append(True)
+    classes, potential = [], {}
+    for start in range(n):
+        if start not in potential:
+            pot = search(start)
+            potential.update(pot)
+            classes.append(sorted(pot))
+    return verdicts, classes, potential
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                              st.integers(-3, 3)), max_size=24))),
+       st.sampled_from([None, 2]))
+def test_potentials_match_a_breadth_first_search(case, modulus):
+    n, constraints = case
+    verdicts, classes, potential = bfs_oracle(n, constraints, modulus)
+    found = Potentials(n, modulus=modulus)
+    assert [found.union(x, y, d) for x, y, d in constraints] == verdicts
+    assert found.classes() == classes
+    for cls in classes:
+        shifts = {found.find(x)[1] - potential[x] for x in cls}
+        if modulus:
+            shifts = {shift % modulus for shift in shifts}
+        assert len(shifts) == 1
+        assert {found.find(x)[0] for x in cls} == {found.find(cls[0])[0]}
