@@ -52,21 +52,26 @@ def parse_vector(spec: str, p: int, q: int, index: int | None):
             raise LensQError(f"cannot parse vector: {exc}") from exc
     path = spec[1:]
     matches = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                fp, fq, entries = line.split()[:3]
-                params = (int(fp), int(fq))
-                vector = tuple(int(x) for x in entries.split(","))
-            except ValueError:
-                raise LensQError(
-                    f"{path}:{lineno}: malformed record, expected "
-                    f"'p q entries tags' with integer entries") from None
-            if params == (p, q):
-                matches.append(vector)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise LensQError(
+            f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            fp, fq, entries = line.split()[:3]
+            params = (int(fp), int(fq))
+            vector = tuple(int(x) for x in entries.split(","))
+        except ValueError:
+            raise LensQError(
+                f"{path}:{lineno}: malformed record, expected "
+                f"'p q entries tags' with integer entries") from None
+        if params == (p, q):
+            matches.append(vector)
     if not matches:
         raise LensQError(f"no record for (p,q)=({p},{q}) in {path}")
     if len(matches) > 1 and index is None:

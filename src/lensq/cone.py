@@ -264,8 +264,8 @@ def _hilbert_basis(rows, n, rays, budget: Budget):
 
 
 def _box_solutions(cone: SolutionCone, bounds, budget, stop_after=None):
-    """All integer solutions x with 0 <= x <= bounds, by depth-first
-    search with interval pruning on every equation.
+    """All integer solutions x with 0 <= x <= bounds, by an iterative
+    depth-first search with interval pruning on every equation.
 
     ``bounds`` may be zero on most coordinates; only non-zero ones
     branch.  Returns a list of tuples, always including the zero
@@ -293,30 +293,39 @@ def _box_solutions(cone: SolutionCone, bounds, budget, stop_after=None):
         lo_suffix.insert(0, lo)
         hi_suffix.insert(0, hi)
 
-    x = [0] * n
-    found = []
-
-    def rec(k, residual):
-        if stop_after is not None and len(found) >= stop_after:
-            return
-        budget.check(len(found), what="box-search solution list")
-        if k == len(support):
-            if not any(residual):
-                found.append(tuple(x))
-            return
+    def branches(k, residual):
+        """The values of column support[k] that keep every equation
+        within reach of zero, each with the residual it leaves."""
         lo, hi = lo_suffix[k + 1], hi_suffix[k + 1]
         j = support[k]
         col = [A[r][j] for r in range(m)]
         for val in range(bounds[j] + 1):
             res = [residual[r] + col[r] * val for r in range(m)]
             if all(res[r] + lo[r] <= 0 <= res[r] + hi[r] for r in range(m)):
-                x[j] = val
-                rec(k + 1, res)
-                x[j] = 0
-                if stop_after is not None and len(found) >= stop_after:
-                    return
+                yield val, res
 
-    rec(0, [0] * m)
+    x = [0] * n
+    found = []
+    # The branch iterators of the open nodes on the current path; the
+    # node being visited sits at depth len(path).
+    path = []
+    residual = [0] * m
+    while stop_after is None or len(found) < stop_after:
+        budget.check(len(found), what="box-search solution list")
+        if len(path) == len(support):
+            if not any(residual):
+                found.append(tuple(x))
+        else:
+            path.append(branches(len(path), residual))
+        # Step to the next node in depth-first order.
+        while path:
+            step = next(path[-1], None)
+            if step is not None:
+                x[support[len(path) - 1]], residual = step
+                break
+            path.pop()
+        else:
+            break
     return found
 
 

@@ -10,8 +10,9 @@ columns.  The solution space therefore has dimension 2p, and it carries
 a standard basis of 2p vectors: one "full block" vector per tetrahedron
 and one "edge sphere" vector per slanted edge.  This module assembles
 the matrix, produces the basis, decomposes arbitrary solutions over it
-in exact rational arithmetic, and classifies the integrality pattern of
-the coefficients.
+exactly (a union-find with potentials on the b-coefficients, the
+package's one gluing structure), and classifies the integrality
+pattern of the coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     NotASolution,
     SingularSystem,
 )
-from .triangulation import QUAD_TYPES, LensTriangulation
+from .triangulation import QUAD_TYPES, LensTriangulation, Potentials
 
 # Integrality classes reported for sets of basis coefficients.
 INTEGERS = "Z"
@@ -34,7 +35,7 @@ HALF_INTEGERS = "Z+1/2"
 ZERO = "{0}"
 
 
-def check_qvector(v, p, require_nonneg=False, require_nonzero=False):
+def check_qvector(v, p, require_nonneg=False):
     """Validate a quad-coordinate vector and return it as a tuple."""
     vec = tuple(v)
     if len(vec) != 3 * p:
@@ -42,8 +43,6 @@ def check_qvector(v, p, require_nonneg=False, require_nonzero=False):
             f"quad vector must have length 3p = {3 * p}, got {len(vec)}")
     if require_nonneg and any(x < 0 for x in vec):
         raise NegativeEntry(f"quad vector has a negative entry: {vec}")
-    if require_nonzero and not any(vec):
-        raise NotASolution("the zero vector does not represent a surface")
     return vec
 
 
@@ -175,54 +174,49 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
 
     The first entry of each block pins a_i directly.  The remaining
     entries give the cyclic system b_{i+1} + b_{i-q} = c_i,
-    b_i + b_{i-q+1} = d_i, which links b_k to b_{k+2}; walking the one
-    (p odd) or two (p even) step-two chains solves it in O(p).  Raises
-    NotASolution when matrix . v != 0 and SingularSystem if the chain
-    walk ever becomes inconsistent, which cannot happen for coprime
-    parameters.
+    b_i + b_{i-q+1} = d_i, which fixes every difference b_k - b_{k+2};
+    a union-find with potentials joins these step-two differences into
+    one class (p odd) or two (p even), and d_k pins each class, in O(p).
+    The potentials stay in the input's own numbers; a and b come back
+    as Fractions.  Raises NotASolution when matrix . v != 0 and
+    SingularSystem if a class closes inconsistently or cannot be
+    pinned, which cannot happen for coprime parameters.
     """
     p, q = tri.p, tri.q
-    vec = tuple(Fraction(x) for x in check_qvector(v, p))
+    vec = check_qvector(v, p)
     if matrix is None:
         matrix = q_matrix(tri)
     if any(matrix.multiply(vec)):
         raise NotASolution("vector does not satisfy the matching equations")
 
-    a = tuple(vec[3 * i] for i in range(p))
-    c = [vec[3 * i + 1] - a[i] for i in range(p)]  # b_{i+1} + b_{i-q}
-    d = [vec[3 * i + 2] - a[i] for i in range(p)]  # b_i + b_{i-q+1}
+    a = tuple(Fraction(vec[3 * i]) for i in range(p))
+    c = [vec[3 * i + 1] - vec[3 * i] for i in range(p)]  # b_{i+1} + b_{i-q}
+    d = [vec[3 * i + 2] - vec[3 * i] for i in range(p)]  # b_i + b_{i-q+1}
 
     def idx(k):  # 0-based position of b_k
         return tri.norm(k) - 1
 
     # b_k - b_{k+2} = c_{k+q} - d_{k+q+1}
-    def gap(k):
-        return c[idx(k + q)] - d[idx(k + q + 1)]
-
-    b = [None] * p
-    starts = (1,) if p % 2 else (1, 2)
-    for start in starts:
-        chain = [start]
-        while True:
-            nxt = tri.norm(chain[-1] + 2)
-            if nxt == start:
-                break
-            chain.append(nxt)
-        offset = {start: Fraction(0)}
-        for k, nxt in zip(chain, chain[1:]):
-            offset[nxt] = offset[k] - gap(k)
-        if offset[chain[-1]] - gap(chain[-1]) != offset[start]:
+    chains = Potentials(p)
+    for k in tri.tetrahedra:
+        gap = c[idx(k + q)] - d[idx(k + q + 1)]
+        if not chains.union(idx(k), idx(k + 2), -gap):
             raise SingularSystem(
                 f"chain closure failed for (p,q)=({p},{q}); "
                 "basis does not span")
-        # d_start = b_start + b_{start-q+1}; both live on this chain.
-        partner = tri.norm(start - q + 1)
-        if partner not in offset:
-            raise SingularSystem(
-                f"chain pinning failed for (p,q)=({p},{q})")
-        base = (d[idx(start)] - offset[start] - offset[partner]) / 2
-        for k in chain:
-            b[idx(k)] = base + offset[k]
+
+    # d_k = b_k + b_{k-q+1} pins the class of b_k at its least k.
+    base = {}
+    b = []
+    for k in tri.tetrahedra:
+        root, pot = chains.find(idx(k))
+        if root not in base:
+            partner_root, partner_pot = chains.find(idx(k - q + 1))
+            if partner_root != root:
+                raise SingularSystem(
+                    f"chain pinning failed for (p,q)=({p},{q})")
+            base[root] = Fraction(d[idx(k)] - pot - partner_pot, 2)
+        b.append(base[root] + pot)
 
     coeffs = BasisCoefficients(a=a, b=tuple(b))
     if expand(tri, coeffs) != vec:

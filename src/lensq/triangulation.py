@@ -23,6 +23,11 @@ from this module's incidence data, so conventions are centralized here:
 * the three quad types of tetrahedron i are numbered 1..3: type 1
   separates Ev from Eh, type 2 separates e_{i+1} from e_{i-q}, type 3
   separates e_i from e_{i-(q-1)};
+* senses follow one rule: a quad of type j crosses the four edges of
+  the other two types' partition pairs, counting +1 on the pair of type
+  j % 3 + 1 and -1 on the pair of the remaining type (the cyclic order
+  of the Q-matching equations, Tollefson, "Normal surface Q-theory",
+  1998);
 * a face of a tetrahedron is named by its opposite corner.
 """
 
@@ -66,7 +71,7 @@ def quad_type_at_corner(face: int, corner: int) -> int:
 class Potentials:
     """Union-find with potentials on the integer nodes 0..n-1, the one
     gluing structure of the package (vertex classes, trigon levels,
-    surface vertices, components and sides).
+    surface vertices, components and sides, basis coefficients).
 
     ``offset[x]`` is the potential of x minus that of ``parent[x]``; a
     root has potential 0.  With ``modulus`` set, differences are
@@ -172,7 +177,6 @@ class LensTriangulation:
         self._faces = self._build_face_classes()
         self._edge_slots = self._build_edge_slots()
         self.corner_gluings = self._build_corner_gluings()
-        self._vertex_classes = self._build_vertex_classes()
 
     # -- index helpers ---------------------------------------------------
 
@@ -196,21 +200,17 @@ class LensTriangulation:
     # -- incidence data --------------------------------------------------
 
     def edge_of(self, tet: int, local_edge: frozenset) -> str:
-        """Edge class of a local edge {u,v} of tetrahedron ``tet``."""
-        i, q = self.norm(tet), self.q
-        if local_edge == frozenset((TOP, BOT)):
+        """Edge class of a local edge {u,v} of tetrahedron ``tet``: Ev
+        joins the poles, Eh the equator corners, and the edge from a
+        pole to an equator corner is e_{tet + [RIGHT] - q [BOT]}."""
+        if local_edge not in LOCAL_EDGES:
+            raise ValueError(f"not a local edge: {local_edge!r}")
+        if TOP in local_edge and BOT in local_edge:
             return "Ev"
-        if local_edge == frozenset((LEFT, RIGHT)):
+        if LEFT in local_edge and RIGHT in local_edge:
             return "Eh"
-        if local_edge == frozenset((TOP, LEFT)):
-            return self.edge_label(i)
-        if local_edge == frozenset((TOP, RIGHT)):
-            return self.edge_label(i + 1)
-        if local_edge == frozenset((BOT, LEFT)):
-            return self.edge_label(i - q)
-        if local_edge == frozenset((BOT, RIGHT)):
-            return self.edge_label(i - q + 1)
-        raise ValueError(f"not a local edge: {local_edge!r}")
+        return self.edge_label(tet + (RIGHT in local_edge)
+                               - self.q * (BOT in local_edge))
 
     def _build_edge_slots(self):
         slots = {label: [] for label in self.edge_classes}
@@ -269,21 +269,19 @@ class LensTriangulation:
                                 (tet_b, zb, quad_type_at_corner(fb, zb))))
         return tuple(gluings)
 
-    def _build_vertex_classes(self):
-        corners = Potentials(4 * self.p)
-        for _, (tet_a, za, _), (tet_b, zb, _) in self.corner_gluings:
-            corners.union(4 * (tet_a - 1) + za, 4 * (tet_b - 1) + zb)
-        return tuple(tuple((node // 4 + 1, node % 4) for node in cls)
-                     for cls in corners.classes())
-
     def vertex_classes(self):
-        """Partition of the 4p local corners into vertex classes.
+        """Partition of the 4p local corners into vertex classes, built
+        on each call.
 
         Two corners are identified when some face gluing matches them.
         For any coprime (p,q) there are exactly two classes, the pole
         class and the equator class.
         """
-        return self._vertex_classes
+        corners = Potentials(4 * self.p)
+        for _, (tet_a, za, _), (tet_b, zb, _) in self.corner_gluings:
+            corners.union(4 * (tet_a - 1) + za, 4 * (tet_b - 1) + zb)
+        return tuple(tuple((node // 4 + 1, node % 4) for node in cls)
+                     for cls in corners.classes())
 
     # -- quad semantics --------------------------------------------------
 
@@ -310,34 +308,17 @@ class LensTriangulation:
         balance, one per crossed edge, before coincident edge classes
         are merged.
 
-        Around an edge, a quad counts +1 when it climbs left-to-right
-        and -1 when it descends; the four crossings of one quad split
-        into two of each sign distributed as below.
+        A quad of type j crosses the four local edges of the other two
+        types' partition pairs.  In the cyclic order 1 -> 2 -> 3 -> 1
+        it counts +1 on the pair of the next type, j % 3 + 1, and -1 on
+        the pair of the remaining type.
         """
-        i = self.norm(i)
-        q = self.q
-        if j == 1:
-            return (
-                (self.edge_label(i - q), +1),
-                (self.edge_label(i - q + 1), -1),
-                (self.edge_label(i), -1),
-                (self.edge_label(i + 1), +1),
-            )
-        if j == 2:
-            return (
-                (self.edge_label(i - q + 1), +1),
-                (self.edge_label(i), +1),
-                ("Eh", -1),
-                ("Ev", -1),
-            )
-        if j == 3:
-            return (
-                (self.edge_label(i - q), -1),
-                (self.edge_label(i + 1), -1),
-                ("Eh", +1),
-                ("Ev", +1),
-            )
-        raise ValueError(f"quad type must be 1, 2 or 3, got {j}")
+        if j not in QUAD_PAIRS:
+            raise ValueError(f"quad type must be 1, 2 or 3, got {j}")
+        plus = j % 3 + 1
+        return tuple((self.edge_of(i, edge),
+                      1 if PAIR_TO_QUAD[edge] == plus else -1)
+                     for edge in LOCAL_EDGES if PAIR_TO_QUAD[edge] != j)
 
     def quad_senses(self, i: int, j: int):
         """Net sense of quad type (i, j) at each edge class it meets, as

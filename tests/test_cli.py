@@ -219,6 +219,26 @@ def test_classify_file_malformed_record(tmp_path):
         assert result.stderr.count("\n") == 1
 
 
+def test_classify_file_not_utf8(tmp_path):
+    path = tmp_path / "vectors.bin"
+    path.write_bytes(b"8 3 0,0,1\n\xff\xfe\x00\x80 binary\n")
+    result = run_cli("classify", "--p", "8", "--q", "3",
+                     "--vector", f"@{path}")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert str(path) in result.stderr
+    assert "UTF-8" in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
+def test_classify_fundamental_past_the_recursion_limit():
+    vector = ",".join(map(str, [0, 0, 1, 0, 1, 0] * 500))
+    result = run_cli("classify", "--p", "1000", "--q", "3",
+                     "--vector", vector, "--fundamental")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("fundamental: False\n")
+
+
 def test_classify_zero_vector_is_invalid():
     result = run_cli("classify", "--p", "2", "--q", "1",
                      "--vector", "0,0,0,0,0,0")

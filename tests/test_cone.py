@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from lensq import cone as cone_module
 from lensq import exact
+from lensq.catalog import alternating_vector
 from lensq.cone import (
     Budget,
     SolutionCone,
@@ -310,6 +311,13 @@ def test_sphere_vectors_are_fundamental():
     assert is_fundamental(cone, t_vecs[0])
     doubled = tuple(2 * x for x in t_vecs[0])
     assert not is_fundamental(cone, doubled)
+
+
+def test_box_search_is_not_bounded_by_the_recursion_limit():
+    # The support has 1000 columns, more than the default recursion
+    # limit; the alternating vector is twice a smaller solution.
+    cone = SolutionCone(q_matrix(build_triangulation(1000, 3)))
+    assert not is_fundamental(cone, alternating_vector(1000, 3))
 
 
 def test_is_fundamental_input_validation():

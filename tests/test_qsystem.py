@@ -194,16 +194,30 @@ def test_decompose_rejects_non_solution():
         decompose(tri, (1, 0, 0, 0, 0, 0, 0, 0, 0))
 
 
-@pytest.mark.parametrize("p,q", coprime_pairs(8))
+@pytest.mark.parametrize("p,q", coprime_pairs(40))
 def test_decompose_round_trip(p, q):
+    """decompose . expand is the identity.  b all integers or all
+    half-integers gives an integral vector, decomposed from int and
+    from Fraction entries; arbitrary halves give a Fraction vector.
+    The coefficients always come back as Fractions."""
     tri = build_triangulation(p, q)
+    matrix = q_matrix(tri)
     rng = random.Random(1000 * p + q)
-    for _ in range(8):
+    for shift in (Fraction(0), Fraction(1, 2), None):
         a = tuple(Fraction(rng.randint(-3, 3)) for _ in range(p))
-        b = tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(p))
+        if shift is None:
+            b = tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(p))
+        else:
+            b = tuple(rng.randint(-3, 3) + shift for _ in range(p))
         v = expand(tri, BasisCoefficients(a, b))
-        got = decompose(tri, v)
-        assert got.a == a and got.b == b
+        inputs = [v]
+        if shift is not None:
+            assert all(x.denominator == 1 for x in v)
+            inputs.append(tuple(int(x) for x in v))
+        for given in inputs:
+            got = decompose(tri, given, matrix=matrix)
+            assert got.a == a and got.b == b
+            assert all(type(x) is Fraction for x in got.a + got.b)
 
 
 def test_expand_matches_literal_combination():

@@ -107,6 +107,12 @@ def test_slanted_edge_joins_both_poles():
         assert tri.edge_of(j, frozenset((BOT, LEFT))) == f"e{i}"
 
 
+@pytest.mark.parametrize("corners", [(TOP,), (TOP, BOT, LEFT), (TOP, 7)])
+def test_edge_of_rejects_a_non_edge(corners):
+    with pytest.raises(ValueError):
+        build_triangulation(7, 3).edge_of(1, frozenset(corners))
+
+
 def test_horizontal_gluing_of_five_two():
     tri = build_triangulation(5, 2)
     face = next(f for f in tri.face_classes if f.label == "H1")
@@ -198,6 +204,34 @@ def test_sense_contributions_match_crossed_edges(p, q):
             crossed = sorted(label for _, label in
                              tri.quad_crossed_edges(i, j))
             assert contributed == crossed
+
+
+def hand_sense_table(tri, i, j):
+    """The sense contributions of quad (i,j) written out by hand, one
+    branch per quad type: the reference the one-rule
+    ``sense_contributions`` is checked against."""
+    q = tri.q
+    e = tri.edge_label
+    return {
+        1: ((e(i - q), +1), (e(i - q + 1), -1), (e(i), -1), (e(i + 1), +1)),
+        2: ((e(i - q + 1), +1), (e(i), +1), ("Eh", -1), ("Ev", -1)),
+        3: ((e(i - q), -1), (e(i + 1), -1), ("Eh", +1), ("Ev", +1)),
+    }[j]
+
+
+def test_sense_rule_matches_hand_table_below_forty():
+    for p, q in coprime_pairs(39):
+        tri = build_triangulation(p, q)
+        for i in tri.tetrahedra:
+            for j in (1, 2, 3):
+                assert sorted(tri.sense_contributions(i, j)) == \
+                    sorted(hand_sense_table(tri, i, j)), (p, q, i, j)
+
+
+@pytest.mark.parametrize("j", [0, 4, -1])
+def test_sense_contributions_reject_bad_type(j):
+    with pytest.raises(ValueError):
+        build_triangulation(5, 2).sense_contributions(1, j)
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(7))
