@@ -96,9 +96,11 @@ class SolutionCone:
     """
 
     def __init__(self, matrix, ncols: int | None = None):
+        self._columns = None
         if isinstance(matrix, QMatrix):
             rows = matrix.rows
             ncols = 3 * matrix.p
+            self._columns = matrix.columns
         else:
             rows = tuple(tuple(int(x) for x in row) for row in matrix)
             if rows:
@@ -117,12 +119,26 @@ class SolutionCone:
             self._rays = extreme_rays_of_kernel_cone(self.rows, self.ncols)
         return self._rays
 
+    @property
+    def columns(self):
+        """Per column, its non-zero (row, coefficient) pairs: the
+        QMatrix's own sparse columns, or read off the rows once."""
+        if self._columns is None:
+            self._columns = tuple(
+                tuple((r, row[j]) for r, row in enumerate(self.rows) if row[j])
+                for j in range(self.ncols))
+        return self._columns
+
     def residual(self, v):
         if len(v) != self.ncols:
             raise DimensionMismatch(
                 f"vector length {len(v)} != {self.ncols} columns")
-        return tuple(sum(c * x for c, x in zip(row, v) if c)
-                     for row in self.rows)
+        out = [0] * len(self.rows)
+        for entries, x in zip(self.columns, v):
+            if x:
+                for r, c in entries:
+                    out[r] += c * x
+        return tuple(out)
 
     def is_solution(self, v) -> bool:
         return not any(self.residual(v))
@@ -268,60 +284,64 @@ def _box_solutions(cone: SolutionCone, bounds, budget, stop_after=None):
     depth-first search with interval pruning on every equation.
 
     ``bounds`` may be zero on most coordinates; only non-zero ones
-    branch.  Returns a list of tuples, always including the zero
-    vector; stops early once ``stop_after`` solutions are in hand.
-    Every node checks the budget, with the solution list as its size.
+    branch.  A branch on column j moves only the rows j touches, so
+    only those are checked: every other row keeps its residual and its
+    reach from the parent node, which passed it.  Returns a list of
+    tuples, always including the zero vector; stops early once
+    ``stop_after`` solutions are in hand.  Every node checks the
+    budget, with the solution list as its size.
     """
-    n = cone.ncols
-    A = [list(map(int, row)) for row in cone.rows]
-    m = len(A)
-    support = [j for j in range(n) if bounds[j] > 0]
-    # Remaining-contribution intervals per row, as suffix sums over the
-    # support columns.
-    lo_suffix = [[0] * m]
-    hi_suffix = [[0] * m]
+    support = [j for j in range(cone.ncols) if bounds[j] > 0]
+    # Per support column, (row, coefficient, lo, hi) for each row it
+    # touches, [lo, hi] being what the later support columns can still
+    # add to that row.
+    lo, hi = [0] * len(cone.rows), [0] * len(cone.rows)
+    reach = []
     for j in reversed(support):
-        prev_lo, prev_hi = lo_suffix[0], hi_suffix[0]
-        lo = prev_lo[:]
-        hi = prev_hi[:]
-        for r in range(m):
-            c = A[r][j] * bounds[j]
+        reach.append([(r, c, lo[r], hi[r]) for r, c in cone.columns[j]])
+        for r, c in cone.columns[j]:
             if c < 0:
-                lo[r] += c
+                lo[r] += c * bounds[j]
             else:
-                hi[r] += c
-        lo_suffix.insert(0, lo)
-        hi_suffix.insert(0, hi)
+                hi[r] += c * bounds[j]
+    reach.reverse()
 
-    def branches(k, residual):
-        """The values of column support[k] that keep every equation
-        within reach of zero, each with the residual it leaves."""
-        lo, hi = lo_suffix[k + 1], hi_suffix[k + 1]
-        j = support[k]
-        col = [A[r][j] for r in range(m)]
-        for val in range(bounds[j] + 1):
-            res = [residual[r] + col[r] * val for r in range(m)]
-            if all(res[r] + lo[r] <= 0 <= res[r] + hi[r] for r in range(m)):
-                yield val, res
+    residual = [0] * len(cone.rows)
 
-    x = [0] * n
+    def branches(k):
+        """The values of column support[k] that keep its rows within
+        reach of zero, each yielded with the residual set; the rows are
+        put back once the values run out."""
+        rows = reach[k]
+        base = [residual[r] for r, _, _, _ in rows]
+        for val in range(bounds[support[k]] + 1):
+            moved = [b + c * val for b, (_, c, _, _) in zip(base, rows)]
+            if all(m + l <= 0 <= m + h
+                   for m, (_, _, l, h) in zip(moved, rows)):
+                for m, (r, _, _, _) in zip(moved, rows):
+                    residual[r] = m
+                yield val
+        for b, (r, _, _, _) in zip(base, rows):
+            residual[r] = b
+
+    x = [0] * cone.ncols
     found = []
     # The branch iterators of the open nodes on the current path; the
     # node being visited sits at depth len(path).
     path = []
-    residual = [0] * m
     while stop_after is None or len(found) < stop_after:
         budget.check(len(found), what="box-search solution list")
         if len(path) == len(support):
-            if not any(residual):
-                found.append(tuple(x))
+            # Each row was last checked with nothing left to add, so the
+            # residual is zero.
+            found.append(tuple(x))
         else:
-            path.append(branches(len(path), residual))
+            path.append(branches(len(path)))
         # Step to the next node in depth-first order.
         while path:
-            step = next(path[-1], None)
-            if step is not None:
-                x[support[len(path) - 1]], residual = step
+            val = next(path[-1], None)
+            if val is not None:
+                x[support[len(path) - 1]] = val
                 break
             path.pop()
         else:

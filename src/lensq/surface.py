@@ -11,20 +11,25 @@ surface with no trivial (vertex-linking) component is the shift that
 makes the minimum count in each class zero.
 
 Classification numbers the disks slot by slot and glues them across
-every face corner, matching arcs in nesting order.  All gluing goes
-through one union-find with potentials (``triangulation.Potentials``):
-trigon levels are potentials on the 4p corners; each arc joins its
-disks' crossings with the face's other edges into surface vertices;
-and the disks, glued along the arcs with each arc's side parity mod 2,
-form the components.  A component is two-sided (equivalently
-orientable, the ambient space being orientable) exactly when no arc
-contradicts that parity.  chi = crossings - arcs + disks, per component.
+every face corner, matching arcs in nesting order.  The 6p glued
+corners are read once, as runs of disk ids; everything per disk, arc or
+crossing is an array pass, and the per-disk gluings go through one
+array labelling (``triangulation.least_labels``): each arc joins its
+disks' crossings with the face's other edges into surface vertices,
+and joins the sides of its two disks, swapped when the arc reverses
+them, into a side graph whose classes give the components.  A
+component is two-sided (equivalently orientable, the ambient space
+being orientable) exactly when its least disk's two sides lie in
+different classes.  chi = crossings - arcs + disks, per component.
+The O(p)-sized gluings, trigon levels among them, use the union-find
+with potentials ``triangulation.Potentials``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+
+import numpy as np
 
 from .cone import Budget
 from .errors import (
@@ -38,22 +43,22 @@ from .errors import (
 )
 from .qsystem import QMatrix, check_qvector, is_q_solution, q_matrix, square_condition
 from .triangulation import (
-    CORNERS,
     LOCAL_EDGES,
     QUAD_PAIRS,
     QUAD_TYPES,
     PAIR_TO_QUAD,
     LensTriangulation,
     Potentials,
+    least_labels,
 )
 
 # Per-tetrahedron layout of a full coordinate vector: four trigon counts
 # in corner order, then the three quad counts.  Disks are numbered in
 # the same order, each slot's copies in a row.
 SLOTS_PER_TET = 7
-DISK_KINDS = (tuple(("T", corner) for corner in CORNERS)
-              + tuple(("Q", j) for j in QUAD_TYPES))
-EDGE_INDEX = {edge: k for k, edge in enumerate(LOCAL_EDGES)}
+# LOCAL_EDGES index of the edge joining two corners, in either order.
+EDGE_INDEX = {(u, v): k for k, edge in enumerate(LOCAL_EDGES)
+              for u in edge for v in edge if u != v}
 
 
 class FullCoordinates:
@@ -212,91 +217,141 @@ def _cell_euler(tri, full, weights):
     return sum(weights.values()) - arcs + full.total_disks()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskGraph:
-    """Individual normal disks and their arc identifications.
+    """Individual normal disks and their arc identifications, as arrays.
 
-    ``disks``: tuple of (tet, kind, copy) where kind is ("T", corner)
-    or ("Q", quad type).  ``arcs``: tuple of
-    (disk index, disk index, reversed) where ``reversed`` records that
-    the two disks' reference sides disagree across the glued arc.
-    ``corner_classes``: tuple of surface vertices, each a tuple of
-    (disk index, local edge) crossings; every crossing of the surface
-    with an edge of the triangulation appears exactly once.
+    Disks are numbered slot by slot, each slot's copies in a row.
+    ``disks``: the slot 7 (tet - 1) + k of each disk, a trigon at
+    corner k for k < 4 and a quad of type k - 3 otherwise.  ``arcs``:
+    an A x 3 array of (disk, disk, reversed) rows, ``reversed`` being
+    1 when the two disks' reference sides disagree across the glued
+    arc.
+    ``vertices``: one entry per surface vertex, the least of its
+    crossing nodes 6 * disk + LOCAL_EDGES index; every crossing of the
+    surface with an edge of the triangulation lies in exactly one
+    vertex.  ``vertex_edges``: the index in ``tri.edge_classes`` of the
+    edge each vertex lies on.
     """
 
-    disks: tuple
-    arcs: tuple
-    corner_classes: tuple
-    corner_edge_labels: tuple
+    disks: np.ndarray
+    arcs: np.ndarray
+    vertices: np.ndarray
+    vertex_edges: np.ndarray
+
+
+def _side_runs(first, tet, corner, j, ascending):
+    """The arcs at each glued corner side, innermost first, as two runs
+    of disk ids, trigons then quads: (start, length, step) arrays with
+    one row per corner.  Quad copies run toward the corner (step 1)
+    when it lies on the first side of the quad's partition
+    (``ascending``) and away from it (step -1) otherwise."""
+    slot = SLOTS_PER_TET * (tet - 1)
+    t0, t1 = first[slot + corner], first[slot + corner + 1]
+    q0, q1 = first[slot + 3 + j], first[slot + 4 + j]
+    return (np.stack((t0, np.where(ascending, q0, q1 - 1)), axis=1),
+            np.stack((t1 - t0, q1 - q0), axis=1),
+            np.stack((np.ones_like(t0), 2 * ascending - 1), axis=1))
+
+
+def _expand_runs(start, length, step):
+    """The disk ids of consecutive runs, concatenated, and whether each
+    was read away from the corner, its reference side then facing away
+    too."""
+    used = length.ravel() > 0
+    start, length, step = (a.ravel()[used] for a in (start, length, step))
+    # Each id is the previous one plus its run's step, except that a
+    # run's first id jumps from the previous run's last one.
+    ids = np.repeat(step, length)
+    ids[np.cumsum(length) - length] = start - np.concatenate(
+        ([0], (start + step * (length - 1))[:-1]))
+    np.cumsum(ids, out=ids)
+    return ids, np.repeat(step < 0, length)
+
+
+def _arc_array(side_a, side_b):
+    """The A x 3 array of (disk, disk, reversed) arcs pairing the runs
+    of side a with those of side b, position by position."""
+    (da, flip_a), (db, flip_b) = _expand_runs(*side_a), _expand_runs(*side_b)
+    return np.stack((da, db, flip_a ^ flip_b), axis=1)
 
 
 def glue_disks(tri: LensTriangulation, full: FullCoordinates,
                budget: Budget | None = None) -> DiskGraph:
-    """Instantiate disk copies and glue their arcs across every face.
+    """Number the disk copies and glue their arcs across every face.
 
     At a glued corner the arcs are matched in nesting order: trigon
     copies sit nearest the vertex, quad copies follow, and parallel
     quad copies run toward or away from the corner according to which
-    side of the quad's partition the corner lies on.  Each arc also
-    glues its disks' crossings with the face's two other edges, node
-    6 * disk + LOCAL_EDGES index.  A ``budget``, if given, is charged
-    the disk count first and its deadline read once per glued corner.
+    side of the quad's partition the corner lies on.  One pass over the
+    6p glued corners reads their slots and face edges as integers;
+    array passes turn them into the arcs.  Each arc also glues its
+    disks' crossings with the face's two other edges, node
+    6 * disk + LOCAL_EDGES index, and :func:`least_labels` gathers the
+    crossings into surface vertices.  A ``budget``, if given, is
+    charged the disk count before any array is made and its deadline
+    read once per labelling round.
     """
-    if budget:
+    if budget is not None:
         budget.check(full.total_disks(), what="normal disks")
-    first = list(accumulate(full.entries, initial=0))
-    disks = [(slot // SLOTS_PER_TET + 1, DISK_KINDS[slot % SLOTS_PER_TET], c)
-             for slot, count in enumerate(full.entries) for c in range(count)]
-
-    def stack(tet, corner, j):
-        """Arcs at a face corner whose corner quad type is j, innermost
-        first, as (disk id, reference side faces the corner) pairs."""
-        slot = SLOTS_PER_TET * (tet - 1)
-        trigons = range(first[slot + corner], first[slot + corner + 1])
-        quads = range(first[slot + 3 + j], first[slot + 4 + j])
-        out = [(d, False) for d in trigons]
-        if corner in QUAD_PAIRS[j][0]:
-            out.extend((d, False) for d in quads)
-        else:
-            out.extend((d, True) for d in reversed(quads))
-        return out
-
-    arcs = []
-    crossings = Potentials(6 * len(disks))
-    crossed = bytearray(6 * len(disks))
+    # Per glued corner: (tet, corner, quad type, quads ascend) for
+    # sides a and b, then the LOCAL_EDGES indices of the two face edges
+    # its arcs meet, side a then side b.
+    table = []
     for face, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
-        if budget:
-            budget.check()
-        side_a = stack(tet_a, za, qa)
-        side_b = stack(tet_b, zb, qb)
-        if len(side_a) != len(side_b):
-            raise ArityMismatch(
-                f"face {face.label} corner {za}->{zb}: "
-                f"{len(side_a)} vs {len(side_b)} arcs")
-        edges = [(EDGE_INDEX[frozenset((za, ya))],
-                  EDGE_INDEX[frozenset((zb, yb))])
-                 for ya, yb in face.corners() if ya != za]
-        for (da, flip_a), (db, flip_b) in zip(side_a, side_b):
-            arcs.append((da, db, flip_a ^ flip_b))
-            for ea, eb in edges:
-                crossings.union(6 * da + ea, 6 * db + eb)
-                crossed[6 * da + ea] = crossed[6 * db + eb] = 1
+        table += (tet_a, za, qa, za in QUAD_PAIRS[qa][0],
+                  tet_b, zb, qb, zb in QUAD_PAIRS[qb][0])
+        for ya, yb in face.corners():
+            if ya != za:
+                table += (EDGE_INDEX[za, ya], EDGE_INDEX[zb, yb])
+    table = np.array(table, dtype=np.int64).reshape(-1, 12)
+    counts = np.array(full.entries, dtype=np.int64)
+    first = np.concatenate(([0], np.cumsum(counts)))
+    side_a = _side_runs(first, *table[:, 0:4].T)
+    side_b = _side_runs(first, *table[:, 4:8].T)
+    arity_a, arity_b = side_a[1].sum(axis=1), side_b[1].sum(axis=1)
+    wrong = np.flatnonzero(arity_a != arity_b)
+    if wrong.size:
+        k = wrong[0]
+        face, (_, za, _), (_, zb, _) = tri.corner_gluings[k]
+        raise ArityMismatch(
+            f"face {face.label} corner {za}->{zb}: "
+            f"{arity_a[k]} vs {arity_b[k]} arcs")
+    arcs = _arc_array(side_a, side_b)
+    vertices, sizes = _surface_vertices(
+        int(first[-1]), arcs,
+        np.repeat(table[:, 8:].astype(np.int8), arity_a, axis=0), budget)
 
-    corner_classes = tuple(
-        tuple((node // 6, LOCAL_EDGES[node % 6]) for node in cls)
-        for cls in crossings.classes() if crossed[cls[0]])
-    labels = tuple(tri.edge_of(disks[cls[0][0]][0], cls[0][1])
-                   for cls in corner_classes)
+    disks = np.repeat(np.arange(len(counts)), counts)
+    # Edge class index of local edge e of tetrahedron tet at
+    # 6 (tet - 1) + e.
+    edge_index = {label: k for k, label in enumerate(tri.edge_classes)}
+    slot_edges = np.array([edge_index[tri.edge_of(tet, edge)]
+                           for tet in tri.tetrahedra for edge in LOCAL_EDGES])
+    vertex_edges = slot_edges[6 * (disks[vertices // 6] // SLOTS_PER_TET)
+                              + vertices % 6]
     # Sanity: one crossing point shows up once per slot around its edge.
-    for cls, label in zip(corner_classes, labels):
-        if len(cls) != tri.edge_degree(label):
-            raise ArityMismatch(
-                f"edge {label}: crossing has {len(cls)} corners, "
-                f"edge degree is {tri.edge_degree(label)}")
-    return DiskGraph(disks=tuple(disks), arcs=tuple(arcs),
-                     corner_classes=corner_classes,
-                     corner_edge_labels=labels)
+    degrees = np.array([tri.edge_degree(label) for label in tri.edge_classes])
+    wrong = np.flatnonzero(sizes != degrees[vertex_edges])
+    if wrong.size:
+        k = vertex_edges[wrong[0]]
+        raise ArityMismatch(
+            f"edge {tri.edge_classes[k]}: crossing has {sizes[wrong[0]]} "
+            f"corners, edge degree is {degrees[k]}")
+    return DiskGraph(disks=disks, arcs=arcs, vertices=vertices,
+                     vertex_edges=vertex_edges)
+
+
+def _surface_vertices(n, arcs, edges, budget):
+    """The least crossing node of each surface vertex and its number of
+    crossings.  ``edges`` holds, per arc, the LOCAL_EDGES indices
+    (a, b, a, b) of the two face edges it meets on sides a and b."""
+    u = (6 * arcs[:, :1] + edges[:, 0::2]).ravel()
+    v = (6 * arcs[:, 1:2] + edges[:, 1::2]).ravel()
+    label = least_labels(6 * n, u, v, budget)
+    crossed = np.zeros(6 * n, dtype=bool)
+    crossed[u] = crossed[v] = True
+    return np.unique(label[crossed], return_counts=True)
 
 
 @dataclass(frozen=True)
@@ -323,52 +378,51 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
              budget: Budget | None = None) -> SurfaceReport:
     """Full topological report for a quad solution.
 
-    Components glue the disks along every arc, with the arc's side
-    parity as potential mod 2; one whose arcs contradict that parity is
-    one-sided.  Per-component Euler characteristics count crossings -
-    arcs + disks.  The ambient-space parity law (a connected surface is
-    one-sided exactly when it crosses each core circle an odd number of
-    times) is checked per component as an internal cross-validation.
-    ``budget`` bounds the disk gluing (see :func:`glue_disks`).
+    Components label the side graph: node 2d + s is side s of disk d,
+    and each arc joins the sides it glues, swapped when the arc is
+    reversed.  A component is one-sided exactly when its least disk's
+    two sides share a label.  Per-component Euler characteristics count
+    crossings - arcs + disks.  The ambient-space parity law (a
+    connected surface is one-sided exactly when it crosses each core
+    circle an odd number of times) is checked per component as an
+    internal cross-validation.
+    ``budget`` bounds the disk gluing (see :func:`glue_disks`) and
+    has its deadline read once per round of the side labelling.
     """
     full = reconstruct_trigons(tri, v, matrix=matrix)
     weights = edge_weights(tri, full)
     graph = glue_disks(tri, full, budget)
     n = len(graph.disks)
 
-    sides = Potentials(n, modulus=2)
-    one_sided_disks = [da for da, db, reverse in graph.arcs
-                       if not sides.union(da, db, reverse)]
-    component_of = [0] * n
-    classes = sides.classes()
-    for comp, cls in enumerate(classes):
-        for d in cls:
-            component_of[d] = comp
-    one_sided = {component_of[d] for d in one_sided_disks}
+    # Side node 2d + s is side s of disk d; an arc glues side s of one
+    # disk to side s ^ reversed of the other.
+    da, db, reverse = graph.arcs.T
+    side = least_labels(
+        2 * n, np.concatenate((2 * da, 2 * da + 1)),
+        np.concatenate((2 * db + reverse, 2 * db + 1 - reverse)), budget)
+    # Each side class holds a side of its component's least disk, whose
+    # two sides share a class exactly when the component is one-sided.
+    least = side[0::2] // 2
+    roots = np.flatnonzero(least == np.arange(n))
+    one_sided = side[2 * roots] == side[2 * roots + 1]
+    component_of = np.searchsorted(roots, least)
 
-    # An arc, and a crossing, lies in one component by construction:
-    # its disks were glued above.
-    arc_counts = [0] * len(classes)
-    for da, _, _ in graph.arcs:
-        arc_counts[component_of[da]] += 1
-    vertex_counts = [0] * len(classes)
-    core_parities = [dict(Ev=0, Eh=0) for _ in classes]
-    for cls, label in zip(graph.corner_classes, graph.corner_edge_labels):
-        comp = component_of[cls[0][0]]
-        vertex_counts[comp] += 1
-        if label in ("Ev", "Eh"):
-            core_parities[comp][label] ^= 1
-
-    components = []
-    for comp, cls in enumerate(classes):
-        orientable = comp not in one_sided
-        euler = vertex_counts[comp] - arc_counts[comp] + len(cls)
-        if (not orientable) != bool(core_parities[comp]["Ev"]) or \
-           (not orientable) != bool(core_parities[comp]["Eh"]):
+    # An arc, and a vertex, lies in one component by construction: its
+    # disks were glued above.
+    k = len(roots)
+    vertex_component = component_of[graph.vertices // 6]
+    euler = (np.bincount(vertex_component, minlength=k)
+             - np.bincount(component_of[da], minlength=k)
+             + np.bincount(component_of, minlength=k))
+    for core in ("Ev", "Eh"):
+        on_core = graph.vertex_edges == tri.edge_classes.index(core)
+        odd = np.bincount(vertex_component[on_core], minlength=k) % 2 == 1
+        wrong = np.flatnonzero(odd != one_sided)
+        if wrong.size:
             raise InconsistentPropagation(
                 f"orientability contradicts core crossing parity in "
-                f"component {comp}")
-        components.append((euler, orientable))
+                f"component {wrong[0]}")
+    components = tuple(zip(euler.tolist(), (~one_sided).tolist()))
 
     total_euler = sum(e for e, _ in components)
     formula_euler = _cell_euler(tri, full, weights)
@@ -381,7 +435,7 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     return SurfaceReport(
         euler=total_euler,
         orientable=all(o for _, o in components),
-        components=tuple(components),
+        components=components,
         edge_weights=weights,
         meets_cores_once=meets_cores_once,
         has_type23_quad=has_type23_quad,

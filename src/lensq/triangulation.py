@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParams
 
 # Local corner labels of one tetrahedron.
@@ -69,9 +71,10 @@ def quad_type_at_corner(face: int, corner: int) -> int:
 
 
 class Potentials:
-    """Union-find with potentials on the integer nodes 0..n-1, the one
-    gluing structure of the package (vertex classes, trigon levels,
-    surface vertices, components and sides, basis coefficients).
+    """Union-find with potentials on the integer nodes 0..n-1, the
+    gluing structure of the O(p)-sized gluings (vertex classes, trigon
+    levels, basis coefficients); the per-disk gluings of the surface
+    layer use :func:`least_labels`.
 
     ``offset[x]`` is the potential of x minus that of ``parent[x]``; a
     root has potential 0.  With ``modulus`` set, differences are
@@ -116,6 +119,36 @@ class Potentials:
         for x in range(len(self.parent)):
             groups.setdefault(self.find(x)[0], []).append(x)
         return list(groups.values())
+
+
+def least_labels(n: int, u, v, budget=None):
+    """For every node 0..n-1, the least node of its class under the
+    edges u[k] ~ v[k], as an int64 array.
+
+    The array form of gluing without potentials, for graphs with a node
+    per normal disk.  Each round reads the ``budget`` deadline, hooks
+    every class root to the least root it meets along an edge and jumps
+    pointers until each node points at its root.  It stops when no edge
+    joins two labels; every round lowers some root's label, so it does.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        if budget is not None:
+            budget.check()
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            return label
+        # An edge whose ends share a label keeps them together for good.
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 @dataclass(frozen=True)

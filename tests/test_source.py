@@ -40,8 +40,9 @@ def test_only_budget_reads_the_clock():
 
 
 def test_one_union_find_and_no_breadth_first_queues():
-    # Every gluing goes through triangulation.Potentials: no deque is
-    # used, and the only functions named find or union are its methods.
+    # Every gluing goes through triangulation.Potentials or, for the
+    # per-disk gluings, triangulation.least_labels: no deque is used,
+    # and the only functions named find or union are Potentials methods.
     deques, stray = [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))

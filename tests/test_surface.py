@@ -6,13 +6,17 @@ components, orientability, and the known topological answers.
 
 import math
 import random
+import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lensq.catalog import expected_for, fixtures
+from lensq.cone import square_fundamental_solutions
 from lensq.errors import (
+    ArityMismatch,
     EmptyVector,
     NoExpectation,
     NotASolution,
@@ -38,7 +42,12 @@ from lensq.surface import (
     reconstruct_trigons,
     surface_name,
 )
-from lensq.triangulation import build_triangulation
+from lensq.triangulation import (
+    LOCAL_EDGES,
+    QUAD_PAIRS,
+    Potentials,
+    build_triangulation,
+)
 
 
 def coprime_pairs(max_p):
@@ -138,8 +147,38 @@ def test_zero_surface_weights_and_graph():
     empty = FullCoordinates(tri, (0,) * 21)
     assert all(w == 0 for w in edge_weights(tri, empty).values())
     graph = glue_disks(tri, empty)
-    assert graph.disks == () and graph.arcs == ()
+    assert len(graph.disks) == 0 and len(graph.arcs) == 0
     assert euler_characteristic(tri, empty) == 0
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (5, 2), (8, 3)])
+def test_disk_graph_counts_arcs_and_vertices(p, q):
+    tri = build_triangulation(p, q)
+    for t in basis_vectors(tri)[1]:
+        full = reconstruct_trigons(tri, tuple(2 * x for x in t))
+        graph = glue_disks(tri, full)
+        assert len(graph.disks) == full.total_disks()
+        assert len(graph.arcs) == sum(full.arcs(*side_a)
+                                      for _, side_a, _ in tri.corner_gluings)
+        assert len(graph.vertices) == sum(edge_weights(tri, full).values())
+        assert len(graph.vertex_edges) == len(graph.vertices)
+
+
+def test_classify_memory_stays_in_arrays():
+    # The first (8,3) fixture times 10^4: 80,000 normal disks, 160,000
+    # arcs and 60,000 surface vertices.  A tuple or union-find node per
+    # disk held over 100 MiB here.
+    tri = build_triangulation(8, 3)
+    h = next(f.vector for f in fixtures()
+             if (f.params.p, f.params.q) == (8, 3))
+    tracemalloc.start()
+    try:
+        report = classify(tri, tuple(10 ** 4 * x for x in h))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.euler == -20000 and len(report.components) == 5000
+    assert peak < 48 * 2 ** 20
 
 
 # ------------------------------------------------------------------ euler
@@ -352,6 +391,107 @@ def test_euler_and_edge_weights_are_additive(data):
         assert (reports[0].edge_weights[label]
                 + reports[1].edge_weights[label]) == \
             reports[2].edge_weights[label] + link_weights[label]
+
+
+# ------------------------------------------ disk gluing against a reference
+
+def reference_gluing(tri, v):
+    """Reference for ``glue_disks`` and ``classify``: the per-disk
+    gluing, with a union-find with potentials over the 6n crossing nodes
+    and over the n disks mod 2.  Returns (arcs, least crossing node of
+    each vertex, the edge class of each vertex, components in order of
+    least disk)."""
+    full = reconstruct_trigons(tri, v)
+    first = list(accumulate(full.entries, initial=0))
+    tet_of = [slot // 7 + 1 for slot, count in enumerate(full.entries)
+              for _ in range(count)]
+    n = len(tet_of)
+
+    def stack(tet, corner, j):
+        """Arcs at a face corner whose corner quad type is j, innermost
+        first, as (disk, reference side faces the corner) pairs."""
+        slot = 7 * (tet - 1)
+        out = [(d, 0) for d in range(first[slot + corner],
+                                     first[slot + corner + 1])]
+        quads = range(first[slot + 3 + j], first[slot + 4 + j])
+        if corner in QUAD_PAIRS[j][0]:
+            return out + [(d, 0) for d in quads]
+        return out + [(d, 1) for d in reversed(quads)]
+
+    arcs = []
+    crossings = Potentials(6 * n)
+    crossed = bytearray(6 * n)
+    for face, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
+        side_a, side_b = stack(tet_a, za, qa), stack(tet_b, zb, qb)
+        if len(side_a) != len(side_b):
+            raise ArityMismatch(f"face {face.label}")
+        edges = [(LOCAL_EDGES.index(frozenset((za, ya))),
+                  LOCAL_EDGES.index(frozenset((zb, yb))))
+                 for ya, yb in face.corners() if ya != za]
+        for (da, flip_a), (db, flip_b) in zip(side_a, side_b):
+            arcs.append((da, db, flip_a ^ flip_b))
+            for ea, eb in edges:
+                crossings.union(6 * da + ea, 6 * db + eb)
+                crossed[6 * da + ea] = crossed[6 * db + eb] = 1
+    vertices = [cls for cls in crossings.classes() if crossed[cls[0]]]
+    labels = [tri.edge_of(tet_of[cls[0] // 6], LOCAL_EDGES[cls[0] % 6])
+              for cls in vertices]
+    for cls, label in zip(vertices, labels):
+        if len(cls) != tri.edge_degree(label):
+            raise ArityMismatch(f"edge {label}")
+
+    sides = Potentials(n, modulus=2)
+    contradicted = [da for da, db, flip in arcs
+                    if not sides.union(da, db, flip)]
+    classes = sides.classes()
+    component_of = [0] * n
+    for comp, cls in enumerate(classes):
+        for d in cls:
+            component_of[d] = comp
+    euler = [len(cls) for cls in classes]
+    for da, _, _ in arcs:
+        euler[component_of[da]] -= 1
+    for cls in vertices:
+        euler[component_of[cls[0] // 6]] += 1
+    one_sided = {component_of[d] for d in contradicted}
+    components = tuple((e, comp not in one_sided)
+                       for comp, e in enumerate(euler))
+    return arcs, [cls[0] for cls in vertices], labels, components
+
+
+def assert_matches_reference(tri, v):
+    arcs, vertices, labels, components = reference_gluing(tri, v)
+    graph = glue_disks(tri, reconstruct_trigons(tri, v))
+    assert graph.arcs.tolist() == [list(arc) for arc in arcs]
+    assert graph.vertices.tolist() == vertices
+    assert [tri.edge_classes[k] for k in graph.vertex_edges] == labels
+    report = classify(tri, v)
+    assert report.components == components
+    assert report.euler == sum(e for e, _ in components)
+    assert report.orientable == all(o for _, o in components)
+    assert len(graph.vertices) == sum(report.edge_weights.values())
+
+
+def test_fixtures_match_the_reference_gluing():
+    for fixture in fixtures():
+        if fixture.params.p <= 30:
+            tri = build_triangulation(fixture.params.p, fixture.params.q)
+            assert_matches_reference(tri, fixture.vector)
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(8))
+def test_square_fundamentals_and_multiples_match_the_reference(p, q):
+    tri = build_triangulation(p, q)
+    for v in square_fundamental_solutions(q_matrix(tri)):
+        for k in (1, 2, 3):
+            assert_matches_reference(tri, tuple(k * x for x in v))
+
+
+@PROPERTY_SETTINGS
+@given(square_solutions())
+def test_square_sums_match_the_reference(case):
+    p, q, v = case
+    assert_matches_reference(build_triangulation(p, q), v)
 
 
 # ------------------------------------------------------ doubling identities

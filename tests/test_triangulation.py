@@ -5,6 +5,7 @@ and edge incidence, vertex classes, and the sense tables.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from lensq.triangulation import (
     Potentials,
     build_triangulation,
     face_gluings,
+    least_labels,
     sense,
 )
 
@@ -320,3 +322,42 @@ def test_potentials_match_a_breadth_first_search(case, modulus):
             shifts = {shift % modulus for shift in shifts}
         assert len(shifts) == 1
         assert {found.find(x)[0] for x in cls} == {found.find(cls[0])[0]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.booleans()), max_size=32))))
+def test_least_labels_name_the_least_node_of_each_class(case):
+    n, edges = case
+    u = [x for x, _, _ in edges]
+    v = [y for _, y, _ in edges]
+    classes = Potentials(n)
+    for x, y in zip(u, v):
+        classes.union(x, y)
+    want = [0] * n
+    for cls in classes.classes():
+        for x in cls:
+            want[x] = cls[0]
+    assert least_labels(n, u, v).tolist() == want
+
+    # The doubled side graph: side s of x meets side s ^ flip of y.  A
+    # class is one-sided exactly when the parities contradict.
+    sides = Potentials(n, modulus=2)
+    contradicted = {x for x, y, flip in edges
+                    if not sides.union(x, y, int(flip))}
+    one_sided = {classes.find(x)[0] for x in contradicted}
+    flips = np.array([int(flip) for _, _, flip in edges], dtype=np.int64)
+    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+    doubled = least_labels(2 * n, np.concatenate((2 * u, 2 * u + 1)),
+                           np.concatenate((2 * v + flips, 2 * v + 1 - flips)))
+    for cls in classes.classes():
+        least = cls[0]
+        assert (doubled[2 * least] == doubled[2 * least + 1]) == (
+            classes.find(least)[0] in one_sided)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_least_labels_without_edges_are_the_nodes(n):
+    assert np.array_equal(least_labels(n, [], []), np.arange(n))
