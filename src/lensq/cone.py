@@ -8,9 +8,14 @@ and Devie: grow candidate vectors breadth first from the unit vectors,
 extending x by a unit e_j only when the residual A x moves closer to
 zero in the direction of column j (formally <A x, A e_j> < 0), and
 discard any candidate that already dominates a known minimal solution
-(read from a bitset index over the minimal solutions).  Each level is
-extended in chunks with the budget read between them, then deduplicated
-into lexicographic order, so the output does not depend on chunk size.
+or leaves the box spanned by the extreme rays.  A level is extended as
+(parent, column) pairs, in chunks with the budget read between them.
+Both discards are decided on the pair: the box test reads one entry,
+and a value-indexed bitset table over the minimal solutions gives each
+parent the AND of its bitsets over all columns but j, so the verdict on
+x + e_j costs one more AND.  Only the surviving children are made, once
+each, in the lexicographic order of mixed-radix int64 keys over the
+box, so the output does not depend on chunk size.
 
 The square-condition fundamentals of a quad system are the union of
 the Hilbert bases of its 3^p one-type-per-block pattern subcones.  The
@@ -62,9 +67,10 @@ class Budget:
     ``max_seconds`` caps wall-clock time, counted from the moment the
     Budget is made, so every search handed the same Budget shares one
     deadline.  ``max_frontier`` caps the most states a search holds at
-    once: a completion level or its extension set, a coefficient grid
-    or candidate set, the solutions a box search has collected, the
-    normal disks ``surface.classify`` glues.  Either limit may be None.
+    once: a completion level, its extension set or the rows of its
+    domination index, a coefficient grid or candidate set, the
+    solutions a box search has collected, the normal disks
+    ``surface.classify`` glues.  Either limit may be None.
     Exhaustion raises BudgetExceeded; partial results are never
     returned.
     """
@@ -96,22 +102,33 @@ class SolutionCone:
     """
 
     def __init__(self, matrix, ncols: int | None = None):
-        self._columns = None
         if isinstance(matrix, QMatrix):
-            rows = matrix.rows
-            ncols = 3 * matrix.p
+            # The dense rows wait for the first read of ``rows``: the box
+            # search and ``residual`` read only the sparse columns.
+            self._matrix = matrix
+            self._rows = None
             self._columns = matrix.columns
+            self.nrows = len(matrix.row_labels)
+            self.ncols = 3 * matrix.p
         else:
             rows = tuple(tuple(int(x) for x in row) for row in matrix)
             if rows:
                 ncols = len(rows[0])
             elif ncols is None:
                 raise DimensionMismatch("ncols required for an empty matrix")
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatch("ragged matrix rows")
-        self.rows = rows
-        self.ncols = ncols
+            if any(len(r) != ncols for r in rows):
+                raise DimensionMismatch("ragged matrix rows")
+            self._rows = rows
+            self._columns = None
+            self.nrows = len(rows)
+            self.ncols = ncols
         self._rays = None
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = self._matrix.rows
+        return self._rows
 
     @property
     def extreme_rays(self):
@@ -133,7 +150,7 @@ class SolutionCone:
         if len(v) != self.ncols:
             raise DimensionMismatch(
                 f"vector length {len(v)} != {self.ncols} columns")
-        out = [0] * len(self.rows)
+        out = [0] * self.nrows
         for entries, x in zip(self.columns, v):
             if x:
                 for r, c in entries:
@@ -167,42 +184,94 @@ def graded_lex_key(v):
 
 
 class _DominationIndex:
-    """Which vectors of a batch dominate (>=) some row of ``minimal``.
+    """Which vectors dominate (>=) some row of ``minimal``.
 
-    Per column j the values ``minimal[:, j]`` are kept sorted, beside a
-    table whose row k is the bitset (uint64 words) of the minimal rows
-    holding the k smallest.  x dominates some minimal row iff the AND of
-    ``table_j[#{m_j <= x_j}]`` over all j is non-zero: O(n * M / 64) per
-    vector instead of O(n * M).
+    ``table[j, v]`` is the bitset (uint64 words) of the minimal rows m
+    with m_j <= v, for v up to ``cap``, the largest minimal entry; every
+    larger value reads ``table[j, cap]``, which holds all the rows.  x
+    dominates some minimal row iff the AND of ``table[j, x_j]`` over all
+    j is non-zero: n word-ANDs per vector instead of n * M compares.
+    The table's n * (cap + 1) rows are charged to the budget.
     """
 
-    def __init__(self, minimal: np.ndarray):
-        m = minimal.shape[0]
-        order = np.argsort(minimal, axis=0, kind="stable").T
-        self.values = np.take_along_axis(minimal.T, order, axis=1)
+    def __init__(self, minimal: np.ndarray, budget: Budget):
+        m, n = minimal.shape
+        self.cap = int(minimal.max(initial=0))
+        budget.check(n * (self.cap + 1), what="domination index")
         rows = np.arange(m)
         bits = np.zeros((m, max(1, -(-m // 64))), dtype=np.uint64)
         bits[rows, rows // 64] = np.uint64(1) << (rows % 64).astype(np.uint64)
-        self.tables = np.zeros((minimal.shape[1], m + 1, bits.shape[1]),
-                               dtype=np.uint64)
-        self.tables[:, 1:] = np.bitwise_or.accumulate(bits[order], axis=1)
+        table = np.zeros((n, self.cap + 1, bits.shape[1]), dtype=np.uint64)
+        np.bitwise_or.at(table, (np.arange(n), minimal), bits[:, None])
+        np.bitwise_or.accumulate(table, axis=1, out=table)
+        # Flat: the bitset of column j at value v is row j * (cap+1) + v.
+        self.table = table.reshape(-1, bits.shape[1])
+        self.offsets = np.arange(n) * (self.cap + 1)
+
+    def _bitsets(self, vectors: np.ndarray) -> np.ndarray:
+        """``table[j, x_j]`` at [j, row of x], for every row x and
+        column j."""
+        at = self.offsets[:, None] + np.minimum(vectors.T, self.cap)
+        return self.table.take(at, axis=0)
 
     def dominates(self, vectors: np.ndarray) -> np.ndarray:
-        hit = np.full((vectors.shape[0], self.tables.shape[2]),
-                      ~np.uint64(0))
-        for values, table, column in zip(self.values, self.tables,
-                                         vectors.T):
-            hit &= table[np.searchsorted(values, column, side="right")]
+        hit = np.bitwise_and.reduce(self._bitsets(vectors), axis=0)
+        return hit.any(axis=1)
+
+    def child_dominates(self, parents: np.ndarray, rows: np.ndarray,
+                        cols: np.ndarray) -> np.ndarray:
+        """Whether the child ``parents[rows[k]] + e_cols[k]`` dominates,
+        for each k, without making the children.
+
+        Prefix and suffix ANDs give each parent the AND over all
+        columns but j, for every j (2n word-ANDs per parent); a child
+        then ANDs in ``table[j, x_j + 1]`` (one per child).
+        """
+        bitsets = self._bitsets(parents)
+        n, count, words = bitsets.shape
+        # before[j] is the AND over the columns below j, after[j] over
+        # the columns from j on; both are all ones when empty.
+        before = np.empty((n + 1, count, words), dtype=np.uint64)
+        after = np.empty_like(before)
+        before[0] = after[n] = ~np.uint64(0)
+        for k in range(n):
+            np.bitwise_and(before[k], bitsets[k], out=before[k + 1])
+            np.bitwise_and(after[n - k], bitsets[n - 1 - k],
+                           out=after[n - 1 - k])
+        pair = cols * count + rows
+        hit = (before.reshape(-1, words).take(pair, axis=0)
+               & after.reshape(-1, words).take(pair + count, axis=0))
+        moved = np.minimum(parents[rows, cols] + 1, self.cap)
+        hit &= self.table.take(self.offsets[cols] + moved, axis=0)
         return hit.any(axis=1)
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows in lexicographic order, exactly as
-    ``np.unique(rows, axis=0)`` returns them."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(rows.shape[0], dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+def _radix_strides(bound) -> np.ndarray:
+    """Weights that pack a row of the box [0, bound] into int64 keys,
+    ``keys = x @ strides.T``.  The columns fall into runs whose product
+    of (bound_j + 1) stays below 2^62, each run one mixed-radix number
+    with its first column most significant, so the keys of two rows
+    compare as the rows do lexicographically."""
+    strides = []
+    weight = 1 << 62
+    for j in reversed(range(len(bound))):
+        radix = int(bound[j]) + 1
+        if weight * radix >= 1 << 62:
+            strides.append([0] * len(bound))
+            weight = 1
+        strides[-1][j] = weight
+        weight *= radix
+    return np.array(strides[::-1], dtype=np.int64)
+
+
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """Indices of one row per distinct row of ``keys``, in lexicographic
+    order of the rows."""
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return order[first]
 
 
 def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
@@ -215,9 +284,16 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     (the primitive extreme rays are themselves minimal and are seeded
     up front), and candidates escaping the entrywise sum of the extreme
     rays die, because every minimal solution is a sub-one combination
-    of the rays and therefore lies inside that box.  The budget is
-    checked after every chunk of a level, so a level overruns the
-    deadline by at most one chunk and its final deduplication.
+    of the rays and therefore lies inside that box.
+
+    A level is extended as (parent, column) pairs, a chunk of parents
+    at a time with the budget checked after each chunk.  Both prunings
+    act on the pairs, so only surviving children are ever made: the
+    box test reads one entry, and the domination verdict of x + e_j is
+    the AND of x's bitsets over every column but j with the bitset of
+    x_j + 1.  The survivors are deduplicated on mixed-radix int64 keys
+    of the box, which sort like the rows, so the next level comes out
+    in lexicographic order whatever the chunk size.
 
     Returns a tuple sorted in graded lexicographic order.  Raises
     BudgetExceeded rather than truncating.
@@ -232,47 +308,64 @@ def _hilbert_basis(rows, n, rays, budget: Budget):
     if n == 0 or not rays:
         return ()
     A = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    bound = np.array([sum(r[j] for r in rays) for j in range(n)],
-                     dtype=np.int64)
-    if bound.max(initial=0) > _SAFE_MAGNITUDE:
+    bound = [sum(column) for column in zip(*rays)]
+    if max(bound) > _SAFE_MAGNITUDE:
         raise BudgetExceeded("extreme-ray box exceeds the safe integer "
                              "range")
+    bound = np.array(bound, dtype=np.int64)
+    strides = _radix_strides(bound)
     minimal = np.array(rays, dtype=np.int64)
-    index = _DominationIndex(minimal)
+    index = _DominationIndex(minimal, budget)
     frontier = np.eye(n, dtype=np.int64)
     frontier = frontier[(frontier <= bound).all(axis=1)]
     frontier = frontier[~index.dominates(frontier)]
+    # Per frontier row x: its keys, and dots[x, j] = <A x, A e_j>; the
+    # child x + e_j adds row j of the strides and of A^T A to them.
+    gram = A.T @ A
+    keys = frontier @ strides.T
+    dots = frontier @ gram
 
     while frontier.shape[0]:
         budget.check(frontier.shape[0])
-        residuals = frontier @ A.T
-        sol_mask = (residuals == 0).all(axis=1)
+        # A^T A x = 0 exactly when A x = 0, as then |A x|^2 = 0.
+        sol_mask = (dots == 0).all(axis=1)
         if sol_mask.any():
             # Every frontier row has passed the domination filter against
             # the seeded rays and all solutions of lower degree, and the
             # rows of one level are distinct, so each solution is minimal.
             solutions = frontier[sol_mask]
-            if index.dominates(solutions).any():
+            if (solutions @ A.T).any() or index.dominates(solutions).any():
                 raise InternalInvariantError(
-                    "a new solution dominates a known minimal solution")
+                    "a new solution is not a minimal solution of A x = 0")
             minimal = np.concatenate([minimal, solutions])
-            index = _DominationIndex(minimal)
-            frontier, residuals = frontier[~sol_mask], residuals[~sol_mask]
-        # Extend x by e_j exactly when <A x, A e_j> < 0, a chunk of rows
-        # at a time so that the deadline is read often.  Both filters act
-        # row by row, so one deduplication of the survivors gives the
-        # same level as deduplicating first.
-        survivors = [frontier[:0]]
+            index = _DominationIndex(minimal, budget)
+        # The pairs (x, j) with <A x, A e_j> < 0 (a solution has none),
+        # a chunk of parents at a time so that the deadline is read
+        # often.  Only x_j moves, so the box test reads x_j alone; the
+        # domination test needs no child either.
+        none = np.zeros(0, dtype=np.intp)
+        parents, columns = [none], [none]
         extended = 0
         for lo in range(0, frontier.shape[0], _CHUNK_ROWS):
-            where = np.argwhere(residuals[lo: lo + _CHUNK_ROWS] @ A < 0)
-            extended += where.shape[0]
+            chunk = frontier[lo: lo + _CHUNK_ROWS]
+            i, j = np.nonzero(dots[lo: lo + _CHUNK_ROWS] < 0)
+            extended += i.size
             budget.check(extended, what="extension set")
-            children = frontier[lo + where[:, 0]]
-            children[np.arange(children.shape[0]), where[:, 1]] += 1
-            children = children[(children <= bound).all(axis=1)]
-            survivors.append(children[~index.dominates(children)])
-        frontier = _unique_rows(np.concatenate(survivors))
+            inside = chunk[i, j] < bound[j]
+            i, j = i[inside], j[inside]
+            alive = ~index.child_dominates(chunk, i, j)
+            parents.append(lo + i[alive])
+            columns.append(j[alive])
+        parents = np.concatenate(parents)
+        columns = np.concatenate(columns)
+        # Make each distinct child once, in lexicographic order.
+        keys = keys[parents] + strides.T[columns]
+        pick = _distinct_sorted(keys)
+        budget.check(pick.size)  # the next level, before it is made
+        parents, columns, keys = parents[pick], columns[pick], keys[pick]
+        dots = dots[parents] + gram[columns]
+        frontier = frontier[parents]
+        frontier[np.arange(pick.size), columns] += 1
 
     out = [tuple(int(x) for x in m) for m in minimal]
     out.sort(key=graded_lex_key)
@@ -295,7 +388,7 @@ def _box_solutions(cone: SolutionCone, bounds, budget, stop_after=None):
     # Per support column, (row, coefficient, lo, hi) for each row it
     # touches, [lo, hi] being what the later support columns can still
     # add to that row.
-    lo, hi = [0] * len(cone.rows), [0] * len(cone.rows)
+    lo, hi = [0] * cone.nrows, [0] * cone.nrows
     reach = []
     for j in reversed(support):
         reach.append([(r, c, lo[r], hi[r]) for r, c in cone.columns[j]])
@@ -306,7 +399,7 @@ def _box_solutions(cone: SolutionCone, bounds, budget, stop_after=None):
                 hi[r] += c * bounds[j]
     reach.reverse()
 
-    residual = [0] * len(cone.rows)
+    residual = [0] * cone.nrows
 
     def branches(k):
         """The values of column support[k] that keep its rows within

@@ -1,17 +1,18 @@
 """
 Tests for fundamental/vertex solution machinery: the completion
 enumerator against the grid oracle and against a box search, its
-domination index and row deduplication against plain numpy
-references, the box-search minimality test, the support-rank vertex test
-against bounded search and against the exact extreme rays, the
-rotation-orbit pattern search against the plain 3^p pattern loop, its
-necklace representatives and symmetry guard, and budget/determinism
-behaviour.
+domination index, child verdicts and key deduplication against plain
+numpy references, its memory peak, the box-search minimality test, the
+support-rank vertex test against bounded search and against the exact
+extreme rays, the rotation-orbit pattern search against the plain 3^p
+pattern loop, its necklace representatives and symmetry guard, and
+budget/determinism behaviour.
 """
 
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +28,10 @@ from lensq.cone import (
     SolutionCone,
     _block_rotation_guard,
     _box_solutions,
+    _distinct_sorted,
     _DominationIndex,
     _necklaces,
-    _unique_rows,
+    _radix_strides,
     brute_force_minimal_solutions,
     graded_lex_key,
     hilbert_basis,
@@ -59,6 +61,8 @@ B_GRID = [Fraction(k, 2) for k in range(-4, 5)]
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
+
+UNLIMITED = dict(max_seconds=None, max_frontier=None)
 
 TWO_ONE_BASIS = (
     (0, 0, 1, 0, 1, 0),
@@ -146,6 +150,20 @@ def test_budget_exhaustion_raises():
         hilbert_basis(cone, Budget(max_frontier=3))
 
 
+def test_five_two_completion_memory_peak():
+    # The widest level sets the peak; only its surviving children are
+    # made, so it stays near 6 MiB.
+    cone = SolutionCone(q_matrix(build_triangulation(5, 2)))
+    cone.extreme_rays
+    tracemalloc.start()
+    try:
+        hilbert_basis(cone, Budget(**UNLIMITED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2 ** 20
+
+
 def test_budget_deadline_is_kept_inside_a_level():
     # The (6,1) raw basis runs far past 2 s, and its late levels extend
     # hundreds of thousands of rows; the clock is read between chunks.
@@ -167,10 +185,11 @@ def _int_rows(draw, count, n, high):
 @st.composite
 def domination_inputs(draw):
     """Up to 150 minimal rows (three uint64 words) and 30 query rows;
-    the small entry ranges give many ties and both verdicts."""
+    the small entry ranges give many ties and both verdicts, and the
+    queries reach past the largest minimal entry."""
     n = draw(st.integers(1, 8))
-    minimal = _int_rows(draw, draw(st.integers(0, 150)), n, 5)
-    vectors = _int_rows(draw, draw(st.integers(0, 30)), n, 3)
+    minimal = _int_rows(draw, draw(st.integers(0, 150)), n, 4)
+    vectors = _int_rows(draw, draw(st.integers(0, 30)), n, 6)
     return minimal, vectors
 
 
@@ -179,20 +198,53 @@ def domination_inputs(draw):
 def test_domination_index_matches_the_broadcast(inputs):
     minimal, vectors = inputs
     naive = (vectors[:, None] >= minimal[None]).all(axis=2).any(axis=1)
-    got = _DominationIndex(minimal).dominates(vectors)
+    got = _DominationIndex(minimal, Budget(**UNLIMITED)).dominates(vectors)
     assert got.dtype == bool and np.array_equal(got, naive)
 
 
+@PROPERTY_SETTINGS
+@given(domination_inputs(), st.data())
+def test_child_verdict_matches_the_broadcast(inputs, data):
+    minimal, parents = inputs
+    n = minimal.shape[1]
+    pair = st.tuples(st.integers(0, max(0, parents.shape[0] - 1)),
+                     st.integers(0, n - 1))
+    pairs = data.draw(st.lists(pair, max_size=60 if parents.size else 0))
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    children = parents[rows] + np.eye(n, dtype=np.int64)[cols]
+    naive = (children[:, None] >= minimal[None]).all(axis=2).any(axis=1)
+    index = _DominationIndex(minimal, Budget(**UNLIMITED))
+    got = index.child_dominates(parents, rows, cols)
+    assert got.dtype == bool and np.array_equal(got, naive)
+
+
+def test_domination_index_is_charged_to_the_budget():
+    minimal = np.array([[0, 10 ** 6, 0]], dtype=np.int64)
+    with pytest.raises(BudgetExceeded, match="domination index"):
+        _DominationIndex(minimal, Budget(max_frontier=3 * 10 ** 6))
+
+
 @st.composite
-def row_batches(draw):
-    n = draw(st.integers(1, 5))
-    return _int_rows(draw, draw(st.integers(0, 60)), n, 2)
+def boxed_rows(draw):
+    """Up to 60 rows inside a box [0, bound] with up to five columns,
+    a bound of about 2^30 in some, few distinct entries per column."""
+    bound = draw(st.lists(st.sampled_from([0, 1, 2, 2 ** 30 - 1, 2 ** 30]),
+                          min_size=1, max_size=5))
+    entry = [st.sampled_from(sorted({0, b // 2, b})) for b in bound]
+    rows = draw(st.lists(st.tuples(*entry), max_size=60))
+    return (np.array(bound, dtype=np.int64),
+            np.array(rows, dtype=np.int64).reshape(len(rows), len(bound)))
 
 
 @PROPERTY_SETTINGS
-@given(row_batches())
-def test_unique_rows_matches_numpy_unique(rows):
-    got = _unique_rows(rows)
+@given(boxed_rows())
+def test_radix_keys_sort_and_deduplicate_like_numpy_unique(inputs):
+    bound, rows = inputs
+    strides = _radix_strides(bound)
+    assert (bound @ strides.T < 2 ** 62).all()
+    if (bound >= 2 ** 30 - 1).sum() >= 3:
+        assert strides.shape[0] >= 2
+    got = rows[_distinct_sorted(rows @ strides.T)]
     want = np.unique(rows, axis=0)
     assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -316,6 +368,15 @@ def test_sphere_vectors_are_fundamental():
 def test_box_search_is_not_bounded_by_the_recursion_limit():
     # The support has 1000 columns, more than the default recursion
     # limit; the alternating vector is twice a smaller solution.
+    cone = SolutionCone(q_matrix(build_triangulation(1000, 3)))
+    assert not is_fundamental(cone, alternating_vector(1000, 3))
+
+
+def test_box_search_never_builds_the_dense_rows(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense quad rows were built")
+
+    monkeypatch.setattr(QMatrix, "rows", property(refuse))
     cone = SolutionCone(q_matrix(build_triangulation(1000, 3)))
     assert not is_fundamental(cone, alternating_vector(1000, 3))
 
