@@ -29,7 +29,6 @@ from importlib import resources
 
 from .cone import (
     Budget,
-    SolutionCone,
     graded_lex_key,
     is_fundamental,
     is_vertex,
@@ -37,6 +36,7 @@ from .cone import (
 )
 from .errors import (
     InternalInvariantError,
+    LensQError,
     NoExpectation,
     NotASolution,
     SquareConditionViolated,
@@ -242,7 +242,6 @@ def verify_theorems(p: int, q: int, budget: Budget | None = None):
             "no quad-only fundamental with half-integer coefficients"))
 
     if q == 1 and p % 2 == 0 and p >= 4:
-        cone = SolutionCone(matrix)
         _, t_vecs = basis_vectors(tri)
         ok = True
         detail = "alternating vectors fundamental, non-vertex, doubling " \
@@ -260,7 +259,7 @@ def verify_theorems(p: int, q: int, budget: Budget | None = None):
             if v not in vectors:
                 ok, detail = False, f"{v} missing from fundamentals"
                 break
-            if is_vertex(cone, v):
+            if is_vertex(matrix, v):
                 ok, detail = False, f"{v} unexpectedly a vertex solution"
                 break
         results.append(CheckResult("non-vertex-alternating", ok, detail))
@@ -285,37 +284,49 @@ def fixture_text() -> str:
     return (resources.files("lensq") / "data" / FIXTURE_FILE).read_text()
 
 
-def fixtures(verify: bool = True):
+def read_records(text: str, source: str):
+    """The records of ``text`` in the fixture format ``p q entries
+    tags``, one per line, as (p, q, vector, tags) with comma-separated
+    entries and tags; blank lines, ``#`` comments and a missing tags
+    field are allowed.  A malformed record raises LensQError naming
+    ``source`` and its line.
+    """
+    for lineno, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        try:
+            p_str, q_str, entries, *tags = fields
+            p, q = int(p_str), int(q_str)
+            vector = tuple(int(x) for x in entries.split(","))
+        except ValueError:
+            raise LensQError(
+                f"{source}:{lineno}: malformed record, expected "
+                f"'p q entries tags' with integer entries") from None
+        yield p, q, vector, tuple(t for word in tags for t in word.split(","))
+
+
+def fixtures():
     """Load the worked-example fixtures.
 
-    With ``verify`` (the default) every record is checked against the
-    matching equations and the square condition before being returned,
-    guarding against transcription damage; the file checksum is also
-    enforced.
+    The file checksum is enforced, and every record is checked against
+    the matching equations and the square condition before being
+    returned, guarding against transcription damage.
     """
     text = fixture_text()
-    if verify:
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        if digest != FIXTURE_SHA256:
-            raise NotASolution(
-                f"fixture file checksum mismatch: {digest}")
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    if digest != FIXTURE_SHA256:
+        raise NotASolution(f"fixture file checksum mismatch: {digest}")
     out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        p_str, q_str, entries, tags = line.split()
-        p, q = int(p_str), int(q_str)
-        vector = tuple(int(x) for x in entries.split(","))
-        if verify:
-            if not is_q_solution(q_matrix(build_triangulation(p, q)), vector):
-                raise NotASolution(
-                    f"fixture ({p},{q}) fails the matching equations")
-            if not square_condition(vector):
-                raise SquareConditionViolated(
-                    f"fixture ({p},{q}) violates the square condition")
+    for p, q, vector, tags in read_records(text, FIXTURE_FILE):
+        if not is_q_solution(q_matrix(build_triangulation(p, q)), vector):
+            raise NotASolution(
+                f"fixture ({p},{q}) fails the matching equations")
+        if not square_condition(vector):
+            raise SquareConditionViolated(
+                f"fixture ({p},{q}) violates the square condition")
         out.append(Fixture(params=LensParams(p, q), vector=vector,
-                           tags=tuple(tags.split(","))))
+                           tags=tags))
     return tuple(out)
 
 
@@ -341,8 +352,7 @@ def verify_fixture(fixture: Fixture, budget: Budget | None = None):
             checks.append(CheckResult(label, criterion,
                                       f"criterion={criterion}"))
         elif tag in ("q-fundamental", "not-q-fundamental"):
-            fundamental = is_fundamental(SolutionCone(matrix),
-                                         fixture.vector, budget)
+            fundamental = is_fundamental(matrix, fixture.vector, budget)
             checks.append(CheckResult(
                 label, fundamental == (tag == "q-fundamental"),
                 f"is_fundamental={fundamental}"))

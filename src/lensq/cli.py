@@ -19,9 +19,9 @@ import json
 import sys
 
 from . import __version__, catalog
-from .cone import Budget, SolutionCone, hilbert_basis, is_fundamental
+from .cone import Budget, hilbert_basis, is_fundamental
 from .errors import BudgetExceeded, LensQError
-from .qsystem import decompose, integrality_class, q_matrix
+from .qsystem import check_qvector, decompose, integrality_class, q_matrix
 from .surface import classify, haken_matrix, surface_name
 from .triangulation import CORNER_NAMES, build_triangulation
 
@@ -51,27 +51,14 @@ def parse_vector(spec: str, p: int, q: int, index: int | None):
         except ValueError as exc:
             raise LensQError(f"cannot parse vector: {exc}") from exc
     path = spec[1:]
-    matches = []
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise LensQError(
             f"{path}: not UTF-8 text ({exc.reason})") from None
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            fp, fq, entries = line.split()[:3]
-            params = (int(fp), int(fq))
-            vector = tuple(int(x) for x in entries.split(","))
-        except ValueError:
-            raise LensQError(
-                f"{path}:{lineno}: malformed record, expected "
-                f"'p q entries tags' with integer entries") from None
-        if params == (p, q):
-            matches.append(vector)
+    matches = [vector for fp, fq, vector, _ in catalog.read_records(text, path)
+               if (fp, fq) == (p, q)]
     if not matches:
         raise LensQError(f"no record for (p,q)=({p},{q}) in {path}")
     if len(matches) > 1 and index is None:
@@ -145,10 +132,9 @@ def cmd_enum(args) -> int:
         {"vector": list(v), **_report_payload(report)}
         for v, report in found]}
     if args.raw_hilbert:
-        tri = build_triangulation(args.p, args.q)
-        cone = SolutionCone(q_matrix(tri))
+        matrix = q_matrix(build_triangulation(args.p, args.q))
         payload["hilbert_basis"] = [list(v)
-                                    for v in hilbert_basis(cone, budget)]
+                                    for v in hilbert_basis(matrix, budget)]
     if args.format == "json":
         sys.stdout.write(envelope("enum", args.p, args.q, payload))
     else:
@@ -168,10 +154,13 @@ def cmd_enum(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    tri = build_triangulation(args.p, args.q)
-    vector = parse_vector(args.vector, args.p, args.q, args.index)
-    matrix = q_matrix(tri)
     budget = budget_from(args)
+    # A vector of the wrong length is rejected before anything of size
+    # p is built.
+    vector = check_qvector(
+        parse_vector(args.vector, args.p, args.q, args.index), args.p)
+    tri = build_triangulation(args.p, args.q)
+    matrix = q_matrix(tri)
     report = classify(tri, vector, matrix=matrix, budget=budget)
     coeffs = decompose(tri, vector, matrix=matrix)
     payload = {
@@ -185,8 +174,7 @@ def cmd_classify(args) -> int:
         "haken_fundamental_criterion": report.haken_fundamental_criterion,
     }
     if args.fundamental:
-        payload["is_fundamental"] = is_fundamental(
-            SolutionCone(matrix), vector, budget)
+        payload["is_fundamental"] = is_fundamental(matrix, vector, budget)
     if args.format == "json":
         sys.stdout.write(envelope("classify", args.p, args.q, payload))
     else:

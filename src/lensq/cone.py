@@ -2,6 +2,13 @@
 Fundamental and vertex solutions of A x = 0 over the non-negative
 integers.
 
+``SolutionCone`` is the package's one integer-system class: it holds A
+as sparse columns, builds the dense rows and the extreme rays only when
+they are read, and ``restrict`` cuts out the subsystem on chosen
+columns.  The quad system ``qsystem.QMatrix`` is a SolutionCone, and
+the pattern subcones and the support systems of ``is_vertex`` are its
+restrictions.
+
 The Hilbert basis (the set of minimal non-zero non-negative integer
 solutions) is enumerated by the classic completion scheme of Contejean
 and Devie: grow candidate vectors breadth first from the unit vectors,
@@ -18,12 +25,13 @@ each, in the lexicographic order of mixed-radix int64 keys over the
 box, so the output does not depend on chunk size.
 
 The square-condition fundamentals of a quad system are the union of
-the Hilbert bases of its 3^p one-type-per-block pattern subcones.  The
-p-tetrahedron lens-space triangulation is a cyclic chain, so shifting
-every block by one tetrahedron permutes the matching equations; the
-search checks this exactly once, solves one pattern per rotation orbit
-(the orbit's lexicographically least rotation, a 3-ary necklace) and
-rotates each answer into every block position.
+the Hilbert bases of its 3^p one-type-per-block pattern subcones, each
+a restriction to p columns.  The p-tetrahedron lens-space triangulation
+is a cyclic chain, so shifting every block by one tetrahedron permutes
+the matching equations; the search checks this exactly once, solves one
+pattern per rotation orbit (the orbit's lexicographically least
+rotation, a 3-ary necklace) and rotates each answer into every block
+position.
 
 Alongside the enumerator there are direct, definition-level tests:
 ``is_fundamental`` runs an exhaustive box search below a given solution,
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +58,6 @@ from .errors import (
     NegativeEntry,
     NotASolution,
 )
-from .qsystem import QMatrix
 from .rays import extreme_rays_of_kernel_cone
 from .triangulation import QUAD_TYPES
 
@@ -94,57 +102,56 @@ class Budget:
 
 
 class SolutionCone:
-    """An integer matrix A together with its solution cone.
+    """An integer system A x = 0 together with its solution cone.
 
-    Wraps either a QMatrix or any explicit integer row list.  The
-    primitive extreme rays are computed lazily in exact arithmetic and
-    cached.
+    The system is held only as sparse columns: ``columns[j]`` lists the
+    non-zero ``(row, coefficient)`` pairs of column j in row order, and
+    ``nrows`` and ``ncols`` give the shape.  It is made from explicit
+    integer rows (``ncols`` is required when there are none) or from
+    another SolutionCone, whose columns it shares; a QMatrix is a
+    SolutionCone filled from its triangulation.  The dense ``rows`` and
+    the primitive extreme rays, computed in exact arithmetic, are built
+    on first read and cached.
     """
 
     def __init__(self, matrix, ncols: int | None = None):
-        if isinstance(matrix, QMatrix):
-            # The dense rows wait for the first read of ``rows``: the box
-            # search and ``residual`` read only the sparse columns.
-            self._matrix = matrix
-            self._rows = None
-            self._columns = matrix.columns
-            self.nrows = len(matrix.row_labels)
-            self.ncols = 3 * matrix.p
-        else:
-            rows = tuple(tuple(int(x) for x in row) for row in matrix)
-            if rows:
-                ncols = len(rows[0])
-            elif ncols is None:
-                raise DimensionMismatch("ncols required for an empty matrix")
-            if any(len(r) != ncols for r in rows):
-                raise DimensionMismatch("ragged matrix rows")
-            self._rows = rows
-            self._columns = None
-            self.nrows = len(rows)
-            self.ncols = ncols
-        self._rays = None
+        if isinstance(matrix, SolutionCone):
+            self.columns = matrix.columns
+            self.nrows, self.ncols = matrix.nrows, matrix.ncols
+            return
+        rows = [[int(x) for x in row] for row in matrix]
+        if rows:
+            ncols = len(rows[0])
+        elif ncols is None:
+            raise DimensionMismatch("ncols required for an empty matrix")
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatch("ragged matrix rows")
+        self.columns = tuple(
+            tuple((r, row[j]) for r, row in enumerate(rows) if row[j])
+            for j in range(ncols))
+        self.nrows, self.ncols = len(rows), ncols
 
-    @property
+    @cached_property
     def rows(self):
-        if self._rows is None:
-            self._rows = self._matrix.rows
-        return self._rows
+        """The dense rows, as plain integer tuples."""
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        for j, entries in enumerate(self.columns):
+            for r, c in entries:
+                rows[r][j] = c
+        return tuple(tuple(row) for row in rows)
 
-    @property
+    @cached_property
     def extreme_rays(self):
-        if self._rays is None:
-            self._rays = extreme_rays_of_kernel_cone(self.rows, self.ncols)
-        return self._rays
+        return extreme_rays_of_kernel_cone(self.rows, self.ncols)
 
-    @property
-    def columns(self):
-        """Per column, its non-zero (row, coefficient) pairs: the
-        QMatrix's own sparse columns, or read off the rows once."""
-        if self._columns is None:
-            self._columns = tuple(
-                tuple((r, row[j]) for r, row in enumerate(self.rows) if row[j])
-                for j in range(self.ncols))
-        return self._columns
+    def restrict(self, columns):
+        """The system on the given columns only, in the given order,
+        with every row kept: the cone of the solutions that vanish off
+        those columns."""
+        sub = SolutionCone(self)
+        sub.columns = tuple(self.columns[j] for j in columns)
+        sub.ncols = len(sub.columns)
+        return sub
 
     def residual(self, v):
         if len(v) != self.ncols:
@@ -298,16 +305,11 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     Returns a tuple sorted in graded lexicographic order.  Raises
     BudgetExceeded rather than truncating.
     """
-    return _hilbert_basis(cone.rows, cone.ncols, cone.extreme_rays,
-                          budget or Budget())
-
-
-def _hilbert_basis(rows, n, rays, budget: Budget):
-    """``hilbert_basis`` of the integer rows ``rows`` with ``n`` columns,
-    given their primitive extreme rays."""
+    budget = budget or Budget()
+    n, rays = cone.ncols, cone.extreme_rays
     if n == 0 or not rays:
         return ()
-    A = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    A = np.array(cone.rows, dtype=np.int64).reshape(cone.nrows, n)
     bound = [sum(column) for column in zip(*rays)]
     if max(bound) > _SAFE_MAGNITUDE:
         raise BudgetExceeded("extreme-ray box exceeds the safe integer "
@@ -465,8 +467,7 @@ def is_vertex(cone: SolutionCone, v) -> bool:
     """
     vec = cone.check_solution_vector(v)
     support = [j for j, x in enumerate(vec) if x]
-    sub = exact.restrict_columns(cone.rows, support)
-    dim = len(support) - exact.rank(sub)
+    dim = len(support) - exact.rank(cone.restrict(support).rows)
     if dim < 1:
         # v itself restricts to a kernel vector, so this cannot happen.
         raise NotASolution("support-restricted system lost the solution")
@@ -492,10 +493,11 @@ def is_vertex_by_search(cone: SolutionCone, v, k: int = 3,
     return True
 
 
-def _block_rotation_guard(matrix: QMatrix):
+def _block_rotation_guard(matrix):
     """Check that shifting every block by one tetrahedron permutes the
-    matching equations: column c + 3 must be column c with row e_i
-    renamed e_(i+1) (e_p to e_1) and rows Eh, Ev left alone.  O(p).
+    matching equations of the QMatrix ``matrix``: column c + 3 must be
+    column c with row e_i renamed e_(i+1) (e_p to e_1) and rows Eh, Ev
+    left alone.  O(p).
 
     Raises InternalInvariantError when it does not hold.
     """
@@ -530,16 +532,15 @@ def _necklaces(p, k):
             yield tuple(word)
 
 
-def square_fundamental_solutions(matrix: QMatrix,
-                                 budget: Budget | None = None):
+def square_fundamental_solutions(matrix, budget: Budget | None = None):
     """All fundamental solutions of a quad matching system that satisfy
     the square condition, without enumerating the full Hilbert basis.
 
     The square condition is downward closed: anything below a
     one-type-per-block vector is again one-type-per-block.  A square
     vector is therefore minimal among all solutions exactly when it is
-    minimal inside its own pattern subcone (the cone keeping one chosen
-    quad column per block and zeroing the rest), and the union of the
+    minimal inside its own pattern subcone (``matrix.restrict`` to one
+    chosen quad column per block), and the union of the
     3^p pattern Hilbert bases is precisely the set of square-condition
     fundamental solutions.  Each pattern is a p-variable system, so
     this stays fast long after full enumeration has become infeasible.
@@ -557,17 +558,11 @@ def square_fundamental_solutions(matrix: QMatrix,
     _block_rotation_guard(matrix)
     p = matrix.p
     n = 3 * p
-    nrows = len(matrix.row_labels)
 
     found = set()
     for word in _necklaces(p, len(QUAD_TYPES)):
         columns = [3 * i + t for i, t in enumerate(word)]
-        rows = [[0] * p for _ in range(nrows)]
-        for i, c in enumerate(columns):
-            for r, s in matrix.columns[c]:
-                rows[r][i] = s
-        rays = extreme_rays_of_kernel_cone(rows, p)
-        for small in _hilbert_basis(rows, p, rays, budget):
+        for small in hilbert_basis(matrix.restrict(columns), budget):
             full = [0] * n
             for c, value in zip(columns, small):
                 full[c] = value

@@ -87,8 +87,3 @@ def kernel_basis(rows, ncols=None):
             vec[pc] = -echelon[r][fc] * scale // echelon[r][pc]
         basis.append(primitive(vec))
     return basis
-
-
-def restrict_columns(rows, columns):
-    """The submatrix keeping only the given column indices, in order."""
-    return [[row[c] for c in columns] for row in rows]

@@ -5,14 +5,15 @@ A surface's quad coordinate is a length-3p vector; entries come in p
 blocks of three, block i holding the counts of the three quad types of
 tetrahedron i.  Each edge class imposes one balance equation (equal
 numbers of climbing and descending quads around the edge), giving a
-(p+2) x 3p integer matrix whose rational rank is p, held as 3p sparse
-columns.  The solution space therefore has dimension 2p, and it carries
-a standard basis of 2p vectors: one "full block" vector per tetrahedron
-and one "edge sphere" vector per slanted edge.  This module assembles
-the matrix, produces the basis, decomposes arbitrary solutions over it
-exactly (a union-find with potentials on the b-coefficients, the
-package's one gluing structure), and classifies the integrality
-pattern of the coefficients.
+(p+2) x 3p integer matrix whose rational rank is p.  ``QMatrix`` holds
+it as a ``cone.SolutionCone`` of 3p sparse columns, so the cone code
+takes it as it is.  The solution space has dimension 2p, and it
+carries a standard basis of 2p vectors: one "full block" vector per
+tetrahedron and one "edge sphere" vector per slanted edge.  This module
+assembles the matrix, produces the basis, decomposes arbitrary
+solutions over it exactly (a union-find with potentials on the
+b-coefficients, the package's one gluing structure), and classifies
+the integrality pattern of the coefficients.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cone import SolutionCone
 from .errors import (
     DimensionMismatch,
     IntegralityViolated,
@@ -51,15 +53,16 @@ def block(v, i: int):
     return tuple(v[3 * (i - 1): 3 * i])
 
 
-class QMatrix:
-    """The (p+2) x 3p quad matching matrix, held as 3p sparse columns.
+class QMatrix(SolutionCone):
+    """The (p+2) x 3p quad matching matrix, a SolutionCone held as 3p
+    sparse columns.
 
     Column order is block-major with the three quad types inside each
     block; row order is e_1 .. e_p, Eh, Ev.  ``columns[c]`` lists the
-    non-zero ``(row, coefficient)`` pairs of column c, at most four
-    since a quad meets four edges.  ``rows`` is the dense expansion as
-    plain integer tuples, for display and the cone code; it is built
-    on first use only.
+    non-zero ``(row, coefficient)`` pairs of column c in row order, at
+    most four since a quad meets four edges.  The dense ``rows``, the
+    extreme rays, ``residual`` and ``restrict`` are the SolutionCone's
+    own.
     """
 
     def __init__(self, tri: LensTriangulation):
@@ -68,28 +71,13 @@ class QMatrix:
         self.row_labels = tri.edge_classes
         index = {label: r for r, label in enumerate(self.row_labels)}
         self.columns = tuple(
-            tuple((index[label], s) for label, s in tri.quad_senses(i, j))
+            tuple(sorted((index[label], s)
+                         for label, s in tri.quad_senses(i, j)))
             for i in tri.tetrahedra for j in QUAD_TYPES)
-        self._rows = None
-
-    @property
-    def rows(self):
-        if self._rows is None:
-            rows = [[0] * len(self.columns) for _ in self.row_labels]
-            for col, entries in enumerate(self.columns):
-                for r, s in entries:
-                    rows[r][col] = s
-            self._rows = tuple(tuple(r) for r in rows)
-        return self._rows
+        self.nrows, self.ncols = len(self.row_labels), len(self.columns)
 
     def multiply(self, v):
-        vec = check_qvector(v, self.p)
-        out = [0] * len(self.row_labels)
-        for entries, x in zip(self.columns, vec):
-            if x:
-                for r, s in entries:
-                    out[r] += s * x
-        return tuple(out)
+        return self.residual(check_qvector(v, self.p))
 
     def __repr__(self):
         return f"QMatrix(p={self.p}, q={self.q})"

@@ -15,9 +15,10 @@ from lensq.catalog import (
     fixture_text,
     fixtures,
     half_odd_sphere_sum,
+    read_records,
     verify_theorems,
 )
-from lensq.errors import NoExpectation
+from lensq.errors import LensQError, NoExpectation
 from lensq.qsystem import basis_vectors, is_q_solution, q_matrix, square_condition
 from lensq.surface import classify, surface_name
 from lensq.triangulation import build_triangulation
@@ -126,8 +127,19 @@ def test_fixtures_load_and_verify():
     assert pairs == {(8, 3), (16, 3), (18, 7), (30, 11), (418, 153)}
 
 
+def test_records_parse_and_name_the_malformed_line():
+    text = ("# comment\n\n2 1 1,0,0,1,0,0 torus,square\n"
+            "3 1 1,0,0,1,0,0,1,0,0\n")
+    assert list(read_records(text, "inline")) == [
+        (2, 1, (1, 0, 0, 1, 0, 0), ("torus", "square")),
+        (3, 1, (1, 0, 0, 1, 0, 0, 1, 0, 0), ()),
+    ]
+    with pytest.raises(LensQError, match="^inline:2: malformed record"):
+        list(read_records("2 1 1,0,0,1,0,0 a\n2 x 1,0,0 b\n", "inline"))
+
+
 def test_fixture_h_is_the_alternating_vector():
-    records = fixtures(verify=False)
+    records = fixtures()
     h = next(f for f in records if f.params.p == 8 and f.has("h"))
     assert h.vector == alternating_vector(8, 3)
     assert h.vector == half_odd_sphere_sum(build_triangulation(8, 3))
@@ -136,7 +148,7 @@ def test_fixture_h_is_the_alternating_vector():
 
 
 def test_fixture_difference_identity():
-    records = fixtures(verify=False)
+    records = fixtures()
     tri = build_triangulation(8, 3)
     _, t_vecs = basis_vectors(tri)
     h = next(f for f in records if f.params.p == 8 and f.has("h"))
@@ -145,14 +157,14 @@ def test_fixture_difference_identity():
 
 
 def test_eighteen_seven_fixture_block_structure():
-    record = next(f for f in fixtures(verify=False) if f.params.p == 18)
+    record = next(f for f in fixtures() if f.params.p == 18)
     v = record.vector
     assert v[3 * 8] == 1 and v[3 * 9] == 1  # blocks 9 and 10 lead with 1
     assert sum(1 for i in range(18) if v[3 * i]) == 2
 
 
 def test_thirty_eleven_compressions_have_four_leading_entries():
-    comps = [f for f in fixtures(verify=False)
+    comps = [f for f in fixtures()
              if f.params.p == 30 and (f.has("compression-a")
                                       or f.has("compression-b"))]
     assert len(comps) == 2
@@ -161,7 +173,7 @@ def test_thirty_eleven_compressions_have_four_leading_entries():
 
 
 def test_giant_fixture_shape():
-    giant = next(f for f in fixtures(verify=False) if f.params.p == 418)
+    giant = next(f for f in fixtures() if f.params.p == 418)
     assert len(giant.vector) == 3 * 418
     assert max(giant.vector) == 3
     # three parallel type-1 sheets in exactly four tetrahedra

@@ -256,6 +256,21 @@ def test_classify_non_solution_is_invalid():
     assert "NotASolution" in result.stderr
 
 
+def test_classify_rejects_a_wrong_length_vector_before_building(
+        monkeypatch, capsys):
+    from lensq import cli
+
+    def refuse(*args):
+        raise AssertionError("the triangulation was built")
+
+    monkeypatch.setattr(cli, "build_triangulation", refuse)
+    assert cli.main(["classify", "--p", "200000", "--q", "3",
+                     "--vector", "1,0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DimensionMismatch: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_pass_and_json():
     result = run_cli("verify", "--p", "3", "--q", "1")
     assert result.returncode == 0

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensq import cone as cone_module
-from lensq import exact
 from lensq.catalog import alternating_vector
 from lensq.cone import (
     Budget,
@@ -285,7 +284,7 @@ def square_fundamentals_of_every_pattern(matrix):
     found = set()
     for pattern in itertools.product(QUAD_TYPES, repeat=p):
         columns = [3 * i + t - 1 for i, t in enumerate(pattern)]
-        rows = exact.restrict_columns(matrix.rows, columns)
+        rows = [[row[c] for c in columns] for row in matrix.rows]
         for small in hilbert_basis(SolutionCone(rows, ncols=p)):
             full = [0] * (3 * p)
             for c, value in zip(columns, small):
@@ -305,13 +304,13 @@ def test_orbit_search_matches_every_pattern(p, q):
 def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
                                                    orbits):
     calls = []
-    solve = cone_module._hilbert_basis
+    solve = cone_module.hilbert_basis
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(cone_module, "_hilbert_basis", counted)
+    monkeypatch.setattr(cone_module, "hilbert_basis", counted)
     square_fundamental_solutions(q_matrix(build_triangulation(p, q)))
     assert len(calls) == orbits
 
@@ -415,6 +414,18 @@ def test_sphere_and_torus_vectors_are_vertices():
         assert is_vertex(cone, t)
         assert is_vertex_by_search(cone, t, k=3)
     assert is_vertex(cone, (1, 0, 0) * 5)
+
+
+def test_is_vertex_never_builds_the_dense_rows(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense quad rows were built")
+
+    monkeypatch.setattr(QMatrix, "rows", property(refuse))
+    tri = build_triangulation(1000, 3)
+    matrix = q_matrix(tri)
+    sphere = basis_vectors(tri)[1][0]
+    assert is_vertex(SolutionCone(matrix), sphere)
+    assert is_vertex(matrix, sphere)
 
 
 def test_vertex_search_frontier_caps_the_solutions_held():

@@ -12,6 +12,7 @@ import pytest
 
 from lensq import exact
 from lensq.catalog import alternating_vector
+from lensq.cone import SolutionCone
 from lensq.errors import (
     DimensionMismatch,
     IntegralityViolated,
@@ -96,6 +97,12 @@ def test_multiply_matches_dense_rows(p, q):
         v = [rng.randint(-5, 5) for _ in range(3 * p)]
         assert matrix.multiply(v) == tuple(
             sum(c * x for c, x in zip(row, v)) for row in matrix.rows)
+    # The rows and the sparse columns are one system, and a restriction
+    # is the dense cut of the rows.
+    assert SolutionCone(matrix.rows).columns == matrix.columns
+    cols = rng.sample(range(3 * p), rng.randint(1, 3 * p))
+    assert matrix.restrict(cols).rows == tuple(
+        tuple(row[c] for c in cols) for row in matrix.rows)
 
 
 def test_large_p_checks_never_build_the_dense_rows(monkeypatch):

@@ -60,3 +60,30 @@ def test_one_union_find_and_no_breadth_first_queues():
                 stray.append(f"{path.name}:{node.lineno}")
     assert deques == []
     assert stray == []
+
+
+def test_benchmark_imports_resolve():
+    # The benchmark's traced replay runs outside this suite; a rename or
+    # deletion of a package name it imports must still fail here.
+    import importlib
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    missing, seen = [], 0
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "lensq"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                seen += 1
+                if not hasattr(module, alias.name):
+                    try:
+                        importlib.import_module(
+                            f"{node.module}.{alias.name}")
+                    except ImportError:
+                        missing.append(f"{path.name}:{node.lineno} "
+                                       f"{node.module}.{alias.name}")
+    assert seen
+    assert missing == []
