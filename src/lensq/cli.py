@@ -23,7 +23,7 @@ from .cone import Budget, hilbert_basis, is_fundamental
 from .errors import BudgetExceeded, LensQError
 from .qsystem import check_qvector, decompose, integrality_class, q_matrix
 from .surface import classify, haken_matrix, surface_name
-from .triangulation import CORNER_NAMES, build_triangulation
+from .triangulation import CORNER_NAMES, LensParams, build_triangulation
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -155,11 +155,12 @@ def cmd_enum(args) -> int:
 
 def cmd_classify(args) -> int:
     budget = budget_from(args)
-    # A vector of the wrong length is rejected before anything of size
-    # p is built.
+    # Bad parameters, then a vector of the wrong length, are rejected
+    # before anything of size p is built.
+    params = LensParams(args.p, args.q)
     vector = check_qvector(
         parse_vector(args.vector, args.p, args.q, args.index), args.p)
-    tri = build_triangulation(args.p, args.q)
+    tri = build_triangulation(params)
     matrix = q_matrix(tri)
     report = classify(tri, vector, matrix=matrix, budget=budget)
     coeffs = decompose(tri, vector, matrix=matrix)

@@ -105,8 +105,8 @@ class SolutionCone:
     """An integer system A x = 0 together with its solution cone.
 
     The system is held only as sparse columns: ``columns[j]`` lists the
-    non-zero ``(row, coefficient)`` pairs of column j in row order, and
-    ``nrows`` and ``ncols`` give the shape.  It is made from explicit
+    non-zero ``(row, coefficient)`` pairs of column j, and ``nrows`` and
+    ``ncols`` give the shape.  It is made from explicit
     integer rows (``ncols`` is required when there are none) or from
     another SolutionCone, whose columns it shares; a QMatrix is a
     SolutionCone filled from its triangulation.  The dense ``rows`` and

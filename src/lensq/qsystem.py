@@ -59,10 +59,9 @@ class QMatrix(SolutionCone):
 
     Column order is block-major with the three quad types inside each
     block; row order is e_1 .. e_p, Eh, Ev.  ``columns[c]`` lists the
-    non-zero ``(row, coefficient)`` pairs of column c in row order, at
-    most four since a quad meets four edges.  The dense ``rows``, the
-    extreme rays, ``residual`` and ``restrict`` are the SolutionCone's
-    own.
+    non-zero ``(row, coefficient)`` pairs of column c, at most four
+    since a quad meets four edges.  The dense ``rows``, the extreme
+    rays, ``residual`` and ``restrict`` are the SolutionCone's own.
     """
 
     def __init__(self, tri: LensTriangulation):
@@ -71,8 +70,7 @@ class QMatrix(SolutionCone):
         self.row_labels = tri.edge_classes
         index = {label: r for r, label in enumerate(self.row_labels)}
         self.columns = tuple(
-            tuple(sorted((index[label], s)
-                         for label, s in tri.quad_senses(i, j)))
+            tuple((index[label], s) for label, s in tri.quad_senses(i, j))
             for i in tri.tetrahedra for j in QUAD_TYPES)
         self.nrows, self.ncols = len(self.row_labels), len(self.columns)
 

@@ -269,6 +269,10 @@ def test_classify_rejects_a_wrong_length_vector_before_building(
     err = capsys.readouterr().err
     assert err.startswith("error: DimensionMismatch: ")
     assert err.count("\n") == 1
+    # Bad parameters are reported as such, whatever the vector.
+    assert cli.main(["classify", "--p", "1", "--q", "1",
+                     "--vector", "1,0,0"]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidParams: ")
 
 
 def test_verify_pass_and_json():

@@ -47,7 +47,7 @@ from lensq.errors import (
     NegativeEntry,
     NotASolution,
 )
-from lensq.qsystem import QMatrix, basis_vectors, q_matrix, square_condition
+from lensq.qsystem import basis_vectors, q_matrix, square_condition
 from lensq.triangulation import QUAD_TYPES, build_triangulation
 
 
@@ -315,11 +315,22 @@ def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
     assert len(calls) == orbits
 
 
-def test_pattern_search_never_builds_the_dense_rows(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the dense quad rows were built")
+def refuse_dense_rows(monkeypatch, ncols):
+    """Make every system of ``ncols`` columns, a QMatrix or any other
+    SolutionCone, refuse to build its dense rows; narrower subsystems
+    still build theirs."""
+    dense = SolutionCone.rows.func
 
-    monkeypatch.setattr(QMatrix, "rows", property(refuse))
+    def rows(self):
+        if self.ncols == ncols:
+            raise AssertionError("the dense quad rows were built")
+        return dense(self)
+
+    monkeypatch.setattr(SolutionCone, "rows", property(rows))
+
+
+def test_pattern_search_never_builds_the_dense_rows(monkeypatch):
+    refuse_dense_rows(monkeypatch, 24)
     matrix = q_matrix(build_triangulation(8, 3))
     assert len(square_fundamental_solutions(matrix)) == 17
 
@@ -372,10 +383,7 @@ def test_box_search_is_not_bounded_by_the_recursion_limit():
 
 
 def test_box_search_never_builds_the_dense_rows(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the dense quad rows were built")
-
-    monkeypatch.setattr(QMatrix, "rows", property(refuse))
+    refuse_dense_rows(monkeypatch, 3000)
     cone = SolutionCone(q_matrix(build_triangulation(1000, 3)))
     assert not is_fundamental(cone, alternating_vector(1000, 3))
 
@@ -417,10 +425,7 @@ def test_sphere_and_torus_vectors_are_vertices():
 
 
 def test_is_vertex_never_builds_the_dense_rows(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the dense quad rows were built")
-
-    monkeypatch.setattr(QMatrix, "rows", property(refuse))
+    refuse_dense_rows(monkeypatch, 3000)
     tri = build_triangulation(1000, 3)
     matrix = q_matrix(tri)
     sphere = basis_vectors(tri)[1][0]

@@ -64,26 +64,62 @@ def test_one_union_find_and_no_breadth_first_queues():
 
 def test_benchmark_imports_resolve():
     # The benchmark's traced replay runs outside this suite; a rename or
-    # deletion of a package name it imports must still fail here.
+    # deletion of a package name it imports, or reads off an imported
+    # module (``exact.kernel_basis``, ``lensq.cli.main``), must still
+    # fail here.
     import importlib
+
+    def load(name):
+        try:
+            return importlib.import_module(name)
+        except ImportError:
+            return None
 
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     missing, seen = [], 0
     for path in sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.ImportFrom) and node.module
-                    and node.module.split(".")[0] == "lensq"):
-                continue
-            module = importlib.import_module(node.module)
-            for alias in node.names:
-                seen += 1
-                if not hasattr(module, alias.name):
-                    try:
-                        importlib.import_module(
-                            f"{node.module}.{alias.name}")
-                    except ImportError:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "lensq":
+                        module = importlib.import_module(alias.name)
+                        if alias.asname:
+                            bound[alias.asname] = module
+                        else:
+                            bound["lensq"] = importlib.import_module("lensq")
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "lensq"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    seen += 1
+                    value = getattr(module, alias.name, None)
+                    if value is None:
+                        value = load(f"{node.module}.{alias.name}")
+                    if value is None:
                         missing.append(f"{path.name}:{node.lineno} "
                                        f"{node.module}.{alias.name}")
+                    else:
+                        bound[alias.asname or alias.name] = value
+
+        def resolve(node):
+            if isinstance(node, ast.Name):
+                return bound.get(node.id)
+            if isinstance(node, ast.Attribute):
+                base = resolve(node.value)
+                return None if base is None else getattr(base, node.attr,
+                                                         None)
+            return None
+
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            base = resolve(node.value)
+            if base is not None:
+                seen += 1
+                if not hasattr(base, node.attr):
+                    missing.append(f"{path.name}:{node.lineno} "
+                                   f"{ast.unparse(node)}")
     assert seen
     assert missing == []
