@@ -31,7 +31,14 @@ is a cyclic chain, so shifting every block by one tetrahedron permutes
 the matching equations; the search checks this exactly once, solves one
 pattern per rotation orbit (the orbit's lexicographically least
 rotation, a 3-ary necklace) and rotates each answer into every block
-position.
+position.  The necklaces are walked as the leaves of the prenecklace
+tree (Fredricksen-Kessler-Maiorana), depth first and without
+recursion, in the spirit of Burton and Ozlen's tree traversal: each
+tree node pushes one pattern column onto its parent's column-by-column
+exact elimination (``exact.push_column``), so a prefix shared by many
+patterns is eliminated once, and the budget is read at every node.  A
+full-rank necklace is skipped; the others pass their kernel basis to
+the double description and the completion.
 
 Alongside the enumerator there are direct, definition-level tests:
 ``is_fundamental`` runs an exhaustive box search below a given solution,
@@ -58,7 +65,7 @@ from .errors import (
     NegativeEntry,
     NotASolution,
 )
-from .rays import extreme_rays_of_kernel_cone
+from .rays import extreme_rays_of_kernel, extreme_rays_of_kernel_cone
 from .triangulation import QUAD_TYPES
 
 # Magnitude guard for the vectorized integer paths; entries beyond this
@@ -467,7 +474,10 @@ def is_vertex(cone: SolutionCone, v) -> bool:
     """
     vec = cone.check_solution_vector(v)
     support = [j for j, x in enumerate(vec) if x]
-    dim = len(support) - exact.rank(cone.restrict(support).rows)
+    pivots = []
+    for j in support:
+        exact.push_column(pivots, cone.columns[j])
+    dim = len(support) - len(pivots)
     if dim < 1:
         # v itself restricts to a kernel vector, so this cannot happen.
         raise NotASolution("support-restricted system lost the solution")
@@ -512,14 +522,21 @@ def _block_rotation_guard(matrix):
                 f"one block for (p,q)=({p},{matrix.q})")
 
 
-def _necklaces(p, k):
-    """The lexicographically least rotation of every k-ary word of
-    length p, in lexicographic order (the Fredricksen-Kessler-Maiorana
-    algorithm: walk the prenecklaces in order and keep those whose
-    Lyndon prefix length divides p)."""
+def _prenecklaces(p, k):
+    """Every k-ary prenecklace of length p, in lexicographic order (the
+    Fredricksen-Kessler-Maiorana algorithm).
+
+    Yields ``(i, word, necklace)``: the word, one list changed in place;
+    the first position at which it differs from the word before; and
+    whether it is a necklace, the lexicographically least rotation of
+    its orbit (its Lyndon prefix length divides p).  The words are the
+    leaves of the prenecklace tree in depth-first order, so positions
+    i to p - 1 are the tree nodes first visited on the way to a word.
+    """
     word = [0] * p
-    yield tuple(word)
+    i, lyndon = 0, 1
     while True:
+        yield i, word, p % lyndon == 0
         i = p - 1
         while i >= 0 and word[i] == k - 1:
             i -= 1
@@ -528,8 +545,41 @@ def _necklaces(p, k):
         word[i] += 1
         for j in range(i + 1, p):
             word[j] = word[j - i - 1]
-        if p % (i + 1) == 0:
-            yield tuple(word)
+        lyndon = i + 1
+
+
+def _necklace_kernels(matrix, budget):
+    """The kernel basis of every necklace pattern of the QMatrix
+    ``matrix``, found along the prenecklace tree.
+
+    Walks the tree depth first, without recursion.  The node at depth
+    i pushes pattern column i (quad column 3i + t) onto the elimination
+    state of its parent (``exact.push_column``); going back up
+    truncates the state.  A column that depends on the ones above it
+    contributes its dependency, the kernel basis vector of that free
+    column, to every pattern below the node.  Yields ``(columns,
+    kernel)`` for each necklace, ``kernel`` being
+    ``exact.kernel_basis`` of ``matrix.restrict(columns)``.  Every node
+    checks the budget.
+    """
+    p = matrix.p
+    pivots = []
+    # Per depth on the current path: len(pivots) before the node's
+    # push, and the node's kernel vector or None.
+    sizes, vectors = [], []
+    for i, word, necklace in _prenecklaces(p, len(QUAD_TYPES)):
+        if sizes:
+            del pivots[sizes[i]:], sizes[i:], vectors[i:]
+        for j in range(i, p):
+            budget.check()
+            sizes.append(len(pivots))
+            dependency = exact.push_column(
+                pivots, matrix.columns[3 * j + word[j]] + ((~j, 1),))
+            vectors.append(None if dependency is None else tuple(
+                dependency.get(~k, 0) for k in range(p)))
+        if necklace:
+            yield ([3 * j + t for j, t in enumerate(word)],
+                   [v for v in vectors if v is not None])
 
 
 def square_fundamental_solutions(matrix, budget: Budget | None = None):
@@ -550,9 +600,16 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     otherwise), renames the rows e_i -> e_(i+1) while fixing Eh and Ev.
     A row permutation keeps every solution set, so the rotation of a
     pattern's Hilbert basis is the Hilbert basis of the rotated
-    pattern.  Only one pattern per rotation orbit is solved, and each
-    of its basis elements enters the result with all p rotations.
-    Returns a tuple in graded lexicographic order.
+    pattern.  Only one pattern per rotation orbit is solved, the
+    orbit's necklace, and each of its basis elements enters the result
+    with all p rotations.
+
+    The necklaces and their kernel bases come from one walk of the
+    prenecklace tree (``_necklace_kernels``), so necklaces that share a
+    prefix share its elimination.  A full-rank necklace is skipped;
+    every other one hands its kernel basis straight to the double
+    description and runs the completion.  Returns a tuple in graded
+    lexicographic order.
     """
     budget = budget or Budget()
     _block_rotation_guard(matrix)
@@ -560,9 +617,13 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     n = 3 * p
 
     found = set()
-    for word in _necklaces(p, len(QUAD_TYPES)):
-        columns = [3 * i + t for i, t in enumerate(word)]
-        for small in hilbert_basis(matrix.restrict(columns), budget):
+    for columns, kernel in _necklace_kernels(matrix, budget):
+        if not kernel:
+            continue  # a full-rank pattern: its only solution is zero
+        pattern = matrix.restrict(columns)
+        # The rays come from the kernel in hand, not from the dense rows.
+        pattern.extreme_rays = extreme_rays_of_kernel(kernel)
+        for small in hilbert_basis(pattern, budget):
             full = [0] * n
             for c, value in zip(columns, small):
                 full[c] = value

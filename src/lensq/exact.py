@@ -3,15 +3,27 @@ Small exact linear algebra kit over the integers.
 
 Float arithmetic is banned from the core because half-integer basis
 coefficients are routine here and rounding would silently corrupt
-integrality classifications.  Matrices are plain sequences of integer
-row sequences.  Elimination is fraction-free: a row is cleared by an
-integer combination with the pivot row and then divided by the gcd of
-its entries, so entries stay small without ever leaving the integers.
+integrality classifications.
+
+There is one elimination, and it runs column by column.
+``push_column`` adds one sparse column to an elimination state: the
+list of the independent columns pushed so far, each kept as a reduced,
+fraction-free integer combination of the pushed columns with a pivot
+row.  The new column is cleared against every pivot in turn by an
+integer combination and divided by the gcd of its entries, so entries
+stay small without ever leaving the integers.  What is left is either a
+new pivot or, when every row entry has cancelled, the column's
+dependency on the earlier independent columns.  That dependency is the
+kernel vector of the free column in reduced row echelon form, so
+``kernel_basis`` and ``rank`` are loops over this one step, and a
+search over column sets that share prefixes, such as the necklace tree
+of ``cone.square_fundamental_solutions``, extends a prefix's state by
+one push and takes it back by truncating the list.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from operator import index
 
 
@@ -24,66 +36,82 @@ def primitive(vec):
     return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
-def row_echelon(rows):
-    """Reduce a copy of ``rows`` to reduced row echelon form over Z.
+def push_column(pivots, column):
+    """Push one column onto the elimination state ``pivots``.
 
-    Every pivot is positive and every pivot column is zero outside its
-    pivot row; each row is primitive.  Entries must be integers; any
-    other type raises TypeError.  Returns (echelon_rows, pivot_columns),
-    with the zero rows last.
+    ``column`` holds the column's non-zero ``(key, coefficient)`` pairs.
+    Non-negative keys are rows.  A negative key tags the column: a
+    caller that wants dependencies back gives column k the extra pair
+    ``(~k, 1)``, and the tags then record which integer combination of
+    the pushed columns each state entry is.  ``pivots`` is a list of
+    ``(row, entries)`` pairs, each a combination that is zero on the
+    pivot rows before it and positive on its own.
+
+    The column is reduced against every pivot in order.  If a row entry
+    is left, the reduced column joins ``pivots`` as a new pivot and None
+    is returned.  Otherwise the remaining tag entries are returned as a
+    dict: the column's dependency on the earlier independent columns,
+    primitive and positive on the column's own tag.
     """
-    m = [list(primitive([index(x) for x in row])) for row in rows]
-    if not m:
-        return [], []
-    pivots = []
-    r = 0
-    for c in range(len(m[0])):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
-        piv = m[r][c]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = list(primitive(
-                    [piv * a - f * b for a, b in zip(m[i], m[r])]))
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    u = dict(column)
+    for row, v in pivots:
+        f = u.get(row)
+        if f:
+            a = v[row]
+            if a != 1:
+                u = {key: a * x for key, x in u.items()}
+            for key, y in v.items():
+                x = u.get(key, 0) - f * y
+                if x:
+                    u[key] = x
+                else:
+                    del u[key]
+            g = gcd(*u.values())
+            if g > 1:
+                u = {key: x // g for key, x in u.items()}
+    rows = [key for key in u if key >= 0]
+    if not rows:
+        # Pivots are positive, so the tag of the new column only ever
+        # grows by positive factors, and the last division left the
+        # entries coprime.
+        return u
+    row = min(rows)
+    if u[row] < 0:
+        u = {key: -x for key, x in u.items()}
+    pivots.append((row, u))
+    return None
+
+
+def _columns(rows):
+    """The columns of integer ``rows`` as sparse (row, entry) pairs.
+    Entries must be integers; any other type raises TypeError."""
+    return [[(r, x) for r, x in enumerate(map(index, column)) if x]
+            for column in zip(*rows)]
 
 
 def rank(rows) -> int:
-    return len(row_echelon(rows)[1])
+    pivots = []
+    for column in _columns(rows):
+        push_column(pivots, column)
+    return len(pivots)
 
 
 def kernel_basis(rows, ncols=None):
     """Basis of the rational nullspace {x : rows . x = 0}.
 
-    Returns primitive integer tuples, one per free column; each is
-    positive on its own free column and zero on the other free columns.
-    ``ncols`` is required when ``rows`` is empty.
+    Returns primitive integer tuples, one per free column (a column
+    that depends on the columns before it); each is positive on its
+    own free column and zero on the other free columns.  ``ncols`` is
+    required when ``rows`` is empty.
     """
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [tuple(int(i == j) for j in range(ncols))
-                for i in range(ncols)]
-    ncols = len(rows[0])
-    echelon, pivots = row_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        # Row r reads echelon[r][pc] x[pc] + echelon[r][fc] x[fc] = 0.
-        scale = lcm(*(echelon[r][pc] for r, pc in enumerate(pivots)
-                      if echelon[r][fc]))
-        vec = [0] * ncols
-        vec[fc] = scale
-        for r, pc in enumerate(pivots):
-            vec[pc] = -echelon[r][fc] * scale // echelon[r][pc]
-        basis.append(primitive(vec))
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("ncols required for an empty matrix")
+    columns = _columns(rows) if rows else [[] for _ in range(ncols)]
+    pivots, basis = [], []
+    for k, column in enumerate(columns):
+        dependency = push_column(pivots, column + [(~k, 1)])
+        if dependency is not None:
+            basis.append(tuple(dependency.get(~j, 0) for j in range(ncols)))
     return basis

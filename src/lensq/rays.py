@@ -10,7 +10,10 @@ column on which all of them are non-negative.  Each remaining column
 x_j >= 0 is then imposed with the classic ray-splitting step, using the
 combinatorial adjacency test (two rays are adjacent when no third ray
 is zero on all the imposed columns where both are zero).  Rays are
-kept as primitive integer vectors.
+kept as primitive integer vectors.  ``extreme_rays_of_kernel`` starts
+from a kernel basis already in hand, such as the ones the necklace tree
+of ``cone.square_fundamental_solutions`` collects;
+``extreme_rays_of_kernel_cone`` computes the basis first.
 
 The extreme rays serve three purposes: they witness vertex solutions,
 they cross-check the support-rank vertex test, and their entrywise sum
@@ -31,7 +34,18 @@ def extreme_rays_of_kernel_cone(rows, ncols):
 
     Returns integer tuples sorted in graded lexicographic order.
     """
-    rays = exact.kernel_basis(rows, ncols)
+    return extreme_rays_of_kernel(exact.kernel_basis(rows, ncols))
+
+
+def extreme_rays_of_kernel(basis):
+    """Primitive extreme rays of the non-negative part of the span of
+    ``basis``, a kernel basis in the form ``exact.kernel_basis`` gives.
+
+    Returns integer tuples sorted in graded lexicographic order.
+    """
+    if not basis:
+        return ()
+    rays, ncols = basis, len(basis[0])
     imposed = [j for j in range(ncols) if all(r[j] >= 0 for r in rays)]
     for j in sorted(set(range(ncols)) - set(imposed)):
         pos = [r for r in rays if r[j] > 0]

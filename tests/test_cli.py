@@ -7,6 +7,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -132,6 +133,17 @@ def test_enum_budget_message_names_the_users_limit():
     assert result.returncode == 3
     assert "0.2 seconds" in result.stderr
     assert result.stderr.count("\n") == 1
+
+
+def test_enum_budget_holds_at_large_p():
+    # The necklace tree reads the deadline at every node, so a search far
+    # too large to finish stops soon after its limit.
+    start = time.monotonic()
+    result = run_cli("enum", "--p", "2000", "--q", "3", "--max-seconds", "1")
+    assert result.returncode == 3
+    assert "search exceeded 1.0 seconds" in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert time.monotonic() - start < 10
 
 
 @pytest.mark.parametrize("limit,message", [

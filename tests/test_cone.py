@@ -29,7 +29,7 @@ from lensq.cone import (
     _box_solutions,
     _distinct_sorted,
     _DominationIndex,
-    _necklaces,
+    _prenecklaces,
     _radix_strides,
     brute_force_minimal_solutions,
     graded_lex_key,
@@ -49,6 +49,7 @@ from lensq.errors import (
 )
 from lensq.qsystem import basis_vectors, q_matrix, square_condition
 from lensq.triangulation import QUAD_TYPES, build_triangulation
+from test_exact import reference_rank
 
 
 def coprime_pairs(max_p):
@@ -300,9 +301,11 @@ def test_orbit_search_matches_every_pattern(p, q):
             == square_fundamentals_of_every_pattern(matrix))
 
 
-@pytest.mark.parametrize("p,q,orbits", [(7, 2, 315), (8, 3, 834)])
+@pytest.mark.parametrize("p,q,orbits", [(7, 2, 66), (8, 3, 437)])
 def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
                                                    orbits):
+    # Only the necklaces (315 at (7,2), 834 at (8,3)) with a non-zero
+    # kernel reach the completion; every other one is full rank.
     calls = []
     solve = cone_module.hilbert_basis
 
@@ -311,8 +314,38 @@ def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
         return solve(*args)
 
     monkeypatch.setattr(cone_module, "hilbert_basis", counted)
-    square_fundamental_solutions(q_matrix(build_triangulation(p, q)))
+    matrix = q_matrix(build_triangulation(p, q))
+    square_fundamental_solutions(matrix)
     assert len(calls) == orbits
+    solved = [cone.columns for cone, *_ in calls]
+    skipped = 0
+    for _, word, necklace in _prenecklaces(p, len(QUAD_TYPES)):
+        pattern = matrix.restrict([3 * i + t for i, t in enumerate(word)])
+        if necklace and pattern.columns not in solved:
+            skipped += 1
+            assert reference_rank(pattern.rows) == p
+    assert skipped + orbits == {7: 315, 8: 834}[p]
+
+
+def test_necklace_tree_reads_the_budget_at_every_node(monkeypatch):
+    pushes = []
+    push = cone_module.exact.push_column
+
+    def counted(*args):
+        pushes.append(args)
+        return push(*args)
+
+    monkeypatch.setattr(cone_module.exact, "push_column", counted)
+    budget = Budget()
+    checks = []
+    monkeypatch.setattr(budget, "check", lambda *args: checks.append(args))
+    leaves = list(cone_module._necklace_kernels(
+        q_matrix(build_triangulation(7, 2)), budget))
+    assert len(leaves) == 315
+    assert len(checks) == len(pushes) > len(leaves)
+    with pytest.raises(BudgetExceeded):
+        next(cone_module._necklace_kernels(
+            q_matrix(build_triangulation(7, 2)), Budget(max_seconds=0)))
 
 
 def refuse_dense_rows(monkeypatch, ncols):
@@ -337,7 +370,10 @@ def test_pattern_search_never_builds_the_dense_rows(monkeypatch):
 
 @pytest.mark.parametrize("p", range(1, 11))
 def test_necklaces_are_one_per_rotation_orbit(p):
-    reps = list(_necklaces(p, 3))
+    words = [tuple(word) for _, word, _ in _prenecklaces(p, 3)]
+    assert words == sorted(set(words))
+    reps = [tuple(word) for _, word, necklace in _prenecklaces(p, 3)
+            if necklace]
     assert reps == sorted(set(reps))
     kept = set(reps)
     for word in itertools.product(range(3), repeat=p):

@@ -1,17 +1,27 @@
 """
-Cross-checks of the integer exact core against sympy: rank, kernel
-basis and extreme rays on small random integer matrices.
+Cross-checks of the integer exact core: rank, kernel basis and extreme
+rays against sympy on small random integer matrices, and the
+column-by-column elimination, on its own and along the necklace tree
+of the pattern search, against a row-wise Gauss-Jordan reference on
+random matrices, on every necklace pattern with p <= 8 and on the full
+quad systems with p <= 12.
 """
 
 import itertools
 import math
+from math import gcd, lcm
+from operator import index
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensq import exact
+from lensq.cone import Budget, _necklace_kernels, _prenecklaces
+from lensq.qsystem import q_matrix
 from lensq.rays import extreme_rays_of_kernel_cone
+from lensq.triangulation import QUAD_TYPES, build_triangulation
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
@@ -96,3 +106,113 @@ def test_primitive_keeps_signs_and_zero():
     assert exact.primitive([4, -6, 0]) == (2, -3, 0)
     assert exact.primitive([0, 0]) == (0, 0)
     assert exact.primitive([-1, 1]) == (-1, 1)
+
+
+# ------------------------------------- row-wise reference elimination
+
+def reference_row_echelon(rows):
+    """Reduce a copy of ``rows`` to reduced row echelon form over Z,
+    row by row (fraction-free Gauss-Jordan).
+
+    Every pivot is positive and every pivot column is zero outside its
+    pivot row; each row is primitive.  Returns (echelon_rows,
+    pivot_columns), with the zero rows last.
+    """
+    m = [list(exact.primitive([index(x) for x in row])) for row in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+        piv = m[r][c]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = list(exact.primitive(
+                    [piv * a - f * b for a, b in zip(m[i], m[r])]))
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def reference_rank(rows):
+    return len(reference_row_echelon(rows)[1])
+
+
+def reference_kernel_basis(rows, ncols=None):
+    """One primitive kernel vector per free column of the reduced row
+    echelon form, positive on it and zero on the other free columns."""
+    if not rows:
+        return [tuple(int(i == j) for j in range(ncols))
+                for i in range(ncols)]
+    ncols = len(rows[0])
+    echelon, pivots = reference_row_echelon(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        # Row r reads echelon[r][pc] x[pc] + echelon[r][fc] x[fc] = 0.
+        scale = lcm(*(echelon[r][pc] for r, pc in enumerate(pivots)
+                      if echelon[r][fc]))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for r, pc in enumerate(pivots):
+            vec[pc] = -echelon[r][fc] * scale // echelon[r][pc]
+        basis.append(exact.primitive(vec))
+    return basis
+
+
+def assert_matches_reference(rows, ncols):
+    assert exact.kernel_basis(rows, ncols) == reference_kernel_basis(
+        rows, ncols)
+    assert exact.rank(rows) == reference_rank(rows)
+
+
+def coprime_pairs(max_p):
+    return [(p, q) for p in range(2, max_p + 1) for q in range(1, p)
+            if gcd(p, q) == 1]
+
+
+@PROPERTY_SETTINGS
+@given(small_matrices())
+def test_elimination_matches_the_row_reference(rows):
+    assert_matches_reference(rows, len(rows[0]))
+
+
+def test_elimination_matches_the_row_reference_on_edge_cases():
+    assert_matches_reference([], 3)
+    assert_matches_reference([[0, 0, 0]], 3)
+    assert_matches_reference([[2, 4, 6], [1, 2, 3]], 3)
+    assert exact.kernel_basis([], 0) == reference_kernel_basis([], 0) == []
+    with pytest.raises(TypeError):
+        exact.kernel_basis([[1, 0.5]])
+    with pytest.raises(ValueError):
+        exact.kernel_basis([])
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(8))
+def test_necklace_tree_matches_the_row_reference(p, q):
+    # Every necklace pattern: the elimination on its rows, and the
+    # kernel the tree collects along the pattern's path.
+    matrix = q_matrix(build_triangulation(p, q))
+    kernels = list(_necklace_kernels(matrix, Budget(max_seconds=None)))
+    necklaces = [[3 * i + t for i, t in enumerate(word)]
+                 for _, word, necklace in _prenecklaces(p, len(QUAD_TYPES))
+                 if necklace]
+    assert [columns for columns, _ in kernels] == necklaces
+    for columns, kernel in kernels:
+        rows = [[row[c] for c in columns] for row in matrix.rows]
+        assert_matches_reference(rows, p)
+        assert kernel == reference_kernel_basis(rows, p)
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(12))
+def test_elimination_matches_the_row_reference_on_quad_systems(p, q):
+    matrix = q_matrix(build_triangulation(p, q))
+    assert_matches_reference(matrix.rows, 3 * p)
