@@ -22,7 +22,12 @@ and a value-indexed bitset table over the minimal solutions gives each
 parent the AND of its bitsets over all columns but j, so the verdict on
 x + e_j costs one more AND.  Only the surviving children are made, once
 each, in the lexicographic order of mixed-radix int64 keys over the
-box, so the output does not depend on chunk size.
+box, so the output does not depend on chunk size.  The budget is read
+before any set-up, and A^T A is built from the sparse columns.  On a
+QMatrix the completion runs on orbits of the block shift (below): each
+level holds one representative per orbit, the rotation with the least
+key, and every new solution enters the minimal set with all its
+rotations, so the frontier cap counts representatives.
 
 The square-condition fundamentals of a quad system are the union of
 the Hilbert bases of its 3^p one-type-per-block pattern subcones, each
@@ -41,10 +46,11 @@ full-rank necklace is skipped; the others pass their kernel basis to
 the double description and the completion.
 
 Alongside the enumerator there are direct, definition-level tests:
-``is_fundamental`` runs an exhaustive box search below a given solution,
-``is_vertex`` checks that the rational kernel restricted to the support
-is a single ray, and ``brute_force_minimal_solutions`` re-derives small
-Hilbert bases from a coefficient grid over the solution-space basis,
+``is_fundamental`` settles a vertex by the gcd of its entries and runs
+an exhaustive box search below any other solution, ``is_vertex``
+checks that the rational kernel restricted to the support is a single
+ray, and ``brute_force_minimal_solutions`` re-derives small Hilbert
+bases from a coefficient grid over the solution-space basis,
 independently of the completion algorithm.
 """
 
@@ -53,6 +59,8 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import gcd
 
 import numpy as np
 
@@ -74,6 +82,9 @@ _SAFE_MAGNITUDE = 2 ** 30
 
 # Frontier rows extended between two budget checks.
 _CHUNK_ROWS = 2048
+
+# Above every mixed-radix key word, which stays below 2^62.
+_NO_KEY = np.iinfo(np.int64).max
 
 
 class Budget:
@@ -137,6 +148,10 @@ class SolutionCone:
             tuple((r, row[j]) for r, row in enumerate(rows) if row[j])
             for j in range(ncols))
         self.nrows, self.ncols = len(rows), ncols
+
+    # True on a QMatrix: there, shifting every block by one tetrahedron
+    # permutes the rows, which ``hilbert_basis`` checks before it uses.
+    block_shift = False
 
     @cached_property
     def rows(self):
@@ -288,6 +303,116 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
     return order[first]
 
 
+# Rows of A^T A made by one batched product in ``_dense``.
+_GRAM_ROWS = 256
+
+
+def _dense(cone: SolutionCone):
+    """A and A^T A as int64 arrays, built from the sparse columns.
+
+    Row j of A^T A is the combination of the rows of A that column j's
+    entries name, so it costs O(n) per entry of column j instead of
+    the O(n^3) product.  Short columns are padded with zero entries on
+    an extra all-zero row of A.
+    """
+    n = cone.ncols
+    width = max(map(len, cone.columns), default=0)
+    pad = ((cone.nrows, 0),)
+    entries = np.fromiter(
+        chain.from_iterable(chain.from_iterable(
+            column + pad * (width - len(column)) for column in cone.columns)),
+        dtype=np.int64, count=2 * n * width).reshape(n, width, 2)
+    rows, coefficients = entries[:, :, 0], entries[:, :, 1]
+    A = np.zeros((cone.nrows + 1, n), dtype=np.int64)
+    A[rows, np.arange(n)[:, None]] = coefficients
+    gram = np.empty((n, n), dtype=np.int64)
+    for lo in range(0, n, _GRAM_ROWS):
+        at = slice(lo, lo + _GRAM_ROWS)
+        gram[at] = (coefficients[at, None] @ A[rows[at]])[:, 0]
+    return A[:-1], gram
+
+
+class _Orbits:
+    """The rotations the completion applies to its candidates.
+
+    On a QMatrix they are the p block rotations R_k, (R_k x)_c =
+    x_(c + 3k mod 3p), once ``_block_rotation_guard`` has checked that
+    the block shift permutes the rows and the extreme-ray box ``bound``
+    is checked to be shift-invariant (InternalInvariantError
+    otherwise); ``turns[k]`` holds the columns R_k reads.  Every other
+    cone has the identity alone, and then every method hands its
+    arguments back.  Each candidate carries its mixed-radix keys over
+    the box under every rotation, one run of ``width`` words per k, and
+    ``step[j]`` is what the unit e_j adds to them.
+    """
+
+    def __init__(self, cone: SolutionCone, bound: np.ndarray):
+        n = cone.ncols
+        strides = _radix_strides(bound)
+        self.width = strides.shape[0]
+        if not cone.block_shift:
+            self.order = 1
+            self.step = strides.T
+            return
+        _block_rotation_guard(cone)
+        if (bound != np.roll(bound, -3)).any():
+            raise InternalInvariantError(
+                f"the extreme-ray box of {cone!r} is not invariant under "
+                f"the block shift")
+        self.order = p = cone.p
+        self.turns = (np.arange(n) + 3 * np.arange(p)[:, None]) % n
+        # Under R_k the unit e_j lands on column j - 3k.
+        back = self.turns[-np.arange(p) % p]
+        self.step = strides.T[back].transpose(1, 0, 2).reshape(n, -1)
+        # R_k R_t = R_(k+t): run k of the keys of R_t x is run k + t of
+        # the keys of x, so runs[t] lists the key columns R_t reads.
+        shifted = (np.arange(p) + np.arange(p)[:, None]) % p
+        columns = np.arange(p * self.width).reshape(p, self.width)
+        self.runs = columns[shifted].reshape(p, -1)
+
+    def least(self, keys: np.ndarray):
+        """Per row of ``keys``, the rotation with the lexicographically
+        least key (the first of them on a tie), and that key."""
+        if self.order == 1:
+            return None, keys
+        runs = keys.reshape(keys.shape[0], self.order, self.width)
+        tied = np.ones(runs.shape[:2], dtype=bool)
+        for w in range(self.width):
+            word = np.where(tied, runs[:, :, w], _NO_KEY)
+            tied &= word == word.min(axis=1, keepdims=True)
+        turn = tied.argmax(axis=1)
+        return turn, runs[np.arange(turn.size), turn]
+
+    def rotate(self, turn, pick, frontier, dots, keys):
+        """Row i of each array rotated by R_t, t = turn[pick[i]]: the
+        rows and dots read their columns at ``turns[t]`` (A^T A commutes
+        with the shift), and the key runs move down by t."""
+        if self.order == 1:
+            return frontier, dots, keys
+        turn = turn[pick]
+        i = np.arange(turn.size)[:, None]
+        at = self.turns[turn]
+        return frontier[i, at], dots[i, at], keys[i, self.runs[turn]]
+
+    def representatives(self, frontier, dots, keys):
+        """One row per orbit among the given rows, in the lexicographic
+        order of the representatives."""
+        if self.order == 1:
+            return frontier, dots, keys
+        turn, least = self.least(keys)
+        pick = _distinct_sorted(least)
+        return self.rotate(turn, pick, frontier[pick], dots[pick],
+                           keys[pick])
+
+    def all_rotations(self, rows, keys):
+        """Every distinct rotation of the given rows."""
+        if self.order == 1:
+            return rows
+        pick = _distinct_sorted(keys.reshape(-1, self.width))
+        row, turn = np.divmod(pick, self.order)
+        return rows[row[:, None], self.turns[turn]]
+
+
 def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     """All minimal non-zero non-negative integer solutions of A x = 0.
 
@@ -309,30 +434,55 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     of the box, which sort like the rows, so the next level comes out
     in lexicographic order whatever the chunk size.
 
+    On a QMatrix the completion runs on orbits of the block shift, once
+    ``_block_rotation_guard`` has checked that the shift permutes the
+    rows and the extreme-ray box is checked to be shift-invariant
+    (InternalInvariantError otherwise).  The shift then keeps A^T A,
+    the box and the minimal set, so every level is a union of orbits
+    and holds one representative of each: its rotation with the least
+    key.  A child's keys under all p rotations are its parent's plus
+    one row of the rotated strides, which finds the representative
+    before the child is made.  Each new solution enters the minimal set
+    with all its distinct rotations.  The frontier cap counts
+    representatives.  Every other cone has the identity alone and runs
+    the same steps with no rotation work.
+
+    The budget is read before any set-up, A and A^T A are built from
+    the sparse columns (``_dense``), and a cone with a single extreme
+    ray returns that ray without a completion.
+
     Returns a tuple sorted in graded lexicographic order.  Raises
     BudgetExceeded rather than truncating.
     """
     budget = budget or Budget()
-    n, rays = cone.ncols, cone.extreme_rays
-    if n == 0 or not rays:
+    budget.check()
+    n = cone.ncols
+    if n == 0:
         return ()
-    A = np.array(cone.rows, dtype=np.int64).reshape(cone.nrows, n)
+    rays = cone.extreme_rays
+    if len(rays) < 2:
+        # A pointed cone with at most one extreme ray is that ray's
+        # half-line, whose only minimal solution is the primitive ray.
+        return tuple(rays)
     bound = [sum(column) for column in zip(*rays)]
     if max(bound) > _SAFE_MAGNITUDE:
         raise BudgetExceeded("extreme-ray box exceeds the safe integer "
                              "range")
     bound = np.array(bound, dtype=np.int64)
-    strides = _radix_strides(bound)
+    orbits = _Orbits(cone, bound)
+    A, gram = _dense(cone)
     minimal = np.array(rays, dtype=np.int64)
     index = _DominationIndex(minimal, budget)
-    frontier = np.eye(n, dtype=np.int64)
-    frontier = frontier[(frontier <= bound).all(axis=1)]
-    frontier = frontier[~index.dominates(frontier)]
-    # Per frontier row x: its keys, and dots[x, j] = <A x, A e_j>; the
-    # child x + e_j adds row j of the strides and of A^T A to them.
-    gram = A.T @ A
-    keys = frontier @ strides.T
-    dots = frontier @ gram
+    columns = np.flatnonzero(bound)
+    frontier = np.eye(n, dtype=np.int64)[columns]
+    alive = ~index.dominates(frontier)
+    frontier, columns = frontier[alive], columns[alive]
+    # Per frontier row x: its keys under every rotation, and dots[x, j]
+    # = <A x, A e_j>; the child x + e_j adds row j of the rotated
+    # strides and of A^T A to them, and the unit e_j starts from them.
+    keys = orbits.step[columns]
+    dots = gram[columns]
+    frontier, dots, keys = orbits.representatives(frontier, dots, keys)
 
     while frontier.shape[0]:
         budget.check(frontier.shape[0])
@@ -341,8 +491,10 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
         if sol_mask.any():
             # Every frontier row has passed the domination filter against
             # the seeded rays and all solutions of lower degree, and the
-            # rows of one level are distinct, so each solution is minimal.
-            solutions = frontier[sol_mask]
+            # rows of one level are distinct, so each solution is
+            # minimal; so is each of its rotations.
+            solutions = orbits.all_rotations(frontier[sol_mask],
+                                             keys[sol_mask])
             if (solutions @ A.T).any() or index.dominates(solutions).any():
                 raise InternalInvariantError(
                     "a new solution is not a minimal solution of A x = 0")
@@ -367,14 +519,18 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
             columns.append(j[alive])
         parents = np.concatenate(parents)
         columns = np.concatenate(columns)
-        # Make each distinct child once, in lexicographic order.
-        keys = keys[parents] + strides.T[columns]
-        pick = _distinct_sorted(keys)
+        # Make each distinct child once, in the lexicographic order of
+        # its orbit representative.
+        keys = keys[parents] + orbits.step[columns]
+        turn, least = orbits.least(keys)
+        pick = _distinct_sorted(least)
         budget.check(pick.size)  # the next level, before it is made
         parents, columns, keys = parents[pick], columns[pick], keys[pick]
         dots = dots[parents] + gram[columns]
         frontier = frontier[parents]
         frontier[np.arange(pick.size), columns] += 1
+        frontier, dots, keys = orbits.rotate(turn, pick, frontier, dots,
+                                             keys)
 
     out = [tuple(int(x) for x in m) for m in minimal]
     out.sort(key=graded_lex_key)
@@ -454,11 +610,17 @@ def _box_solutions(cone: SolutionCone, bounds, budget, stop_after=None):
 def is_fundamental(cone: SolutionCone, v, budget: Budget | None = None) -> bool:
     """Definition-level minimality test: no solution v' with 0 < v' < v.
 
-    Searches the box below v restricted to the support of v, pruning
-    with the linear equations.  Exact but exponential in the support
-    size; meant for the small explicit vectors this package handles.
+    A vertex (``is_vertex``) is settled by the gcd of its entries.
+    Otherwise the box below v restricted to the support of v is
+    searched, pruning with the linear equations: exact but exponential
+    in the support size, meant for the small explicit vectors this
+    package handles.
     """
     vec = cone.check_solution_vector(v)
+    if is_vertex(cone, vec):
+        # The solutions on the support of a vertex are the multiples of
+        # one primitive ray, so v is minimal exactly when it is that ray.
+        return gcd(*vec) == 1
     # The box below v always contains the solutions 0 and v itself; any
     # third one is a witness of non-minimality.
     return len(_box_solutions(cone, vec, budget or Budget(),

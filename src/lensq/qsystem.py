@@ -64,6 +64,8 @@ class QMatrix(SolutionCone):
     rays, ``residual`` and ``restrict`` are the SolutionCone's own.
     """
 
+    block_shift = True
+
     def __init__(self, tri: LensTriangulation):
         self.p = tri.p
         self.q = tri.q

@@ -8,8 +8,12 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import lensq
+from lensq.catalog import FIXTURE_FILE
 
 TWO_ONE_ROWS = [
     [-2, 2, 0, 2, 0, -2],
@@ -146,6 +150,16 @@ def test_enum_budget_holds_at_large_p():
     assert time.monotonic() - start < 10
 
 
+def test_enum_budget_is_read_before_the_completion_set_up():
+    # At p=800 the first necklace reaches the completion with 800
+    # columns; its set-up must not hold the deadline back.
+    start = time.monotonic()
+    result = run_cli("enum", "--p", "800", "--q", "3", "--max-seconds", "1")
+    assert result.returncode == 3
+    assert "search exceeded 1.0 seconds" in result.stderr
+    assert time.monotonic() - start < 1.6
+
+
 @pytest.mark.parametrize("limit,message", [
     (("--max-frontier", "1000"), "normal disks grew past 1000 states"),
     (("--max-seconds", "0.05"), "search exceeded 0.05 seconds"),
@@ -252,6 +266,17 @@ def test_classify_fundamental_past_the_recursion_limit():
                      "--vector", vector, "--fundamental")
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("fundamental: False\n")
+
+
+def test_classify_settles_the_giant_fixture_as_a_vertex():
+    # The box below the (418,153) fixture is far too large to search;
+    # the vector is a vertex with coprime entries, hence fundamental.
+    fixtures = Path(lensq.__file__).parent / "data" / FIXTURE_FILE
+    result = run_cli("classify", "--p", "418", "--q", "153", "--vector",
+                     f"@{fixtures}", "--index", "0", "--fundamental",
+                     "--format", "json")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["payload"]["is_fundamental"] is True
 
 
 def test_classify_zero_vector_is_invalid():

@@ -1,12 +1,14 @@
 """
 Tests for fundamental/vertex solution machinery: the completion
 enumerator against the grid oracle and against a box search, its
-domination index, child verdicts and key deduplication against plain
-numpy references, its memory peak, the box-search minimality test, the
-support-rank vertex test against bounded search and against the exact
-extreme rays, the rotation-orbit pattern search against the plain 3^p
-pattern loop, its necklace representatives and symmetry guard, and
-budget/determinism behaviour.
+block-rotation orbits against the unreduced completion and their
+symmetry checks, its domination index, child verdicts, key
+deduplication and sparse dense set-up against plain numpy references,
+its memory peak, the box-search minimality test and its vertex
+shortcut, the support-rank vertex test against bounded search and
+against the exact extreme rays, the rotation-orbit pattern search
+against the plain 3^p pattern loop, its necklace representatives and
+symmetry guard, and budget/determinism behaviour.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from lensq.cone import (
     SolutionCone,
     _block_rotation_guard,
     _box_solutions,
+    _dense,
     _distinct_sorted,
     _DominationIndex,
     _prenecklaces,
@@ -174,7 +177,79 @@ def test_budget_deadline_is_kept_inside_a_level():
     assert time.monotonic() - start < 2 + 1.5
 
 
+def test_budget_is_read_before_the_set_up():
+    cone = q_matrix(build_triangulation(5, 2))
+    budget = Budget(max_seconds=0)
+    time.sleep(0.01)
+    with pytest.raises(BudgetExceeded):
+        hilbert_basis(cone, budget)
+    assert "extreme_rays" not in vars(cone)
+
+
+def test_single_ray_cone_is_its_primitive_ray():
+    cone = SolutionCone([(2, -1, 0), (0, 1, -2)])
+    assert cone.extreme_rays == ((1, 2, 1),)
+    assert hilbert_basis(cone) == ((1, 2, 1),)
+
+
+# ----------------------------------------------------- orbit completion
+
+@pytest.mark.parametrize("p,q", coprime_pairs(5))
+def test_orbit_completion_matches_the_unreduced_completion(p, q):
+    # A plain SolutionCone has the identity alone, so it completes every
+    # rotation of every candidate: the oracle for the QMatrix's orbits.
+    matrix = q_matrix(build_triangulation(p, q))
+    budget = Budget(max_seconds=300)
+    assert hilbert_basis(matrix, budget) == hilbert_basis(
+        SolutionCone(matrix), budget)
+
+
+def test_orbit_completion_obeys_the_budget():
+    matrix = q_matrix(build_triangulation(6, 1))
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        hilbert_basis(matrix, Budget(max_seconds=2))
+    assert time.monotonic() - start < 3.5
+    with pytest.raises(BudgetExceeded):
+        hilbert_basis(matrix, Budget(max_frontier=3))
+
+
+def test_orbit_completion_checks_the_block_shift():
+    matrix = q_matrix(build_triangulation(5, 2))
+    columns = list(matrix.columns)
+    (row, s), *rest = columns[4]
+    columns[4] = ((row, 2 * s), *rest)
+    matrix.columns = tuple(columns)
+    with pytest.raises(InternalInvariantError):
+        hilbert_basis(matrix)
+
+
+def test_orbit_completion_checks_the_box():
+    matrix = q_matrix(build_triangulation(5, 2))
+    rays = matrix.extreme_rays
+    lopsided = next(r for r in rays if r[3:] + r[:3] != r)
+    matrix.extreme_rays = tuple(r for r in rays if r != lopsided)
+    with pytest.raises(InternalInvariantError):
+        hilbert_basis(matrix)
+
+
 # ------------------------------------------------- completion kernels
+
+@pytest.mark.parametrize("cone", [
+    SolutionCone([], ncols=2),
+    SolutionCone([(1, -1, 0), (0, 0, 0), (2, 0, -3)]),
+    q_matrix(build_triangulation(7, 2)),
+    q_matrix(build_triangulation(7, 2)).restrict([0, 4, 8, 9, 13, 17, 18]),
+    q_matrix(build_triangulation(100, 3)),  # two batches of gram rows
+], ids=["empty", "explicit", "q-7-2", "pattern-7-2", "q-100-3"])
+def test_dense_set_up_matches_the_rows(cone):
+    A, gram = _dense(cone)
+    rows = np.array(cone.rows, dtype=np.int64).reshape(cone.nrows,
+                                                        cone.ncols)
+    assert A.dtype == gram.dtype == np.int64
+    assert (A == rows).all()
+    assert (gram == rows.T @ rows).all()
+
 
 def _int_rows(draw, count, n, high):
     row = st.lists(st.integers(0, high), min_size=n, max_size=n)
@@ -422,6 +497,17 @@ def test_box_search_never_builds_the_dense_rows(monkeypatch):
     refuse_dense_rows(monkeypatch, 3000)
     cone = SolutionCone(q_matrix(build_triangulation(1000, 3)))
     assert not is_fundamental(cone, alternating_vector(1000, 3))
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(6))
+def test_vertex_shortcut_matches_the_box_search(p, q):
+    # A vertex is settled by its gcd; the box search below it must agree
+    # on every square fundamental and on twice each one.
+    matrix = q_matrix(build_triangulation(p, q))
+    for v in square_fundamental_solutions(matrix):
+        for w in (v, tuple(2 * x for x in v)):
+            box = _box_solutions(matrix, w, Budget(), stop_after=3)
+            assert is_fundamental(matrix, w) == (len(box) <= 2)
 
 
 def test_is_fundamental_input_validation():
