@@ -26,11 +26,9 @@ from .catalog import (
 from .cone import (
     Budget,
     SolutionCone,
-    brute_force_minimal_solutions,
     hilbert_basis,
     is_fundamental,
     is_vertex,
-    square_fundamental_solutions,
 )
 from .errors import (
     ArityMismatch,
@@ -53,12 +51,14 @@ from .qsystem import (
     BasisCoefficients,
     QMatrix,
     basis_vectors,
+    brute_force_minimal_solutions,
     decompose,
     expand,
     integrality_class,
     is_q_solution,
     q_matrix,
     square_condition,
+    square_fundamental_solutions,
 )
 from .surface import (
     DiskGraph,

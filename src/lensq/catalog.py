@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .cone import (
-    Budget,
-    graded_lex_key,
-    is_fundamental,
-    is_vertex,
-    square_fundamental_solutions,
-)
+from .cone import Budget, graded_lex_key, is_fundamental, is_vertex
 from .errors import (
     InternalInvariantError,
     LensQError,
@@ -51,6 +45,7 @@ from .qsystem import (
     is_q_solution,
     q_matrix,
     square_condition,
+    square_fundamental_solutions,
 )
 from .surface import classify, surface_name
 from .triangulation import LensParams, LensTriangulation, build_triangulation

@@ -258,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=choices, default="table")
         if budget:
             sp.add_argument("--max-seconds", type=_non_negative(float),
-                            default=60.0,
+                            default=Budget.MAX_SECONDS,
                             help="wall-clock cap for the whole command "
                                  "(default 60)")
             sp.add_argument("--max-frontier", type=_non_negative(int),
-                            default=10 ** 7,
+                            default=Budget.MAX_FRONTIER,
                             help="most states one search may hold at once "
                                  "(default 1e7)")
             sp.add_argument("--threads", type=int, default=1,

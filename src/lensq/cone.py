@@ -1,13 +1,15 @@
 """
 Fundamental and vertex solutions of A x = 0 over the non-negative
-integers.
+integers, for any sparse integer system.
 
 ``SolutionCone`` is the package's one integer-system class: it holds A
-as sparse columns, builds the dense rows and the extreme rays only when
-they are read, and ``restrict`` cuts out the subsystem on chosen
-columns.  The quad system ``qsystem.QMatrix`` is a SolutionCone, and
-the pattern subcones and the support systems of ``is_vertex`` are its
-restrictions.
+as sparse columns, builds the dense rows only when they are read,
+eliminates the columns for its extreme rays, and ``restrict`` cuts out
+the subsystem on chosen columns.  A system may publish ``rotations``, a
+cyclic group of column permutations that each only permute its rows:
+the quad system ``qsystem.QMatrix`` does, and a plain SolutionCone,
+such as a pattern subcone, does not.  Nothing here knows the quad
+blocks.
 
 The Hilbert basis (the set of minimal non-zero non-negative integer
 solutions) is enumerated by the classic completion scheme of Contejean
@@ -24,34 +26,16 @@ x + e_j costs one more AND.  Only the surviving children are made, once
 each, in the lexicographic order of mixed-radix int64 keys over the
 box, so the output does not depend on chunk size.  The budget is read
 before any set-up, and A^T A is built from the sparse columns.  On a
-QMatrix the completion runs on orbits of the block shift (below): each
+cone with ``rotations`` the completion runs on their orbits: each
 level holds one representative per orbit, the rotation with the least
 key, and every new solution enters the minimal set with all its
 rotations, so the frontier cap counts representatives.
 
-The square-condition fundamentals of a quad system are the union of
-the Hilbert bases of its 3^p one-type-per-block pattern subcones, each
-a restriction to p columns.  The p-tetrahedron lens-space triangulation
-is a cyclic chain, so shifting every block by one tetrahedron permutes
-the matching equations; the search checks this exactly once, solves one
-pattern per rotation orbit (the orbit's lexicographically least
-rotation, a 3-ary necklace) and rotates each answer into every block
-position.  The necklaces are walked as the leaves of the prenecklace
-tree (Fredricksen-Kessler-Maiorana), depth first and without
-recursion, in the spirit of Burton and Ozlen's tree traversal: each
-tree node pushes one pattern column onto its parent's column-by-column
-exact elimination (``exact.push_column``), so a prefix shared by many
-patterns is eliminated once, and the budget is read at every node.  A
-full-rank necklace is skipped; the others pass their kernel basis to
-the double description and the completion.
-
 Alongside the enumerator there are direct, definition-level tests:
 ``is_fundamental`` settles a vertex by the gcd of its entries and runs
-an exhaustive box search below any other solution, ``is_vertex``
+an exhaustive box search below any other solution, and ``is_vertex``
 checks that the rational kernel restricted to the support is a single
-ray, and ``brute_force_minimal_solutions`` re-derives small Hilbert
-bases from a coefficient grid over the solution-space basis,
-independently of the completion algorithm.
+ray.
 """
 
 from __future__ import annotations
@@ -73,8 +57,7 @@ from .errors import (
     NegativeEntry,
     NotASolution,
 )
-from .rays import extreme_rays_of_kernel, extreme_rays_of_kernel_cone
-from .triangulation import QUAD_TYPES
+from .rays import extreme_rays_of_kernel
 
 # Magnitude guard for the vectorized integer paths; entries beyond this
 # would risk silent int64 overflow in the matrix products.
@@ -96,13 +79,17 @@ class Budget:
     once: a completion level, its extension set or the rows of its
     domination index, a coefficient grid or candidate set, the
     solutions a box search has collected, the normal disks
-    ``surface.classify`` glues.  Either limit may be None.
-    Exhaustion raises BudgetExceeded; partial results are never
-    returned.
+    ``surface.classify`` glues.  Either limit may be None; the
+    defaults, which the command line shares, are ``MAX_SECONDS`` and
+    ``MAX_FRONTIER``.  Exhaustion raises BudgetExceeded; partial
+    results are never returned.
     """
 
-    def __init__(self, max_seconds: float | None = 60.0,
-                 max_frontier: int | None = 10 ** 7):
+    MAX_SECONDS = 60.0
+    MAX_FRONTIER = 10 ** 7
+
+    def __init__(self, max_seconds: float | None = MAX_SECONDS,
+                 max_frontier: int | None = MAX_FRONTIER):
         self.max_seconds = max_seconds
         self.max_frontier = max_frontier
         self.deadline = (None if max_seconds is None
@@ -124,12 +111,12 @@ class SolutionCone:
 
     The system is held only as sparse columns: ``columns[j]`` lists the
     non-zero ``(row, coefficient)`` pairs of column j, and ``nrows`` and
-    ``ncols`` give the shape.  It is made from explicit
-    integer rows (``ncols`` is required when there are none) or from
-    another SolutionCone, whose columns it shares; a QMatrix is a
-    SolutionCone filled from its triangulation.  The dense ``rows`` and
-    the primitive extreme rays, computed in exact arithmetic, are built
-    on first read and cached.
+    ``ncols`` give the shape.  It is made from explicit integer rows,
+    through ``exact.sparse_columns`` (``ncols`` is required when there
+    are none), or from another SolutionCone, whose columns it shares; a
+    QMatrix is a SolutionCone filled from its triangulation.  The dense
+    ``rows`` and the primitive extreme rays, computed in exact
+    arithmetic from the columns, are built on first read and cached.
     """
 
     def __init__(self, matrix, ncols: int | None = None):
@@ -137,21 +124,13 @@ class SolutionCone:
             self.columns = matrix.columns
             self.nrows, self.ncols = matrix.nrows, matrix.ncols
             return
-        rows = [[int(x) for x in row] for row in matrix]
-        if rows:
-            ncols = len(rows[0])
-        elif ncols is None:
-            raise DimensionMismatch("ncols required for an empty matrix")
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatch("ragged matrix rows")
-        self.columns = tuple(
-            tuple((r, row[j]) for r, row in enumerate(rows) if row[j])
-            for j in range(ncols))
-        self.nrows, self.ncols = len(rows), ncols
+        rows = list(matrix)
+        self.columns = exact.sparse_columns(rows, ncols)
+        self.nrows, self.ncols = len(rows), len(self.columns)
 
-    # True on a QMatrix: there, shifting every block by one tetrahedron
-    # permutes the rows, which ``hilbert_basis`` checks before it uses.
-    block_shift = False
+    # Row k lists the columns that rotation k reads, position by
+    # position, when A has such a group (see qsystem.QMatrix).
+    rotations = None
 
     @cached_property
     def rows(self):
@@ -164,7 +143,9 @@ class SolutionCone:
 
     @cached_property
     def extreme_rays(self):
-        return extreme_rays_of_kernel_cone(self.rows, self.ncols)
+        """The primitive extreme rays of {x >= 0 : A x = 0}, in graded
+        lexicographic order, from the kernel of the sparse columns."""
+        return extreme_rays_of_kernel(exact.column_kernel_basis(self.columns))
 
     def restrict(self, columns):
         """The system on the given columns only, in the given order,
@@ -335,33 +316,30 @@ def _dense(cone: SolutionCone):
 class _Orbits:
     """The rotations the completion applies to its candidates.
 
-    On a QMatrix they are the p block rotations R_k, (R_k x)_c =
-    x_(c + 3k mod 3p), once ``_block_rotation_guard`` has checked that
-    the block shift permutes the rows and the extreme-ray box ``bound``
-    is checked to be shift-invariant (InternalInvariantError
-    otherwise); ``turns[k]`` holds the columns R_k reads.  Every other
-    cone has the identity alone, and then every method hands its
-    arguments back.  Each candidate carries its mixed-radix keys over
-    the box under every rotation, one run of ``width`` words per k, and
-    ``step[j]`` is what the unit e_j adds to them.
+    They are the cone's ``rotations`` R_k, (R_k x)_c = x_(turns[k, c]),
+    which are the powers of R_1; the extreme-ray box ``bound`` is
+    checked to be invariant under R_1 (InternalInvariantError
+    otherwise).  A cone without rotations has the identity alone, and
+    then every method hands its arguments back.  Each candidate carries its mixed-radix
+    keys over the box under every rotation, one run of ``width`` words
+    per k, and ``step[j]`` is what the unit e_j adds to them.
     """
 
     def __init__(self, cone: SolutionCone, bound: np.ndarray):
         n = cone.ncols
         strides = _radix_strides(bound)
         self.width = strides.shape[0]
-        if not cone.block_shift:
+        self.turns = cone.rotations
+        if self.turns is None:
             self.order = 1
             self.step = strides.T
             return
-        _block_rotation_guard(cone)
-        if (bound != np.roll(bound, -3)).any():
+        if (bound != bound[self.turns[1]]).any():
             raise InternalInvariantError(
                 f"the extreme-ray box of {cone!r} is not invariant under "
-                f"the block shift")
-        self.order = p = cone.p
-        self.turns = (np.arange(n) + 3 * np.arange(p)[:, None]) % n
-        # Under R_k the unit e_j lands on column j - 3k.
+                f"its rotations")
+        self.order = p = len(self.turns)
+        # Under R_k the unit e_j lands on column turns[-k, j].
         back = self.turns[-np.arange(p) % p]
         self.step = strides.T[back].transpose(1, 0, 2).reshape(n, -1)
         # R_k R_t = R_(k+t): run k of the keys of R_t x is run k + t of
@@ -434,14 +412,14 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     of the box, which sort like the rows, so the next level comes out
     in lexicographic order whatever the chunk size.
 
-    On a QMatrix the completion runs on orbits of the block shift, once
-    ``_block_rotation_guard`` has checked that the shift permutes the
-    rows and the extreme-ray box is checked to be shift-invariant
-    (InternalInvariantError otherwise).  The shift then keeps A^T A,
-    the box and the minimal set, so every level is a union of orbits
-    and holds one representative of each: its rotation with the least
-    key.  A child's keys under all p rotations are its parent's plus
-    one row of the rotated strides, which finds the representative
+    On a cone with ``rotations`` (a QMatrix, whose first read of them
+    checks that they permute the rows) the completion runs on their
+    orbits, once the extreme-ray box is checked to be invariant under
+    them (InternalInvariantError otherwise).  The rotations then keep
+    A^T A, the box and the minimal set, so every level is a union of
+    orbits and holds one representative of each: its rotation with the
+    least key.  A child's keys under all rotations are its parent's
+    plus one row of the rotated strides, which finds the representative
     before the child is made.  Each new solution enters the minimal set
     with all its distinct rotations.  The frontier cap counts
     representatives.  Every other cone has the identity alone and runs
@@ -665,135 +643,6 @@ def is_vertex_by_search(cone: SolutionCone, v, k: int = 3,
     return True
 
 
-def _block_rotation_guard(matrix):
-    """Check that shifting every block by one tetrahedron permutes the
-    matching equations of the QMatrix ``matrix``: column c + 3 must be
-    column c with row e_i renamed e_(i+1) (e_p to e_1) and rows Eh, Ev
-    left alone.  O(p).
-
-    Raises InternalInvariantError when it does not hold.
-    """
-    p = matrix.p
-    n = 3 * p
-    for c, entries in enumerate(matrix.columns):
-        shifted = sorted(((r + 1) % p if r < p else r, s)
-                         for r, s in entries)
-        if shifted != sorted(matrix.columns[(c + 3) % n]):
-            raise InternalInvariantError(
-                f"quad column {(c + 3) % n} is not column {c} shifted by "
-                f"one block for (p,q)=({p},{matrix.q})")
-
-
-def _prenecklaces(p, k):
-    """Every k-ary prenecklace of length p, in lexicographic order (the
-    Fredricksen-Kessler-Maiorana algorithm).
-
-    Yields ``(i, word, necklace)``: the word, one list changed in place;
-    the first position at which it differs from the word before; and
-    whether it is a necklace, the lexicographically least rotation of
-    its orbit (its Lyndon prefix length divides p).  The words are the
-    leaves of the prenecklace tree in depth-first order, so positions
-    i to p - 1 are the tree nodes first visited on the way to a word.
-    """
-    word = [0] * p
-    i, lyndon = 0, 1
-    while True:
-        yield i, word, p % lyndon == 0
-        i = p - 1
-        while i >= 0 and word[i] == k - 1:
-            i -= 1
-        if i < 0:
-            return
-        word[i] += 1
-        for j in range(i + 1, p):
-            word[j] = word[j - i - 1]
-        lyndon = i + 1
-
-
-def _necklace_kernels(matrix, budget):
-    """The kernel basis of every necklace pattern of the QMatrix
-    ``matrix``, found along the prenecklace tree.
-
-    Walks the tree depth first, without recursion.  The node at depth
-    i pushes pattern column i (quad column 3i + t) onto the elimination
-    state of its parent (``exact.push_column``); going back up
-    truncates the state.  A column that depends on the ones above it
-    contributes its dependency, the kernel basis vector of that free
-    column, to every pattern below the node.  Yields ``(columns,
-    kernel)`` for each necklace, ``kernel`` being
-    ``exact.kernel_basis`` of ``matrix.restrict(columns)``.  Every node
-    checks the budget.
-    """
-    p = matrix.p
-    pivots = []
-    # Per depth on the current path: len(pivots) before the node's
-    # push, and the node's kernel vector or None.
-    sizes, vectors = [], []
-    for i, word, necklace in _prenecklaces(p, len(QUAD_TYPES)):
-        if sizes:
-            del pivots[sizes[i]:], sizes[i:], vectors[i:]
-        for j in range(i, p):
-            budget.check()
-            sizes.append(len(pivots))
-            dependency = exact.push_column(
-                pivots, matrix.columns[3 * j + word[j]] + ((~j, 1),))
-            vectors.append(None if dependency is None else tuple(
-                dependency.get(~k, 0) for k in range(p)))
-        if necklace:
-            yield ([3 * j + t for j, t in enumerate(word)],
-                   [v for v in vectors if v is not None])
-
-
-def square_fundamental_solutions(matrix, budget: Budget | None = None):
-    """All fundamental solutions of a quad matching system that satisfy
-    the square condition, without enumerating the full Hilbert basis.
-
-    The square condition is downward closed: anything below a
-    one-type-per-block vector is again one-type-per-block.  A square
-    vector is therefore minimal among all solutions exactly when it is
-    minimal inside its own pattern subcone (``matrix.restrict`` to one
-    chosen quad column per block), and the union of the
-    3^p pattern Hilbert bases is precisely the set of square-condition
-    fundamental solutions.  Each pattern is a p-variable system, so
-    this stays fast long after full enumeration has become infeasible.
-
-    Shifting every block by one tetrahedron maps column c to column
-    c + 3 and, as checked exactly up front (InternalInvariantError
-    otherwise), renames the rows e_i -> e_(i+1) while fixing Eh and Ev.
-    A row permutation keeps every solution set, so the rotation of a
-    pattern's Hilbert basis is the Hilbert basis of the rotated
-    pattern.  Only one pattern per rotation orbit is solved, the
-    orbit's necklace, and each of its basis elements enters the result
-    with all p rotations.
-
-    The necklaces and their kernel bases come from one walk of the
-    prenecklace tree (``_necklace_kernels``), so necklaces that share a
-    prefix share its elimination.  A full-rank necklace is skipped;
-    every other one hands its kernel basis straight to the double
-    description and runs the completion.  Returns a tuple in graded
-    lexicographic order.
-    """
-    budget = budget or Budget()
-    _block_rotation_guard(matrix)
-    p = matrix.p
-    n = 3 * p
-
-    found = set()
-    for columns, kernel in _necklace_kernels(matrix, budget):
-        if not kernel:
-            continue  # a full-rank pattern: its only solution is zero
-        pattern = matrix.restrict(columns)
-        # The rays come from the kernel in hand, not from the dense rows.
-        pattern.extreme_rays = extreme_rays_of_kernel(kernel)
-        for small in hilbert_basis(pattern, budget):
-            full = [0] * n
-            for c, value in zip(columns, small):
-                full[c] = value
-            found.update(tuple(full[3 * k:] + full[:3 * k])
-                         for k in range(p))
-    return tuple(sorted(found, key=graded_lex_key))
-
-
 def minimal_elements(vectors):
     """The <=-minimal elements of a set of non-negative vectors."""
     ordered = sorted(set(map(tuple, vectors)), key=graded_lex_key)
@@ -802,68 +651,3 @@ def minimal_elements(vectors):
         if not any(all(x >= y for x, y in zip(v, m)) for m in kept):
             kept.append(v)
     return tuple(kept)
-
-
-def brute_force_minimal_solutions(tri, a_values, b_values,
-                                  budget: Budget | None = None):
-    """Independent oracle for small Hilbert bases.
-
-    Sweeps every combination of integer coefficients ``a_values`` and
-    grid coefficients ``b_values`` (typically half-integers) over the
-    2p-vector solution basis, keeps the integral non-negative non-zero
-    results, and filters them down to the minimal elements.  Purely a
-    grid sweep plus a definition-level minimality filter, so it shares
-    no code path with the completion enumerator it validates.  Feasible
-    for p up to about 4.
-    """
-    budget = budget or Budget()
-    p = tri.p
-    a_values = sorted(set(int(a) for a in a_values))
-    b_values = sorted(set(Fraction(b) for b in b_values))
-    if not a_values or not b_values:
-        return ()
-
-    # Work in doubled units so everything stays integral.
-    doubled_b = []
-    for b in b_values:
-        twice = 2 * b
-        if twice.denominator != 1:
-            raise ValueError(f"b grid must consist of half-integers, got {b}")
-        doubled_b.append(int(twice))
-
-    grids_a = np.array(
-        np.meshgrid(*([a_values] * p), indexing="ij"),
-        dtype=np.int64).reshape(p, -1).T
-    grids_b = np.array(
-        np.meshgrid(*([doubled_b] * p), indexing="ij"),
-        dtype=np.int64).reshape(p, -1).T
-    budget.check(grids_a.shape[0] * grids_b.shape[0],
-                 what="coefficient grid")
-
-    def col(k):  # 0-based column of b_k in the grid, index mod p
-        return (k - 1) % p
-
-    # Doubled block tails: 2*(b_{i+1} + b_{i-q}) and 2*(b_i + b_{i-q+1}).
-    beta2 = np.empty((grids_b.shape[0], p), dtype=np.int64)
-    beta3 = np.empty((grids_b.shape[0], p), dtype=np.int64)
-    for i in range(1, p + 1):
-        beta2[:, i - 1] = (grids_b[:, col(i + 1)] + grids_b[:, col(i - tri.q)])
-        beta3[:, i - 1] = (grids_b[:, col(i)] + grids_b[:, col(i - tri.q + 1)])
-    # Integral vectors need both tails even.
-    even = ((beta2 % 2 == 0) & (beta3 % 2 == 0)).all(axis=1)
-    beta2 = beta2[even] // 2
-    beta3 = beta3[even] // 2
-
-    na, nb = grids_a.shape[0], beta2.shape[0]
-    if nb == 0:
-        return ()
-    vectors = np.empty((na, nb, 3 * p), dtype=np.int64)
-    vectors[:, :, 0::3] = grids_a[:, None, :]
-    vectors[:, :, 1::3] = grids_a[:, None, :] + beta2[None, :, :]
-    vectors[:, :, 2::3] = grids_a[:, None, :] + beta3[None, :, :]
-    vectors = vectors.reshape(-1, 3 * p)
-    budget.check(vectors.shape[0], what="candidate set")
-    vectors = vectors[(vectors >= 0).all(axis=1)]
-    vectors = vectors[vectors.any(axis=1)]
-    vectors = np.unique(vectors, axis=0)
-    return minimal_elements(map(tuple, vectors.tolist()))

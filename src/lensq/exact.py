@@ -15,16 +15,19 @@ stay small without ever leaving the integers.  What is left is either a
 new pivot or, when every row entry has cancelled, the column's
 dependency on the earlier independent columns.  That dependency is the
 kernel vector of the free column in reduced row echelon form, so
-``kernel_basis`` and ``rank`` are loops over this one step, and a
-search over column sets that share prefixes, such as the necklace tree
-of ``cone.square_fundamental_solutions``, extends a prefix's state by
-one push and takes it back by truncating the list.
+``column_kernel_basis`` and ``rank`` are loops over this one step, and
+a search over column sets that share prefixes, such as the necklace
+tree of ``qsystem.square_fundamental_solutions``, extends a prefix's
+state by one push and takes it back by truncating the list.  Dense
+rows enter through one converter, ``sparse_columns``.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import index
+
+from .errors import DimensionMismatch
 
 
 def primitive(vec):
@@ -82,36 +85,43 @@ def push_column(pivots, column):
     return None
 
 
-def _columns(rows):
-    """The columns of integer ``rows`` as sparse (row, entry) pairs.
-    Entries must be integers; any other type raises TypeError."""
-    return [[(r, x) for r, x in enumerate(map(index, column)) if x]
-            for column in zip(*rows)]
+def sparse_columns(rows, ncols=None):
+    """The columns of the integer matrix ``rows`` as tuples of their
+    non-zero ``(row, entry)`` pairs.  ``ncols`` is required when there
+    are no rows (ValueError); ragged rows raise DimensionMismatch and a
+    non-integer entry TypeError."""
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("ncols required for an empty matrix")
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatch("ragged matrix rows")
+    return tuple(tuple((r, x) for r, x in enumerate(map(index, column)) if x)
+                 for column in zip(*rows)) or ((),) * ncols
 
 
 def rank(rows) -> int:
     pivots = []
-    for column in _columns(rows):
+    for column in sparse_columns(rows, 0):
         push_column(pivots, column)
     return len(pivots)
 
 
 def kernel_basis(rows, ncols=None):
-    """Basis of the rational nullspace {x : rows . x = 0}.
+    """Basis of the rational nullspace {x : rows . x = 0}; ``ncols`` is
+    required when ``rows`` is empty.  See ``column_kernel_basis``."""
+    return column_kernel_basis(sparse_columns(rows, ncols))
 
-    Returns primitive integer tuples, one per free column (a column
-    that depends on the columns before it); each is positive on its
-    own free column and zero on the other free columns.  ``ncols`` is
-    required when ``rows`` is empty.
-    """
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
-        raise ValueError("ncols required for an empty matrix")
-    columns = _columns(rows) if rows else [[] for _ in range(ncols)]
+
+def column_kernel_basis(columns):
+    """Basis of the rational nullspace of the system with the given
+    sparse columns: primitive integer tuples, one per free column (a
+    column that depends on the columns before it), each positive on its
+    own free column and zero on the other free columns."""
+    n = len(columns)
     pivots, basis = [], []
     for k, column in enumerate(columns):
-        dependency = push_column(pivots, column + [(~k, 1)])
+        dependency = push_column(pivots, column + ((~k, 1),))
         if dependency is not None:
-            basis.append(tuple(dependency.get(~j, 0) for j in range(ncols)))
+            basis.append(tuple(dependency.get(~j, 0) for j in range(n)))
     return basis

@@ -1,5 +1,6 @@
 """
-The quad matching system of a lens-space triangulation.
+The quad matching system of a lens-space triangulation, and the search
+for its square-condition fundamental solutions.
 
 A surface's quad coordinate is a length-3p vector; entries come in p
 blocks of three, block i holding the counts of the three quad types of
@@ -14,21 +15,53 @@ assembles the matrix, produces the basis, decomposes arbitrary
 solutions over it exactly (a union-find with potentials on the
 b-coefficients, the package's one gluing structure), and classifies
 the integrality pattern of the coefficients.
+
+The triangulation is a cyclic chain, so shifting every block by one
+tetrahedron permutes the matching equations: ``QMatrix.rotations``
+tabulates the p block rotations and checks this exactly on its first
+read.  The square-condition fundamentals are the union of the Hilbert
+bases of the 3^p one-type-per-block pattern subcones, each a
+restriction to p columns.  ``square_fundamental_solutions`` solves
+one pattern per rotation orbit (the orbit's lexicographically least
+rotation, a 3-ary necklace) and rotates each answer into every block
+position.  The necklaces are walked as the leaves of the prenecklace
+tree (Fredricksen-Kessler-Maiorana), depth first and without
+recursion, in the spirit of Burton and Ozlen's tree traversal: each
+tree node pushes one pattern column onto its parent's column-by-column
+exact elimination (``exact.push_column``), so a prefix shared by many
+patterns is eliminated once, and the budget is read at every node.  A
+full-rank necklace is skipped; the others pass their kernel basis to
+the double description and the completion.
+``brute_force_minimal_solutions`` re-derives small Hilbert bases from a
+coefficient grid over the solution-space basis, independently of the
+completion algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .cone import SolutionCone
+import numpy as np
+
+from . import exact
+from .cone import (
+    Budget,
+    SolutionCone,
+    graded_lex_key,
+    hilbert_basis,
+    minimal_elements,
+)
 from .errors import (
     DimensionMismatch,
     IntegralityViolated,
+    InternalInvariantError,
     NegativeEntry,
     NotASolution,
     SingularSystem,
 )
+from .rays import extreme_rays_of_kernel
 from .triangulation import QUAD_TYPES, LensTriangulation, Potentials
 
 # Integrality classes reported for sets of basis coefficients.
@@ -61,10 +94,9 @@ class QMatrix(SolutionCone):
     block; row order is e_1 .. e_p, Eh, Ev.  ``columns[c]`` lists the
     non-zero ``(row, coefficient)`` pairs of column c, at most four
     since a quad meets four edges.  The dense ``rows``, the extreme
-    rays, ``residual`` and ``restrict`` are the SolutionCone's own.
+    rays, ``residual`` and ``restrict`` are the SolutionCone's own;
+    ``rotations``, the block rotations, is the QMatrix's.
     """
-
-    block_shift = True
 
     def __init__(self, tri: LensTriangulation):
         self.p = tri.p
@@ -76,11 +108,36 @@ class QMatrix(SolutionCone):
             for i in tri.tetrahedra for j in QUAD_TYPES)
         self.nrows, self.ncols = len(self.row_labels), len(self.columns)
 
-    def multiply(self, v):
-        return self.residual(check_qvector(v, self.p))
+    @cached_property
+    def rotations(self):
+        """The p block rotations as a p x 3p column table: rotation k
+        reads column (c + 3k) mod 3p at position c.  The first read
+        checks that they permute the rows (``_block_rotation_guard``)."""
+        _block_rotation_guard(self)
+        return (np.arange(self.ncols)
+                + 3 * np.arange(self.p)[:, None]) % self.ncols
 
     def __repr__(self):
         return f"QMatrix(p={self.p}, q={self.q})"
+
+
+def _block_rotation_guard(matrix):
+    """Check that shifting every block by one tetrahedron permutes the
+    matching equations of the QMatrix ``matrix``: column c + 3 must be
+    column c with row e_i renamed e_(i+1) (e_p to e_1) and rows Eh, Ev
+    left alone.  O(p).
+
+    Raises InternalInvariantError when it does not hold.
+    """
+    p = matrix.p
+    n = 3 * p
+    for c, entries in enumerate(matrix.columns):
+        shifted = sorted(((r + 1) % p if r < p else r, s)
+                         for r, s in entries)
+        if shifted != sorted(matrix.columns[(c + 3) % n]):
+            raise InternalInvariantError(
+                f"quad column {(c + 3) % n} is not column {c} shifted by "
+                f"one block for (p,q)=({p},{matrix.q})")
 
 
 def q_matrix(tri: LensTriangulation) -> QMatrix:
@@ -90,7 +147,7 @@ def q_matrix(tri: LensTriangulation) -> QMatrix:
 
 def is_q_solution(matrix: QMatrix, v) -> bool:
     """True iff matrix . v = 0 in exact arithmetic."""
-    return not any(matrix.multiply(v))
+    return matrix.is_solution(v)
 
 
 def basis_vectors(tri: LensTriangulation):
@@ -174,7 +231,7 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
     vec = check_qvector(v, p)
     if matrix is None:
         matrix = q_matrix(tri)
-    if any(matrix.multiply(vec)):
+    if not matrix.is_solution(vec):
         raise NotASolution("vector does not satisfy the matching equations")
 
     a = tuple(Fraction(vec[3 * i]) for i in range(p))
@@ -266,3 +323,159 @@ def integrality_class(coeffs: BasisCoefficients, p: int) -> dict:
         "B0": _classify_set(coeffs.b[1::2]),  # b_2, b_4, ...
         "B1": _classify_set(coeffs.b[0::2]),  # b_1, b_3, ...
     }
+
+
+def _prenecklaces(p, k):
+    """Every k-ary prenecklace of length p, in lexicographic order (the
+    Fredricksen-Kessler-Maiorana algorithm).
+
+    Yields ``(i, word, necklace)``: the word, one list changed in place;
+    the first position at which it differs from the word before; and
+    whether it is a necklace, the lexicographically least rotation of
+    its orbit (its Lyndon prefix length divides p).  The words are the
+    leaves of the prenecklace tree in depth-first order, so positions
+    i to p - 1 are the tree nodes first visited on the way to a word.
+    """
+    word = [0] * p
+    i, lyndon = 0, 1
+    while True:
+        yield i, word, p % lyndon == 0
+        i = p - 1
+        while i >= 0 and word[i] == k - 1:
+            i -= 1
+        if i < 0:
+            return
+        word[i] += 1
+        for j in range(i + 1, p):
+            word[j] = word[j - i - 1]
+        lyndon = i + 1
+
+
+def _necklace_kernels(matrix, budget):
+    """The kernel basis of every necklace pattern of the QMatrix
+    ``matrix``, found along the prenecklace tree.
+
+    Walks the tree depth first, without recursion.  The node at depth
+    i pushes pattern column i (quad column 3i + t) onto the elimination
+    state of its parent (``exact.push_column``); going back up
+    truncates the state.  A column that depends on the ones above it
+    contributes its dependency, the kernel basis vector of that free
+    column, to every pattern below the node.  Yields ``(columns,
+    kernel)`` for each necklace, ``kernel`` being
+    ``exact.kernel_basis`` of ``matrix.restrict(columns)``.  Every node
+    checks the budget.
+    """
+    p = matrix.p
+    pivots = []
+    # Per depth on the current path: len(pivots) before the node's
+    # push, and the node's kernel vector or None.
+    sizes, vectors = [], []
+    for i, word, necklace in _prenecklaces(p, len(QUAD_TYPES)):
+        if sizes:
+            del pivots[sizes[i]:], sizes[i:], vectors[i:]
+        for j in range(i, p):
+            budget.check()
+            sizes.append(len(pivots))
+            dependency = exact.push_column(
+                pivots, matrix.columns[3 * j + word[j]] + ((~j, 1),))
+            vectors.append(None if dependency is None else tuple(
+                dependency.get(~k, 0) for k in range(p)))
+        if necklace:
+            yield ([3 * j + t for j, t in enumerate(word)],
+                   [v for v in vectors if v is not None])
+
+
+def square_fundamental_solutions(matrix, budget: Budget | None = None):
+    """All fundamental solutions of a quad matching system that satisfy
+    the square condition, without enumerating the full Hilbert basis.
+
+    The square condition is downward closed: anything below a
+    one-type-per-block vector is again one-type-per-block.  A square
+    vector is therefore minimal among all solutions exactly when it is
+    minimal inside its own pattern subcone (``matrix.restrict`` to one
+    chosen quad column per block), and the union of the
+    3^p pattern Hilbert bases is precisely the set of square-condition
+    fundamental solutions.  Each pattern is a p-variable system, so
+    this stays fast long after full enumeration has become infeasible.
+
+    Shifting every block by one tetrahedron maps column c to column
+    c + 3 and, as the first read of ``matrix.rotations`` checks exactly
+    (InternalInvariantError otherwise), renames the rows e_i -> e_(i+1)
+    while fixing Eh and Ev.  A row permutation keeps every solution
+    set, so the rotation of a pattern's Hilbert basis is the Hilbert
+    basis of the rotated pattern.  Only one pattern per rotation orbit
+    is solved, the orbit's necklace, and each of its basis elements
+    enters the result with all p rotations.
+
+    The necklaces and their kernel bases come from one walk of the
+    prenecklace tree (``_necklace_kernels``), so necklaces that share a
+    prefix share its elimination.  A full-rank necklace is skipped;
+    every other one hands its kernel basis straight to the double
+    description and runs the completion.  Returns a tuple in graded
+    lexicographic order.
+    """
+    budget = budget or Budget()
+    rotations = matrix.rotations.tolist()
+    found = set()
+    for columns, kernel in _necklace_kernels(matrix, budget):
+        if not kernel:
+            continue  # a full-rank pattern: its only solution is zero
+        pattern = matrix.restrict(columns)
+        # The rays come from the kernel in hand, not from the dense rows.
+        pattern.extreme_rays = extreme_rays_of_kernel(kernel)
+        for small in hilbert_basis(pattern, budget):
+            full = [0] * matrix.ncols
+            for c, value in zip(columns, small):
+                full[c] = value
+            found.update(tuple(full[c] for c in turn) for turn in rotations)
+    return tuple(sorted(found, key=graded_lex_key))
+
+
+def brute_force_minimal_solutions(tri, a_values, b_values,
+                                  budget: Budget | None = None):
+    """Independent oracle for small Hilbert bases.
+
+    Sweeps every combination of integer coefficients ``a_values`` and
+    grid coefficients ``b_values`` (typically half-integers) over the
+    2p-vector solution basis, keeps the integral non-negative non-zero
+    results, and filters them down to the minimal elements.  Purely a
+    grid sweep plus a definition-level minimality filter, so it shares
+    no code path with the completion enumerator it validates.  Feasible
+    for p up to about 4.
+    """
+    budget = budget or Budget()
+    p = tri.p
+    a_values = sorted(set(int(a) for a in a_values))
+    b_values = sorted(set(Fraction(b) for b in b_values))
+    if not a_values or not b_values:
+        return ()
+
+    # Work in doubled units so everything stays integral.
+    doubled_b = []
+    for b in b_values:
+        twice = 2 * b
+        if twice.denominator != 1:
+            raise ValueError(f"b grid must consist of half-integers, got {b}")
+        doubled_b.append(int(twice))
+
+    grids_a = np.array(
+        np.meshgrid(*([a_values] * p), indexing="ij"),
+        dtype=np.int64).reshape(p, -1).T
+    grids_b = np.array(
+        np.meshgrid(*([doubled_b] * p), indexing="ij"),
+        dtype=np.int64).reshape(p, -1).T
+    budget.check(grids_a.shape[0] * grids_b.shape[0],
+                 what="coefficient grid")
+
+    s_vecs, t_vecs = np.array(basis_vectors(tri), dtype=np.int64)
+    # The doubled b-parts 2 sum(b_k t_k) of integral vectors are even.
+    tails = grids_b @ t_vecs
+    tails = tails[(tails % 2 == 0).all(axis=1)] // 2
+    if not tails.shape[0]:
+        return ()
+    budget.check(grids_a.shape[0] * tails.shape[0], what="candidate set")
+    vectors = ((grids_a @ s_vecs)[:, None] + tails[None]).reshape(-1, 3 * p)
+    vectors = vectors[(vectors >= 0).all(axis=1)]
+    vectors = vectors[vectors.any(axis=1)]
+    vectors = np.unique(vectors, axis=0)
+    return minimal_elements(map(tuple, vectors.tolist()))

@@ -10,10 +10,11 @@ column on which all of them are non-negative.  Each remaining column
 x_j >= 0 is then imposed with the classic ray-splitting step, using the
 combinatorial adjacency test (two rays are adjacent when no third ray
 is zero on all the imposed columns where both are zero).  Rays are
-kept as primitive integer vectors.  ``extreme_rays_of_kernel`` starts
-from a kernel basis already in hand, such as the ones the necklace tree
-of ``cone.square_fundamental_solutions`` collects;
-``extreme_rays_of_kernel_cone`` computes the basis first.
+kept as primitive integer vectors.  ``extreme_rays_of_kernel`` takes
+the kernel basis in hand: ``cone.SolutionCone.extreme_rays`` eliminates
+its sparse columns for it (``exact.column_kernel_basis``), and the
+necklace tree of ``qsystem.square_fundamental_solutions`` collects one
+per pattern.
 
 The extreme rays serve three purposes: they witness vertex solutions,
 they cross-check the support-rank vertex test, and their entrywise sum
@@ -27,14 +28,6 @@ from __future__ import annotations
 
 from . import exact
 from .errors import InternalInvariantError
-
-
-def extreme_rays_of_kernel_cone(rows, ncols):
-    """Primitive extreme rays of {x in R^ncols : rows.x = 0, x >= 0}.
-
-    Returns integer tuples sorted in graded lexicographic order.
-    """
-    return extreme_rays_of_kernel(exact.kernel_basis(rows, ncols))
 
 
 def extreme_rays_of_kernel(basis):

@@ -22,7 +22,6 @@ from lensq.catalog import (
 from lensq.cone import (
     Budget,
     SolutionCone,
-    brute_force_minimal_solutions,
     hilbert_basis,
     is_fundamental,
     is_vertex,
@@ -30,6 +29,7 @@ from lensq.cone import (
 from lensq.exact import rank
 from lensq.qsystem import (
     basis_vectors,
+    brute_force_minimal_solutions,
     decompose,
     integrality_class,
     q_matrix,

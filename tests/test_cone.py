@@ -22,26 +22,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensq import cone as cone_module
+from lensq import qsystem as qsystem_module
 from lensq.catalog import alternating_vector
 from lensq.cone import (
     Budget,
     SolutionCone,
-    _block_rotation_guard,
     _box_solutions,
     _dense,
     _distinct_sorted,
     _DominationIndex,
-    _prenecklaces,
     _radix_strides,
-    brute_force_minimal_solutions,
     graded_lex_key,
     hilbert_basis,
     is_fundamental,
     is_vertex,
     is_vertex_by_search,
     minimal_elements,
-    square_fundamental_solutions,
 )
 from lensq.errors import (
     BudgetExceeded,
@@ -50,7 +46,15 @@ from lensq.errors import (
     NegativeEntry,
     NotASolution,
 )
-from lensq.qsystem import basis_vectors, q_matrix, square_condition
+from lensq.qsystem import (
+    _block_rotation_guard,
+    _prenecklaces,
+    basis_vectors,
+    brute_force_minimal_solutions,
+    q_matrix,
+    square_condition,
+    square_fundamental_solutions,
+)
 from lensq.triangulation import QUAD_TYPES, build_triangulation
 from test_exact import reference_rank
 
@@ -382,13 +386,13 @@ def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
     # Only the necklaces (315 at (7,2), 834 at (8,3)) with a non-zero
     # kernel reach the completion; every other one is full rank.
     calls = []
-    solve = cone_module.hilbert_basis
+    solve = qsystem_module.hilbert_basis
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(cone_module, "hilbert_basis", counted)
+    monkeypatch.setattr(qsystem_module, "hilbert_basis", counted)
     matrix = q_matrix(build_triangulation(p, q))
     square_fundamental_solutions(matrix)
     assert len(calls) == orbits
@@ -404,22 +408,22 @@ def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
 
 def test_necklace_tree_reads_the_budget_at_every_node(monkeypatch):
     pushes = []
-    push = cone_module.exact.push_column
+    push = qsystem_module.exact.push_column
 
     def counted(*args):
         pushes.append(args)
         return push(*args)
 
-    monkeypatch.setattr(cone_module.exact, "push_column", counted)
+    monkeypatch.setattr(qsystem_module.exact, "push_column", counted)
     budget = Budget()
     checks = []
     monkeypatch.setattr(budget, "check", lambda *args: checks.append(args))
-    leaves = list(cone_module._necklace_kernels(
+    leaves = list(qsystem_module._necklace_kernels(
         q_matrix(build_triangulation(7, 2)), budget))
     assert len(leaves) == 315
     assert len(checks) == len(pushes) > len(leaves)
     with pytest.raises(BudgetExceeded):
-        next(cone_module._necklace_kernels(
+        next(qsystem_module._necklace_kernels(
             q_matrix(build_triangulation(7, 2)), Budget(max_seconds=0)))
 
 
@@ -435,6 +439,13 @@ def refuse_dense_rows(monkeypatch, ncols):
         return dense(self)
 
     monkeypatch.setattr(SolutionCone, "rows", property(rows))
+
+
+def test_extreme_rays_never_build_the_dense_rows(monkeypatch):
+    from_rows = SolutionCone(q_matrix(build_triangulation(5, 2)).rows)
+    refuse_dense_rows(monkeypatch, 15)
+    matrix = q_matrix(build_triangulation(5, 2))
+    assert matrix.extreme_rays == from_rows.extreme_rays
 
 
 def test_pattern_search_never_builds_the_dense_rows(monkeypatch):
@@ -463,6 +474,24 @@ def test_necklaces_are_one_per_rotation_orbit(p):
 def test_block_rotation_guard_holds_below_forty():
     for p, q in coprime_pairs(39):
         _block_rotation_guard(q_matrix(build_triangulation(p, q)))
+
+
+def test_block_rotation_guard_runs_once_per_matrix(monkeypatch):
+    calls = []
+    guard = qsystem_module._block_rotation_guard
+
+    def counted(matrix):
+        calls.append(matrix)
+        guard(matrix)
+
+    monkeypatch.setattr(qsystem_module, "_block_rotation_guard", counted)
+    matrix = q_matrix(build_triangulation(4, 1))
+    square_fundamental_solutions(matrix)
+    hilbert_basis(matrix)
+    assert calls == [matrix]
+    assert [list(turn) for turn in matrix.rotations] == [
+        [(c + 3 * k) % 12 for c in range(12)] for k in range(4)]
+    assert SolutionCone(matrix).rotations is None
 
 
 def test_broken_block_rotation_raises():
@@ -601,12 +630,11 @@ def test_full_support_vector_is_not_vertex():
 # ------------------------------------------------------------ extreme rays
 
 def test_extreme_rays_of_simple_cones():
-    from lensq.rays import extreme_rays_of_kernel_cone
-    assert extreme_rays_of_kernel_cone([(1, 1, -1)], 3) == (
+    assert SolutionCone([(1, 1, -1)], 3).extreme_rays == (
         (0, 1, 1), (1, 0, 1))
-    assert extreme_rays_of_kernel_cone([(1, -2, 1)], 3) == (
+    assert SolutionCone([(1, -2, 1)], 3).extreme_rays == (
         (0, 1, 2), (2, 1, 0))
-    assert extreme_rays_of_kernel_cone([], 3) == (
+    assert SolutionCone([], 3).extreme_rays == (
         (0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensq import exact
-from lensq.cone import Budget, _necklace_kernels, _prenecklaces
-from lensq.qsystem import q_matrix
-from lensq.rays import extreme_rays_of_kernel_cone
+from lensq.cone import Budget, SolutionCone, hilbert_basis
+from lensq.errors import DimensionMismatch
+from lensq.qsystem import _necklace_kernels, _prenecklaces, q_matrix
 from lensq.triangulation import QUAD_TYPES, build_triangulation
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
@@ -98,7 +98,7 @@ def test_kernel_basis_is_a_primitive_integer_basis(rows):
 @given(small_matrices())
 def test_extreme_rays_match_the_support_oracle(rows):
     ncols = len(rows[0])
-    assert extreme_rays_of_kernel_cone(rows, ncols) == _rays_by_support(
+    assert SolutionCone(rows, ncols).extreme_rays == _rays_by_support(
         rows, ncols)
 
 
@@ -194,6 +194,20 @@ def test_elimination_matches_the_row_reference_on_edge_cases():
         exact.kernel_basis([[1, 0.5]])
     with pytest.raises(ValueError):
         exact.kernel_basis([])
+
+
+def test_a_non_integer_entry_is_refused_not_truncated():
+    # Truncated, 2x - 1.5y = 0 would be solved as 2x - y = 0.
+    with pytest.raises(TypeError):
+        hilbert_basis(SolutionCone([[2, -1.5]]))
+
+
+def test_ragged_rows_are_refused_not_cut():
+    # Cut to two columns, the kernel would come back as (-2, 1, 0).
+    with pytest.raises(DimensionMismatch):
+        exact.kernel_basis([[1, 2, 3], [1, 2]])
+    with pytest.raises(DimensionMismatch):
+        SolutionCone([[1, 2, 3], [1, 2]])
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(8))

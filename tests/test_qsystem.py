@@ -95,7 +95,7 @@ def test_multiply_matches_dense_rows(p, q):
     rng = random.Random(1000 * p + q)
     for _ in range(5):
         v = [rng.randint(-5, 5) for _ in range(3 * p)]
-        assert matrix.multiply(v) == tuple(
+        assert matrix.residual(v) == tuple(
             sum(c * x for c, x in zip(row, v)) for row in matrix.rows)
     # The rows and the sparse columns are one system, and a restriction
     # is the dense cut of the rows.

@@ -123,3 +123,27 @@ def test_benchmark_imports_resolve():
                                    f"{ast.unparse(node)}")
     assert seen
     assert missing == []
+
+
+def test_cone_knows_nothing_of_lens_spaces():
+    # cone is the generic layer for sparse integer systems: it imports
+    # only the exact kit, the rays and the errors, and it reads no lens
+    # parameter; the quad block layout lives behind qsystem.QMatrix.
+    path = next(path for path in SOURCES if path.name == "cone.py")
+    siblings, reads = set(), []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("lensq")):
+            module = (node.module or "").removeprefix("lensq").lstrip(".")
+            siblings.update([module] if module
+                            else (alias.name for alias in node.names))
+        elif isinstance(node, ast.Import):
+            siblings.update(alias.name.removeprefix("lensq.")
+                            for alias in node.names
+                            if alias.name.startswith("lensq."))
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("p", "q", "block_shift")):
+            reads.append(f"cone.py:{node.lineno} .{node.attr}")
+    assert "exact" in siblings
+    assert siblings <= {"exact", "rays", "errors"}
+    assert reads == []

@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lensq.catalog import expected_for, fixtures
-from lensq.cone import square_fundamental_solutions
 from lensq.errors import (
     ArityMismatch,
     EmptyVector,
@@ -29,6 +28,7 @@ from lensq.qsystem import (
     is_q_solution,
     q_matrix,
     square_condition,
+    square_fundamental_solutions,
 )
 from lensq.surface import (
     FullCoordinates,
