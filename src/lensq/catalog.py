@@ -39,8 +39,10 @@ from .qsystem import (
     HALF_INTEGERS,
     INTEGERS,
     ZERO,
+    BasisCoefficients,
     basis_vectors,
     decompose,
+    expand,
     integrality_class,
     is_q_solution,
     q_matrix,
@@ -94,14 +96,11 @@ def half_odd_sphere_sum(tri: LensTriangulation):
     even p; alternates type-3 and type-2 blocks starting with type 3."""
     if tri.p % 2:
         raise NoExpectation("defined only for even p")
-    total = [0] * (3 * tri.p)
-    _, t_vecs = basis_vectors(tri)
-    for k in range(0, tri.p, 2):
-        for j, x in enumerate(t_vecs[k]):
-            total[j] += x
+    total = expand(tri, BasisCoefficients(
+        a=(0,) * tri.p, b=tuple(1 - k % 2 for k in range(tri.p))))
     if any(x % 2 for x in total):
         raise InternalInvariantError(
-            f"odd-index sphere sum is not even: {tuple(total)}")
+            f"odd-index sphere sum is not even: {total}")
     return tuple(x // 2 for x in total)
 
 
@@ -237,18 +236,15 @@ def verify_theorems(p: int, q: int, budget: Budget | None = None):
             "no quad-only fundamental with half-integer coefficients"))
 
     if q == 1 and p % 2 == 0 and p >= 4:
-        _, t_vecs = basis_vectors(tri)
         ok = True
         detail = "alternating vectors fundamental, non-vertex, doubling " \
                  "into sphere sums"
         for start, parity in ((2, 1), (3, 0)):
             v = alternating_vector(p, start)
             double = tuple(2 * x for x in v)
-            claimed = [0] * (3 * p)
-            for k in range(parity, p, 2):
-                for j, x in enumerate(t_vecs[k]):
-                    claimed[j] += x
-            if double != tuple(claimed):
+            claimed = expand(tri, BasisCoefficients(
+                a=(0,) * p, b=tuple(int(k % 2 == parity) for k in range(p))))
+            if double != claimed:
                 ok, detail = False, f"doubling identity failed for {v}"
                 break
             if v not in vectors:

@@ -20,8 +20,8 @@ import sys
 
 from . import __version__, catalog
 from .cone import Budget, hilbert_basis, is_fundamental
-from .errors import BudgetExceeded, LensQError
-from .qsystem import check_qvector, decompose, integrality_class, q_matrix
+from .errors import BudgetExceeded, DimensionMismatch, LensQError
+from .qsystem import decompose, integrality_class, q_matrix
 from .surface import classify, haken_matrix, surface_name
 from .triangulation import CORNER_NAMES, LensParams, build_triangulation
 
@@ -158,8 +158,11 @@ def cmd_classify(args) -> int:
     # Bad parameters, then a vector of the wrong length, are rejected
     # before anything of size p is built.
     params = LensParams(args.p, args.q)
-    vector = check_qvector(
-        parse_vector(args.vector, args.p, args.q, args.index), args.p)
+    vector = parse_vector(args.vector, args.p, args.q, args.index)
+    if len(vector) != 3 * args.p:
+        raise DimensionMismatch(
+            f"quad vector must have length 3p = {3 * args.p}, "
+            f"got {len(vector)}")
     tri = build_triangulation(params)
     matrix = q_matrix(tri)
     report = classify(tri, vector, matrix=matrix, budget=budget)
@@ -301,8 +304,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"error: budget exceeded: {exc}\n")
+    except (BudgetExceeded, MemoryError) as exc:
+        sys.stderr.write(
+            f"error: budget exceeded: {str(exc) or 'out of memory'}\n")
         return EXIT_BUDGET
     except LensQError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

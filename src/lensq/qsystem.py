@@ -70,22 +70,6 @@ HALF_INTEGERS = "Z+1/2"
 ZERO = "{0}"
 
 
-def check_qvector(v, p, require_nonneg=False):
-    """Validate a quad-coordinate vector and return it as a tuple."""
-    vec = tuple(v)
-    if len(vec) != 3 * p:
-        raise DimensionMismatch(
-            f"quad vector must have length 3p = {3 * p}, got {len(vec)}")
-    if require_nonneg and any(x < 0 for x in vec):
-        raise NegativeEntry(f"quad vector has a negative entry: {vec}")
-    return vec
-
-
-def block(v, i: int):
-    """Block i (1-based) of a quad vector: the three counts of tet i."""
-    return tuple(v[3 * (i - 1): 3 * i])
-
-
 class QMatrix(SolutionCone):
     """The (p+2) x 3p quad matching matrix, a SolutionCone held as 3p
     sparse columns.
@@ -111,11 +95,15 @@ class QMatrix(SolutionCone):
     @cached_property
     def rotations(self):
         """The p block rotations as a p x 3p column table: rotation k
-        reads column (c + 3k) mod 3p at position c.  The first read
-        checks that they permute the rows (``_block_rotation_guard``)."""
+        reads column (c + 3k) mod 3p at position c.  The table is a
+        read-only view of every third window over two copies of
+        0..3p-1, O(p) in memory.  The first read checks that the
+        rotations permute the rows (``_block_rotation_guard``)."""
         _block_rotation_guard(self)
-        return (np.arange(self.ncols)
-                + 3 * np.arange(self.p)[:, None]) % self.ncols
+        columns = np.arange(self.ncols)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((columns, columns)), self.ncols)
+        return windows[:self.ncols:3]
 
     def __repr__(self):
         return f"QMatrix(p={self.p}, q={self.q})"
@@ -150,15 +138,22 @@ def is_q_solution(matrix: QMatrix, v) -> bool:
     return matrix.is_solution(v)
 
 
+def _sphere_columns(tri: LensTriangulation, i: int):
+    """The four 0-based columns of the edge sphere t_i: type 3 in
+    blocks i and i+q-1, type 2 in blocks i-1 and i+q, a column repeated
+    where two of these blocks coincide."""
+    return (3 * tri.norm(i) - 1, 3 * tri.norm(i + tri.q - 1) - 1,
+            3 * tri.norm(i - 1) - 2, 3 * tri.norm(i + tri.q) - 2)
+
+
 def basis_vectors(tri: LensTriangulation):
     """The 2p solution-space basis vectors (s_1..s_p, t_1..t_p).
 
     s_i fills block i with (1,1,1); it solves the matching equations of
     any triangulation because the three columns of a block sum to zero.
     t_i is the quad coordinate of the small sphere surrounding the
-    slanted edge i: contributions (0,0,1) on blocks i and i+q-1 and
-    (0,1,0) on blocks i-1 and i+q, with coincident blocks accumulating
-    (for q = 1 this doubles into a (0,0,2) block).
+    slanted edge i (``_sphere_columns``), with coincident blocks
+    accumulating (for q = 1 this doubles into a (0,0,2) block).
     """
     p = tri.p
     s_list = []
@@ -168,10 +163,8 @@ def basis_vectors(tri: LensTriangulation):
         s[3 * (i - 1): 3 * i] = [1, 1, 1]
         s_list.append(tuple(s))
         t = [0] * (3 * p)
-        for blk in (i, i + tri.q - 1):
-            t[3 * (tri.norm(blk) - 1) + 2] += 1
-        for blk in (i - 1, i + tri.q):
-            t[3 * (tri.norm(blk) - 1) + 1] += 1
+        for c in _sphere_columns(tri, i):
+            t[c] += 1
         t_list.append(tuple(t))
     return tuple(s_list), tuple(t_list)
 
@@ -183,34 +176,24 @@ class BasisCoefficients:
     a: tuple
     b: tuple
 
-    @property
-    def p(self):
-        return len(self.a)
-
     def a_all_zero(self) -> bool:
         return not any(self.a)
 
 
 def expand(tri: LensTriangulation, coeffs: BasisCoefficients):
-    """The vector sum(a_i s_i) + sum(b_i t_i), block by block.
+    """The vector sum(a_i s_i) + sum(b_i t_i), in O(p).
 
     Block i of the result is
     (a_i, a_i + b_{i+1} + b_{i-q}, a_i + b_i + b_{i-q+1}).
     """
-    p, q = tri.p, tri.q
+    p = tri.p
     a, b = coeffs.a, coeffs.b
     if len(a) != p or len(b) != p:
         raise DimensionMismatch(f"need {p} coefficients of each kind")
-
-    def bb(k):
-        return b[tri.norm(k) - 1]
-
-    out = []
+    out = [x for x in a for _ in range(3)]
     for i in tri.tetrahedra:
-        ai = a[i - 1]
-        out.append(ai)
-        out.append(ai + bb(i + 1) + bb(i - q))
-        out.append(ai + bb(i) + bb(i - q + 1))
+        for c in _sphere_columns(tri, i):
+            out[c] += b[i - 1]
     return tuple(out)
 
 
@@ -223,12 +206,13 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
     a union-find with potentials joins these step-two differences into
     one class (p odd) or two (p even), and d_k pins each class, in O(p).
     The potentials stay in the input's own numbers; a and b come back
-    as Fractions.  Raises NotASolution when matrix . v != 0 and
-    SingularSystem if a class closes inconsistently or cannot be
-    pinned, which cannot happen for coprime parameters.
+    as Fractions.  Raises DimensionMismatch for a wrong length,
+    NotASolution when matrix . v != 0 and SingularSystem if a class
+    closes inconsistently or cannot be pinned, which cannot happen for
+    coprime parameters.
     """
     p, q = tri.p, tri.q
-    vec = check_qvector(v, p)
+    vec = tuple(v)
     if matrix is None:
         matrix = q_matrix(tri)
     if not matrix.is_solution(vec):
@@ -415,7 +399,7 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     lexicographic order.
     """
     budget = budget or Budget()
-    rotations = matrix.rotations.tolist()
+    rotations = matrix.rotations
     found = set()
     for columns, kernel in _necklace_kernels(matrix, budget):
         if not kernel:
@@ -424,10 +408,10 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
         # The rays come from the kernel in hand, not from the dense rows.
         pattern.extreme_rays = extreme_rays_of_kernel(kernel)
         for small in hilbert_basis(pattern, budget):
-            full = [0] * matrix.ncols
-            for c, value in zip(columns, small):
-                full[c] = value
-            found.update(tuple(full[c] for c in turn) for turn in rotations)
+            # An object array gathers the rotations as plain Python ints.
+            full = np.zeros(matrix.ncols, dtype=object)
+            full[columns] = small
+            found.update(tuple(full[turn]) for turn in rotations)
     return tuple(sorted(found, key=graded_lex_key))
 
 

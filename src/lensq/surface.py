@@ -27,6 +27,7 @@ with potentials ``triangulation.Potentials``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +35,14 @@ import numpy as np
 from .cone import Budget
 from .errors import (
     ArityMismatch,
+    BudgetExceeded,
     DimensionMismatch,
-    EmptyVector,
     InconsistentPropagation,
     InconsistentWeights,
-    NotASolution,
+    NegativeEntry,
     SquareConditionViolated,
 )
-from .qsystem import QMatrix, check_qvector, is_q_solution, q_matrix, square_condition
+from .qsystem import QMatrix, q_matrix, square_condition
 from .triangulation import (
     LOCAL_EDGES,
     QUAD_PAIRS,
@@ -65,15 +66,20 @@ class FullCoordinates:
     """A normal surface in full (trigon + quad) coordinates.
 
     ``entries`` is the flat 7p vector, tetrahedron-major, each block
-    being (t_top, t_bot, t_left, t_right, x_1, x_2, x_3).
+    being (t_top, t_bot, t_left, t_right, x_1, x_2, x_3).  Entries are
+    read with ``operator.index``, so a non-integer raises TypeError; a
+    wrong length raises DimensionMismatch and a negative entry
+    NegativeEntry.
     """
 
     def __init__(self, tri: LensTriangulation, entries):
-        entries = tuple(int(x) for x in entries)
+        entries = tuple(map(operator.index, entries))
         if len(entries) != SLOTS_PER_TET * tri.p:
             raise DimensionMismatch(
                 f"full coordinates need length 7p = {SLOTS_PER_TET * tri.p},"
                 f" got {len(entries)}")
+        if any(x < 0 for x in entries):
+            raise NegativeEntry("full coordinates have a negative entry")
         self.tri = tri
         self.entries = entries
 
@@ -140,14 +146,16 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     minimum zero.  A contradiction on a cycle is impossible for a
     matching solution and raises InconsistentPropagation as a guarded
     bug signal.
+
+    ``v`` is admitted by ``matrix.check_solution_vector``: a
+    non-integral entry or a failed matching equation raises
+    NotASolution, a wrong length DimensionMismatch, a negative entry
+    NegativeEntry and the zero vector EmptyVector.  Two quad types in
+    one tetrahedron then raise SquareConditionViolated.
     """
-    vec = check_qvector(v, tri.p, require_nonneg=True)
-    if not any(vec):
-        raise EmptyVector("cannot reconstruct a surface from the zero vector")
     if matrix is None:
         matrix = q_matrix(tri)
-    if not is_q_solution(matrix, vec):
-        raise NotASolution("quad vector violates the matching equations")
+    vec = matrix.check_solution_vector(v)
     if not square_condition(vec):
         raise SquareConditionViolated(
             "more than one quad type in a tetrahedron")
@@ -290,10 +298,15 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     6 * disk + LOCAL_EDGES index, and :func:`least_labels` gathers the
     crossings into surface vertices.  A ``budget``, if given, is
     charged the disk count before any array is made and its deadline
-    read once per labelling round.
+    read once per labelling round.  A surface too large for int64
+    crossing ids (6 per disk) raises BudgetExceeded, budget or not.
     """
+    total = full.total_disks()
     if budget is not None:
-        budget.check(full.total_disks(), what="normal disks")
+        budget.check(total, what="normal disks")
+    if 6 * total > np.iinfo(np.int64).max:
+        raise BudgetExceeded(
+            f"{total} normal disks cannot be indexed in int64")
     # Per glued corner: (tet, corner, quad type, quads ascend) for
     # sides a and b, then the LOCAL_EDGES indices of the two face edges
     # its arcs meet, side a then side b.
@@ -431,7 +444,7 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
             f"component Euler sum {total_euler} != cell count "
             f"{formula_euler}")
 
-    meets_cores_once, has_type23_quad = _criterion_parts(tri, v, weights)
+    meets_cores_once, has_type23_quad = _criterion_parts(tri, full, weights)
     return SurfaceReport(
         euler=total_euler,
         orientable=all(o for _, o in components),
@@ -442,11 +455,11 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     )
 
 
-def _criterion_parts(tri: LensTriangulation, v, weights):
+def _criterion_parts(tri: LensTriangulation, full: FullCoordinates, weights):
     """(crosses each core circle once, has a type-2 or type-3 quad)."""
-    vec = check_qvector(v, tri.p)
     return (weights["Ev"] == 1 and weights["Eh"] == 1,
-            any(vec[3 * i + 1] or vec[3 * i + 2] for i in range(tri.p)))
+            any(full.quads(tet, 2) or full.quads(tet, 3)
+                for tet in tri.tetrahedra))
 
 
 def haken_fundamental_criterion(tri: LensTriangulation, v,
@@ -461,7 +474,7 @@ def haken_fundamental_criterion(tri: LensTriangulation, v,
     forbids next to a type-2 or type-3 quad.
     """
     full = reconstruct_trigons(tri, v, matrix=matrix)
-    return all(_criterion_parts(tri, v, edge_weights(tri, full)))
+    return all(_criterion_parts(tri, full, edge_weights(tri, full)))
 
 
 def surface_name(euler: int, orientable: bool) -> str:

@@ -312,6 +312,29 @@ def test_classify_rejects_a_wrong_length_vector_before_building(
     assert capsys.readouterr().err.startswith("error: InvalidParams: ")
 
 
+def test_classify_huge_coordinates_exit_on_the_budget():
+    big = "100000000000000000000000"
+    result = run_cli("classify", "--p", "2", "--q", "1",
+                     "--vector", f"{big},0,0,{big},0,0",
+                     "--max-frontier", "1" + "0" * 36)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: budget exceeded: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_memory_error_is_reported_as_budget_exceeded(monkeypatch, capsys):
+    from lensq import cli
+
+    def exhaust(args):
+        raise MemoryError("Unable to allocate 55.9 GiB")
+
+    monkeypatch.setattr(cli, "cmd_enum", exhaust)
+    assert cli.main(["enum", "--p", "5", "--q", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "error: budget exceeded: Unable to allocate 55.9 GiB\n")
+
+
 def test_verify_pass_and_json():
     result = run_cli("verify", "--p", "3", "--q", "1")
     assert result.returncode == 0

@@ -494,6 +494,21 @@ def test_block_rotation_guard_runs_once_per_matrix(monkeypatch):
     assert SolutionCone(matrix).rotations is None
 
 
+def test_block_rotations_are_a_read_only_view_in_linear_memory():
+    # A p x 3p int64 table would take 206 MiB at (3000,7).
+    matrix = q_matrix(build_triangulation(3000, 7))
+    tracemalloc.start()
+    try:
+        rotations = matrix.rotations
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert rotations.shape == (3000, 9000)
+    assert not rotations.flags.writeable
+    assert list(rotations[2999, :6]) == [8997, 8998, 8999, 0, 1, 2]
+
+
 def test_broken_block_rotation_raises():
     matrix = q_matrix(build_triangulation(7, 2))
     columns = list(matrix.columns)

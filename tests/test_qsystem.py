@@ -134,7 +134,7 @@ def test_is_q_solution_examples():
         is_q_solution(matrix, (1, 2, 3))
 
 
-@pytest.mark.parametrize("p,q", coprime_pairs(7))
+@pytest.mark.parametrize("p,q", coprime_pairs(12))
 def test_basis_vectors_solve_and_span(p, q):
     tri = build_triangulation(p, q)
     matrix = q_matrix(tri)

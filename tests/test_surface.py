@@ -7,16 +7,19 @@ components, orientability, and the known topological answers.
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lensq.catalog import expected_for, fixtures
+from lensq.catalog import alternating_vector, expected_for, fixtures
 from lensq.errors import (
     ArityMismatch,
+    BudgetExceeded,
     EmptyVector,
+    NegativeEntry,
     NoExpectation,
     NotASolution,
     SquareConditionViolated,
@@ -113,6 +116,33 @@ def test_reconstruction_validation():
     s_vecs, _ = basis_vectors(tri)
     with pytest.raises(SquareConditionViolated):
         reconstruct_trigons(tri, s_vecs[0])
+
+
+def test_half_integer_vector_is_not_a_solution():
+    # Half the alternating vector solves the matching equations over Q
+    # but is not integral; truncating it would give the empty surface.
+    tri = build_triangulation(4, 1)
+    half = [Fraction(x, 2) for x in alternating_vector(4, 3)]
+    for admit in (reconstruct_trigons, classify, haken_fundamental_criterion):
+        with pytest.raises(NotASolution):
+            admit(tri, half)
+
+
+def test_full_coordinates_take_only_non_negative_integers():
+    tri = build_triangulation(4, 1)
+    with pytest.raises(TypeError):
+        FullCoordinates(tri, [0.5] * 28)
+    entries = list(reconstruct_trigons(tri, alternating_vector(4, 3)).entries)
+    entries[0] = -1
+    with pytest.raises(NegativeEntry):
+        FullCoordinates(tri, entries)
+
+
+def test_glue_disks_refuses_more_disks_than_int64_can_index():
+    tri = build_triangulation(2, 1)
+    full = reconstruct_trigons(tri, (10 ** 23, 0, 0) * 2)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        glue_disks(tri, full)
 
 
 @pytest.mark.parametrize("p,q", [(3, 1), (5, 2), (8, 3)])
