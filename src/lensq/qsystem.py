@@ -86,10 +86,16 @@ class QMatrix(SolutionCone):
         self.p = tri.p
         self.q = tri.q
         self.row_labels = tri.edge_classes
-        index = {label: r for r, label in enumerate(self.row_labels)}
-        self.columns = tuple(
-            tuple((index[label], s) for label, s in tri.quad_senses(i, j))
-            for i in tri.tetrahedra for j in QUAD_TYPES)
+        # Column (i, j) reads the rows of quad type j's sense template
+        # off row i of the slot edges.
+        by_type = []
+        for j in QUAD_TYPES:
+            template = tri.sense_template(j)
+            signs = [s for _, s in template]
+            rows = tri.slot_edges[:, [e for e, _ in template]].tolist()
+            by_type.append([tuple(zip(row, signs)) for row in rows])
+        self.columns = tuple(column for block in zip(*by_type)
+                             for column in block)
         self.nrows, self.ncols = len(self.row_labels), len(self.columns)
 
     @cached_property
@@ -112,20 +118,30 @@ class QMatrix(SolutionCone):
 def _block_rotation_guard(matrix):
     """Check that shifting every block by one tetrahedron permutes the
     matching equations of the QMatrix ``matrix``: column c + 3 must be
-    column c with row e_i renamed e_(i+1) (e_p to e_1) and rows Eh, Ev
-    left alone.  O(p).
+    column c, entry for entry, with row e_i renamed e_(i+1) (e_p to e_1)
+    and rows Eh, Ev left alone.  The columns are padded to one 3p x w x
+    2 array of (row, coefficient) pairs and compared at once, O(p).
 
     Raises InternalInvariantError when it does not hold.
     """
-    p = matrix.p
-    n = 3 * p
-    for c, entries in enumerate(matrix.columns):
-        shifted = sorted(((r + 1) % p if r < p else r, s)
-                         for r, s in entries)
-        if shifted != sorted(matrix.columns[(c + 3) % n]):
-            raise InternalInvariantError(
-                f"quad column {(c + 3) % n} is not column {c} shifted by "
-                f"one block for (p,q)=({p},{matrix.q})")
+    p, n = matrix.p, matrix.ncols
+    lengths = np.fromiter(map(len, matrix.columns), dtype=np.int64, count=n)
+    used = np.arange(lengths.max()) < lengths[:, None]
+    # Padding pairs name the row p + 2, which no rotation moves.
+    pairs = np.full(used.shape + (2,), p + 2, dtype=np.int64)
+    pairs[used] = np.fromiter(
+        (x for column in matrix.columns for pair in column for x in pair),
+        dtype=np.int64, count=2 * int(lengths.sum())).reshape(-1, 2)
+    shifted = pairs.copy()
+    rows = pairs[..., 0]
+    shifted[..., 0] = np.where(rows < p, (rows + 1) % p, rows)
+    wrong = np.flatnonzero(
+        (shifted != np.roll(pairs, -3, axis=0)).any(axis=(1, 2)))
+    if wrong.size:
+        c = int(wrong[0])
+        raise InternalInvariantError(
+            f"quad column {(c + 3) % n} is not column {c} shifted by "
+            f"one block for (p,q)=({p},{matrix.q})")
 
 
 def q_matrix(tri: LensTriangulation) -> QMatrix:
@@ -136,37 +152,6 @@ def q_matrix(tri: LensTriangulation) -> QMatrix:
 def is_q_solution(matrix: QMatrix, v) -> bool:
     """True iff matrix . v = 0 in exact arithmetic."""
     return matrix.is_solution(v)
-
-
-def _sphere_columns(tri: LensTriangulation, i: int):
-    """The four 0-based columns of the edge sphere t_i: type 3 in
-    blocks i and i+q-1, type 2 in blocks i-1 and i+q, a column repeated
-    where two of these blocks coincide."""
-    return (3 * tri.norm(i) - 1, 3 * tri.norm(i + tri.q - 1) - 1,
-            3 * tri.norm(i - 1) - 2, 3 * tri.norm(i + tri.q) - 2)
-
-
-def basis_vectors(tri: LensTriangulation):
-    """The 2p solution-space basis vectors (s_1..s_p, t_1..t_p).
-
-    s_i fills block i with (1,1,1); it solves the matching equations of
-    any triangulation because the three columns of a block sum to zero.
-    t_i is the quad coordinate of the small sphere surrounding the
-    slanted edge i (``_sphere_columns``), with coincident blocks
-    accumulating (for q = 1 this doubles into a (0,0,2) block).
-    """
-    p = tri.p
-    s_list = []
-    t_list = []
-    for i in tri.tetrahedra:
-        s = [0] * (3 * p)
-        s[3 * (i - 1): 3 * i] = [1, 1, 1]
-        s_list.append(tuple(s))
-        t = [0] * (3 * p)
-        for c in _sphere_columns(tri, i):
-            t[c] += 1
-        t_list.append(tuple(t))
-    return tuple(s_list), tuple(t_list)
 
 
 @dataclass(frozen=True)
@@ -190,11 +175,31 @@ def expand(tri: LensTriangulation, coeffs: BasisCoefficients):
     a, b = coeffs.a, coeffs.b
     if len(a) != p or len(b) != p:
         raise DimensionMismatch(f"need {p} coefficients of each kind")
-    out = [x for x in a for _ in range(3)]
-    for i in tri.tetrahedra:
-        for c in _sphere_columns(tri, i):
-            out[c] += b[i - 1]
+    k = np.arange(p)
+    after, below, below_after = (((k + shift) % p).tolist()
+                                 for shift in (1, -tri.q, 1 - tri.q))
+    out = []
+    for i, x in enumerate(a):
+        out += (x, x + b[after[i]] + b[below[i]],
+                x + b[i] + b[below_after[i]])
     return tuple(out)
+
+
+def basis_vectors(tri: LensTriangulation):
+    """The 2p solution-space basis vectors (s_1..s_p, t_1..t_p), each
+    the ``expand`` of a unit coefficient.
+
+    s_i fills block i with (1,1,1); it solves the matching equations of
+    any triangulation because the three columns of a block sum to zero.
+    t_i is the quad coordinate of the small sphere surrounding the
+    slanted edge i: type 3 in blocks i and i+q-1, type 2 in blocks i-1
+    and i+q, coincident blocks accumulating (for q = 1 this doubles
+    into a (0,0,2) block).
+    """
+    zero = (0,) * tri.p
+    units = [zero[:i] + (1,) + zero[i + 1:] for i in range(tri.p)]
+    return (tuple(expand(tri, BasisCoefficients(a=u, b=zero)) for u in units),
+            tuple(expand(tri, BasisCoefficients(a=zero, b=u)) for u in units))
 
 
 def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> BasisCoefficients:

@@ -44,6 +44,8 @@ from .errors import (
 )
 from .qsystem import QMatrix, q_matrix, square_condition
 from .triangulation import (
+    CORNER_TEMPLATE,
+    FACE_TEMPLATES,
     LOCAL_EDGES,
     QUAD_PAIRS,
     QUAD_TYPES,
@@ -60,6 +62,12 @@ SLOTS_PER_TET = 7
 # LOCAL_EDGES index of the edge joining two corners, in either order.
 EDGE_INDEX = {(u, v): k for k, edge in enumerate(LOCAL_EDGES)
               for u in edge for v in edge if u != v}
+# Per local edge, the four slots of a tetrahedron's block that cross
+# it: the trigons at its two ends and the two quad types not parallel
+# to it.
+WEIGHT_SLOTS = tuple(
+    (*sorted(edge), *(3 + j for j in QUAD_TYPES if j != PAIR_TO_QUAD[edge]))
+    for edge in LOCAL_EDGES)
 
 
 class FullCoordinates:
@@ -92,11 +100,6 @@ class FullCoordinates:
     def total_disks(self) -> int:
         return sum(self.entries)
 
-    def arcs(self, tet: int, corner: int, qtype: int) -> int:
-        """Arcs cutting off ``corner`` in a face of ``tet`` whose corner
-        quad type is ``qtype``: one per trigon there, one per quad."""
-        return self.trigons(tet, corner) + self.quads(tet, qtype)
-
     def __eq__(self, other):
         return (isinstance(other, FullCoordinates)
                 and self.entries == other.entries)
@@ -105,9 +108,20 @@ class FullCoordinates:
         return f"FullCoordinates(p={self.tri.p}, q={self.tri.q})"
 
 
+def _corner_slots(tri: LensTriangulation):
+    """Per glued face corner (row of ``tri.corner_table``), the entries
+    of a full coordinate vector whose arcs meet there: four lists of
+    positions, (trigon a, quad a, trigon b, quad b)."""
+    tet_a, za, qa, tet_b, zb, qb = tri.corner_table.T
+    return ((SLOTS_PER_TET * tet_a + za).tolist(),
+            (SLOTS_PER_TET * tet_a + 4 + qa).tolist(),
+            (SLOTS_PER_TET * tet_b + zb).tolist(),
+            (SLOTS_PER_TET * tet_b + 4 + qb).tolist())
+
+
 def haken_matrix(tri: LensTriangulation):
     """The 6p x 7p full matching matrix, the dense form of
-    ``tri.corner_gluings`` for display: one row per glued face corner.
+    ``tri.corner_table`` for display: one row per glued face corner.
 
     Row blocks follow the face-class order (vertical then cone faces),
     with one row per corner of the first side, corners ascending.  Each
@@ -117,11 +131,12 @@ def haken_matrix(tri: LensTriangulation):
     """
     n = SLOTS_PER_TET * tri.p
     rows = []
-    for _, side_a, side_b in tri.corner_gluings:
+    for trigon_a, quad_a, trigon_b, quad_b in zip(*_corner_slots(tri)):
         row = [0] * n
-        for (tet, corner, qtype), sign in ((side_a, 1), (side_b, -1)):
-            row[SLOTS_PER_TET * (tet - 1) + corner] += sign
-            row[SLOTS_PER_TET * (tet - 1) + 3 + qtype] += sign
+        row[trigon_a] += 1
+        row[quad_a] += 1
+        row[trigon_b] -= 1
+        row[quad_b] -= 1
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -129,8 +144,10 @@ def haken_matrix(tri: LensTriangulation):
 def haken_residual(tri: LensTriangulation, full: FullCoordinates):
     """``haken_matrix(tri)`` applied to ``full.entries``, one entry per
     glued face corner, without building the matrix."""
-    return tuple(full.arcs(*side_a) - full.arcs(*side_b)
-                 for _, side_a, side_b in tri.corner_gluings)
+    e = full.entries
+    return tuple(e[trigon_a] + e[quad_a] - e[trigon_b] - e[quad_b]
+                 for trigon_a, quad_a, trigon_b, quad_b
+                 in zip(*_corner_slots(tri)))
 
 
 def reconstruct_trigons(tri: LensTriangulation, v,
@@ -138,7 +155,7 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     """Fill in trigon counts for a quad solution with the square
     condition, normalized to have no trivial component.
 
-    Each glued face corner z of ``tri.corner_gluings`` imposes
+    Each glued face corner z of ``tri.corner_table`` imposes
     t(z) + x(quad at z) = t(z') + x(quad at z'), one difference between
     two trigon levels in a union-find with potentials.  That fixes all
     trigon counts up to one constant per vertex class, which the
@@ -160,19 +177,19 @@ def reconstruct_trigons(tri: LensTriangulation, v,
         raise SquareConditionViolated(
             "more than one quad type in a tetrahedron")
 
-    def quad_count(tet, qtype):
-        return vec[3 * (tet - 1) + (qtype - 1)]
-
     # Corner node 4(tet-1)+c; its potential is the trigon level, which
     # steps by the quad count here minus the quad count there across
     # each glued corner.
+    tet_a, za, qa, tet_b, zb, qb = tri.corner_table.T
     levels = Potentials(4 * tri.p)
-    for _, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
-        step = quad_count(tet_a, qa) - quad_count(tet_b, qb)
-        if not levels.union(4 * (tet_a - 1) + za, 4 * (tet_b - 1) + zb,
-                            step):
+    for x, y, quad_a, quad_b in zip((4 * tet_a + za).tolist(),
+                                    (4 * tet_b + zb).tolist(),
+                                    (3 * tet_a + qa).tolist(),
+                                    (3 * tet_b + qb).tolist()):
+        if not levels.union(x, y, vec[quad_a] - vec[quad_b]):
             raise InconsistentPropagation(
-                f"corner {(tet_b, zb)} got contradictory trigon levels")
+                f"corner {(y // 4 + 1, y % 4)} got contradictory trigon "
+                f"levels")
     level = [levels.find(node)[1] for node in range(4 * tri.p)]
     for corner_class in levels.classes():
         shift = min(level[node] for node in corner_class)
@@ -180,9 +197,9 @@ def reconstruct_trigons(tri: LensTriangulation, v,
             level[node] -= shift
 
     entries = []
-    for tet in tri.tetrahedra:
-        entries.extend(level[4 * (tet - 1): 4 * tet])
-        entries.extend(quad_count(tet, j) for j in QUAD_TYPES)
+    for tet in range(tri.p):
+        entries += level[4 * tet: 4 * tet + 4]
+        entries += vec[3 * tet: 3 * tet + 3]
     full = FullCoordinates(tri, entries)
     if any(haken_residual(tri, full)):
         raise InconsistentPropagation(
@@ -195,22 +212,20 @@ def edge_weights(tri: LensTriangulation, full: FullCoordinates):
 
     Every (tetrahedron, local edge) slot of a class must report the
     same value: the two trigon counts at the edge's ends plus the two
-    quad types not parallel to it.
+    quad types not parallel to it (``WEIGHT_SLOTS``).
     """
-    weights = {}
-    for label in tri.edge_classes:
-        values = set()
-        for tet, local_edge in tri.edge_slots(label):
-            u, v = sorted(local_edge)
-            w = full.trigons(tet, u) + full.trigons(tet, v)
-            parallel = PAIR_TO_QUAD[local_edge]
-            w += sum(full.quads(tet, j) for j in QUAD_TYPES if j != parallel)
-            values.add(w)
-        if len(values) != 1:
-            raise InconsistentWeights(
-                f"edge {label} slots disagree: {sorted(values)}")
-        weights[label] = values.pop()
-    return weights
+    e = full.entries
+    slots = (SLOTS_PER_TET * np.arange(tri.p)[:, None, None]
+             + np.array(WEIGHT_SLOTS)).reshape(-1, 4).tolist()
+    weights = [None] * len(tri.edge_classes)
+    for r, (t, u, x, y) in zip(tri.slot_edges.ravel().tolist(), slots):
+        w = e[t] + e[u] + e[x] + e[y]
+        if weights[r] is None:
+            weights[r] = w
+        elif weights[r] != w:
+            raise InconsistentWeights(f"edge {tri.edge_classes[r]} slots "
+                                      f"disagree: {sorted((weights[r], w))}")
+    return dict(zip(tri.edge_classes, weights))
 
 
 def euler_characteristic(tri: LensTriangulation, full: FullCoordinates) -> int:
@@ -221,7 +236,9 @@ def euler_characteristic(tri: LensTriangulation, full: FullCoordinates) -> int:
 
 def _cell_euler(tri, full, weights):
     """``euler_characteristic`` given the surface's edge weights."""
-    arcs = sum(full.arcs(*side_a) for _, side_a, _ in tri.corner_gluings)
+    trigon_a, quad_a, _, _ = _corner_slots(tri)
+    e = full.entries
+    arcs = sum(map(e.__getitem__, trigon_a)) + sum(map(e.__getitem__, quad_a))
     return sum(weights.values()) - arcs + full.total_disks()
 
 
@@ -254,9 +271,9 @@ def _side_runs(first, tet, corner, j, ascending):
     one row per corner.  Quad copies run toward the corner (step 1)
     when it lies on the first side of the quad's partition
     (``ascending``) and away from it (step -1) otherwise."""
-    slot = SLOTS_PER_TET * (tet - 1)
+    slot = SLOTS_PER_TET * tet
     t0, t1 = first[slot + corner], first[slot + corner + 1]
-    q0, q1 = first[slot + 3 + j], first[slot + 4 + j]
+    q0, q1 = first[slot + 4 + j], first[slot + 5 + j]
     return (np.stack((t0, np.where(ascending, q0, q1 - 1)), axis=1),
             np.stack((t1 - t0, q1 - q0), axis=1),
             np.stack((np.ones_like(t0), 2 * ascending - 1), axis=1))
@@ -284,6 +301,25 @@ def _arc_array(side_a, side_b):
     return np.stack((da, db, flip_a ^ flip_b), axis=1)
 
 
+def _glue_table(tri: LensTriangulation):
+    """The 6p x 12 int64 table ``glue_disks`` reads, one row per glued
+    corner (row of ``tri.corner_table``): (tet, corner, quad type,
+    quads ascend) for sides a and b, tetrahedra and quad types from 0,
+    then the LOCAL_EDGES indices of the two face edges its arcs meet,
+    side a then side b.  Everything but the tetrahedra is a constant of
+    the corner's face template."""
+    constants = np.array([
+        (za in QUAD_PAIRS[qa + 1][0], zb in QUAD_PAIRS[qb + 1][0],
+         *(x for ya, yb in FACE_TEMPLATES[r // 3][3] if ya != za
+           for x in (EDGE_INDEX[za, ya], EDGE_INDEX[zb, yb])))
+        for r, (za, qa, zb, qb) in enumerate(CORNER_TEMPLATE)])
+    per_corner = np.tile(constants.reshape(2, 1, 18), (1, tri.p, 1))
+    per_corner = per_corner.reshape(-1, 6)
+    table = tri.corner_table
+    return np.concatenate((table[:, :3], per_corner[:, :1], table[:, 3:],
+                           per_corner[:, 1:]), axis=1)
+
+
 def glue_disks(tri: LensTriangulation, full: FullCoordinates,
                budget: Budget | None = None) -> DiskGraph:
     """Number the disk copies and glue their arcs across every face.
@@ -291,10 +327,10 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     At a glued corner the arcs are matched in nesting order: trigon
     copies sit nearest the vertex, quad copies follow, and parallel
     quad copies run toward or away from the corner according to which
-    side of the quad's partition the corner lies on.  One pass over the
-    6p glued corners reads their slots and face edges as integers;
-    array passes turn them into the arcs.  Each arc also glues its
-    disks' crossings with the face's two other edges, node
+    side of the quad's partition the corner lies on.  The glued
+    corners' slots and face edges come as one integer table
+    (``_glue_table``); array passes turn them into the arcs.  Each arc
+    also glues its disks' crossings with the face's two other edges, node
     6 * disk + LOCAL_EDGES index, and :func:`least_labels` gathers the
     crossings into surface vertices.  A ``budget``, if given, is
     charged the disk count before any array is made and its deadline
@@ -307,17 +343,7 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     if 6 * total > np.iinfo(np.int64).max:
         raise BudgetExceeded(
             f"{total} normal disks cannot be indexed in int64")
-    # Per glued corner: (tet, corner, quad type, quads ascend) for
-    # sides a and b, then the LOCAL_EDGES indices of the two face edges
-    # its arcs meet, side a then side b.
-    table = []
-    for face, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
-        table += (tet_a, za, qa, za in QUAD_PAIRS[qa][0],
-                  tet_b, zb, qb, zb in QUAD_PAIRS[qb][0])
-        for ya, yb in face.corners():
-            if ya != za:
-                table += (EDGE_INDEX[za, ya], EDGE_INDEX[zb, yb])
-    table = np.array(table, dtype=np.int64).reshape(-1, 12)
+    table = _glue_table(tri)
     counts = np.array(full.entries, dtype=np.int64)
     first = np.concatenate(([0], np.cumsum(counts)))
     side_a = _side_runs(first, *table[:, 0:4].T)
@@ -338,13 +364,11 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     disks = np.repeat(np.arange(len(counts)), counts)
     # Edge class index of local edge e of tetrahedron tet at
     # 6 (tet - 1) + e.
-    edge_index = {label: k for k, label in enumerate(tri.edge_classes)}
-    slot_edges = np.array([edge_index[tri.edge_of(tet, edge)]
-                           for tet in tri.tetrahedra for edge in LOCAL_EDGES])
+    slot_edges = tri.slot_edges.ravel()
     vertex_edges = slot_edges[6 * (disks[vertices // 6] // SLOTS_PER_TET)
                               + vertices % 6]
     # Sanity: one crossing point shows up once per slot around its edge.
-    degrees = np.array([tri.edge_degree(label) for label in tri.edge_classes])
+    degrees = np.bincount(slot_edges, minlength=len(tri.edge_classes))
     wrong = np.flatnonzero(sizes != degrees[vertex_edges])
     if wrong.size:
         k = vertex_edges[wrong[0]]
@@ -458,8 +482,8 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
 def _criterion_parts(tri: LensTriangulation, full: FullCoordinates, weights):
     """(crosses each core circle once, has a type-2 or type-3 quad)."""
     return (weights["Ev"] == 1 and weights["Eh"] == 1,
-            any(full.quads(tet, 2) or full.quads(tet, 3)
-                for tet in tri.tetrahedra))
+            any(full.entries[5::SLOTS_PER_TET])
+            or any(full.entries[6::SLOTS_PER_TET]))
 
 
 def haken_fundamental_criterion(tri: LensTriangulation, v,

@@ -29,6 +29,24 @@ from this module's incidence data, so conventions are centralized here:
   of the Q-matching equations, Tollefson, "Normal surface Q-theory",
   1998);
 * a face of a tetrahedron is named by its opposite corner.
+
+Tetrahedron k meets only k +- 1 and k +- q, so the incidence is two
+read-only int64 tables in closed form, built with numpy up front.
+Their indices are 0-based: tetrahedron k is row k - 1, quad type j is
+j - 1, and edge class r is ``edge_classes[r]`` (e_i, then Eh, Ev).
+
+* ``slot_edges`` (p x 6), the edge class of each local edge in
+  ``LOCAL_EDGES`` order: row k is (Ev, Eh, k, k+1, k-q, k+1-q) mod p.
+* ``corner_table`` (6p x 6), one glued face corner per row: (tet a,
+  corner a, quad a, tet b, corner b, quad b), the quad type being the
+  one whose arc cuts off that corner in that face.  Face V_k glues
+  tetrahedron k-1 to k and H_k glues k to k+q, each by a three-row
+  template (``FACE_TEMPLATES``): rows V_1..V_p, then H_1..H_p.
+
+A quad type's senses are one template over the local edges
+(``sense_template``), since which edges of a row coincide depends on p
+and q only.  ``face_classes`` and ``corner_gluings`` are views of the
+tables made on each read, for display and error messages.
 """
 
 from __future__ import annotations
@@ -62,12 +80,21 @@ QUAD_PAIRS = {
 PAIR_TO_QUAD = {pair: j for j, pairs in QUAD_PAIRS.items() for pair in pairs}
 QUAD_TYPES = (1, 2, 3)
 
-
-def quad_type_at_corner(face: int, corner: int) -> int:
-    """The quad type whose arc cuts off ``corner`` in the face opposite
-    ``face``.  It is the type pairing the corner with the off-face
-    vertex, which is the face's own label."""
-    return PAIR_TO_QUAD[frozenset((corner, face))]
+# The face templates: (label prefix, face of side a, face of side b,
+# (corner a, corner b) pairs by corner a, mirror).  V_k is the RIGHT
+# face of tetrahedron k and the LEFT face of k-1; H_k glues the upper
+# cone face of k, pole to pole reversed, onto the lower one of k+q.
+FACE_TEMPLATES = (
+    ("V", LEFT, RIGHT, ((TOP, TOP), (BOT, BOT), (RIGHT, LEFT)), False),
+    ("H", BOT, TOP, ((TOP, BOT), (LEFT, LEFT), (RIGHT, RIGHT)), True),
+)
+# Their six corner rows, V then H: (corner a, quad a, corner b, quad b),
+# quad types from 0.  The quad type that cuts off a corner in a face
+# pairs the corner with the face's off vertex, the face's own label.
+CORNER_TEMPLATE = tuple(
+    (za, PAIR_TO_QUAD[frozenset((za, fa))] - 1,
+     zb, PAIR_TO_QUAD[frozenset((zb, fb))] - 1)
+    for _, fa, fb, pairs, _ in FACE_TEMPLATES for za, zb in pairs)
 
 
 class Potentials:
@@ -196,20 +223,31 @@ class LensTriangulation:
     """Immutable incidence model of the p-tetrahedron triangulation.
 
     Construct via :func:`build_triangulation`.  All query methods are
-    pure; instances can be shared freely across threads.
+    pure; instances can be shared freely across threads.  The incidence
+    is held as the read-only index tables ``slot_edges`` and
+    ``corner_table`` (see the module docstring).
     """
 
     def __init__(self, params: LensParams):
         self.params = params
-        self.p = params.p
-        self.q = params.q
-        self.tetrahedra = tuple(range(1, self.p + 1))
+        p, q = self.p, self.q = params.p, params.q
+        self.tetrahedra = tuple(range(1, p + 1))
         # Row / reporting order of the edge classes: e_1 .. e_p, Eh, Ev.
         self.edge_classes = tuple(
             [f"e{i}" for i in self.tetrahedra] + ["Eh", "Ev"])
-        self._faces = self._build_face_classes()
-        self._edge_slots = self._build_edge_slots()
-        self.corner_gluings = self._build_corner_gluings()
+        k = np.arange(p)
+        slot_edges = np.empty((p, 6), dtype=np.int64)
+        slot_edges[:, 0], slot_edges[:, 1] = p + 1, p
+        slot_edges[:, 2:] = (k[:, None] + (0, 1, -q, 1 - q)) % p
+        # Face template f glues tetrahedron k + shift_a to k + shift_b.
+        table = np.empty((2, p, 3, 6), dtype=np.int64)
+        table[..., [1, 2, 4, 5]] = np.reshape(CORNER_TEMPLATE, (2, 1, 3, 4))
+        for f, (shift_a, shift_b) in enumerate(((-1, 0), (0, q))):
+            table[f, :, :, 0] = ((k + shift_a) % p)[:, None]
+            table[f, :, :, 3] = ((k + shift_b) % p)[:, None]
+        self.slot_edges, self.corner_table = slot_edges, table.reshape(-1, 6)
+        for array in (self.slot_edges, self.corner_table):
+            array.flags.writeable = False
 
     # -- index helpers ---------------------------------------------------
 
@@ -238,69 +276,45 @@ class LensTriangulation:
         pole to an equator corner is e_{tet + [RIGHT] - q [BOT]}."""
         if local_edge not in LOCAL_EDGES:
             raise ValueError(f"not a local edge: {local_edge!r}")
-        if TOP in local_edge and BOT in local_edge:
-            return "Ev"
-        if LEFT in local_edge and RIGHT in local_edge:
-            return "Eh"
-        return self.edge_label(tet + (RIGHT in local_edge)
-                               - self.q * (BOT in local_edge))
-
-    def _build_edge_slots(self):
-        slots = {label: [] for label in self.edge_classes}
-        for tet in self.tetrahedra:
-            for local_edge in LOCAL_EDGES:
-                slots[self.edge_of(tet, local_edge)].append((tet, local_edge))
-        return {label: tuple(v) for label, v in slots.items()}
+        return self.edge_classes[self.slot_edges[
+            (tet - 1) % self.p, LOCAL_EDGES.index(local_edge)]]
 
     def edge_slots(self, label: str):
-        """All (tetrahedron, local edge) slots of one edge class."""
-        return self._edge_slots[label]
+        """All (tetrahedron, local edge) slots of one edge class,
+        tetrahedron-major."""
+        row = self.edge_classes.index(label)
+        slots = np.flatnonzero(self.slot_edges.ravel() == row)
+        return tuple((s // 6 + 1, LOCAL_EDGES[s % 6]) for s in slots.tolist())
 
     def edge_degree(self, label: str) -> int:
-        return len(self._edge_slots[label])
-
-    def _build_face_classes(self):
-        faces = []
-        # Vertical face k spans the axis and equator vertex k; it is the
-        # RIGHT-opposite face of tet k and the LEFT-opposite face of the
-        # preceding tetrahedron.
-        for k in self.tetrahedra:
-            prev = self.norm(k - 1)
-            faces.append(FaceClass(
-                label=f"V{k}",
-                sides=((prev, LEFT), (k, RIGHT)),
-                vertex_map={TOP: TOP, BOT: BOT, RIGHT: LEFT},
-                mirror=False,
-            ))
-        # The upper cone face of tet k is glued, pole to pole reversed,
-        # onto the lower cone face of tet k+q.
-        for k in self.tetrahedra:
-            faces.append(FaceClass(
-                label=f"H{k}",
-                sides=((k, BOT), (self.norm(k + self.q), TOP)),
-                vertex_map={TOP: BOT, LEFT: LEFT, RIGHT: RIGHT},
-                mirror=True,
-            ))
-        return tuple(faces)
+        row = self.edge_classes.index(label)
+        return int(np.count_nonzero(self.slot_edges == row))
 
     @property
     def face_classes(self):
-        return self._faces
+        """The 2p glued faces, V_1..V_p then H_1..H_p, as FaceClass
+        objects made from ``corner_table`` on each read."""
+        p = self.p
+        faces = []
+        for f, (tet_a, tet_b) in enumerate(
+                self.corner_table[::3, [0, 3]].tolist()):
+            prefix, face_a, face_b, pairs, mirror = FACE_TEMPLATES[f >= p]
+            faces.append(FaceClass(
+                label=f"{prefix}{f % p + 1}",
+                sides=((tet_a + 1, face_a), (tet_b + 1, face_b)),
+                vertex_map=dict(pairs), mirror=mirror))
+        return tuple(faces)
 
-    def _build_corner_gluings(self):
-        """One entry per glued face corner, 6p in all: the rows of the
-        full matching system.  Each is (face class, side a, side b), a
-        side being (tetrahedron, corner, quad type whose arc cuts off
-        that corner in that face).  Face-class order, corners of the
-        first side ascending."""
-        gluings = []
-        for face in self._faces:
-            (tet_a, fa), (tet_b, fb) = face.sides
-            for za, zb in face.corners():
-                gluings.append((face,
-                                (tet_a, za, quad_type_at_corner(fa, za)),
-                                (tet_b, zb, quad_type_at_corner(fb, zb))))
-        return tuple(gluings)
+    @property
+    def corner_gluings(self):
+        """The rows of ``corner_table`` as (face class, side a, side b),
+        a side being (tetrahedron, corner, quad type) numbered from 1,
+        made on each read for display and error messages."""
+        faces = self.face_classes
+        return tuple(
+            (faces[g // 3], (ta + 1, za, qa + 1), (tb + 1, zb, qb + 1))
+            for g, (ta, za, qa, tb, zb, qb)
+            in enumerate(self.corner_table.tolist()))
 
     def vertex_classes(self):
         """Partition of the 4p local corners into vertex classes, built
@@ -310,9 +324,11 @@ class LensTriangulation:
         For any coprime (p,q) there are exactly two classes, the pole
         class and the equator class.
         """
+        table = self.corner_table
         corners = Potentials(4 * self.p)
-        for _, (tet_a, za, _), (tet_b, zb, _) in self.corner_gluings:
-            corners.union(4 * (tet_a - 1) + za, 4 * (tet_b - 1) + zb)
+        for x, y in zip((4 * table[:, 0] + table[:, 1]).tolist(),
+                        (4 * table[:, 3] + table[:, 4]).tolist()):
+            corners.union(x, y)
         return tuple(tuple((node // 4 + 1, node % 4) for node in cls)
                      for cls in corners.classes())
 
@@ -327,31 +343,34 @@ class LensTriangulation:
         """The four local edges a quad of type (i,j) crosses, with their
         edge classes."""
         pair_a, pair_b = QUAD_PAIRS[j]
-        out = []
-        for u in pair_a:
-            for v in pair_b:
-                le = frozenset((u, v))
-                out.append((le, self.edge_of(i, le)))
-        return out
+        return [(edge, self.edge_of(i, edge)) for edge in
+                (frozenset((u, v)) for u in pair_a for v in pair_b)]
 
     # -- senses ----------------------------------------------------------
 
-    def sense_contributions(self, i: int, j: int):
-        """Signed unit contributions of quad type (i,j) to the edge
-        balance, one per crossed edge, before coincident edge classes
-        are merged.
+    def sense_template(self, j: int):
+        """Net sense of quad type j in every tetrahedron k, as (local
+        edge, coefficient) pairs, the edge class being ``slot_edges[k -
+        1, local edge]``.
 
         A quad of type j crosses the four local edges of the other two
         types' partition pairs.  In the cyclic order 1 -> 2 -> 3 -> 1
         it counts +1 on the pair of the next type, j % 3 + 1, and -1 on
-        the pair of the remaining type.
+        the pair of the remaining type.  Local edges of one class (q =
+        1, q = p - 1, p = 2) merge onto the first and zeros are dropped;
+        which entries of a ``slot_edges`` row coincide depends on p and
+        q only, so row 0 decides for all rows.
         """
         if j not in QUAD_PAIRS:
             raise ValueError(f"quad type must be 1, 2 or 3, got {j}")
-        plus = j % 3 + 1
-        return tuple((self.edge_of(i, edge),
-                      1 if PAIR_TO_QUAD[edge] == plus else -1)
-                     for edge in LOCAL_EDGES if PAIR_TO_QUAD[edge] != j)
+        rows = self.slot_edges[0].tolist()
+        first, net = {}, {}
+        for e, edge in enumerate(LOCAL_EDGES):
+            if PAIR_TO_QUAD[edge] != j:
+                lead = first.setdefault(rows[e], e)
+                net[lead] = net.get(lead, 0) + (
+                    1 if PAIR_TO_QUAD[edge] == j % 3 + 1 else -1)
+        return tuple((e, s) for e, s in net.items() if s)
 
     def quad_senses(self, i: int, j: int):
         """Net sense of quad type (i, j) at each edge class it meets, as
@@ -361,14 +380,13 @@ class LensTriangulation:
         produce the +-2 entries of the matching matrix and p = 2 the
         cancellations.
         """
-        net = {}
-        for label, s in self.sense_contributions(i, j):
-            net[label] = net.get(label, 0) + s
-        return tuple((label, s) for label, s in net.items() if s)
+        row = self.slot_edges[(i - 1) % self.p].tolist()
+        return tuple((self.edge_classes[row[e]], s)
+                     for e, s in self.sense_template(j))
 
     def sense(self, edge: str, quad: tuple[int, int]) -> int:
         """Net sense of quad type ``quad = (i, j)`` at an edge class."""
-        if edge not in self._edge_slots:
+        if edge not in self.edge_classes:
             raise ValueError(f"unknown edge class {edge!r}")
         return dict(self.quad_senses(*quad)).get(edge, 0)
 

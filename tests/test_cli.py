@@ -150,6 +150,17 @@ def test_enum_budget_holds_at_large_p():
     assert time.monotonic() - start < 10
 
 
+def test_enum_budget_holds_through_the_set_up_at_p_50000():
+    # The triangulation, the quad columns and the block rotation guard
+    # are built by array passes, so the first budget read comes soon.
+    start = time.monotonic()
+    result = run_cli("enum", "--p", "50000", "--q", "3", "--max-seconds", "1")
+    assert result.returncode == 3
+    assert result.stderr == (
+        "error: budget exceeded: search exceeded 1.0 seconds\n")
+    assert time.monotonic() - start < 2.5
+
+
 def test_enum_budget_is_read_before_the_completion_set_up():
     # At p=800 the first necklace reaches the completion with 800
     # columns; its set-up must not hold the deadline back.

@@ -48,9 +48,11 @@ from lensq.surface import (
 from lensq.triangulation import (
     LOCAL_EDGES,
     QUAD_PAIRS,
+    QUAD_TYPES,
     Potentials,
     build_triangulation,
 )
+from test_triangulation import reference_corner_gluings, reference_edge_slots
 
 
 def coprime_pairs(max_p):
@@ -145,6 +147,68 @@ def test_glue_disks_refuses_more_disks_than_int64_can_index():
         glue_disks(tri, full)
 
 
+def reference_surface_passes(tri, v, perturbed):
+    """Trigon levels, edge weights, full residual (of ``perturbed``
+    full entries) and the cell Euler count of quad vector ``v``,
+    computed one corner gluing and one edge slot at a time in Python
+    ints, from the per-slot reference builders."""
+    gluings = reference_corner_gluings(tri)
+    levels = Potentials(4 * tri.p)
+    for _, (tet_a, za, qa), (tet_b, zb, qb) in gluings:
+        assert levels.union(4 * (tet_a - 1) + za, 4 * (tet_b - 1) + zb,
+                            v[3 * tet_a + qa - 4] - v[3 * tet_b + qb - 4])
+    level = [levels.find(node)[1] for node in range(4 * tri.p)]
+    for corner_class in levels.classes():
+        shift = min(level[node] for node in corner_class)
+        for node in corner_class:
+            level[node] -= shift
+    entries = []
+    for tet in range(tri.p):
+        entries += level[4 * tet: 4 * tet + 4] + list(v[3 * tet: 3 * tet + 3])
+
+    def arcs(values, tet, corner, qtype):
+        return values[7 * tet - 7 + corner] + values[7 * tet - 4 + qtype]
+
+    weights = {}
+    for label, slots in reference_edge_slots(tri).items():
+        found = {sum(entries[7 * tet - 7 + c] for c in edge)
+                 + sum(entries[7 * tet - 4 + j] for j in QUAD_TYPES
+                       if edge not in QUAD_PAIRS[j])
+                 for tet, edge in slots}
+        (weights[label],) = found
+    residual = tuple(arcs(perturbed, *side_a) - arcs(perturbed, *side_b)
+                     for _, side_a, side_b in gluings)
+    euler = (sum(weights.values()) + sum(entries)
+             - sum(arcs(entries, *side_a) for _, side_a, _ in gluings))
+    return tuple(entries), weights, residual, euler
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (8, 3)])
+def test_table_passes_are_exact_at_huge_scale(p, q):
+    # Entries near 10^23 overflow int64, so any int64 on the way to
+    # these values would show.
+    tri = build_triangulation(p, q)
+    if (p, q) == (2, 1):
+        v = (0, 1, 0, 0, 0, 1)  # a projective plane
+    else:
+        v = next(f.vector for f in fixtures()
+                 if (f.params.p, f.params.q) == (p, q)
+                 and f.has("q-fundamental"))
+    scale = 10 ** 23
+    v = tuple(scale * x for x in v)
+    perturbed = [scale * 7 + 3 * k * k for k in range(7 * p)]
+    entries, weights, residual, euler = reference_surface_passes(
+        tri, v, perturbed)
+    full = reconstruct_trigons(tri, v)
+    found = (full.entries, edge_weights(tri, full),
+             haken_residual(tri, FullCoordinates(tri, perturbed)),
+             euler_characteristic(tri, full))
+    assert found == (entries, weights, residual, euler)
+    assert any(residual) and max(entries) >= scale
+    for value in (*found[0], *found[1].values(), *found[2], found[3]):
+        assert type(value) is int
+
+
 @pytest.mark.parametrize("p,q", [(3, 1), (5, 2), (8, 3)])
 def test_reconstruction_has_no_trivial_component(p, q):
     tri = build_triangulation(p, q)
@@ -188,8 +252,9 @@ def test_disk_graph_counts_arcs_and_vertices(p, q):
         full = reconstruct_trigons(tri, tuple(2 * x for x in t))
         graph = glue_disks(tri, full)
         assert len(graph.disks) == full.total_disks()
-        assert len(graph.arcs) == sum(full.arcs(*side_a)
-                                      for _, side_a, _ in tri.corner_gluings)
+        assert len(graph.arcs) == sum(
+            full.trigons(tet, corner) + full.quads(tet, qtype)
+            for _, (tet, corner, qtype), _ in tri.corner_gluings)
         assert len(graph.vertices) == sum(edge_weights(tri, full).values())
         assert len(graph.vertex_edges) == len(graph.vertices)
 

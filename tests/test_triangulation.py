@@ -1,6 +1,10 @@
 """
 Tests for the triangulation combinatorics: parameter validation, face
 and edge incidence, vertex classes, and the sense tables.
+
+The closed-form index tables are checked against per-slot reference
+builders kept here: one face class, edge slot, corner gluing and sense
+contribution at a time.
 """
 
 import math
@@ -11,13 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensq.errors import InvalidParams
+from lensq.qsystem import q_matrix
+from lensq.surface import EDGE_INDEX, _glue_table
 from lensq.triangulation import (
     BOT,
     CORNERS,
     LEFT,
     LOCAL_EDGES,
+    PAIR_TO_QUAD,
+    QUAD_PAIRS,
+    QUAD_TYPES,
     RIGHT,
     TOP,
+    FaceClass,
     LensParams,
     Potentials,
     build_triangulation,
@@ -30,6 +40,138 @@ from lensq.triangulation import (
 def coprime_pairs(max_p):
     return [(p, q) for p in range(2, max_p + 1) for q in range(1, p)
             if math.gcd(p, q) == 1]
+
+
+# ----------------------------------------------- per-slot reference
+
+def reference_edge_of(tri, tet, local_edge):
+    """Edge class of a local edge, from its corners alone."""
+    if TOP in local_edge and BOT in local_edge:
+        return "Ev"
+    if LEFT in local_edge and RIGHT in local_edge:
+        return "Eh"
+    return tri.edge_label(tet + (RIGHT in local_edge)
+                          - tri.q * (BOT in local_edge))
+
+
+def reference_edge_slots(tri):
+    slots = {label: [] for label in tri.edge_classes}
+    for tet in tri.tetrahedra:
+        for local_edge in LOCAL_EDGES:
+            slots[reference_edge_of(tri, tet, local_edge)].append(
+                (tet, local_edge))
+    return {label: tuple(v) for label, v in slots.items()}
+
+
+def reference_face_classes(tri):
+    faces = []
+    for k in tri.tetrahedra:
+        faces.append(FaceClass(
+            label=f"V{k}",
+            sides=((tri.norm(k - 1), LEFT), (k, RIGHT)),
+            vertex_map={TOP: TOP, BOT: BOT, RIGHT: LEFT},
+            mirror=False,
+        ))
+    for k in tri.tetrahedra:
+        faces.append(FaceClass(
+            label=f"H{k}",
+            sides=((k, BOT), (tri.norm(k + tri.q), TOP)),
+            vertex_map={TOP: BOT, LEFT: LEFT, RIGHT: RIGHT},
+            mirror=True,
+        ))
+    return tuple(faces)
+
+
+def reference_corner_gluings(tri):
+    """(face class, side a, side b) per glued face corner, a side being
+    (tetrahedron, corner, quad type cutting off that corner there): the
+    type pairing the corner with the off-face vertex, the face's own
+    label."""
+    gluings = []
+    for face in reference_face_classes(tri):
+        (tet_a, fa), (tet_b, fb) = face.sides
+        for za, zb in face.corners():
+            gluings.append((face,
+                            (tet_a, za, PAIR_TO_QUAD[frozenset((za, fa))]),
+                            (tet_b, zb, PAIR_TO_QUAD[frozenset((zb, fb))])))
+    return tuple(gluings)
+
+
+def sense_contributions(tri, i, j):
+    """Signed unit contributions of quad type (i,j), one per crossed
+    local edge, before coincident edge classes are merged: +1 on the
+    pair of type j % 3 + 1 and -1 on the pair of the remaining type."""
+    plus = j % 3 + 1
+    return tuple((reference_edge_of(tri, i, edge),
+                  1 if PAIR_TO_QUAD[edge] == plus else -1)
+                 for edge in LOCAL_EDGES if PAIR_TO_QUAD[edge] != j)
+
+
+def reference_quad_senses(tri, i, j):
+    net = {}
+    for label, s in sense_contributions(tri, i, j):
+        net[label] = net.get(label, 0) + s
+    return tuple((label, s) for label, s in net.items() if s)
+
+
+def reference_columns(tri):
+    index = {label: r for r, label in enumerate(tri.edge_classes)}
+    return tuple(
+        tuple((index[label], s)
+              for label, s in reference_quad_senses(tri, i, j))
+        for i in tri.tetrahedra for j in QUAD_TYPES)
+
+
+def reference_glue_table(tri):
+    """The table ``glue_disks`` reads, one glued corner at a time."""
+    table = []
+    gluings = reference_corner_gluings(tri)
+    for face, (tet_a, za, qa), (tet_b, zb, qb) in gluings:
+        table += (tet_a - 1, za, qa - 1, za in QUAD_PAIRS[qa][0],
+                  tet_b - 1, zb, qb - 1, zb in QUAD_PAIRS[qb][0])
+        for ya, yb in face.corners():
+            if ya != za:
+                table += (EDGE_INDEX[za, ya], EDGE_INDEX[zb, yb])
+    return np.array(table, dtype=np.int64).reshape(-1, 12)
+
+
+def assert_tables_match_reference(p, q):
+    tri = build_triangulation(p, q)
+    index = {label: r for r, label in enumerate(tri.edge_classes)}
+    assert tri.slot_edges.tolist() == [
+        [index[reference_edge_of(tri, tet, edge)] for edge in LOCAL_EDGES]
+        for tet in tri.tetrahedra]
+    gluings = reference_corner_gluings(tri)
+    assert tri.corner_table.tolist() == [
+        [tet_a - 1, za, qa - 1, tet_b - 1, zb, qb - 1]
+        for _, (tet_a, za, qa), (tet_b, zb, qb) in gluings]
+    assert tri.corner_gluings == gluings
+    assert tri.face_classes == reference_face_classes(tri)
+    # Tuple for tuple and in entry order: exact.push_column reads them.
+    assert q_matrix(tri).columns == reference_columns(tri)
+    slots = reference_edge_slots(tri)
+    for label in tri.edge_classes:
+        assert tri.edge_slots(label) == slots[label]
+        assert tri.edge_degree(label) == len(slots[label])
+    assert np.array_equal(_glue_table(tri), reference_glue_table(tri))
+
+
+def test_tables_match_the_per_slot_reference_below_forty():
+    for p, q in coprime_pairs(39):
+        assert_tables_match_reference(p, q)
+
+
+@pytest.mark.parametrize("p,q", [(418, 153), (998, 11), (1000, 7)])
+def test_tables_match_the_per_slot_reference_at_large_p(p, q):
+    assert_tables_match_reference(p, q)
+
+
+def test_tables_are_read_only():
+    tri = build_triangulation(7, 3)
+    for table in (tri.slot_edges, tri.corner_table):
+        assert table.dtype == np.int64
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 # ---------------------------------------------------------------- params
@@ -202,7 +344,7 @@ def test_sense_contributions_match_crossed_edges(p, q):
     for i in tri.tetrahedra:
         for j in (1, 2, 3):
             contributed = sorted(label for label, _ in
-                                 tri.sense_contributions(i, j))
+                                 sense_contributions(tri, i, j))
             crossed = sorted(label for _, label in
                              tri.quad_crossed_edges(i, j))
             assert contributed == crossed
@@ -211,7 +353,8 @@ def test_sense_contributions_match_crossed_edges(p, q):
 def hand_sense_table(tri, i, j):
     """The sense contributions of quad (i,j) written out by hand, one
     branch per quad type: the reference the one-rule
-    ``sense_contributions`` is checked against."""
+    ``sense_contributions`` is checked against, which in turn checks
+    ``quad_senses`` and the QMatrix columns."""
     q = tri.q
     e = tri.edge_label
     return {
@@ -226,14 +369,19 @@ def test_sense_rule_matches_hand_table_below_forty():
         tri = build_triangulation(p, q)
         for i in tri.tetrahedra:
             for j in (1, 2, 3):
-                assert sorted(tri.sense_contributions(i, j)) == \
+                assert sorted(sense_contributions(tri, i, j)) == \
                     sorted(hand_sense_table(tri, i, j)), (p, q, i, j)
+                assert tri.quad_senses(i, j) == \
+                    reference_quad_senses(tri, i, j), (p, q, i, j)
 
 
 @pytest.mark.parametrize("j", [0, 4, -1])
 def test_sense_contributions_reject_bad_type(j):
+    tri = build_triangulation(5, 2)
     with pytest.raises(ValueError):
-        build_triangulation(5, 2).sense_contributions(1, j)
+        tri.quad_senses(1, j)
+    with pytest.raises(ValueError):
+        tri.sense("e1", (1, j))
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(7))
