@@ -29,7 +29,9 @@ before any set-up, and A^T A is built from the sparse columns.  On a
 cone with ``rotations`` the completion runs on their orbits: each
 level holds one representative per orbit, the rotation with the least
 key, and every new solution enters the minimal set with all its
-rotations, so the frontier cap counts representatives.
+rotations, so the frontier cap counts representatives.  A unimodular
+simplicial cone skips the completion: a lattice certificate on its
+extreme rays (``exact.maximal_minor_gcd``) shows they are the basis.
 
 Alongside the enumerator there are direct, definition-level tests:
 ``is_fundamental`` settles a vertex by the gcd of its entries and runs
@@ -173,9 +175,10 @@ class SolutionCone:
     def check_solution_vector(self, v):
         """Validate a candidate: non-negative, non-zero, integral,
         solves A v = 0.  Returns the tuple form."""
-        vec = tuple(int(x) for x in v)
-        if any(int(x) != x for x in v):
+        values = tuple(v)
+        if any(int(x) != x for x in values):
             raise NotASolution("vector must be integral")
+        vec = tuple(map(int, values))
         if len(vec) != self.ncols:
             raise DimensionMismatch(
                 f"vector length {len(vec)} != {self.ncols} columns")
@@ -425,9 +428,14 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     representatives.  Every other cone has the identity alone and runs
     the same steps with no rotation work.
 
-    The budget is read before any set-up, A and A^T A are built from
-    the sparse columns (``_dense``), and a cone with a single extreme
-    ray returns that ray without a completion.
+    The budget is read before any set-up, and A and A^T A are built
+    from the sparse columns (``_dense``).  A unimodular simplicial cone
+    needs no completion: when the k extreme rays are linearly
+    independent and the gcd of their k x k minors is 1
+    (``exact.maximal_minor_gcd``), they span every lattice point of
+    their span, so they are the Hilbert basis.  A single primitive ray
+    is the case k = 1.  A cone with more rays than columns is not
+    simplicial and goes straight to the completion.
 
     Returns a tuple sorted in graded lexicographic order.  Raises
     BudgetExceeded rather than truncating.
@@ -438,9 +446,10 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     if n == 0:
         return ()
     rays = cone.extreme_rays
-    if len(rays) < 2:
-        # A pointed cone with at most one extreme ray is that ray's
-        # half-line, whose only minimal solution is the primitive ray.
+    if len(rays) <= n and exact.maximal_minor_gcd(rays) == 1:
+        # The rays are independent and a basis of the lattice points of
+        # their span, so every solution, a non-negative real combination
+        # of them, is a non-negative integer one.
         return tuple(rays)
     bound = [sum(column) for column in zip(*rays)]
     if max(bound) > _SAFE_MAGNITUDE:

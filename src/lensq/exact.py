@@ -20,6 +20,10 @@ a search over column sets that share prefixes, such as the necklace
 tree of ``qsystem.square_fundamental_solutions``, extends a prefix's
 state by one push and takes it back by truncating the list.  Dense
 rows enter through one converter, ``sparse_columns``.
+
+Apart from it, ``maximal_minor_gcd`` runs one small column-Hermite
+elimination: the lattice index of a few independent vectors, which
+lets ``cone.hilbert_basis`` certify a unimodular simplicial cone.
 """
 
 from __future__ import annotations
@@ -83,6 +87,50 @@ def push_column(pivots, column):
         u = {key: -x for key, x in u.items()}
     pivots.append((row, u))
     return None
+
+
+def _bezout(a, b):
+    """``(g, x, y)`` with a x + b y = g, g a gcd of a and b (its sign
+    may be either)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        quotient, remainder = divmod(a, b)
+        a, b = b, remainder
+        x0, x1 = x1, x0 - quotient * x1
+        y0, y1 = y1, y0 - quotient * y1
+    return a, x0, y0
+
+
+def maximal_minor_gcd(rows) -> int:
+    """The gcd of the k x k minors of the k x n integer matrix ``rows``:
+    0 when its rank is below k (or k > n), 1 for no rows.
+
+    A column-Hermite elimination: row i's entries in the columns from i
+    on are folded into column i by unimodular 2 x 2 column steps, which
+    leave the gcd of the maximal minors unchanged, until the matrix is
+    lower triangular with zeros right of column k - 1.  Its only
+    non-zero maximal minor is then the product of the diagonal.
+    """
+    k = len(rows)
+    columns = [list(column) for column in zip(*rows)]
+    if k > len(columns):
+        return 0
+    det = 1
+    for i in range(k):
+        for j in range(i + 1, len(columns)):
+            b = columns[j][i]
+            if b:
+                a = columns[i][i]
+                g, x, y = _bezout(a, b)
+                a, b = a // g, b // g
+                # The step [[x, -b], [y, a]] has determinant a x + b y = 1.
+                columns[i], columns[j] = (
+                    [x * u + y * v for u, v in zip(columns[i], columns[j])],
+                    [a * v - b * u for u, v in zip(columns[i], columns[j])])
+        det *= columns[i][i]
+        if not det:
+            return 0
+    return abs(det)
 
 
 def sparse_columns(rows, ncols=None):

@@ -17,21 +17,25 @@ b-coefficients, the package's one gluing structure), and classifies
 the integrality pattern of the coefficients.
 
 The triangulation is a cyclic chain, so shifting every block by one
-tetrahedron permutes the matching equations: ``QMatrix.rotations``
-tabulates the p block rotations and checks this exactly on its first
-read.  The square-condition fundamentals are the union of the Hilbert
-bases of the 3^p one-type-per-block pattern subcones, each a
-restriction to p columns.  ``square_fundamental_solutions`` solves
-one pattern per rotation orbit (the orbit's lexicographically least
-rotation, a 3-ary necklace) and rotates each answer into every block
-position.  The necklaces are walked as the leaves of the prenecklace
-tree (Fredricksen-Kessler-Maiorana), depth first and without
-recursion, in the spirit of Burton and Ozlen's tree traversal: each
-tree node pushes one pattern column onto its parent's column-by-column
-exact elimination (``exact.push_column``), so a prefix shared by many
-patterns is eliminated once, and the budget is read at every node.  A
-full-rank necklace is skipped; the others pass their kernel basis to
-the double description and the completion.
+tetrahedron permutes the matching equations, and so does reflecting
+the blocks, i -> -i with the quad types kept: ``QMatrix.rotations``
+tabulates the p block rotations and ``QMatrix.reflection`` the
+reflection, and one guard (``_symmetry_guard``) checks each exactly on
+its first read.  The square-condition fundamentals are the union of
+the Hilbert bases of the 3^p one-type-per-block pattern subcones, each
+a restriction to p columns.  ``square_fundamental_solutions`` solves
+one pattern per dihedral orbit (a 3-ary necklace whose reflected orbit
+has no smaller necklace) and moves each answer into every block
+position, reflected and not.  The necklaces are walked as the leaves
+of the prenecklace tree (Fredricksen-Kessler-Maiorana), depth first
+and without recursion, in the spirit of Burton and Ozlen's tree
+traversal: each tree node pushes one pattern column onto its parent's
+column-by-column exact elimination (``exact.push_column``), so a
+prefix shared by many patterns is eliminated once, and the budget is
+read at every node.  A full-rank necklace is skipped; the others pass
+their kernel basis to the double description and to
+``cone.hilbert_basis``, which settles a unimodular simplicial pattern
+cone by its rays and completes the rest.
 ``brute_force_minimal_solutions`` re-derives small Hilbert bases from a
 coefficient grid over the solution-space basis, independently of the
 completion algorithm.
@@ -42,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -79,7 +84,8 @@ class QMatrix(SolutionCone):
     non-zero ``(row, coefficient)`` pairs of column c, at most four
     since a quad meets four edges.  The dense ``rows``, the extreme
     rays, ``residual`` and ``restrict`` are the SolutionCone's own;
-    ``rotations``, the block rotations, is the QMatrix's.
+    ``rotations`` and ``reflection``, the block symmetries, are the
+    QMatrix's.
     """
 
     def __init__(self, tri: LensTriangulation):
@@ -103,45 +109,72 @@ class QMatrix(SolutionCone):
         """The p block rotations as a p x 3p column table: rotation k
         reads column (c + 3k) mod 3p at position c.  The table is a
         read-only view of every third window over two copies of
-        0..3p-1, O(p) in memory.  The first read checks that the
-        rotations permute the rows (``_block_rotation_guard``)."""
-        _block_rotation_guard(self)
+        0..3p-1, O(p) in memory.  The first read checks that the block
+        shift c -> c + 3 renames the rows e_r -> e_(r+1)
+        (``_symmetry_guard``)."""
         columns = np.arange(self.ncols)
+        e = np.arange(self.p)
+        _symmetry_guard(self, "block shift", np.roll(columns, -3),
+                        (e + 1) % self.p)
         windows = np.lib.stride_tricks.sliding_window_view(
             np.concatenate((columns, columns)), self.ncols)
         return windows[:self.ncols:3]
+
+    @cached_property
+    def reflection(self):
+        """The block reflection as a 3p column permutation: position
+        (i, t) reads column (-i mod p, t); it is its own inverse.  The
+        first read checks that it renames the rows e_r -> e_(1-q-r),
+        indices from 0 and mod p (``_symmetry_guard``)."""
+        blocks = -np.arange(self.p) % self.p
+        table = (3 * blocks[:, None] + np.arange(3)).ravel()
+        _symmetry_guard(self, "block reflection", table,
+                        (1 - self.q - np.arange(self.p)) % self.p)
+        table.flags.writeable = False
+        return table
 
     def __repr__(self):
         return f"QMatrix(p={self.p}, q={self.q})"
 
 
-def _block_rotation_guard(matrix):
-    """Check that shifting every block by one tetrahedron permutes the
-    matching equations of the QMatrix ``matrix``: column c + 3 must be
-    column c, entry for entry, with row e_i renamed e_(i+1) (e_p to e_1)
-    and rows Eh, Ev left alone.  The columns are padded to one 3p x w x
-    2 array of (row, coefficient) pairs and compared at once, O(p).
+def _symmetry_guard(matrix, name, image, rename):
+    """Check that the column permutation c -> ``image[c]`` permutes the
+    matching equations of the QMatrix ``matrix``: column image[c] must
+    be column c with each row e_r renamed e_(rename[r]) and rows Eh, Ev
+    left alone.  Then the permuted vector of a solution is again a
+    solution.  The columns are padded to one 3p x w x 2 array of (row,
+    coefficient) pairs, each column sorted by row, and compared at
+    once, O(p).
 
-    Raises InternalInvariantError when it does not hold.
+    Raises InternalInvariantError, naming the symmetry, when it does not
+    hold.
     """
     p, n = matrix.p, matrix.ncols
-    lengths = np.fromiter(map(len, matrix.columns), dtype=np.int64, count=n)
-    used = np.arange(lengths.max()) < lengths[:, None]
-    # Padding pairs name the row p + 2, which no rotation moves.
-    pairs = np.full(used.shape + (2,), p + 2, dtype=np.int64)
-    pairs[used] = np.fromiter(
-        (x for column in matrix.columns for pair in column for x in pair),
-        dtype=np.int64, count=2 * int(lengths.sum())).reshape(-1, 2)
-    shifted = pairs.copy()
-    rows = pairs[..., 0]
-    shifted[..., 0] = np.where(rows < p, (rows + 1) % p, rows)
+    width = max(map(len, matrix.columns))
+    # Padding pairs name the row p + 2, which no renaming moves and
+    # which sorts after every real row.
+    pad = ((p + 2, p + 2),)
+    pairs = np.fromiter(
+        chain.from_iterable(chain.from_iterable(
+            column + pad * (width - len(column))
+            for column in matrix.columns)),
+        dtype=np.int64, count=2 * n * width).reshape(n, width, 2)
+
+    def by_row(table):
+        order = np.argsort(table[..., 0], axis=1, kind="stable")
+        return np.take_along_axis(table, order[..., None], axis=1)
+
+    pairs = by_row(pairs)
+    renamed = pairs.copy()
+    renamed[..., 0] = np.concatenate((rename, np.arange(p, p + 3)))[
+        pairs[..., 0]]
     wrong = np.flatnonzero(
-        (shifted != np.roll(pairs, -3, axis=0)).any(axis=(1, 2)))
+        (by_row(renamed) != pairs[image]).any(axis=(1, 2)))
     if wrong.size:
         c = int(wrong[0])
         raise InternalInvariantError(
-            f"quad column {(c + 3) % n} is not column {c} shifted by "
-            f"one block for (p,q)=({p},{matrix.q})")
+            f"quad column {int(image[c])} is not the {name} of column {c} "
+            f"for (p,q)=({p},{matrix.q})")
 
 
 def q_matrix(tri: LensTriangulation) -> QMatrix:
@@ -340,6 +373,28 @@ def _prenecklaces(p, k):
         lyndon = i + 1
 
 
+def _least_rotation(word):
+    """The lexicographically least rotation of ``word``, as a list, in
+    O(len(word)) comparisons: two candidate starts i < j race along the
+    doubled word, and on the first mismatch after k equal letters the
+    larger candidate moves past those k + 1 starts, none of which can
+    begin the least rotation."""
+    n = len(word)
+    doubled = list(word) * 2
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        i, j, k = min(i, j), max(i, j) + (i == j), 0
+    return doubled[i:i + n]
+
+
 def _necklace_kernels(matrix, budget):
     """The kernel basis of every necklace pattern of the QMatrix
     ``matrix``, found along the prenecklace tree.
@@ -390,17 +445,23 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     Shifting every block by one tetrahedron maps column c to column
     c + 3 and, as the first read of ``matrix.rotations`` checks exactly
     (InternalInvariantError otherwise), renames the rows e_i -> e_(i+1)
-    while fixing Eh and Ev.  A row permutation keeps every solution
-    set, so the rotation of a pattern's Hilbert basis is the Hilbert
-    basis of the rotated pattern.  Only one pattern per rotation orbit
-    is solved, the orbit's necklace, and each of its basis elements
-    enters the result with all p rotations.
+    while fixing Eh and Ev.  Reflecting the blocks, (i, t) -> (-i, t),
+    renames them e_r -> e_(1-q-r) (from 0, mod p), as the first read of
+    ``matrix.reflection`` checks.  A row permutation keeps every
+    solution set, so the image of a pattern's Hilbert basis is the
+    Hilbert basis of the image pattern.  Only one pattern per dihedral
+    orbit is solved: a necklace is skipped when the least rotation of
+    its reversed word, the necklace of its reflected orbit, is smaller,
+    since that one came first in the walk.  Each basis element enters
+    the result with all p rotations of itself and of its reflection.
 
     The necklaces and their kernel bases come from one walk of the
     prenecklace tree (``_necklace_kernels``), so necklaces that share a
-    prefix share its elimination.  A full-rank necklace is skipped;
-    every other one hands its kernel basis straight to the double
-    description and runs the completion.  Returns a tuple in graded
+    prefix share its elimination.  A full-rank necklace is skipped
+    before its reflection is looked at; every other one hands its
+    kernel basis straight to the double description and to
+    ``hilbert_basis``, which returns the rays of a unimodular
+    simplicial cone without a completion.  Returns a tuple in graded
     lexicographic order.
     """
     budget = budget or Budget()
@@ -409,14 +470,24 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     for columns, kernel in _necklace_kernels(matrix, budget):
         if not kernel:
             continue  # a full-rank pattern: its only solution is zero
+        word = [c % 3 for c in columns]
+        mirror = _least_rotation(word[::-1])
+        if mirror < word:
+            continue  # its reflected orbit's necklace came first
         pattern = matrix.restrict(columns)
         # The rays come from the kernel in hand, not from the dense rows.
         pattern.extreme_rays = extreme_rays_of_kernel(kernel)
+        # The reflection is read, and so checked, at its first use.
+        reflection = matrix.reflection
         for small in hilbert_basis(pattern, budget):
-            # An object array gathers the rotations as plain Python ints.
+            # An object array gathers the images as plain Python ints.
             full = np.zeros(matrix.ncols, dtype=object)
             full[columns] = small
-            found.update(tuple(full[turn]) for turn in rotations)
+            # A word whose reflected orbit is its own has the reflected
+            # basis among the rotations of its basis.
+            images = (full,) if mirror == word else (full, full[reflection])
+            for image in images:
+                found.update(tuple(image[turn]) for turn in rotations)
     return tuple(sorted(found, key=graded_lex_key))
 
 

@@ -7,8 +7,10 @@ deduplication and sparse dense set-up against plain numpy references,
 its memory peak, the box-search minimality test and its vertex
 shortcut, the support-rank vertex test against bounded search and
 against the exact extreme rays, the rotation-orbit pattern search
-against the plain 3^p pattern loop, its necklace representatives and
-symmetry guard, and budget/determinism behaviour.
+against the plain 3^p pattern loop, its necklace and bracelet
+representatives and symmetry guards, the lattice certificate for
+unimodular cones against a box search, and budget/determinism
+behaviour.
 """
 
 import itertools
@@ -22,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lensq import cone as cone_module
+from lensq import exact
 from lensq import qsystem as qsystem_module
 from lensq.catalog import alternating_vector
 from lensq.cone import (
@@ -47,8 +51,10 @@ from lensq.errors import (
     NotASolution,
 )
 from lensq.qsystem import (
-    _block_rotation_guard,
+    _least_rotation,
+    _necklace_kernels,
     _prenecklaces,
+    _symmetry_guard,
     basis_vectors,
     brute_force_minimal_solutions,
     q_matrix,
@@ -194,6 +200,48 @@ def test_single_ray_cone_is_its_primitive_ray():
     cone = SolutionCone([(2, -1, 0), (0, 1, -2)])
     assert cone.extreme_rays == ((1, 2, 1),)
     assert hilbert_basis(cone) == ((1, 2, 1),)
+
+
+def test_certificate_refuses_a_cone_of_lattice_index_two():
+    # The rays (0,2,1) and (2,0,1) are independent, but their 2 x 2
+    # minors 4, 2, -2 share the factor 2: (1,1,1) lies between them.
+    cone = SolutionCone([[1, 1, -2]])
+    assert cone.extreme_rays == ((0, 2, 1), (2, 0, 1))
+    assert exact.maximal_minor_gcd(cone.extreme_rays) == 2
+    assert hilbert_basis(cone) == ((0, 2, 1), (1, 1, 1), (2, 0, 1))
+
+
+def test_certificate_settles_a_unimodular_cone_without_completion(
+        monkeypatch):
+    cone = SolutionCone([[1, 1, -1]])
+    assert cone.extreme_rays == ((0, 1, 1), (1, 0, 1))
+    monkeypatch.setattr(cone_module, "_dense", None)  # no completion
+    assert hilbert_basis(cone) == ((0, 1, 1), (1, 0, 1))
+
+
+def box_oracle(cone):
+    """Definition-level Hilbert basis: the minimal non-zero solutions
+    in the box spanned by the extreme rays."""
+    box = [sum(ray[j] for ray in cone.extreme_rays)
+           for j in range(cone.ncols)]
+    return minimal_elements(
+        s for s in _box_solutions(cone, box, Budget(**UNLIMITED)) if any(s))
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(7))
+def test_certified_pattern_bases_match_the_box_search(p, q):
+    # Every necklace pattern with a non-zero kernel whose rays pass the
+    # certificate: the rays must be the whole box-search basis.
+    matrix = q_matrix(build_triangulation(p, q))
+    certified = 0
+    for columns, kernel in _necklace_kernels(matrix, Budget()):
+        pattern = matrix.restrict(columns)
+        rays = pattern.extreme_rays
+        if (kernel and len(rays) <= p
+                and exact.maximal_minor_gcd(rays) == 1):
+            certified += 1
+            assert hilbert_basis(pattern) == rays == box_oracle(pattern)
+    assert certified
 
 
 # ----------------------------------------------------- orbit completion
@@ -380,11 +428,13 @@ def test_orbit_search_matches_every_pattern(p, q):
             == square_fundamentals_of_every_pattern(matrix))
 
 
-@pytest.mark.parametrize("p,q,orbits", [(7, 2, 66), (8, 3, 437)])
+@pytest.mark.parametrize("p,q,orbits", [(7, 2, 47), (8, 3, 272)])
 def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
                                                    orbits):
-    # Only the necklaces (315 at (7,2), 834 at (8,3)) with a non-zero
-    # kernel reach the completion; every other one is full rank.
+    # Of the necklaces (315 at (7,2), 834 at (8,3)) only those with a
+    # non-zero kernel and no smaller necklace in their reflected orbit
+    # reach hilbert_basis; every other one is full rank or the
+    # reflection of one that was solved.
     calls = []
     solve = qsystem_module.hilbert_basis
 
@@ -402,7 +452,11 @@ def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
         pattern = matrix.restrict([3 * i + t for i, t in enumerate(word)])
         if necklace and pattern.columns not in solved:
             skipped += 1
-            assert reference_rank(pattern.rows) == p
+            mirror = _least_rotation(word[::-1])
+            assert (reference_rank(pattern.rows) == p
+                    or mirror < word and matrix.restrict(
+                        [3 * i + t for i, t in enumerate(mirror)]
+                    ).columns in solved)
     assert skipped + orbits == {7: 315, 8: 834}[p]
 
 
@@ -473,22 +527,37 @@ def test_necklaces_are_one_per_rotation_orbit(p):
 
 def test_block_rotation_guard_holds_below_forty():
     for p, q in coprime_pairs(39):
-        _block_rotation_guard(q_matrix(build_triangulation(p, q)))
+        q_matrix(build_triangulation(p, q)).rotations
+
+
+def test_block_reflection_guard_holds_below_forty():
+    pairs = coprime_pairs(39)
+    assert len(pairs) == 473
+    for p, q in pairs:
+        reflection = q_matrix(build_triangulation(p, q)).reflection
+        assert list(reflection) == [3 * (-i % p) + t for i in range(p)
+                                    for t in range(3)]
+        assert not reflection.flags.writeable
 
 
 def test_block_rotation_guard_runs_once_per_matrix(monkeypatch):
+    # The raw completion reads the rotations only; the pattern search
+    # reads the reflection too, each guarded on its first read.
     calls = []
-    guard = qsystem_module._block_rotation_guard
+    guard = qsystem_module._symmetry_guard
 
-    def counted(matrix):
-        calls.append(matrix)
-        guard(matrix)
+    def counted(matrix, name, *args):
+        calls.append((matrix, name))
+        guard(matrix, name, *args)
 
-    monkeypatch.setattr(qsystem_module, "_block_rotation_guard", counted)
+    monkeypatch.setattr(qsystem_module, "_symmetry_guard", counted)
     matrix = q_matrix(build_triangulation(4, 1))
+    hilbert_basis(matrix)
+    assert calls == [(matrix, "block shift")]
+    square_fundamental_solutions(matrix)
     square_fundamental_solutions(matrix)
     hilbert_basis(matrix)
-    assert calls == [matrix]
+    assert calls == [(matrix, "block shift"), (matrix, "block reflection")]
     assert [list(turn) for turn in matrix.rotations] == [
         [(c + 3 * k) % 12 for c in range(12)] for k in range(4)]
     assert SolutionCone(matrix).rotations is None
@@ -507,6 +576,118 @@ def test_block_rotations_are_a_read_only_view_in_linear_memory():
     assert rotations.shape == (3000, 9000)
     assert not rotations.flags.writeable
     assert list(rotations[2999, :6]) == [8997, 8998, 8999, 0, 1, 2]
+
+
+def tampered_on_every_first_column(p, q):
+    """The (p,q) QMatrix with the first entry of every type-0 column
+    doubled: still invariant under the block shift, as every block is
+    changed alike, but that entry's row is not the reflection's image
+    of it."""
+    matrix = q_matrix(build_triangulation(p, q))
+    columns = list(matrix.columns)
+    for c in range(0, matrix.ncols, 3):
+        (row, s), *rest = columns[c]
+        columns[c] = ((row, 2 * s), *rest)
+    matrix.columns = tuple(columns)
+    return matrix
+
+
+def test_broken_block_reflection_raises():
+    matrix = tampered_on_every_first_column(7, 2)
+    matrix.rotations  # the block shift still holds
+    with pytest.raises(InternalInvariantError, match="block reflection"):
+        matrix.reflection
+    with pytest.raises(InternalInvariantError, match="block reflection"):
+        square_fundamental_solutions(tampered_on_every_first_column(7, 2))
+
+
+def test_symmetry_guard_reports_the_first_wrong_column():
+    matrix = q_matrix(build_triangulation(5, 2))
+    n = matrix.ncols
+    identity = np.arange(n)
+    _symmetry_guard(matrix, "identity", identity, np.arange(5))
+    with pytest.raises(InternalInvariantError,
+                       match="quad column 3 is not the swap of column 0"):
+        _symmetry_guard(matrix, "swap", np.roll(identity, -3), np.arange(5))
+
+
+def dihedral_least(word):
+    """The least word of the orbit of ``word`` under the block rotations
+    and the reflection i -> -i."""
+    p = len(word)
+    mirror = tuple(word[-i % p] for i in range(p))
+    return min(w[k:] + w[:k] for w in (word, mirror) for k in range(p))
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_bracelets_are_the_dihedral_orbit_minima(p):
+    # The search's rule: a necklace is solved unless the least rotation
+    # of its reversed word is smaller.
+    kept = [tuple(word) for _, word, necklace in _prenecklaces(p, 3)
+            if necklace and not _least_rotation(word[::-1]) < word]
+    assert set(kept) == {dihedral_least(word) for word in
+                         itertools.product(range(3), repeat=p)}
+
+
+def test_least_rotation_is_linear_at_p_800():
+    # Every rotation of this word agrees with the least one on a long
+    # prefix, so a quadratic search would make about p^2 / 2 compares.
+    compares = []
+
+    class Letter(int):
+        def __eq__(self, other):
+            compares.append(1)
+            return int(self) == int(other)
+
+        __hash__ = int.__hash__
+
+    word = [Letter(0)] * 799 + [Letter(1)]
+    assert _least_rotation(word[1:] + word[:1]) == word
+    assert len(compares) < 4 * len(word)
+    assert _least_rotation([1, 0, 1, 1, 0, 0]) == [0, 0, 1, 0, 1, 1]
+
+
+@pytest.mark.parametrize("p,q", [(5, 2), (7, 2), (7, 3), (8, 3), (9, 2)])
+def test_square_fundamentals_are_invariant_under_reflection(p, q):
+    matrix = q_matrix(build_triangulation(p, q))
+    found = square_fundamental_solutions(matrix)
+    mirrored = {tuple(v[c] for c in matrix.reflection) for v in found}
+    assert mirrored == set(found)
+    for v in found:
+        assert matrix.is_solution(tuple(v[c] for c in matrix.reflection))
+
+
+def test_search_adds_the_rotations_of_each_basis_and_its_reflection(
+        monkeypatch):
+    # The real pattern bases here hold the reflection of each element
+    # among its rotations, so only a fake basis with distinct entries
+    # (1, ..., p) shows the reflected images: a word whose reflected
+    # orbit is another one adds them, a word whose reflected orbit is
+    # its own need not.
+    p = 8
+    matrix = q_matrix(build_triangulation(p, 3))
+    fake = tuple(range(1, p + 1))
+    expected, asymmetric = set(), []
+
+    def fake_basis(pattern, budget):
+        word = [next(t for t in range(3)
+                     if matrix.columns[3 * j + t] == column)
+                for j, column in enumerate(pattern.columns)]
+        v = [0] * 3 * p
+        for j, t in enumerate(word):
+            v[3 * j + t] = fake[j]
+        images = [v]
+        if _least_rotation(word[::-1]) != word:
+            asymmetric.append(word)
+            images.append([v[c] for c in matrix.reflection])
+        for w in images:
+            expected.update(tuple(w[c] for c in turn)
+                            for turn in matrix.rotations)
+        return (fake,)
+
+    monkeypatch.setattr(qsystem_module, "hilbert_basis", fake_basis)
+    assert set(square_fundamental_solutions(matrix)) == expected
+    assert asymmetric
 
 
 def test_broken_block_rotation_raises():
@@ -562,6 +743,17 @@ def test_is_fundamental_input_validation():
         is_fundamental(cone, (0, 0, 0, 0, 0, 0))
     with pytest.raises(NegativeEntry):
         is_fundamental(cone, (-1, 0, 0, -1, 0, 0))
+
+
+def test_is_fundamental_reads_a_one_shot_vector_once():
+    # Read twice, an iterator's integrality test saw nothing and the
+    # half-integer vector passed as its truncation (1, 0, 0, 1, 0, 0).
+    cone = SolutionCone(q_matrix(build_triangulation(2, 1)))
+    half = [Fraction(3, 2), 0, 0, Fraction(3, 2), 0, 0]
+    for vector in (half, iter(half)):
+        with pytest.raises(NotASolution):
+            is_fundamental(cone, vector)
+    assert is_fundamental(cone, iter([1, 0, 0, 1, 0, 0]))
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(4))

@@ -4,7 +4,8 @@ rays against sympy on small random integer matrices, and the
 column-by-column elimination, on its own and along the necklace tree
 of the pattern search, against a row-wise Gauss-Jordan reference on
 random matrices, on every necklace pattern with p <= 8 and on the full
-quad systems with p <= 12.
+quad systems with p <= 12; and the column-Hermite gcd of maximal minors
+against the gcd of every minor.
 """
 
 import itertools
@@ -230,3 +231,43 @@ def test_necklace_tree_matches_the_row_reference(p, q):
 def test_elimination_matches_the_row_reference_on_quad_systems(p, q):
     matrix = q_matrix(build_triangulation(p, q))
     assert_matches_reference(matrix.rows, 3 * p)
+
+
+# ------------------------------------------------- gcd of maximal minors
+
+@st.composite
+def wide_matrices(draw):
+    """k x n with 0 <= k <= n + 1 and n <= 5, entries in [-4, 4]; a
+    repeated or scaled row often makes the rank fall below k."""
+    n = draw(st.integers(0, 5))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=n + 1))
+    if rows and draw(st.booleans()):
+        rows.append([draw(st.integers(-2, 2)) * x for x in rows[0]])
+    return n, rows
+
+
+def reference_maximal_minor_gcd(rows, n):
+    """The gcd of every k x k minor, each a sympy determinant."""
+    k = len(rows)
+    return gcd(*(int(sympy.Matrix([[row[c] for c in chosen]
+                                   for row in rows]).det())
+                 for chosen in itertools.combinations(range(n), k)))
+
+
+@PROPERTY_SETTINGS
+@given(wide_matrices())
+def test_maximal_minor_gcd_matches_every_minor(inputs):
+    n, rows = inputs
+    got = exact.maximal_minor_gcd(rows)
+    assert got == reference_maximal_minor_gcd(rows, n)
+    assert (got == 0) == (len(rows) > n or exact.rank(rows) < len(rows))
+
+
+def test_maximal_minor_gcd_examples():
+    assert exact.maximal_minor_gcd([]) == 1
+    assert exact.maximal_minor_gcd([(0, 3, -6)]) == 3
+    assert exact.maximal_minor_gcd([(2, 0, 1), (0, 2, 1)]) == 2
+    assert exact.maximal_minor_gcd([(1, 2), (2, 4)]) == 0
+    assert exact.maximal_minor_gcd([(1,), (1,)]) == 0
+    assert exact.maximal_minor_gcd([(3, 5), (1, 2)]) == 1

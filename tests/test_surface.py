@@ -130,6 +130,21 @@ def test_half_integer_vector_is_not_a_solution():
             admit(tri, half)
 
 
+def test_one_shot_half_integer_vector_is_not_a_solution():
+    # The admission check reads its vector once, so an iterator is
+    # refused like the same list; read twice, the integrality test saw
+    # nothing and the vector was truncated to (1, 0, 0, 1, 0, 0).
+    tri = build_triangulation(2, 1)
+    half = [Fraction(3, 2), 0, 0, Fraction(3, 2), 0, 0]
+    for admit in (reconstruct_trigons, classify):
+        with pytest.raises(NotASolution):
+            admit(tri, half)
+        with pytest.raises(NotASolution):
+            admit(tri, iter(half))
+    assert classify(tri, iter([1, 0, 0, 1, 0, 0])) == classify(
+        tri, (1, 0, 0, 1, 0, 0))
+
+
 def test_full_coordinates_take_only_non_negative_integers():
     tri = build_triangulation(4, 1)
     with pytest.raises(TypeError):
