@@ -44,8 +44,11 @@ def envelope(command: str, p, q, payload) -> str:
 
 def parse_vector(spec: str, p: int, q: int, index: int | None):
     """A vector given inline as comma-separated entries or as
-    ``@file`` in the fixture record format."""
+    ``@file`` in the fixture record format, ``index`` picking one of
+    the file's records for (p, q)."""
     if not spec.startswith("@"):
+        if index is not None:
+            raise LensQError("--index needs a vector given as @file")
         try:
             return tuple(int(x) for x in spec.split(","))
         except ValueError as exc:
@@ -205,6 +208,8 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     budget = budget_from(args)
     if args.fixtures:
+        if args.p is not None or args.q is not None:
+            raise LensQError("verify takes --p and --q, or --fixtures")
         checks = [check for fixture in catalog.fixtures()
                   for check in catalog.verify_fixture(fixture, budget)]
     else:

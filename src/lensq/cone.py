@@ -158,6 +158,20 @@ class SolutionCone:
         sub.ncols = len(sub.columns)
         return sub
 
+    def padded_columns(self):
+        """The columns as one ncols x width x 2 int64 array of (row,
+        coefficient) pairs, width being the longest column's length.
+        Shorter columns are padded with (nrows, 0), a zero entry on a
+        row past every real one."""
+        width = max(map(len, self.columns), default=0)
+        pad = ((self.nrows, 0),)
+        return np.fromiter(
+            chain.from_iterable(chain.from_iterable(
+                column + pad * (width - len(column))
+                for column in self.columns)),
+            dtype=np.int64, count=2 * self.ncols * width).reshape(
+                self.ncols, width, 2)
+
     def residual(self, v):
         if len(v) != self.ncols:
             raise DimensionMismatch(
@@ -296,16 +310,11 @@ def _dense(cone: SolutionCone):
 
     Row j of A^T A is the combination of the rows of A that column j's
     entries name, so it costs O(n) per entry of column j instead of
-    the O(n^3) product.  Short columns are padded with zero entries on
-    an extra all-zero row of A.
+    the O(n^3) product.  The padding of ``padded_columns`` lands on an
+    extra all-zero row of A.
     """
     n = cone.ncols
-    width = max(map(len, cone.columns), default=0)
-    pad = ((cone.nrows, 0),)
-    entries = np.fromiter(
-        chain.from_iterable(chain.from_iterable(
-            column + pad * (width - len(column)) for column in cone.columns)),
-        dtype=np.int64, count=2 * n * width).reshape(n, width, 2)
+    entries = cone.padded_columns()
     rows, coefficients = entries[:, :, 0], entries[:, :, 1]
     A = np.zeros((cone.nrows + 1, n), dtype=np.int64)
     A[rows, np.arange(n)[:, None]] = coefficients

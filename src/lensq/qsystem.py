@@ -12,9 +12,9 @@ takes it as it is.  The solution space has dimension 2p, and it
 carries a standard basis of 2p vectors: one "full block" vector per
 tetrahedron and one "edge sphere" vector per slanted edge.  This module
 assembles the matrix, produces the basis, decomposes arbitrary
-solutions over it exactly (a union-find with potentials on the
-b-coefficients, the package's one gluing structure), and classifies
-the integrality pattern of the coefficients.
+solutions over it exactly (a walk along the step-two cycles of the
+b-coefficients), and classifies the integrality pattern of the
+coefficients.
 
 The triangulation is a cyclic chain, so shifting every block by one
 tetrahedron permutes the matching equations, and so does reflecting
@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -67,7 +66,7 @@ from .errors import (
     SingularSystem,
 )
 from .rays import extreme_rays_of_kernel
-from .triangulation import QUAD_TYPES, LensTriangulation, Potentials
+from .triangulation import QUAD_TYPES, LensTriangulation
 
 # Integrality classes reported for sets of basis coefficients.
 INTEGERS = "Z"
@@ -142,29 +141,21 @@ def _symmetry_guard(matrix, name, image, rename):
     matching equations of the QMatrix ``matrix``: column image[c] must
     be column c with each row e_r renamed e_(rename[r]) and rows Eh, Ev
     left alone.  Then the permuted vector of a solution is again a
-    solution.  The columns are padded to one 3p x w x 2 array of (row,
-    coefficient) pairs, each column sorted by row, and compared at
-    once, O(p).
+    solution.  The columns' padded array (``padded_columns``), each
+    column sorted by row, is compared at once, O(p).
 
     Raises InternalInvariantError, naming the symmetry, when it does not
     hold.
     """
-    p, n = matrix.p, matrix.ncols
-    width = max(map(len, matrix.columns))
-    # Padding pairs name the row p + 2, which no renaming moves and
-    # which sorts after every real row.
-    pad = ((p + 2, p + 2),)
-    pairs = np.fromiter(
-        chain.from_iterable(chain.from_iterable(
-            column + pad * (width - len(column))
-            for column in matrix.columns)),
-        dtype=np.int64, count=2 * n * width).reshape(n, width, 2)
+    p = matrix.p
 
     def by_row(table):
         order = np.argsort(table[..., 0], axis=1, kind="stable")
         return np.take_along_axis(table, order[..., None], axis=1)
 
-    pairs = by_row(pairs)
+    # The padding row p + 2 sorts after every real row and is not
+    # renamed.
+    pairs = by_row(matrix.padded_columns())
     renamed = pairs.copy()
     renamed[..., 0] = np.concatenate((rename, np.arange(p, p + 3)))[
         pairs[..., 0]]
@@ -240,14 +231,15 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
 
     The first entry of each block pins a_i directly.  The remaining
     entries give the cyclic system b_{i+1} + b_{i-q} = c_i,
-    b_i + b_{i-q+1} = d_i, which fixes every difference b_k - b_{k+2};
-    a union-find with potentials joins these step-two differences into
-    one class (p odd) or two (p even), and d_k pins each class, in O(p).
-    The potentials stay in the input's own numbers; a and b come back
-    as Fractions.  Raises DimensionMismatch for a wrong length,
-    NotASolution when matrix . v != 0 and SingularSystem if a class
-    closes inconsistently or cannot be pinned, which cannot happen for
-    coprime parameters.
+    b_i + b_{i-q+1} = d_i, which fixes every difference b_k - b_{k+2}.
+    The steps of two form one cycle (p odd) or two (p even), walked
+    from b_1 and b_2, and d_k pins each cycle at its first k: b_k and
+    its partner b_{k-q+1} lie on the same cycle, since q is odd when p
+    is even.  O(p); the walk stays in the input's own numbers, and a
+    and b come back as Fractions.  Raises DimensionMismatch for a
+    wrong length, NotASolution when matrix . v != 0 and SingularSystem
+    if a cycle closes inconsistently, which cannot happen for coprime
+    parameters.
     """
     p, q = tri.p, tri.q
     vec = tuple(v)
@@ -260,30 +252,26 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
     c = [vec[3 * i + 1] - vec[3 * i] for i in range(p)]  # b_{i+1} + b_{i-q}
     d = [vec[3 * i + 2] - vec[3 * i] for i in range(p)]  # b_i + b_{i-q+1}
 
-    def idx(k):  # 0-based position of b_k
-        return tri.norm(k) - 1
+    # Indices from 0; each b is walked as its offset from the first b
+    # of its cycle.
+    cycles = 2 - p % 2
+    offset, b = [0] * p, [None] * p
 
-    # b_k - b_{k+2} = c_{k+q} - d_{k+q+1}
-    chains = Potentials(p)
-    for k in tri.tetrahedra:
-        gap = c[idx(k + q)] - d[idx(k + q + 1)]
-        if not chains.union(idx(k), idx(k + 2), -gap):
+    def next_offset(k):  # b_{k+2} = b_k - c_{k+q} + d_{k+q+1}
+        return offset[k] - c[(k + q) % p] + d[(k + q + 1) % p]
+
+    for first in range(cycles):
+        k = first
+        for _ in range(p // cycles - 1):
+            offset[(k + 2) % p] = next_offset(k)
+            k = (k + 2) % p
+        if next_offset(k) != 0:
             raise SingularSystem(
                 f"chain closure failed for (p,q)=({p},{q}); "
                 "basis does not span")
-
-    # d_k = b_k + b_{k-q+1} pins the class of b_k at its least k.
-    base = {}
-    b = []
-    for k in tri.tetrahedra:
-        root, pot = chains.find(idx(k))
-        if root not in base:
-            partner_root, partner_pot = chains.find(idx(k - q + 1))
-            if partner_root != root:
-                raise SingularSystem(
-                    f"chain pinning failed for (p,q)=({p},{q})")
-            base[root] = Fraction(d[idx(k)] - pot - partner_pot, 2)
-        b.append(base[root] + pot)
+        base = Fraction(d[first] - offset[(first - q + 1) % p], 2)
+        for k in range(first, p, cycles):
+            b[k] = base + offset[k]
 
     coeffs = BasisCoefficients(a=a, b=tuple(b))
     if expand(tri, coeffs) != vec:

@@ -21,8 +21,8 @@ them, into a side graph whose classes give the components.  A
 component is two-sided (equivalently orientable, the ambient space
 being orientable) exactly when its least disk's two sides lie in
 different classes.  chi = crossings - arcs + disks, per component.
-The O(p)-sized gluings, trigon levels among them, use the union-find
-with potentials ``triangulation.Potentials``.
+The trigon levels need no labelling: they are walked along the corner
+graph's closed-form spanning tree, ``LensTriangulation.level_tree``.
 """
 
 from __future__ import annotations
@@ -44,14 +44,17 @@ from .errors import (
 )
 from .qsystem import QMatrix, q_matrix, square_condition
 from .triangulation import (
+    BOT,
     CORNER_TEMPLATE,
     FACE_TEMPLATES,
+    LEFT,
     LOCAL_EDGES,
     QUAD_PAIRS,
     QUAD_TYPES,
     PAIR_TO_QUAD,
+    RIGHT,
+    TOP,
     LensTriangulation,
-    Potentials,
     least_labels,
 )
 
@@ -157,11 +160,13 @@ def reconstruct_trigons(tri: LensTriangulation, v,
 
     Each glued face corner z of ``tri.corner_table`` imposes
     t(z) + x(quad at z) = t(z') + x(quad at z'), one difference between
-    two trigon levels in a union-find with potentials.  That fixes all
-    trigon counts up to one constant per vertex class, which the
-    no-trivial-component normalization pins to make each class's
-    minimum zero.  A contradiction on a cycle is impossible for a
-    matching solution and raises InconsistentPropagation as a guarded
+    two trigon levels.  The levels are walked once along the spanning
+    tree ``tri.level_tree``, which fixes all trigon counts up to one
+    constant for the pole corners and one for the equator corners; the
+    no-trivial-component normalization pins each to make its minimum
+    zero.  The full matching equations are then checked on every corner,
+    so a corner outside the tree whose cycle does not close, impossible
+    for a matching solution, raises InconsistentPropagation as a guarded
     bug signal.
 
     ``v`` is admitted by ``matrix.check_solution_vector``: a
@@ -177,28 +182,23 @@ def reconstruct_trigons(tri: LensTriangulation, v,
         raise SquareConditionViolated(
             "more than one quad type in a tetrahedron")
 
-    # Corner node 4(tet-1)+c; its potential is the trigon level, which
-    # steps by the quad count here minus the quad count there across
-    # each glued corner.
-    tet_a, za, qa, tet_b, zb, qb = tri.corner_table.T
-    levels = Potentials(4 * tri.p)
-    for x, y, quad_a, quad_b in zip((4 * tet_a + za).tolist(),
-                                    (4 * tet_b + zb).tolist(),
-                                    (3 * tet_a + qa).tolist(),
-                                    (3 * tet_b + qb).tolist()):
-        if not levels.union(x, y, vec[quad_a] - vec[quad_b]):
-            raise InconsistentPropagation(
-                f"corner {(y // 4 + 1, y % 4)} got contradictory trigon "
-                f"levels")
-    level = [levels.find(node)[1] for node in range(4 * tri.p)]
-    for corner_class in levels.classes():
-        shift = min(level[node] for node in corner_class)
-        for node in corner_class:
-            level[node] -= shift
+    # Corner node 4(tet-1)+c holds the trigon level, which steps by the
+    # quad count at the parent's side minus that at the node's side.
+    tree = tri.level_tree
+    tet_a, _, qa, tet_b, _, qb = tri.corner_table[tree[:, 2]].T
+    quads = (3 * tet_a + qa, 3 * tet_b + qb)
+    up, down = np.where(tree[:, 3] > 0, quads, quads[::-1]).tolist()
+    level = [0] * (4 * tri.p)
+    for node, parent, x, y in zip(tree[:, 0].tolist(), tree[:, 1].tolist(),
+                                  up, down):
+        level[node] = level[parent] + vec[x] - vec[y]
+    pole = min(min(level[TOP::4]), min(level[BOT::4]))
+    equator = min(min(level[LEFT::4]), min(level[RIGHT::4]))
+    shift = (pole, pole, equator, equator)
 
     entries = []
     for tet in range(tri.p):
-        entries += level[4 * tet: 4 * tet + 4]
+        entries += map(operator.sub, level[4 * tet: 4 * tet + 4], shift)
         entries += vec[3 * tet: 3 * tet + 3]
     full = FullCoordinates(tri, entries)
     if any(haken_residual(tri, full)):

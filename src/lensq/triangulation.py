@@ -47,6 +47,12 @@ A quad type's senses are one template over the local edges
 (``sense_template``), since which edges of a row coincide depends on p
 and q only.  ``face_classes`` and ``corner_gluings`` are views of the
 tables made on each read, for display and error messages.
+
+The corner graph (local corners joined across every glued face corner)
+has two classes, the poles and the equator, for every coprime (p,q).
+``level_tree`` walks it along a spanning tree in closed form, and
+``least_labels`` is the package's one class labelling, for it and for
+the per-disk gluings of the surface layer.
 """
 
 from __future__ import annotations
@@ -97,66 +103,15 @@ CORNER_TEMPLATE = tuple(
     for _, fa, fb, pairs, _ in FACE_TEMPLATES for za, zb in pairs)
 
 
-class Potentials:
-    """Union-find with potentials on the integer nodes 0..n-1, the
-    gluing structure of the O(p)-sized gluings (vertex classes, trigon
-    levels, basis coefficients); the per-disk gluings of the surface
-    layer use :func:`least_labels`.
-
-    ``offset[x]`` is the potential of x minus that of ``parent[x]``; a
-    root has potential 0.  With ``modulus`` set, differences are
-    compared modulo it (2 for a side parity).
-    """
-
-    def __init__(self, n: int, modulus: int | None = None):
-        self.parent = list(range(n))
-        self.offset = [0] * n
-        self.modulus = modulus
-
-    def find(self, x: int):
-        """(root of x, potential of x minus that of the root), halving
-        the path on the way."""
-        parent, offset = self.parent, self.offset
-        potential = 0
-        while parent[x] != x:
-            up = parent[x]
-            offset[x] += offset[up]
-            parent[x] = parent[up]
-            potential += offset[x]
-            x = parent[x]
-        return x, potential
-
-    def union(self, x: int, y: int, d: int = 0) -> bool:
-        """Record pot(y) - pot(x) = d.  False when the class of x and y
-        already implies another difference; the structure is then
-        unchanged."""
-        root_x, pot_x = self.find(x)
-        root_y, pot_y = self.find(y)
-        if root_x == root_y:
-            gap = pot_y - pot_x - d
-            return (gap % self.modulus if self.modulus else gap) == 0
-        self.parent[root_y] = root_x
-        self.offset[root_y] = d + pot_x - pot_y
-        return True
-
-    def classes(self):
-        """The classes as ascending node lists, in order of their least
-        node."""
-        groups = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x)[0], []).append(x)
-        return list(groups.values())
-
-
 def least_labels(n: int, u, v, budget=None):
     """For every node 0..n-1, the least node of its class under the
-    edges u[k] ~ v[k], as an int64 array.
+    edges u[k] ~ v[k], as an int64 array: the package's one class
+    labelling, for the corner graph and the per-disk gluings.
 
-    The array form of gluing without potentials, for graphs with a node
-    per normal disk.  Each round reads the ``budget`` deadline, hooks
-    every class root to the least root it meets along an edge and jumps
-    pointers until each node points at its root.  It stops when no edge
-    joins two labels; every round lowers some root's label, so it does.
+    Each round reads the ``budget`` deadline, hooks every class root to
+    the least root it meets along an edge and jumps pointers until each
+    node points at its root.  It stops when no edge joins two labels;
+    every round lowers some root's label, so it does.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -318,19 +273,57 @@ class LensTriangulation:
 
     def vertex_classes(self):
         """Partition of the 4p local corners into vertex classes, built
-        on each call.
+        on each call, in order of their least corner.
 
         Two corners are identified when some face gluing matches them.
         For any coprime (p,q) there are exactly two classes, the pole
         class and the equator class.
         """
         table = self.corner_table
-        corners = Potentials(4 * self.p)
-        for x, y in zip((4 * table[:, 0] + table[:, 1]).tolist(),
-                        (4 * table[:, 3] + table[:, 4]).tolist()):
-            corners.union(x, y)
-        return tuple(tuple((node // 4 + 1, node % 4) for node in cls)
-                     for cls in corners.classes())
+        label = least_labels(4 * self.p, 4 * table[:, 0] + table[:, 1],
+                             4 * table[:, 3] + table[:, 4])
+        return tuple(
+            tuple((node // 4 + 1, node % 4)
+                  for node in np.flatnonzero(label == least).tolist())
+            for least in np.unique(label).tolist())
+
+    @property
+    def level_tree(self):
+        """A spanning walk of the corner graph, as a read-only
+        (4p - 2) x 4 int64 table of (node, parent, ``corner_table``
+        row, sign), corner node 4 (tet - 1) + corner.  Every node comes
+        after its parent; the roots are TOP and LEFT of tetrahedron 1.
+        The row's side b is the node when sign is 1 and the parent when
+        it is -1.
+
+        With tetrahedra from 1 and indices mod p, the walk takes TOP
+        k-1 -> k and BOT k-1 -> k by V_k, TOP 1 -> BOT 1+q by H_1, LEFT
+        k -> k+q by H_k (q is a unit mod p, so this reaches every k),
+        and RIGHT k-1 from LEFT k by V_k.  The 2p + 2 rows outside it
+        close cycles.  Built in closed form on each read, which costs
+        about 1% of one walk along it, so nothing is written onto the
+        triangulation.
+        """
+        p, q = self.p, self.q
+        k = np.arange(p)
+        # The tetrahedra (from 0) of the BOT chain and the LEFT chain,
+        # in walk order.
+        bot, left = (q + k) % p, k * q % p
+        nodes = np.concatenate((4 * k[1:] + TOP, 4 * bot + BOT,
+                                4 * left[1:] + LEFT,
+                                4 * ((k - 1) % p) + RIGHT))
+        parents = np.concatenate((4 * k[:-1] + TOP, [TOP],
+                                  4 * bot[:-1] + BOT, 4 * left[:-1] + LEFT,
+                                  4 * k + LEFT))
+        # Face f (from 0, the p H faces after the p V faces) holds rows
+        # 3f + pair, its pairs in ``FACE_TEMPLATES`` order.
+        rows = np.concatenate((3 * k[1:], [3 * p], 3 * bot[1:] + 1,
+                               3 * p + 3 * left[:-1] + 1, 3 * k + 2))
+        signs = np.ones(4 * p - 2, dtype=np.int64)
+        signs[-p:] = -1
+        tree = np.stack((nodes, parents, rows, signs), axis=1)
+        tree.flags.writeable = False
+        return tree
 
     # -- quad semantics --------------------------------------------------
 

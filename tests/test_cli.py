@@ -369,6 +369,20 @@ def test_missing_verify_target():
     assert result.returncode == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("classify", "--p", "2", "--q", "1", "--vector", "1,0,0,1,0,0",
+     "--index", "0"),
+    ("verify", "--fixtures", "--p", "3", "--q", "1"),
+    ("verify", "--fixtures", "--q", "1"),
+])
+def test_options_that_would_be_ignored_are_rejected(args):
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["enum", "--p", "3", "--q", "1", "--raw-hilbert"],
     ["verify", "--fixtures"],

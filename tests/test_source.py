@@ -40,23 +40,18 @@ def test_only_budget_reads_the_clock():
 
 
 def test_one_union_find_and_no_breadth_first_queues():
-    # Every gluing goes through triangulation.Potentials or, for the
-    # per-disk gluings, triangulation.least_labels: no deque is used,
-    # and the only functions named find or union are Potentials methods.
+    # Every class labelling goes through triangulation.least_labels and
+    # the trigon levels and basis coefficients walk closed-form spanning
+    # orders: no deque is used, and no function is named find or union.
     deques, stray = [], []
     for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        methods = {id(item) for node in ast.walk(tree)
-                   if isinstance(node, ast.ClassDef)
-                   and node.name == "Potentials" for item in node.body}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.ImportFrom) and any(
                     alias.name == "deque" for alias in node.names)) or (
                     isinstance(node, ast.Attribute) and node.attr == "deque"):
                 deques.append(f"{path.name}:{node.lineno}")
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name in ("find", "union")
-                    and id(node) not in methods):
+                    and node.name in ("find", "union")):
                 stray.append(f"{path.name}:{node.lineno}")
     assert deques == []
     assert stray == []

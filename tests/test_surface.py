@@ -49,10 +49,13 @@ from lensq.triangulation import (
     LOCAL_EDGES,
     QUAD_PAIRS,
     QUAD_TYPES,
-    Potentials,
     build_triangulation,
 )
-from test_triangulation import reference_corner_gluings, reference_edge_slots
+from test_triangulation import (
+    bfs_classes,
+    reference_corner_gluings,
+    reference_edge_slots,
+)
 
 
 def coprime_pairs(max_p):
@@ -168,12 +171,12 @@ def reference_surface_passes(tri, v, perturbed):
     computed one corner gluing and one edge slot at a time in Python
     ints, from the per-slot reference builders."""
     gluings = reference_corner_gluings(tri)
-    levels = Potentials(4 * tri.p)
-    for _, (tet_a, za, qa), (tet_b, zb, qb) in gluings:
-        assert levels.union(4 * (tet_a - 1) + za, 4 * (tet_b - 1) + zb,
-                            v[3 * tet_a + qa - 4] - v[3 * tet_b + qb - 4])
-    level = [levels.find(node)[1] for node in range(4 * tri.p)]
-    for corner_class in levels.classes():
+    steps = [(4 * (tet_a - 1) + za, 4 * (tet_b - 1) + zb,
+              v[3 * tet_a + qa - 4] - v[3 * tet_b + qb - 4])
+             for _, (tet_a, za, qa), (tet_b, zb, qb) in gluings]
+    classes, level = bfs_classes(4 * tri.p, steps)
+    assert all(level[y] - level[x] == d for x, y, d in steps)
+    for corner_class in classes:
         shift = min(level[node] for node in corner_class)
         for node in corner_class:
             level[node] -= shift
@@ -507,10 +510,10 @@ def test_euler_and_edge_weights_are_additive(data):
 
 def reference_gluing(tri, v):
     """Reference for ``glue_disks`` and ``classify``: the per-disk
-    gluing, with a union-find with potentials over the 6n crossing nodes
-    and over the n disks mod 2.  Returns (arcs, least crossing node of
-    each vertex, the edge class of each vertex, components in order of
-    least disk)."""
+    gluing, with one breadth-first labelling of the 6n crossing nodes
+    and one of the n disks with side parities.  Returns (arcs, least
+    crossing node of each vertex, the edge class of each vertex,
+    components in order of least disk)."""
     full = reconstruct_trigons(tri, v)
     first = list(accumulate(full.entries, initial=0))
     tet_of = [slot // 7 + 1 for slot, count in enumerate(full.entries)
@@ -528,8 +531,7 @@ def reference_gluing(tri, v):
             return out + [(d, 0) for d in quads]
         return out + [(d, 1) for d in reversed(quads)]
 
-    arcs = []
-    crossings = Potentials(6 * n)
+    arcs, joins = [], []
     crossed = bytearray(6 * n)
     for face, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
         side_a, side_b = stack(tet_a, za, qa), stack(tet_b, zb, qb)
@@ -541,19 +543,19 @@ def reference_gluing(tri, v):
         for (da, flip_a), (db, flip_b) in zip(side_a, side_b):
             arcs.append((da, db, flip_a ^ flip_b))
             for ea, eb in edges:
-                crossings.union(6 * da + ea, 6 * db + eb)
+                joins.append((6 * da + ea, 6 * db + eb, 0))
                 crossed[6 * da + ea] = crossed[6 * db + eb] = 1
-    vertices = [cls for cls in crossings.classes() if crossed[cls[0]]]
+    vertices = [cls for cls in bfs_classes(6 * n, joins)[0]
+                if crossed[cls[0]]]
     labels = [tri.edge_of(tet_of[cls[0] // 6], LOCAL_EDGES[cls[0] % 6])
               for cls in vertices]
     for cls, label in zip(vertices, labels):
         if len(cls) != tri.edge_degree(label):
             raise ArityMismatch(f"edge {label}")
 
-    sides = Potentials(n, modulus=2)
+    classes, parity = bfs_classes(n, arcs)
     contradicted = [da for da, db, flip in arcs
-                    if not sides.union(da, db, flip)]
-    classes = sides.classes()
+                    if (parity[db] - parity[da] - flip) % 2]
     component_of = [0] * n
     for comp, cls in enumerate(classes):
         for d in cls:

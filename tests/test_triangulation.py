@@ -29,7 +29,6 @@ from lensq.triangulation import (
     TOP,
     FaceClass,
     LensParams,
-    Potentials,
     build_triangulation,
     face_gluings,
     least_labels,
@@ -172,6 +171,50 @@ def test_tables_are_read_only():
         assert table.dtype == np.int64
         with pytest.raises(ValueError):
             table[0, 0] = 1
+
+
+def assert_level_tree_spans(tri):
+    """Each of the 4p - 2 non-root corners comes once, after its parent,
+    and its ``corner_table`` row joins it to the parent: as side b when
+    the sign is 1, as side a when it is -1."""
+    tree = tri.level_tree
+    assert tree.shape == (4 * tri.p - 2, 4)
+    reached = {TOP, LEFT}  # of tetrahedron 1
+    for node, parent, row, sign in tree.tolist():
+        assert parent in reached and node not in reached
+        reached.add(node)
+        tet_a, za, _, tet_b, zb, _ = tri.corner_table[row].tolist()
+        sides = (4 * tet_a + za, 4 * tet_b + zb)
+        assert sides == {1: (parent, node), -1: (node, parent)}[sign]
+    assert reached == set(range(4 * tri.p))
+
+
+def test_level_tree_spans_the_corners_below_forty():
+    for p, q in coprime_pairs(39):
+        assert_level_tree_spans(build_triangulation(p, q))
+
+
+@pytest.mark.parametrize("p,q", [(998, 3), (1001, 5)])
+def test_level_tree_spans_the_corners_at_large_p(p, q):
+    assert_level_tree_spans(build_triangulation(p, q))
+
+
+def test_level_tree_is_read_only_and_leaves_the_triangulation_unwritten():
+    tri = build_triangulation(7, 3)
+    before = dict(vars(tri))
+    tree = tri.level_tree
+    assert tree.dtype == np.int64
+    with pytest.raises(ValueError):
+        tree[0, 0] = 1
+    assert vars(tri) == before
+
+
+def test_two_vertex_classes_below_forty():
+    for p, q in coprime_pairs(39):
+        poles, equator = build_triangulation(p, q).vertex_classes()
+        tets = range(1, p + 1)
+        assert poles == tuple((k, c) for k in tets for c in (TOP, BOT))
+        assert equator == tuple((k, c) for k in tets for c in (LEFT, RIGHT))
 
 
 # ---------------------------------------------------------------- params
@@ -416,60 +459,29 @@ def test_local_edges_cover_tetrahedron():
     assert frozenset((LEFT, RIGHT)) in LOCAL_EDGES
 
 
-# ------------------------------------------------------------ potentials
+# ------------------------------------------------- class labelling
 
-def bfs_oracle(n, constraints, modulus):
-    """Verdict of each (x, y, d) given the ones before it, then the
-    classes and potentials, by breadth-first search over the constraints
-    that joined two classes."""
-    edges = {x: [] for x in range(n)}
-
-    def search(start):
-        pot, queue = {start: 0}, [start]
-        for node in queue:
-            for other, d in edges[node]:
-                if other not in pot:
-                    pot[other] = pot[node] + d
-                    queue.append(other)
-        return pot
-
-    verdicts = []
-    for x, y, d in constraints:
-        pot = search(x)
-        if y in pot:
-            gap = pot[y] - pot[x] - d
-            verdicts.append((gap % modulus if modulus else gap) == 0)
-        else:
-            edges[x].append((y, d))
-            edges[y].append((x, -d))
-            verdicts.append(True)
-    classes, potential = [], {}
+def bfs_classes(n, edges):
+    """Reference labelling by one breadth-first pass: the classes of
+    the nodes 0..n-1 under the edges (x, y, d), each an ascending list,
+    in order of their least node, and each node's potential relative to
+    that least node, pot(y) - pot(x) = d along the edges first reached.
+    Edges off the search tree are not checked."""
+    adjacent = [[] for _ in range(n)]
+    for x, y, d in edges:
+        adjacent[x].append((y, d))
+        adjacent[y].append((x, -d))
+    potential, classes = [None] * n, []
     for start in range(n):
-        if start not in potential:
-            pot = search(start)
-            potential.update(pot)
-            classes.append(sorted(pot))
-    return verdicts, classes, potential
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-           st.just(n),
-           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                              st.integers(-3, 3)), max_size=24))),
-       st.sampled_from([None, 2]))
-def test_potentials_match_a_breadth_first_search(case, modulus):
-    n, constraints = case
-    verdicts, classes, potential = bfs_oracle(n, constraints, modulus)
-    found = Potentials(n, modulus=modulus)
-    assert [found.union(x, y, d) for x, y, d in constraints] == verdicts
-    assert found.classes() == classes
-    for cls in classes:
-        shifts = {found.find(x)[1] - potential[x] for x in cls}
-        if modulus:
-            shifts = {shift % modulus for shift in shifts}
-        assert len(shifts) == 1
-        assert {found.find(x)[0] for x in cls} == {found.find(cls[0])[0]}
+        if potential[start] is None:
+            potential[start], queue = 0, [start]
+            for node in queue:
+                for other, d in adjacent[node]:
+                    if potential[other] is None:
+                        potential[other] = potential[node] + d
+                        queue.append(other)
+            classes.append(sorted(queue))
+    return classes, potential
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -479,31 +491,29 @@ def test_potentials_match_a_breadth_first_search(case, modulus):
                        st.booleans()), max_size=32))))
 def test_least_labels_name_the_least_node_of_each_class(case):
     n, edges = case
-    u = [x for x, _, _ in edges]
-    v = [y for _, y, _ in edges]
-    classes = Potentials(n)
-    for x, y in zip(u, v):
-        classes.union(x, y)
+    classes, parity = bfs_classes(n, [(x, y, int(flip))
+                                      for x, y, flip in edges])
     want = [0] * n
-    for cls in classes.classes():
+    for cls in classes:
         for x in cls:
             want[x] = cls[0]
+    u = [x for x, _, _ in edges]
+    v = [y for _, y, _ in edges]
     assert least_labels(n, u, v).tolist() == want
 
     # The doubled side graph: side s of x meets side s ^ flip of y.  A
-    # class is one-sided exactly when the parities contradict.
-    sides = Potentials(n, modulus=2)
-    contradicted = {x for x, y, flip in edges
-                    if not sides.union(x, y, int(flip))}
-    one_sided = {classes.find(x)[0] for x in contradicted}
+    # class is one-sided exactly when some edge contradicts the parities
+    # of the search.
+    one_sided = {want[x] for x, y, flip in edges
+                 if (parity[y] - parity[x] - flip) % 2}
     flips = np.array([int(flip) for _, _, flip in edges], dtype=np.int64)
     u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
     doubled = least_labels(2 * n, np.concatenate((2 * u, 2 * u + 1)),
                            np.concatenate((2 * v + flips, 2 * v + 1 - flips)))
-    for cls in classes.classes():
+    for cls in classes:
         least = cls[0]
         assert (doubled[2 * least] == doubled[2 * least + 1]) == (
-            classes.find(least)[0] in one_sided)
+            least in one_sided)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7])
