@@ -25,17 +25,16 @@ its first read.  The square-condition fundamentals are the union of
 the Hilbert bases of the 3^p one-type-per-block pattern subcones, each
 a restriction to p columns.  ``square_fundamental_solutions`` solves
 one pattern per dihedral orbit (a 3-ary necklace whose reflected orbit
-has no smaller necklace) and moves each answer into every block
-position, reflected and not.  The necklaces are walked as the leaves
-of the prenecklace tree (Fredricksen-Kessler-Maiorana), depth first
-and without recursion, in the spirit of Burton and Ozlen's tree
-traversal: each tree node pushes one pattern column onto its parent's
-column-by-column exact elimination (``exact.push_column``), so a
-prefix shared by many patterns is eliminated once, and the budget is
-read at every node.  A full-rank necklace is skipped; the others pass
-their kernel basis to the double description and to
-``cone.hilbert_basis``, which settles a unimodular simplicial pattern
-cone by its rays and completes the rest.
+has no smaller necklace) and closes the answers under the dihedral
+group once.  The necklaces are walked as the leaves of the prenecklace
+tree (Fredricksen-Kessler-Maiorana), depth first and without
+recursion, in the spirit of Burton and Ozlen's tree traversal: each
+tree node pushes one pattern column onto its parent's column-by-column
+exact elimination (``exact.push_column``), so a prefix shared by many
+patterns is eliminated once, and the budget is read at every node.  A
+full-rank necklace is skipped; the others pass their kernel basis to
+the double description and to ``cone.hilbert_basis``, which settles a
+unimodular simplicial pattern cone by its rays and completes the rest.
 ``brute_force_minimal_solutions`` re-derives small Hilbert bases from a
 coefficient grid over the solution-space basis, independently of the
 completion algorithm.
@@ -235,11 +234,11 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
     The steps of two form one cycle (p odd) or two (p even), walked
     from b_1 and b_2, and d_k pins each cycle at its first k: b_k and
     its partner b_{k-q+1} lie on the same cycle, since q is odd when p
-    is even.  O(p); the walk stays in the input's own numbers, and a
-    and b come back as Fractions.  Raises DimensionMismatch for a
-    wrong length, NotASolution when matrix . v != 0 and SingularSystem
-    if a cycle closes inconsistently, which cannot happen for coprime
-    parameters.
+    is even.  O(p); the walk and the final ``expand`` check run on 2a
+    and 2b in the input's own numbers, and only the returned a and b
+    are Fractions.  Raises DimensionMismatch for a wrong length,
+    NotASolution when matrix . v != 0 and SingularSystem if a cycle
+    closes inconsistently, which cannot happen for coprime parameters.
     """
     p, q = tri.p, tri.q
     vec = tuple(v)
@@ -248,14 +247,13 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
     if not matrix.is_solution(vec):
         raise NotASolution("vector does not satisfy the matching equations")
 
-    a = tuple(Fraction(vec[3 * i]) for i in range(p))
     c = [vec[3 * i + 1] - vec[3 * i] for i in range(p)]  # b_{i+1} + b_{i-q}
     d = [vec[3 * i + 2] - vec[3 * i] for i in range(p)]  # b_i + b_{i-q+1}
 
     # Indices from 0; each b is walked as its offset from the first b
-    # of its cycle.
+    # of its cycle, and 2b is kept so the numbers stay the input's own.
     cycles = 2 - p % 2
-    offset, b = [0] * p, [None] * p
+    offset, twice_b = [0] * p, [None] * p
 
     def next_offset(k):  # b_{k+2} = b_k - c_{k+q} + d_{k+q+1}
         return offset[k] - c[(k + q) % p] + d[(k + q + 1) % p]
@@ -269,16 +267,18 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
             raise SingularSystem(
                 f"chain closure failed for (p,q)=({p},{q}); "
                 "basis does not span")
-        base = Fraction(d[first] - offset[(first - q + 1) % p], 2)
+        base = d[first] - offset[(first - q + 1) % p]
         for k in range(first, p, cycles):
-            b[k] = base + offset[k]
+            twice_b[k] = base + 2 * offset[k]
 
-    coeffs = BasisCoefficients(a=a, b=tuple(b))
-    if expand(tri, coeffs) != vec:
+    twice = BasisCoefficients(a=tuple(2 * x for x in vec[::3]),
+                              b=tuple(twice_b))
+    if expand(tri, twice) != tuple(2 * x for x in vec):
         raise SingularSystem(
             f"decomposition failed to reproduce the vector for "
             f"(p,q)=({p},{q})")
-    return coeffs
+    return BasisCoefficients(a=tuple(map(Fraction, vec[::3])),
+                             b=tuple(Fraction(x, 2) for x in twice_b))
 
 
 def square_condition(v) -> bool:
@@ -440,8 +440,10 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     Hilbert basis of the image pattern.  Only one pattern per dihedral
     orbit is solved: a necklace is skipped when the least rotation of
     its reversed word, the necklace of its reflected orbit, is smaller,
-    since that one came first in the walk.  Each basis element enters
-    the result with all p rotations of itself and of its reflection.
+    since that one came first in the walk.  After the walk the solved
+    basis vectors are closed under the group once, with one budget
+    read per vector: F R_k = R_(-k) F on the column tables, so the p
+    rotations of each vector and of its reflection are its whole orbit.
 
     The necklaces and their kernel bases come from one walk of the
     prenecklace tree (``_necklace_kernels``), so necklaces that share a
@@ -453,29 +455,27 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     lexicographic order.
     """
     budget = budget or Budget()
-    rotations = matrix.rotations
-    found = set()
+    solved = set()
     for columns, kernel in _necklace_kernels(matrix, budget):
         if not kernel:
             continue  # a full-rank pattern: its only solution is zero
         word = [c % 3 for c in columns]
-        mirror = _least_rotation(word[::-1])
-        if mirror < word:
+        if _least_rotation(word[::-1]) < word:
             continue  # its reflected orbit's necklace came first
         pattern = matrix.restrict(columns)
         # The rays come from the kernel in hand, not from the dense rows.
         pattern.extreme_rays = extreme_rays_of_kernel(kernel)
-        # The reflection is read, and so checked, at its first use.
-        reflection = matrix.reflection
         for small in hilbert_basis(pattern, budget):
-            # An object array gathers the images as plain Python ints.
-            full = np.zeros(matrix.ncols, dtype=object)
-            full[columns] = small
-            # A word whose reflected orbit is its own has the reflected
-            # basis among the rotations of its basis.
-            images = (full,) if mirror == word else (full, full[reflection])
-            for image in images:
-                found.update(tuple(image[turn]) for turn in rotations)
+            entries = dict(zip(columns, small))
+            solved.add(tuple(entries.get(c, 0) for c in range(matrix.ncols)))
+    # The group is read, and so checked, only here.  An object array
+    # keeps the entries plain Python ints.
+    rotations, reflection = matrix.rotations, matrix.reflection
+    found = set()
+    for v in np.array(list(solved), dtype=object).reshape(-1, matrix.ncols):
+        budget.check()
+        for image in (v, v[reflection]):
+            found.update(map(tuple, image[rotations].tolist()))
     return tuple(sorted(found, key=graded_lex_key))
 
 

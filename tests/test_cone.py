@@ -661,33 +661,31 @@ def test_search_adds_the_rotations_of_each_basis_and_its_reflection(
         monkeypatch):
     # The real pattern bases here hold the reflection of each element
     # among its rotations, so only a fake basis with distinct entries
-    # (1, ..., p) shows the reflected images: a word whose reflected
-    # orbit is another one adds them, a word whose reflected orbit is
-    # its own need not.
+    # (1, ..., p) shows the reflected images.  The search closes its
+    # solved vectors under the whole dihedral group, so every solved
+    # word adds them, a word whose reflected orbit is its own too.
     p = 8
     matrix = q_matrix(build_triangulation(p, 3))
     fake = tuple(range(1, p + 1))
-    expected, asymmetric = set(), []
+    expected, symmetric = set(), []
 
     def fake_basis(pattern, budget):
         word = [next(t for t in range(3)
                      if matrix.columns[3 * j + t] == column)
                 for j, column in enumerate(pattern.columns)]
+        if _least_rotation(word[::-1]) == word:
+            symmetric.append(word)
         v = [0] * 3 * p
         for j, t in enumerate(word):
             v[3 * j + t] = fake[j]
-        images = [v]
-        if _least_rotation(word[::-1]) != word:
-            asymmetric.append(word)
-            images.append([v[c] for c in matrix.reflection])
-        for w in images:
+        for w in (v, [v[c] for c in matrix.reflection]):
             expected.update(tuple(w[c] for c in turn)
                             for turn in matrix.rotations)
         return (fake,)
 
     monkeypatch.setattr(qsystem_module, "hilbert_basis", fake_basis)
     assert set(square_fundamental_solutions(matrix)) == expected
-    assert asymmetric
+    assert symmetric
 
 
 def test_broken_block_rotation_raises():

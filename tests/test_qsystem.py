@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from lensq import exact
+from lensq import qsystem as qsystem_module
 from lensq.catalog import alternating_vector
 from lensq.cone import SolutionCone
 from lensq.errors import (
@@ -81,6 +82,15 @@ def test_row_redundancies(p, q):
         total = sum(rows[i][col] for i in range(p))
         assert total % 2 == 0
         assert total // 2 + rows[p][col] == 0
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(39))
+def test_core_rows_are_minus_half_the_slanted_sum(p, q):
+    # Rows Eh and Ev are both -1/2 (e_1 + ... + e_p), so they never add
+    # to the rank.
+    *slanted, eh, ev = q_matrix(build_triangulation(p, q)).rows
+    half_sum = [Fraction(-sum(col), 2) for col in zip(*slanted)]
+    assert list(eh) == list(ev) == half_sum
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(8))
@@ -226,6 +236,24 @@ def test_decompose_round_trip(p, q):
             got = decompose(tri, given, matrix=matrix)
             assert got.a == a and got.b == b
             assert all(type(x) is Fraction for x in got.a + got.b)
+
+
+@pytest.mark.parametrize("p,q", [(7, 3), (8, 3), (1000, 3)])
+def test_decompose_checks_an_int_vector_in_ints(p, q, monkeypatch):
+    # The walk and the expand check stay in doubled integers; only the
+    # returned coefficients are Fractions.
+    tri = build_triangulation(p, q)
+    seen = []
+
+    def recording_expand(tri, coeffs):
+        seen.extend(coeffs.a + coeffs.b)
+        return expand(tri, coeffs)
+
+    monkeypatch.setattr(qsystem_module, "expand", recording_expand)
+    v = alternating_vector(p, 3) if p % 2 == 0 else (1, 0, 0) * p
+    coeffs = decompose(tri, v)
+    assert seen and all(type(x) is int for x in seen)
+    assert expand(tri, coeffs) == v
 
 
 def test_expand_matches_literal_combination():

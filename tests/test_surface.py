@@ -19,6 +19,7 @@ from lensq.errors import (
     ArityMismatch,
     BudgetExceeded,
     EmptyVector,
+    InconsistentWeights,
     NegativeEntry,
     NoExpectation,
     NotASolution,
@@ -261,6 +262,17 @@ def test_zero_surface_weights_and_graph():
     graph = glue_disks(tri, empty)
     assert len(graph.disks) == 0 and len(graph.arcs) == 0
     assert euler_characteristic(tri, empty) == 0
+
+
+def test_unmatched_disks_raise_named_guards():
+    # One lone trigon is no surface: its arcs find no partner across
+    # the glued face and its edge crossings disagree between slots.
+    tri = build_triangulation(5, 2)
+    lone = FullCoordinates(tri, (1,) + (0,) * 34)
+    with pytest.raises(ArityMismatch, match=r"^face V1 corner 0->0: "):
+        glue_disks(tri, lone)
+    with pytest.raises(InconsistentWeights, match=r"^edge Ev slots "):
+        edge_weights(tri, lone)
 
 
 @pytest.mark.parametrize("p,q", [(2, 1), (5, 2), (8, 3)])
