@@ -19,7 +19,6 @@ from .catalog import (
     enumerate_q_fundamental,
     expected_for,
     fixtures,
-    half_odd_sphere_sum,
     verify_fixture,
     verify_theorems,
 )
@@ -51,7 +50,6 @@ from .qsystem import (
     BasisCoefficients,
     QMatrix,
     basis_vectors,
-    brute_force_minimal_solutions,
     decompose,
     expand,
     integrality_class,
@@ -74,10 +72,7 @@ from .surface import (
     surface_name,
 )
 from .triangulation import (
-    FaceClass,
     LensParams,
     LensTriangulation,
     build_triangulation,
-    face_gluings,
-    sense,
 )

@@ -29,7 +29,6 @@ from importlib import resources
 
 from .cone import Budget, graded_lex_key, is_fundamental, is_vertex
 from .errors import (
-    InternalInvariantError,
     LensQError,
     NoExpectation,
     NotASolution,
@@ -50,7 +49,7 @@ from .qsystem import (
     square_fundamental_solutions,
 )
 from .surface import classify, surface_name
-from .triangulation import LensParams, LensTriangulation, build_triangulation
+from .triangulation import LensParams, build_triangulation
 
 FIXTURE_FILE = "fixtures.txt"
 FIXTURE_SHA256 = (
@@ -89,19 +88,6 @@ def alternating_vector(p: int, start_type: int):
     for i in range(p):
         out.extend(a if i % 2 == 0 else b)
     return tuple(out)
-
-
-def half_odd_sphere_sum(tri: LensTriangulation):
-    """Half the sum of the odd-index sphere basis vectors, defined for
-    even p; alternates type-3 and type-2 blocks starting with type 3."""
-    if tri.p % 2:
-        raise NoExpectation("defined only for even p")
-    total = expand(tri, BasisCoefficients(
-        a=(0,) * tri.p, b=tuple(1 - k % 2 for k in range(tri.p))))
-    if any(x % 2 for x in total):
-        raise InternalInvariantError(
-            f"odd-index sphere sum is not even: {total}")
-    return tuple(x // 2 for x in total)
 
 
 def expected_for(p: int, q: int) -> ExpectedCatalog:

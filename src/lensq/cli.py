@@ -90,8 +90,9 @@ def cmd_matrix(args) -> int:
         col_labels = [f"x{i}{j}" for i in tri.tetrahedra for j in (1, 2, 3)]
     else:
         rows = haken_matrix(tri)
-        row_labels = [f"{face.label}.{CORNER_NAMES[corner]}"
-                      for face, (_, corner, _), _ in tri.corner_gluings]
+        row_labels = [f"{tri.face_label(row)}.{CORNER_NAMES[corner]}"
+                      for row, corner
+                      in enumerate(tri.corner_table[:, 1].tolist())]
         col_labels = [f"tet{i}.{name}" for i in tri.tetrahedra
                       for name in ("tT", "tB", "tL", "tR", "x1", "x2", "x3")]
     if args.format == "json":

@@ -43,7 +43,6 @@ ray.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
@@ -640,32 +639,3 @@ def is_vertex(cone: SolutionCone, v) -> bool:
         # v itself restricts to a kernel vector, so this cannot happen.
         raise NotASolution("support-restricted system lost the solution")
     return dim == 1
-
-
-def is_vertex_by_search(cone: SolutionCone, v, k: int = 3,
-                        budget: Budget | None = None) -> bool:
-    """Bounded-search cross-check of ``is_vertex``.
-
-    Enumerates all solutions in [0, k v] and checks each is a multiple
-    of v.  Exponential; use only on small vectors.
-    """
-    vec = cone.check_solution_vector(v)
-    bounds = tuple(k * x for x in vec)
-    for sol in _box_solutions(cone, bounds, budget or Budget()):
-        if not any(sol):
-            continue
-        # sol must be a rational multiple of vec with matching support.
-        ratios = {Fraction(s, w) for s, w in zip(sol, vec) if w}
-        if len(ratios) != 1 or any(s for s, w in zip(sol, vec) if not w):
-            return False
-    return True
-
-
-def minimal_elements(vectors):
-    """The <=-minimal elements of a set of non-negative vectors."""
-    ordered = sorted(set(map(tuple, vectors)), key=graded_lex_key)
-    kept = []
-    for v in ordered:
-        if not any(all(x >= y for x, y in zip(v, m)) for m in kept):
-            kept.append(v)
-    return tuple(kept)

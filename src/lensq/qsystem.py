@@ -35,9 +35,6 @@ patterns is eliminated once, and the budget is read at every node.  A
 full-rank necklace is skipped; the others pass their kernel basis to
 the double description and to ``cone.hilbert_basis``, which settles a
 unimodular simplicial pattern cone by its rays and completes the rest.
-``brute_force_minimal_solutions`` re-derives small Hilbert bases from a
-coefficient grid over the solution-space basis, independently of the
-completion algorithm.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from .cone import (
     SolutionCone,
     graded_lex_key,
     hilbert_basis,
-    minimal_elements,
 )
 from .errors import (
     DimensionMismatch,
@@ -477,53 +473,3 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
         for image in (v, v[reflection]):
             found.update(map(tuple, image[rotations].tolist()))
     return tuple(sorted(found, key=graded_lex_key))
-
-
-def brute_force_minimal_solutions(tri, a_values, b_values,
-                                  budget: Budget | None = None):
-    """Independent oracle for small Hilbert bases.
-
-    Sweeps every combination of integer coefficients ``a_values`` and
-    grid coefficients ``b_values`` (typically half-integers) over the
-    2p-vector solution basis, keeps the integral non-negative non-zero
-    results, and filters them down to the minimal elements.  Purely a
-    grid sweep plus a definition-level minimality filter, so it shares
-    no code path with the completion enumerator it validates.  Feasible
-    for p up to about 4.
-    """
-    budget = budget or Budget()
-    p = tri.p
-    a_values = sorted(set(int(a) for a in a_values))
-    b_values = sorted(set(Fraction(b) for b in b_values))
-    if not a_values or not b_values:
-        return ()
-
-    # Work in doubled units so everything stays integral.
-    doubled_b = []
-    for b in b_values:
-        twice = 2 * b
-        if twice.denominator != 1:
-            raise ValueError(f"b grid must consist of half-integers, got {b}")
-        doubled_b.append(int(twice))
-
-    grids_a = np.array(
-        np.meshgrid(*([a_values] * p), indexing="ij"),
-        dtype=np.int64).reshape(p, -1).T
-    grids_b = np.array(
-        np.meshgrid(*([doubled_b] * p), indexing="ij"),
-        dtype=np.int64).reshape(p, -1).T
-    budget.check(grids_a.shape[0] * grids_b.shape[0],
-                 what="coefficient grid")
-
-    s_vecs, t_vecs = np.array(basis_vectors(tri), dtype=np.int64)
-    # The doubled b-parts 2 sum(b_k t_k) of integral vectors are even.
-    tails = grids_b @ t_vecs
-    tails = tails[(tails % 2 == 0).all(axis=1)] // 2
-    if not tails.shape[0]:
-        return ()
-    budget.check(grids_a.shape[0] * tails.shape[0], what="candidate set")
-    vectors = ((grids_a @ s_vecs)[:, None] + tails[None]).reshape(-1, 3 * p)
-    vectors = vectors[(vectors >= 0).all(axis=1)]
-    vectors = vectors[vectors.any(axis=1)]
-    vectors = np.unique(vectors, axis=0)
-    return minimal_elements(map(tuple, vectors.tolist()))

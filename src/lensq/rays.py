@@ -16,12 +16,13 @@ its sparse columns for it (``exact.column_kernel_basis``), and the
 necklace tree of ``qsystem.square_fundamental_solutions`` collects one
 per pattern.
 
-The extreme rays serve three purposes: they witness vertex solutions,
-they cross-check the support-rank vertex test, and their entrywise sum
-bounds every minimal integer solution (a solution with a generator
-coefficient at or above one stays a solution after subtracting that
-generator), which keeps the Hilbert-basis completion inside a finite
-box.
+The extreme rays serve the Hilbert-basis completion
+(``cone.hilbert_basis``): each primitive ray is a minimal solution and
+seeds the minimal set, the rays of a unimodular simplicial cone are its
+whole basis, and their entrywise sum bounds every minimal integer
+solution (a solution with a generator coefficient at or above one stays
+a solution after subtracting that generator), which keeps the
+completion inside a finite box.
 """
 
 from __future__ import annotations

@@ -352,9 +352,9 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     wrong = np.flatnonzero(arity_a != arity_b)
     if wrong.size:
         k = wrong[0]
-        face, (_, za, _), (_, zb, _) = tri.corner_gluings[k]
+        za, zb = tri.corner_table[k, [1, 4]].tolist()
         raise ArityMismatch(
-            f"face {face.label} corner {za}->{zb}: "
+            f"face {tri.face_label(k)} corner {za}->{zb}: "
             f"{arity_a[k]} vs {arity_b[k]} arcs")
     arcs = _arc_array(side_a, side_b)
     vertices, sizes = _surface_vertices(

@@ -45,14 +45,14 @@ j - 1, and edge class r is ``edge_classes[r]`` (e_i, then Eh, Ev).
 
 A quad type's senses are one template over the local edges
 (``sense_template``), since which edges of a row coincide depends on p
-and q only.  ``face_classes`` and ``corner_gluings`` are views of the
-tables made on each read, for display and error messages.
+and q only.  ``face_label`` names the face of a ``corner_table`` row,
+for display and error messages.
 
 The corner graph (local corners joined across every glued face corner)
 has two classes, the poles and the equator, for every coprime (p,q).
 ``level_tree`` walks it along a spanning tree in closed form, and
-``least_labels`` is the package's one class labelling, for it and for
-the per-disk gluings of the surface layer.
+``least_labels`` is the package's one class labelling, for the per-disk
+gluings of the surface layer.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import BudgetExceeded, InvalidParams
 
 # Local corner labels of one tetrahedron.
 TOP, BOT, LEFT, RIGHT = 0, 1, 2, 3
@@ -87,12 +87,12 @@ PAIR_TO_QUAD = {pair: j for j, pairs in QUAD_PAIRS.items() for pair in pairs}
 QUAD_TYPES = (1, 2, 3)
 
 # The face templates: (label prefix, face of side a, face of side b,
-# (corner a, corner b) pairs by corner a, mirror).  V_k is the RIGHT
+# (corner a, corner b) pairs by corner a).  V_k is the RIGHT
 # face of tetrahedron k and the LEFT face of k-1; H_k glues the upper
 # cone face of k, pole to pole reversed, onto the lower one of k+q.
 FACE_TEMPLATES = (
-    ("V", LEFT, RIGHT, ((TOP, TOP), (BOT, BOT), (RIGHT, LEFT)), False),
-    ("H", BOT, TOP, ((TOP, BOT), (LEFT, LEFT), (RIGHT, RIGHT)), True),
+    ("V", LEFT, RIGHT, ((TOP, TOP), (BOT, BOT), (RIGHT, LEFT))),
+    ("H", BOT, TOP, ((TOP, BOT), (LEFT, LEFT), (RIGHT, RIGHT))),
 )
 # Their six corner rows, V then H: (corner a, quad a, corner b, quad b),
 # quad types from 0.  The quad type that cuts off a corner in a face
@@ -100,13 +100,13 @@ FACE_TEMPLATES = (
 CORNER_TEMPLATE = tuple(
     (za, PAIR_TO_QUAD[frozenset((za, fa))] - 1,
      zb, PAIR_TO_QUAD[frozenset((zb, fb))] - 1)
-    for _, fa, fb, pairs, _ in FACE_TEMPLATES for za, zb in pairs)
+    for _, fa, fb, pairs in FACE_TEMPLATES for za, zb in pairs)
 
 
 def least_labels(n: int, u, v, budget=None):
     """For every node 0..n-1, the least node of its class under the
     edges u[k] ~ v[k], as an int64 array: the package's one class
-    labelling, for the corner graph and the per-disk gluings.
+    labelling, for the per-disk gluings.
 
     Each round reads the ``budget`` deadline, hooks every class root to
     the least root it meets along an edge and jumps pointers until each
@@ -152,28 +152,6 @@ class LensParams:
                 f"{math.gcd(self.p, self.q)}")
 
 
-@dataclass(frozen=True)
-class FaceClass:
-    """One glued face of the triangulation.
-
-    ``sides`` holds the two (tetrahedron, face) slots, a face being named
-    by its opposite corner.  ``vertex_map`` sends local corners of the
-    first slot's face to local corners of the second slot's face.
-    ``mirror`` records whether the identification reverses orientation
-    (true for the cone-face gluings, false for the internal vertical
-    faces of the suspension).
-    """
-
-    label: str
-    sides: tuple[tuple[int, int], tuple[int, int]]
-    vertex_map: dict[int, int]
-    mirror: bool
-
-    def corners(self):
-        """(corner on side 0, matched corner on side 1) pairs, sorted."""
-        return tuple(sorted(self.vertex_map.items()))
-
-
 class LensTriangulation:
     """Immutable incidence model of the p-tetrahedron triangulation.
 
@@ -184,8 +162,11 @@ class LensTriangulation:
     """
 
     def __init__(self, params: LensParams):
-        self.params = params
-        p, q = self.p, self.q = params.p, params.q
+        p, q = params.p, params.q
+        # The widest index, a full-coordinate slot, lies below 7p.
+        if 7 * p > np.iinfo(np.int64).max:
+            raise BudgetExceeded(f"p = {p} cannot be indexed in int64")
+        self.params, self.p, self.q = params, p, q
         self.tetrahedra = tuple(range(1, p + 1))
         # Row / reporting order of the edge classes: e_1 .. e_p, Eh, Ev.
         self.edge_classes = tuple(
@@ -204,88 +185,11 @@ class LensTriangulation:
         for array in (self.slot_edges, self.corner_table):
             array.flags.writeable = False
 
-    # -- index helpers ---------------------------------------------------
-
-    def norm(self, i: int) -> int:
-        """Canonical representative of a tetrahedron/edge index in 1..p."""
-        return (i - 1) % self.p + 1
-
-    def edge_label(self, i: int) -> str:
-        return f"e{self.norm(i)}"
-
-    def vertex_name(self, tet: int, corner: int) -> str:
-        """Global vertex carried by a local corner, for display."""
-        if corner == TOP:
-            return "v+"
-        if corner == BOT:
-            return "v-"
-        if corner == LEFT:
-            return f"v{self.norm(tet)}"
-        return f"v{self.norm(tet + 1)}"
-
-    # -- incidence data --------------------------------------------------
-
-    def edge_of(self, tet: int, local_edge: frozenset) -> str:
-        """Edge class of a local edge {u,v} of tetrahedron ``tet``: Ev
-        joins the poles, Eh the equator corners, and the edge from a
-        pole to an equator corner is e_{tet + [RIGHT] - q [BOT]}."""
-        if local_edge not in LOCAL_EDGES:
-            raise ValueError(f"not a local edge: {local_edge!r}")
-        return self.edge_classes[self.slot_edges[
-            (tet - 1) % self.p, LOCAL_EDGES.index(local_edge)]]
-
-    def edge_slots(self, label: str):
-        """All (tetrahedron, local edge) slots of one edge class,
-        tetrahedron-major."""
-        row = self.edge_classes.index(label)
-        slots = np.flatnonzero(self.slot_edges.ravel() == row)
-        return tuple((s // 6 + 1, LOCAL_EDGES[s % 6]) for s in slots.tolist())
-
-    def edge_degree(self, label: str) -> int:
-        row = self.edge_classes.index(label)
-        return int(np.count_nonzero(self.slot_edges == row))
-
-    @property
-    def face_classes(self):
-        """The 2p glued faces, V_1..V_p then H_1..H_p, as FaceClass
-        objects made from ``corner_table`` on each read."""
-        p = self.p
-        faces = []
-        for f, (tet_a, tet_b) in enumerate(
-                self.corner_table[::3, [0, 3]].tolist()):
-            prefix, face_a, face_b, pairs, mirror = FACE_TEMPLATES[f >= p]
-            faces.append(FaceClass(
-                label=f"{prefix}{f % p + 1}",
-                sides=((tet_a + 1, face_a), (tet_b + 1, face_b)),
-                vertex_map=dict(pairs), mirror=mirror))
-        return tuple(faces)
-
-    @property
-    def corner_gluings(self):
-        """The rows of ``corner_table`` as (face class, side a, side b),
-        a side being (tetrahedron, corner, quad type) numbered from 1,
-        made on each read for display and error messages."""
-        faces = self.face_classes
-        return tuple(
-            (faces[g // 3], (ta + 1, za, qa + 1), (tb + 1, zb, qb + 1))
-            for g, (ta, za, qa, tb, zb, qb)
-            in enumerate(self.corner_table.tolist()))
-
-    def vertex_classes(self):
-        """Partition of the 4p local corners into vertex classes, built
-        on each call, in order of their least corner.
-
-        Two corners are identified when some face gluing matches them.
-        For any coprime (p,q) there are exactly two classes, the pole
-        class and the equator class.
-        """
-        table = self.corner_table
-        label = least_labels(4 * self.p, 4 * table[:, 0] + table[:, 1],
-                             4 * table[:, 3] + table[:, 4])
-        return tuple(
-            tuple((node // 4 + 1, node % 4)
-                  for node in np.flatnonzero(label == least).tolist())
-            for least in np.unique(label).tolist())
+    def face_label(self, row: int) -> str:
+        """The face, "V_k" or "H_k", that glues ``corner_table`` row
+        ``row``."""
+        prefix = FACE_TEMPLATES[row // (3 * self.p)][0]
+        return f"{prefix}{row // 3 % self.p + 1}"
 
     @property
     def level_tree(self):
@@ -325,22 +229,6 @@ class LensTriangulation:
         tree.flags.writeable = False
         return tree
 
-    # -- quad semantics --------------------------------------------------
-
-    def quad_separates(self, i: int, j: int) -> tuple[str, str]:
-        """The two edge classes a quad of type (i,j) is disjoint from."""
-        pair_a, pair_b = QUAD_PAIRS[j]
-        return (self.edge_of(i, pair_a), self.edge_of(i, pair_b))
-
-    def quad_crossed_edges(self, i: int, j: int):
-        """The four local edges a quad of type (i,j) crosses, with their
-        edge classes."""
-        pair_a, pair_b = QUAD_PAIRS[j]
-        return [(edge, self.edge_of(i, edge)) for edge in
-                (frozenset((u, v)) for u in pair_a for v in pair_b)]
-
-    # -- senses ----------------------------------------------------------
-
     def sense_template(self, j: int):
         """Net sense of quad type j in every tetrahedron k, as (local
         edge, coefficient) pairs, the edge class being ``slot_edges[k -
@@ -365,24 +253,6 @@ class LensTriangulation:
                     1 if PAIR_TO_QUAD[edge] == j % 3 + 1 else -1)
         return tuple((e, s) for e, s in net.items() if s)
 
-    def quad_senses(self, i: int, j: int):
-        """Net sense of quad type (i, j) at each edge class it meets, as
-        (edge class, coefficient) pairs with zeros dropped.
-
-        Coincident contributions accumulate, so small p or q = 1
-        produce the +-2 entries of the matching matrix and p = 2 the
-        cancellations.
-        """
-        row = self.slot_edges[(i - 1) % self.p].tolist()
-        return tuple((self.edge_classes[row[e]], s)
-                     for e, s in self.sense_template(j))
-
-    def sense(self, edge: str, quad: tuple[int, int]) -> int:
-        """Net sense of quad type ``quad = (i, j)`` at an edge class."""
-        if edge not in self.edge_classes:
-            raise ValueError(f"unknown edge class {edge!r}")
-        return dict(self.quad_senses(*quad)).get(edge, 0)
-
     def __repr__(self):
         return f"LensTriangulation(p={self.p}, q={self.q})"
 
@@ -390,20 +260,12 @@ class LensTriangulation:
 def build_triangulation(params_or_p, q: int | None = None) -> LensTriangulation:
     """Build the triangulation for ``LensParams`` or a plain (p, q) pair.
 
-    Raises InvalidParams unless p >= 2, 1 <= q <= p-1 and gcd(p,q) = 1.
+    Raises InvalidParams unless p >= 2, 1 <= q <= p-1 and gcd(p,q) = 1,
+    and BudgetExceeded when the 7p full-coordinate slots cannot be
+    indexed in int64.
     """
     if isinstance(params_or_p, LensParams):
         params = params_or_p
     else:
         params = LensParams(int(params_or_p), int(q))
     return LensTriangulation(params)
-
-
-def sense(tri: LensTriangulation, edge: str, quad: tuple[int, int]) -> int:
-    """Module-level alias for :meth:`LensTriangulation.sense`."""
-    return tri.sense(edge, quad)
-
-
-def face_gluings(tri: LensTriangulation):
-    """The 2p face classes with their slot pairs and vertex bijections."""
-    return tri.face_classes

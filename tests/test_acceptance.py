@@ -29,7 +29,6 @@ from lensq.cone import (
 from lensq.exact import rank
 from lensq.qsystem import (
     basis_vectors,
-    brute_force_minimal_solutions,
     decompose,
     integrality_class,
     q_matrix,
@@ -42,6 +41,7 @@ from lensq.surface import (
     surface_name,
 )
 from lensq.triangulation import build_triangulation
+from test_cone import brute_force_minimal_solutions
 
 _ENUM_CACHE = {}
 

@@ -334,6 +334,15 @@ def test_classify_huge_coordinates_exit_on_the_budget():
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["enum", "matrix", "verify"])
+def test_p_past_int64_exits_on_the_budget(command):
+    result = run_cli(command, "--p", "1" + "0" * 21, "--q", "1")
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == ("error: budget exceeded: p = 1" + "0" * 21
+                             + " cannot be indexed in int64\n")
+
+
 def test_memory_error_is_reported_as_budget_exceeded(monkeypatch, capsys):
     from lensq import cli
 

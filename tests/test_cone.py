@@ -1,6 +1,9 @@
 """
-Tests for fundamental/vertex solution machinery: the completion
-enumerator against the grid oracle and against a box search, its
+Tests for fundamental/vertex solution machinery, and the reference
+oracles they compare against (``brute_force_minimal_solutions``,
+``minimal_elements``, ``is_vertex_by_search``), which the acceptance
+suite also imports: the completion enumerator against the grid oracle
+and against a box search, its
 block-rotation orbits against the unreduced completion and their
 symmetry checks, its domination index, child verdicts, key
 deduplication and sparse dense set-up against plain numpy references,
@@ -40,8 +43,6 @@ from lensq.cone import (
     hilbert_basis,
     is_fundamental,
     is_vertex,
-    is_vertex_by_search,
-    minimal_elements,
 )
 from lensq.errors import (
     BudgetExceeded,
@@ -56,7 +57,6 @@ from lensq.qsystem import (
     _prenecklaces,
     _symmetry_guard,
     basis_vectors,
-    brute_force_minimal_solutions,
     q_matrix,
     square_condition,
     square_fundamental_solutions,
@@ -84,6 +84,87 @@ TWO_ONE_BASIS = (
     (0, 0, 0, 1, 1, 1),
     (1, 1, 1, 0, 0, 0),
 )
+
+
+# ------------------------------------------------------ reference oracles
+
+def minimal_elements(vectors):
+    """The <=-minimal elements of a set of non-negative vectors."""
+    ordered = sorted(set(map(tuple, vectors)), key=graded_lex_key)
+    kept = []
+    for v in ordered:
+        if not any(all(x >= y for x, y in zip(v, m)) for m in kept):
+            kept.append(v)
+    return tuple(kept)
+
+
+def brute_force_minimal_solutions(tri, a_values, b_values,
+                                  budget: Budget | None = None):
+    """Independent oracle for small Hilbert bases.
+
+    Sweeps every combination of integer coefficients ``a_values`` and
+    grid coefficients ``b_values`` (typically half-integers) over the
+    2p-vector solution basis, keeps the integral non-negative non-zero
+    results, and filters them down to the minimal elements.  Purely a
+    grid sweep plus a definition-level minimality filter, so it shares
+    no code path with the completion enumerator it validates.  Feasible
+    for p up to about 4.
+    """
+    budget = budget or Budget()
+    p = tri.p
+    a_values = sorted(set(int(a) for a in a_values))
+    b_values = sorted(set(Fraction(b) for b in b_values))
+    if not a_values or not b_values:
+        return ()
+
+    # Work in doubled units so everything stays integral.
+    doubled_b = []
+    for b in b_values:
+        twice = 2 * b
+        if twice.denominator != 1:
+            raise ValueError(f"b grid must consist of half-integers, got {b}")
+        doubled_b.append(int(twice))
+
+    grids_a = np.array(
+        np.meshgrid(*([a_values] * p), indexing="ij"),
+        dtype=np.int64).reshape(p, -1).T
+    grids_b = np.array(
+        np.meshgrid(*([doubled_b] * p), indexing="ij"),
+        dtype=np.int64).reshape(p, -1).T
+    budget.check(grids_a.shape[0] * grids_b.shape[0],
+                 what="coefficient grid")
+
+    s_vecs, t_vecs = np.array(basis_vectors(tri), dtype=np.int64)
+    # The doubled b-parts 2 sum(b_k t_k) of integral vectors are even.
+    tails = grids_b @ t_vecs
+    tails = tails[(tails % 2 == 0).all(axis=1)] // 2
+    if not tails.shape[0]:
+        return ()
+    budget.check(grids_a.shape[0] * tails.shape[0], what="candidate set")
+    vectors = ((grids_a @ s_vecs)[:, None] + tails[None]).reshape(-1, 3 * p)
+    vectors = vectors[(vectors >= 0).all(axis=1)]
+    vectors = vectors[vectors.any(axis=1)]
+    vectors = np.unique(vectors, axis=0)
+    return minimal_elements(map(tuple, vectors.tolist()))
+
+
+def is_vertex_by_search(cone: SolutionCone, v, k: int = 3,
+                        budget: Budget | None = None) -> bool:
+    """Bounded-search cross-check of ``is_vertex``.
+
+    Enumerates all solutions in [0, k v] and checks each is a multiple
+    of v.  Exponential; use only on small vectors.
+    """
+    vec = cone.check_solution_vector(v)
+    bounds = tuple(k * x for x in vec)
+    for sol in _box_solutions(cone, bounds, budget or Budget()):
+        if not any(sol):
+            continue
+        # sol must be a rational multiple of vec with matching support.
+        ratios = {Fraction(s, w) for s, w in zip(sol, vec) if w}
+        if len(ratios) != 1 or any(s for s, w in zip(sol, vec) if not w):
+            return False
+    return True
 
 
 # -------------------------------------------------------------- enumerator
@@ -153,6 +234,14 @@ def test_enumeration_is_deterministic():
     cone1 = SolutionCone(q_matrix(build_triangulation(4, 1)))
     cone2 = SolutionCone(q_matrix(build_triangulation(4, 1)))
     assert hilbert_basis(cone1) == hilbert_basis(cone2)
+
+
+def test_box_past_the_safe_integer_range_raises():
+    # The rays (0, 2^31, 1) and (2^31, 0, 1) are not unimodular, so the
+    # completion is set up and its box checked.
+    with pytest.raises(BudgetExceeded, match="^extreme-ray box exceeds "
+                       "the safe integer range$"):
+        hilbert_basis(SolutionCone([[1, 1, -2 ** 31]]))
 
 
 def test_budget_exhaustion_raises():

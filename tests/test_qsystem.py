@@ -66,9 +66,9 @@ def test_block_structure_without_collisions():
                 blocks[b + 1] = chunk
         assert blocks == {
             i: (-1, 1, 0),
-            tri.norm(i + tri.q - 1): (-1, 1, 0),
-            tri.norm(i - 1): (1, 0, -1),
-            tri.norm(i + tri.q): (1, 0, -1),
+            (i + tri.q - 2) % 7 + 1: (-1, 1, 0),
+            (i - 2) % 7 + 1: (1, 0, -1),
+            (i + tri.q - 1) % 7 + 1: (1, 0, -1),
         }
 
 
@@ -267,6 +267,16 @@ def test_expand_matches_literal_combination():
         for j in range(21):
             direct[j] += a[i] * s_vecs[i][j] + b[i] * t_vecs[i][j]
     assert expand(tri, BasisCoefficients(a, b)) == tuple(direct)
+
+
+def test_coefficient_count_must_match_p():
+    short = BasisCoefficients(a=(0,) * 4, b=(0,) * 5)
+    with pytest.raises(DimensionMismatch,
+                       match="^need 5 coefficients of each kind$"):
+        expand(build_triangulation(5, 2), short)
+    with pytest.raises(DimensionMismatch,
+                       match="^expected 5 coefficients of each kind$"):
+        integrality_class(short, 5)
 
 
 # ------------------------------------------------------- square condition

@@ -18,6 +18,7 @@ from lensq.catalog import alternating_vector, expected_for, fixtures
 from lensq.errors import (
     ArityMismatch,
     BudgetExceeded,
+    DimensionMismatch,
     EmptyVector,
     InconsistentWeights,
     NegativeEntry,
@@ -55,7 +56,9 @@ from lensq.triangulation import (
 from test_triangulation import (
     bfs_classes,
     reference_corner_gluings,
+    reference_edge_of,
     reference_edge_slots,
+    vertex_classes,
 )
 
 
@@ -122,6 +125,13 @@ def test_reconstruction_validation():
     s_vecs, _ = basis_vectors(tri)
     with pytest.raises(SquareConditionViolated):
         reconstruct_trigons(tri, s_vecs[0])
+    tri = build_triangulation(5, 2)
+    with pytest.raises(DimensionMismatch,
+                       match="^vector length 12 != 15 columns$"):
+        reconstruct_trigons(tri, (1, 0, 0) * 4)
+    with pytest.raises(DimensionMismatch,
+                       match=r"^full coordinates need length 7p = 35, "):
+        FullCoordinates(tri, [0] * 34)
 
 
 def test_half_integer_vector_is_not_a_solution():
@@ -234,7 +244,7 @@ def test_reconstruction_has_no_trivial_component(p, q):
     _, t_vecs = basis_vectors(tri)
     full = reconstruct_trigons(tri, t_vecs[0])
     assert all(x >= 0 for x in full.entries)
-    for corner_class in tri.vertex_classes():
+    for corner_class in vertex_classes(tri):
         assert min(full.trigons(tet, c) for tet, c in corner_class) == 0
 
 
@@ -283,8 +293,8 @@ def test_disk_graph_counts_arcs_and_vertices(p, q):
         graph = glue_disks(tri, full)
         assert len(graph.disks) == full.total_disks()
         assert len(graph.arcs) == sum(
-            full.trigons(tet, corner) + full.quads(tet, qtype)
-            for _, (tet, corner, qtype), _ in tri.corner_gluings)
+            full.trigons(tet + 1, corner) + full.quads(tet + 1, qtype + 1)
+            for tet, corner, qtype in tri.corner_table[:, :3].tolist())
         assert len(graph.vertices) == sum(edge_weights(tri, full).values())
         assert len(graph.vertex_edges) == len(graph.vertices)
 
@@ -480,8 +490,9 @@ def test_classify_is_equivariant_under_block_rotation(case):
     turned = classify(tri, rotate(v, p, 1))
     assert (turned.euler, turned.orientable) == (base.euler, base.orientable)
     assert sorted(turned.components) == sorted(base.components)
-    relabelled = {label if label in ("Eh", "Ev") else tri.edge_label(
-        int(label[1:]) + 1): w for label, w in base.edge_weights.items()}
+    relabelled = {
+        label if label in ("Eh", "Ev") else f"e{int(label[1:]) % p + 1}": w
+        for label, w in base.edge_weights.items()}
     assert turned.edge_weights == relabelled
 
 
@@ -503,7 +514,7 @@ def test_euler_and_edge_weights_are_additive(data):
     assert all(links.quads(tet, j) == 0
                for tet in tri.tetrahedra for j in (1, 2, 3))
     counts = []
-    for corner_class in tri.vertex_classes():
+    for corner_class in vertex_classes(tri):
         levels = {links.trigons(tet, c) for tet, c in corner_class}
         assert len(levels) == 1 and min(levels) >= 0
         counts.extend(levels)
@@ -545,7 +556,8 @@ def reference_gluing(tri, v):
 
     arcs, joins = [], []
     crossed = bytearray(6 * n)
-    for face, (tet_a, za, qa), (tet_b, zb, qb) in tri.corner_gluings:
+    gluings = reference_corner_gluings(tri)
+    for face, (tet_a, za, qa), (tet_b, zb, qb) in gluings:
         side_a, side_b = stack(tet_a, za, qa), stack(tet_b, zb, qb)
         if len(side_a) != len(side_b):
             raise ArityMismatch(f"face {face.label}")
@@ -559,10 +571,12 @@ def reference_gluing(tri, v):
                 crossed[6 * da + ea] = crossed[6 * db + eb] = 1
     vertices = [cls for cls in bfs_classes(6 * n, joins)[0]
                 if crossed[cls[0]]]
-    labels = [tri.edge_of(tet_of[cls[0] // 6], LOCAL_EDGES[cls[0] % 6])
+    labels = [reference_edge_of(tri, tet_of[cls[0] // 6],
+                                LOCAL_EDGES[cls[0] % 6])
               for cls in vertices]
+    slots = reference_edge_slots(tri)
     for cls, label in zip(vertices, labels):
-        if len(cls) != tri.edge_degree(label):
+        if len(cls) != len(slots[label]):
             raise ArityMismatch(f"edge {label}")
 
     classes, parity = bfs_classes(n, arcs)

@@ -4,17 +4,20 @@ and edge incidence, vertex classes, and the sense tables.
 
 The closed-form index tables are checked against per-slot reference
 builders kept here: one face class, edge slot, corner gluing and sense
-contribution at a time.
+contribution at a time.  Edge degrees, vertex classes and senses are
+read off what the program reads: ``slot_edges``, ``corner_table`` and
+the quad matrix.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensq.errors import InvalidParams
+from lensq.errors import BudgetExceeded, InvalidParams
 from lensq.qsystem import q_matrix
 from lensq.surface import EDGE_INDEX, _glue_table
 from lensq.triangulation import (
@@ -27,12 +30,9 @@ from lensq.triangulation import (
     QUAD_TYPES,
     RIGHT,
     TOP,
-    FaceClass,
     LensParams,
     build_triangulation,
-    face_gluings,
     least_labels,
-    sense,
 )
 
 
@@ -43,14 +43,39 @@ def coprime_pairs(max_p):
 
 # ----------------------------------------------- per-slot reference
 
+def norm(tri, i):
+    """Canonical representative of a tetrahedron/edge index in 1..p."""
+    return (i - 1) % tri.p + 1
+
+
+def edge_label(tri, i):
+    return f"e{norm(tri, i)}"
+
+
+@dataclass(frozen=True)
+class FaceClass:
+    """One glued face: ``sides`` holds the two (tetrahedron, face)
+    slots, a face being named by its opposite corner, and
+    ``vertex_map`` sends corners of the first face to corners of the
+    second."""
+
+    label: str
+    sides: tuple[tuple[int, int], tuple[int, int]]
+    vertex_map: dict[int, int]
+
+    def corners(self):
+        """(corner on side 0, matched corner on side 1) pairs, sorted."""
+        return tuple(sorted(self.vertex_map.items()))
+
+
 def reference_edge_of(tri, tet, local_edge):
     """Edge class of a local edge, from its corners alone."""
     if TOP in local_edge and BOT in local_edge:
         return "Ev"
     if LEFT in local_edge and RIGHT in local_edge:
         return "Eh"
-    return tri.edge_label(tet + (RIGHT in local_edge)
-                          - tri.q * (BOT in local_edge))
+    return edge_label(tri, tet + (RIGHT in local_edge)
+                      - tri.q * (BOT in local_edge))
 
 
 def reference_edge_slots(tri):
@@ -67,16 +92,14 @@ def reference_face_classes(tri):
     for k in tri.tetrahedra:
         faces.append(FaceClass(
             label=f"V{k}",
-            sides=((tri.norm(k - 1), LEFT), (k, RIGHT)),
+            sides=((norm(tri, k - 1), LEFT), (k, RIGHT)),
             vertex_map={TOP: TOP, BOT: BOT, RIGHT: LEFT},
-            mirror=False,
         ))
     for k in tri.tetrahedra:
         faces.append(FaceClass(
             label=f"H{k}",
-            sides=((k, BOT), (tri.norm(k + tri.q), TOP)),
+            sides=((k, BOT), (norm(tri, k + tri.q), TOP)),
             vertex_map={TOP: BOT, LEFT: LEFT, RIGHT: RIGHT},
-            mirror=True,
         ))
     return tuple(faces)
 
@@ -134,6 +157,27 @@ def reference_glue_table(tri):
     return np.array(table, dtype=np.int64).reshape(-1, 12)
 
 
+def vertex_classes(tri):
+    """The local corners (tetrahedron, corner) of each vertex class, in
+    order of their least corner: the corner graph of ``corner_table``
+    labelled by ``least_labels``."""
+    table = tri.corner_table
+    label = least_labels(4 * tri.p, 4 * table[:, 0] + table[:, 1],
+                         4 * table[:, 3] + table[:, 4])
+    return tuple(
+        tuple((node // 4 + 1, node % 4)
+              for node in np.flatnonzero(label == least).tolist())
+        for least in np.unique(label).tolist())
+
+
+def sense(tri, edge, quad):
+    """Net sense of quad type ``quad = (i, j)`` at an edge class: the
+    quad matrix entry in that edge's row and that quad's column."""
+    i, j = quad
+    return q_matrix(tri).rows[tri.edge_classes.index(edge)][
+        3 * (i - 1) + j - 1]
+
+
 def assert_tables_match_reference(p, q):
     tri = build_triangulation(p, q)
     index = {label: r for r, label in enumerate(tri.edge_classes)}
@@ -144,14 +188,18 @@ def assert_tables_match_reference(p, q):
     assert tri.corner_table.tolist() == [
         [tet_a - 1, za, qa - 1, tet_b - 1, zb, qb - 1]
         for _, (tet_a, za, qa), (tet_b, zb, qb) in gluings]
-    assert tri.corner_gluings == gluings
-    assert tri.face_classes == reference_face_classes(tri)
+    assert [tri.face_label(row) for row in range(6 * p)] == [
+        face.label for face, _, _ in gluings]
     # Tuple for tuple and in entry order: exact.push_column reads them.
     assert q_matrix(tri).columns == reference_columns(tri)
     slots = reference_edge_slots(tri)
-    for label in tri.edge_classes:
-        assert tri.edge_slots(label) == slots[label]
-        assert tri.edge_degree(label) == len(slots[label])
+    flat = tri.slot_edges.ravel()
+    assert np.bincount(flat, minlength=p + 2).tolist() == [
+        len(slots[label]) for label in tri.edge_classes]
+    for row, label in enumerate(tri.edge_classes):
+        assert tuple((s // 6 + 1, LOCAL_EDGES[s % 6])
+                     for s in np.flatnonzero(flat == row).tolist()) == \
+            slots[label]
     assert np.array_equal(_glue_table(tri), reference_glue_table(tri))
 
 
@@ -211,7 +259,7 @@ def test_level_tree_is_read_only_and_leaves_the_triangulation_unwritten():
 
 def test_two_vertex_classes_below_forty():
     for p, q in coprime_pairs(39):
-        poles, equator = build_triangulation(p, q).vertex_classes()
+        poles, equator = vertex_classes(build_triangulation(p, q))
         tets = range(1, p + 1)
         assert poles == tuple((k, c) for k in tets for c in (TOP, BOT))
         assert equator == tuple((k, c) for k in tets for c in (LEFT, RIGHT))
@@ -244,14 +292,20 @@ def test_bad_ranges_rejected(p, q):
         LensParams(p, q)
 
 
+def test_p_past_int64_is_refused_before_any_table():
+    with pytest.raises(BudgetExceeded,
+                       match=f"^p = {10 ** 21} cannot be indexed in int64$"):
+        build_triangulation(10 ** 21, 1)
+
+
 # ------------------------------------------------------------- incidence
 
 @pytest.mark.parametrize("p,q", coprime_pairs(7))
 def test_cell_complex_euler_characteristic_vanishes(p, q):
     tri = build_triangulation(p, q)
-    vertices = len(tri.vertex_classes())
+    vertices = len(vertex_classes(tri))
     edges = len(tri.edge_classes)
-    faces = len(tri.face_classes)
+    faces = len(tri.corner_table) // 3
     assert vertices == 2
     assert faces == 2 * p
     assert vertices - edges + faces - p == 0
@@ -261,9 +315,13 @@ def test_cell_complex_euler_characteristic_vanishes(p, q):
 def test_every_tetrahedron_fills_four_face_slots(p, q):
     tri = build_triangulation(p, q)
     slots = {}
-    for face in face_gluings(tri):
-        for tet, face_id in face.sides:
-            slots.setdefault(tet, []).append(face_id)
+    # Each face holds three rows; on either side its three corners are
+    # all but the one that names the face.
+    for face in tri.corner_table.reshape(2 * p, 3, 6).tolist():
+        for side in (0, 3):
+            (tet,) = {row[side] for row in face}
+            (face_id,) = set(CORNERS) - {row[side + 1] for row in face}
+            slots.setdefault(tet + 1, []).append(face_id)
     for tet in tri.tetrahedra:
         # All four faces of each tetrahedron appear exactly once.
         assert sorted(slots[tet]) == sorted(CORNERS)
@@ -272,11 +330,11 @@ def test_every_tetrahedron_fills_four_face_slots(p, q):
 @pytest.mark.parametrize("p,q", coprime_pairs(6))
 def test_corner_gluings_cover_each_corner_once_per_quad_type(p, q):
     tri = build_triangulation(p, q)
-    assert len(tri.corner_gluings) == 6 * p
+    assert len(tri.corner_table) == 6 * p
     seen = {}
-    for _, side_a, side_b in tri.corner_gluings:
-        for tet, corner, qtype in (side_a, side_b):
-            seen.setdefault((tet, corner), []).append(qtype)
+    for row in tri.corner_table.tolist():
+        for tet, corner, qtype in (row[:3], row[3:]):
+            seen.setdefault((tet + 1, corner), []).append(qtype + 1)
     # A corner lies on three faces, and in each it is cut off by a
     # different quad type.
     assert sorted(seen) == [(tet, c) for tet in tri.tetrahedra
@@ -286,50 +344,43 @@ def test_corner_gluings_cover_each_corner_once_per_quad_type(p, q):
 
 def test_slanted_edge_joins_both_poles():
     tri = build_triangulation(7, 3)
+    top_left = LOCAL_EDGES.index(frozenset((TOP, LEFT)))
+    bot_left = LOCAL_EDGES.index(frozenset((BOT, LEFT)))
     for i in tri.tetrahedra:
         # pole-to-left-equator edge of tet i is class e_i ...
-        assert tri.edge_of(i, frozenset((TOP, LEFT))) == f"e{i}"
+        assert tri.edge_classes[tri.slot_edges[i - 1, top_left]] == f"e{i}"
         # ... and the south-pole copy sits in tet i+q as its left edge.
-        j = tri.norm(i + tri.q)
-        assert tri.edge_of(j, frozenset((BOT, LEFT))) == f"e{i}"
-
-
-@pytest.mark.parametrize("corners", [(TOP,), (TOP, BOT, LEFT), (TOP, 7)])
-def test_edge_of_rejects_a_non_edge(corners):
-    with pytest.raises(ValueError):
-        build_triangulation(7, 3).edge_of(1, frozenset(corners))
+        j = norm(tri, i + tri.q)
+        assert tri.edge_classes[tri.slot_edges[j - 1, bot_left]] == f"e{i}"
 
 
 def test_horizontal_gluing_of_five_two():
+    # H1 glues the BOT face of tetrahedron 1 to the TOP face of 3 by
+    # top -> bot, left -> left, right -> right: rows 3p .. 3p + 2.
     tri = build_triangulation(5, 2)
-    face = next(f for f in tri.face_classes if f.label == "H1")
-    assert face.sides == ((1, BOT), (3, TOP))
-    assert face.mirror
-    assert face.vertex_map == {TOP: BOT, LEFT: LEFT, RIGHT: RIGHT}
-    # In global vertex names: v+ -> v-, v1 -> v3, v2 -> v4.
-    assert tri.vertex_name(1, TOP) == "v+"
-    assert tri.vertex_name(3, BOT) == "v-"
-    assert tri.vertex_name(1, LEFT) == "v1"
-    assert tri.vertex_name(3, LEFT) == "v3"
-    assert tri.vertex_name(1, RIGHT) == "v2"
-    assert tri.vertex_name(3, RIGHT) == "v4"
+    rows = tri.corner_table[15:18].tolist()
+    assert {tri.face_label(row) for row in range(15, 18)} == {"H1"}
+    assert [(ta, za, tb, zb) for ta, za, _, tb, zb, _ in rows] == [
+        (0, TOP, 2, BOT), (0, LEFT, 2, LEFT), (0, RIGHT, 2, RIGHT)]
 
 
 def test_vertical_face_of_two_one():
+    # V1 glues the LEFT face of tetrahedron 2 to the RIGHT face of 1.
     tri = build_triangulation(2, 1)
-    face = next(f for f in tri.face_classes if f.label == "V1")
-    assert face.sides == ((2, LEFT), (1, RIGHT))
+    rows = tri.corner_table[:3].tolist()
+    assert {tri.face_label(row) for row in range(3)} == {"V1"}
+    assert {(ta, tb) for ta, _, _, tb, _, _ in rows} == {(1, 0)}
+    assert LEFT not in {za for _, za, _, _, _, _ in rows}
+    assert RIGHT not in {zb for _, _, _, _, zb, _ in rows}
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(6))
 def test_edge_degrees(p, q):
+    # Degrees e_1 .. e_p, Eh, Ev, in the row order of ``edge_classes``.
     tri = build_triangulation(p, q)
-    assert tri.edge_degree("Ev") == p
-    assert tri.edge_degree("Eh") == p
-    for i in tri.tetrahedra:
-        assert tri.edge_degree(f"e{i}") == 4
-    total = sum(tri.edge_degree(e) for e in tri.edge_classes)
-    assert total == 6 * p
+    degrees = np.bincount(tri.slot_edges.ravel(), minlength=p + 2)
+    assert degrees.tolist() == [4] * p + [p, p]
+    assert degrees.sum() == 6 * p
 
 
 # ----------------------------------------------------------------- sense
@@ -337,22 +388,22 @@ def test_edge_degrees(p, q):
 def test_sense_table_for_q_one():
     tri = build_triangulation(5, 1)
     for i in tri.tetrahedra:
-        before, after = tri.edge_label(i - 1), tri.edge_label(i + 1)
-        here = tri.edge_label(i)
-        assert tri.sense(before, (i, 1)) == 1
-        assert tri.sense(here, (i, 1)) == -2
-        assert tri.sense(after, (i, 1)) == 1
-        assert tri.sense(here, (i, 2)) == 2
-        assert tri.sense(before, (i, 2)) == 0
-        assert tri.sense(before, (i, 3)) == -1
-        assert tri.sense(after, (i, 3)) == -1
-        assert tri.sense(here, (i, 3)) == 0
-        assert tri.sense("Eh", (i, 1)) == 0
-        assert tri.sense("Ev", (i, 1)) == 0
-        assert tri.sense("Eh", (i, 2)) == -1
-        assert tri.sense("Ev", (i, 2)) == -1
-        assert tri.sense("Eh", (i, 3)) == 1
-        assert tri.sense("Ev", (i, 3)) == 1
+        before, after = edge_label(tri, i - 1), edge_label(tri, i + 1)
+        here = edge_label(tri, i)
+        assert sense(tri, before, (i, 1)) == 1
+        assert sense(tri, here, (i, 1)) == -2
+        assert sense(tri, after, (i, 1)) == 1
+        assert sense(tri, here, (i, 2)) == 2
+        assert sense(tri, before, (i, 2)) == 0
+        assert sense(tri, before, (i, 3)) == -1
+        assert sense(tri, after, (i, 3)) == -1
+        assert sense(tri, here, (i, 3)) == 0
+        assert sense(tri, "Eh", (i, 1)) == 0
+        assert sense(tri, "Ev", (i, 1)) == 0
+        assert sense(tri, "Eh", (i, 2)) == -1
+        assert sense(tri, "Ev", (i, 2)) == -1
+        assert sense(tri, "Eh", (i, 3)) == 1
+        assert sense(tri, "Ev", (i, 3)) == 1
 
 
 def test_sense_table_for_two_one():
@@ -374,22 +425,26 @@ def test_sense_table_for_two_one():
 def test_core_circle_senses(p, q):
     tri = build_triangulation(p, q)
     for i in tri.tetrahedra:
-        assert tri.sense("Eh", (i, 2)) == -1
-        assert tri.sense("Ev", (i, 2)) == -1
-        assert tri.sense("Eh", (i, 3)) == 1
+        assert sense(tri, "Eh", (i, 2)) == -1
+        assert sense(tri, "Ev", (i, 2)) == -1
+        assert sense(tri, "Eh", (i, 3)) == 1
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(7))
 def test_sense_contributions_match_crossed_edges(p, q):
     """Each signed unit contribution must sit on an edge the quad
-    actually crosses, with multiplicity."""
+    actually crosses, with multiplicity: the four local edges joining
+    its two partition pairs, classed by ``slot_edges``."""
     tri = build_triangulation(p, q)
     for i in tri.tetrahedra:
         for j in (1, 2, 3):
             contributed = sorted(label for label, _ in
                                  sense_contributions(tri, i, j))
-            crossed = sorted(label for _, label in
-                             tri.quad_crossed_edges(i, j))
+            pair_a, pair_b = QUAD_PAIRS[j]
+            crossed = sorted(
+                tri.edge_classes[tri.slot_edges[
+                    i - 1, LOCAL_EDGES.index(frozenset((u, v)))]]
+                for u in pair_a for v in pair_b)
             assert contributed == crossed
 
 
@@ -397,9 +452,12 @@ def hand_sense_table(tri, i, j):
     """The sense contributions of quad (i,j) written out by hand, one
     branch per quad type: the reference the one-rule
     ``sense_contributions`` is checked against, which in turn checks
-    ``quad_senses`` and the QMatrix columns."""
+    the QMatrix columns (``reference_columns``)."""
     q = tri.q
-    e = tri.edge_label
+
+    def e(i):
+        return edge_label(tri, i)
+
     return {
         1: ((e(i - q), +1), (e(i - q + 1), -1), (e(i), -1), (e(i + 1), +1)),
         2: ((e(i - q + 1), +1), (e(i), +1), ("Eh", -1), ("Ev", -1)),
@@ -414,40 +472,38 @@ def test_sense_rule_matches_hand_table_below_forty():
             for j in (1, 2, 3):
                 assert sorted(sense_contributions(tri, i, j)) == \
                     sorted(hand_sense_table(tri, i, j)), (p, q, i, j)
-                assert tri.quad_senses(i, j) == \
-                    reference_quad_senses(tri, i, j), (p, q, i, j)
 
 
 @pytest.mark.parametrize("j", [0, 4, -1])
 def test_sense_contributions_reject_bad_type(j):
     tri = build_triangulation(5, 2)
-    with pytest.raises(ValueError):
-        tri.quad_senses(1, j)
-    with pytest.raises(ValueError):
-        tri.sense("e1", (1, j))
+    with pytest.raises(ValueError, match="^quad type must be 1, 2 or 3"):
+        tri.sense_template(j)
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(7))
 def test_quad_separates_opposite_edges(p, q):
+    # A quad is disjoint from the two local edges of its partition
+    # pairs; their classes, by ``slot_edges``.
     tri = build_triangulation(p, q)
+
+    def separated(i, j):
+        return tuple(tri.edge_classes[tri.slot_edges[
+            i - 1, LOCAL_EDGES.index(pair)]] for pair in QUAD_PAIRS[j])
+
     for i in tri.tetrahedra:
-        assert tri.quad_separates(i, 1) == ("Ev", "Eh")
-        assert tri.quad_separates(i, 2) == (
-            tri.edge_label(i + 1), tri.edge_label(i - q))
-        assert tri.quad_separates(i, 3) == (
-            tri.edge_label(i), tri.edge_label(i - q + 1))
+        assert separated(i, 1) == ("Ev", "Eh")
+        assert separated(i, 2) == (edge_label(tri, i + 1),
+                                   edge_label(tri, i - q))
+        assert separated(i, 3) == (edge_label(tri, i),
+                                   edge_label(tri, i - q + 1))
 
 
 @pytest.mark.parametrize("p,q", [(5, 2), (7, 2), (7, 3), (8, 3), (9, 2)])
 def test_mirror_parameter_symmetry(p, q):
     """T(p,q) and T(p,p-q) have the same multiset of sense values."""
     def all_senses(tri):
-        values = []
-        for e in tri.edge_classes:
-            for i in tri.tetrahedra:
-                for j in (1, 2, 3):
-                    values.append(abs(tri.sense(e, (i, j))))
-        return sorted(values)
+        return sorted(abs(x) for row in q_matrix(tri).rows for x in row)
 
     assert all_senses(build_triangulation(p, q)) == \
         all_senses(build_triangulation(p, p - q))
