@@ -12,17 +12,18 @@ makes the minimum count in each class zero.
 
 Classification numbers the disks slot by slot and glues them across
 every face corner, matching arcs in nesting order.  The 6p glued
-corners are read once, as runs of disk ids; everything per disk, arc or
-crossing is an array pass, and the per-disk gluings go through one
-array labelling (``triangulation.least_labels``): each arc joins its
-disks' crossings with the face's other edges into surface vertices,
-and joins the sides of its two disks, swapped when the arc reverses
-them, into a side graph whose classes give the components.  A
-component is two-sided (equivalently orientable, the ambient space
-being orientable) exactly when its least disk's two sides lie in
-different classes.  chi = crossings - arcs + disks, per component.
-The trigon levels need no labelling: they are walked along the corner
-graph's closed-form spanning tree, ``LensTriangulation.level_tree``.
+corners are read once, as runs of disk ids; everything per disk or arc
+is an array pass.  Each arc joins the sides of its two disks, swapped
+when the arc reverses them, and one labelling of the sides
+(``triangulation.least_labels``) gives the components.  A component is
+two-sided (equivalently orientable, the ambient space being orientable)
+exactly when its least disk's two sides lie in different classes.  A
+surface vertex on edge class r meets one disk in each of the deg(r)
+slots around r, all in one component, so a component's vertices on r
+are its crossings with r over deg(r); chi = vertices - arcs + disks,
+per component.  The trigon levels need no labelling either: they are
+walked along the corner graph's closed-form spanning tree,
+``LensTriangulation.level_tree``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .qsystem import QMatrix, q_matrix, square_condition
 from .triangulation import (
     BOT,
     CORNER_TEMPLATE,
-    FACE_TEMPLATES,
     LEFT,
     LOCAL_EDGES,
     QUAD_PAIRS,
@@ -62,15 +62,16 @@ from .triangulation import (
 # in corner order, then the three quad counts.  Disks are numbered in
 # the same order, each slot's copies in a row.
 SLOTS_PER_TET = 7
-# LOCAL_EDGES index of the edge joining two corners, in either order.
-EDGE_INDEX = {(u, v): k for k, edge in enumerate(LOCAL_EDGES)
-              for u in edge for v in edge if u != v}
 # Per local edge, the four slots of a tetrahedron's block that cross
 # it: the trigons at its two ends and the two quad types not parallel
 # to it.
 WEIGHT_SLOTS = tuple(
     (*sorted(edge), *(3 + j for j in QUAD_TYPES if j != PAIR_TO_QUAD[edge]))
     for edge in LOCAL_EDGES)
+# Its inverse, a 7 x 6 table: whether the disks of each slot of the
+# block cross each local edge.
+CROSSES = np.array([[k in slots for slots in WEIGHT_SLOTS]
+                    for k in range(SLOTS_PER_TET)])
 
 
 class FullCoordinates:
@@ -252,17 +253,10 @@ class DiskGraph:
     an A x 3 array of (disk, disk, reversed) rows, ``reversed`` being
     1 when the two disks' reference sides disagree across the glued
     arc.
-    ``vertices``: one entry per surface vertex, the least of its
-    crossing nodes 6 * disk + LOCAL_EDGES index; every crossing of the
-    surface with an edge of the triangulation lies in exactly one
-    vertex.  ``vertex_edges``: the index in ``tri.edge_classes`` of the
-    edge each vertex lies on.
     """
 
     disks: np.ndarray
     arcs: np.ndarray
-    vertices: np.ndarray
-    vertex_edges: np.ndarray
 
 
 def _side_runs(first, tet, corner, j, ascending):
@@ -302,19 +296,14 @@ def _arc_array(side_a, side_b):
 
 
 def _glue_table(tri: LensTriangulation):
-    """The 6p x 12 int64 table ``glue_disks`` reads, one row per glued
+    """The 6p x 8 int64 table ``glue_disks`` reads, one row per glued
     corner (row of ``tri.corner_table``): (tet, corner, quad type,
-    quads ascend) for sides a and b, tetrahedra and quad types from 0,
-    then the LOCAL_EDGES indices of the two face edges its arcs meet,
-    side a then side b.  Everything but the tetrahedra is a constant of
-    the corner's face template."""
-    constants = np.array([
-        (za in QUAD_PAIRS[qa + 1][0], zb in QUAD_PAIRS[qb + 1][0],
-         *(x for ya, yb in FACE_TEMPLATES[r // 3][3] if ya != za
-           for x in (EDGE_INDEX[za, ya], EDGE_INDEX[zb, yb])))
-        for r, (za, qa, zb, qb) in enumerate(CORNER_TEMPLATE)])
-    per_corner = np.tile(constants.reshape(2, 1, 18), (1, tri.p, 1))
-    per_corner = per_corner.reshape(-1, 6)
+    quads ascend) for sides a and b, tetrahedra and quad types from 0.
+    The ascend flags are constants of the corner's face template."""
+    ascend = np.array([
+        (za in QUAD_PAIRS[qa + 1][0], zb in QUAD_PAIRS[qb + 1][0])
+        for za, qa, zb, qb in CORNER_TEMPLATE])
+    per_corner = np.tile(ascend.reshape(2, 1, 6), (1, tri.p, 1)).reshape(-1, 2)
     table = tri.corner_table
     return np.concatenate((table[:, :3], per_corner[:, :1], table[:, 3:],
                            per_corner[:, 1:]), axis=1)
@@ -328,19 +317,17 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     copies sit nearest the vertex, quad copies follow, and parallel
     quad copies run toward or away from the corner according to which
     side of the quad's partition the corner lies on.  The glued
-    corners' slots and face edges come as one integer table
-    (``_glue_table``); array passes turn them into the arcs.  Each arc
-    also glues its disks' crossings with the face's two other edges, node
-    6 * disk + LOCAL_EDGES index, and :func:`least_labels` gathers the
-    crossings into surface vertices.  A ``budget``, if given, is
-    charged the disk count before any array is made and its deadline
-    read once per labelling round.  A surface too large for int64
-    crossing ids (6 per disk) raises BudgetExceeded, budget or not.
+    corners' slots come as one integer table (``_glue_table``); array
+    passes turn them into the arcs.  A ``budget``, if given, is charged
+    the disk count, and its deadline read, before any array is made.
+    A surface too large for int64 side nodes (2 per disk, the widest
+    index :func:`classify` builds from the graph) raises
+    BudgetExceeded, budget or not.
     """
     total = full.total_disks()
     if budget is not None:
         budget.check(total, what="normal disks")
-    if 6 * total > np.iinfo(np.int64).max:
+    if 2 * total > np.iinfo(np.int64).max:
         raise BudgetExceeded(
             f"{total} normal disks cannot be indexed in int64")
     table = _glue_table(tri)
@@ -356,39 +343,43 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
         raise ArityMismatch(
             f"face {tri.face_label(k)} corner {za}->{zb}: "
             f"{arity_a[k]} vs {arity_b[k]} arcs")
-    arcs = _arc_array(side_a, side_b)
-    vertices, sizes = _surface_vertices(
-        int(first[-1]), arcs,
-        np.repeat(table[:, 8:].astype(np.int8), arity_a, axis=0), budget)
+    return DiskGraph(disks=np.repeat(np.arange(len(counts)), counts),
+                     arcs=_arc_array(side_a, side_b))
 
-    disks = np.repeat(np.arange(len(counts)), counts)
-    # Edge class index of local edge e of tetrahedron tet at
-    # 6 (tet - 1) + e.
-    slot_edges = tri.slot_edges.ravel()
-    vertex_edges = slot_edges[6 * (disks[vertices // 6] // SLOTS_PER_TET)
-                              + vertices % 6]
-    # Sanity: one crossing point shows up once per slot around its edge.
-    degrees = np.bincount(slot_edges, minlength=len(tri.edge_classes))
-    wrong = np.flatnonzero(sizes != degrees[vertex_edges])
+
+def _component_vertices(tri, disks, component_of):
+    """The surface vertices of each component on each edge class it
+    meets, as arrays (component, edge class index, vertices) sorted by
+    component, then edge class.  A component's crossings with edge
+    class r, summed from its disks' slots (``CROSSES``), are deg(r) per
+    vertex; a sum that deg(r) does not divide raises ArityMismatch."""
+    # Disks are numbered slot by slot, so a stable sort by component
+    # runs through each component's disks in slot order.
+    order = np.argsort(component_of, kind="stable")
+    comp, slot = component_of[order], disks[order]
+    start = np.flatnonzero((np.diff(comp, prepend=-1) != 0)
+                           | (np.diff(slot, prepend=-1) != 0))
+    copies = np.diff(start, append=len(comp))
+    comp, slot = comp[start], slot[start]
+    run, local = np.nonzero(CROSSES[slot % SLOTS_PER_TET])
+    comp, copies = comp[run], copies[run]
+    edge = tri.slot_edges[slot[run] // SLOTS_PER_TET, local]
+
+    order = np.lexsort((edge, comp))
+    comp, edge, copies = comp[order], edge[order], copies[order]
+    start = np.flatnonzero((np.diff(comp, prepend=-1) != 0)
+                           | (np.diff(edge, prepend=-1) != 0))
+    comp, edge = comp[start], edge[start]
+    crossings = np.add.reduceat(copies, start)
+    degree = np.bincount(tri.slot_edges.ravel(),
+                         minlength=len(tri.edge_classes))[edge]
+    wrong = np.flatnonzero(crossings % degree)
     if wrong.size:
-        k = vertex_edges[wrong[0]]
+        k = wrong[0]
         raise ArityMismatch(
-            f"edge {tri.edge_classes[k]}: crossing has {sizes[wrong[0]]} "
-            f"corners, edge degree is {degrees[k]}")
-    return DiskGraph(disks=disks, arcs=arcs, vertices=vertices,
-                     vertex_edges=vertex_edges)
-
-
-def _surface_vertices(n, arcs, edges, budget):
-    """The least crossing node of each surface vertex and its number of
-    crossings.  ``edges`` holds, per arc, the LOCAL_EDGES indices
-    (a, b, a, b) of the two face edges it meets on sides a and b."""
-    u = (6 * arcs[:, :1] + edges[:, 0::2]).ravel()
-    v = (6 * arcs[:, 1:2] + edges[:, 1::2]).ravel()
-    label = least_labels(6 * n, u, v, budget)
-    crossed = np.zeros(6 * n, dtype=bool)
-    crossed[u] = crossed[v] = True
-    return np.unique(label[crossed], return_counts=True)
+            f"edge {tri.edge_classes[edge[k]]} in component {comp[k]}: "
+            f"{crossings[k]} crossings, edge degree is {degree[k]}")
+    return comp, edge, crossings // degree
 
 
 @dataclass(frozen=True)
@@ -419,12 +410,15 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     and each arc joins the sides it glues, swapped when the arc is
     reversed.  A component is one-sided exactly when its least disk's
     two sides share a label.  Per-component Euler characteristics count
-    crossings - arcs + disks.  The ambient-space parity law (a
-    connected surface is one-sided exactly when it crosses each core
-    circle an odd number of times) is checked per component as an
-    internal cross-validation.
-    ``budget`` bounds the disk gluing (see :func:`glue_disks`) and
-    has its deadline read once per round of the side labelling.
+    vertices - arcs + disks, the vertices from the component's edge
+    crossings (see :func:`_component_vertices`).  The ambient-space
+    parity law (a connected surface is one-sided exactly when it
+    crosses each core circle an odd number of times) is checked per
+    component on its vertices on Ev and Eh, as an internal
+    cross-validation.
+    ``budget`` bounds the disk count (see :func:`glue_disks`) and has
+    its deadline read once per round of the side labelling, the only
+    labelling here.
     """
     full = reconstruct_trigons(tri, v, matrix=matrix)
     weights = edge_weights(tri, full)
@@ -444,17 +438,19 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     one_sided = side[2 * roots] == side[2 * roots + 1]
     component_of = np.searchsorted(roots, least)
 
-    # An arc, and a vertex, lies in one component by construction: its
-    # disks were glued above.
+    # An arc lies in one component by construction: its disks were
+    # glued above.
     k = len(roots)
-    vertex_component = component_of[graph.vertices // 6]
-    euler = (np.bincount(vertex_component, minlength=k)
-             - np.bincount(component_of[da], minlength=k)
+    comp, edge, count = _component_vertices(tri, graph.disks, component_of)
+    vertices = np.zeros(k, dtype=np.int64)
+    np.add.at(vertices, comp, count)
+    euler = (vertices - np.bincount(component_of[da], minlength=k)
              + np.bincount(component_of, minlength=k))
     for core in ("Ev", "Eh"):
-        on_core = graph.vertex_edges == tri.edge_classes.index(core)
-        odd = np.bincount(vertex_component[on_core], minlength=k) % 2 == 1
-        wrong = np.flatnonzero(odd != one_sided)
+        on_core = np.zeros(k, dtype=np.int64)
+        here = edge == tri.edge_classes.index(core)
+        on_core[comp[here]] = count[here]
+        wrong = np.flatnonzero((on_core % 2 == 1) != one_sided)
         if wrong.size:
             raise InconsistentPropagation(
                 f"orientability contradicts core crossing parity in "

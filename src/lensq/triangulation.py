@@ -51,8 +51,8 @@ for display and error messages.
 The corner graph (local corners joined across every glued face corner)
 has two classes, the poles and the equator, for every coprime (p,q).
 ``level_tree`` walks it along a spanning tree in closed form, and
-``least_labels`` is the package's one class labelling, for the per-disk
-gluings of the surface layer.
+``least_labels`` is the package's one class labelling, for the sides
+of the glued disks in the surface layer.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .errors import BudgetExceeded, InvalidParams
 
 # Local corner labels of one tetrahedron.
 TOP, BOT, LEFT, RIGHT = 0, 1, 2, 3
-CORNERS = (TOP, BOT, LEFT, RIGHT)
 CORNER_NAMES = {TOP: "top", BOT: "bot", LEFT: "left", RIGHT: "right"}
 
 # The six local edges, and the partition pairs of the three quad types.
@@ -106,7 +105,7 @@ CORNER_TEMPLATE = tuple(
 def least_labels(n: int, u, v, budget=None):
     """For every node 0..n-1, the least node of its class under the
     edges u[k] ~ v[k], as an int64 array: the package's one class
-    labelling, for the per-disk gluings.
+    labelling, for the sides of the glued disks.
 
     Each round reads the ``budget`` deadline, hooks every class root to
     the least root it meets along an edge and jumps pointers until each
@@ -166,7 +165,7 @@ class LensTriangulation:
         # The widest index, a full-coordinate slot, lies below 7p.
         if 7 * p > np.iinfo(np.int64).max:
             raise BudgetExceeded(f"p = {p} cannot be indexed in int64")
-        self.params, self.p, self.q = params, p, q
+        self.p, self.q = p, q
         self.tetrahedra = tuple(range(1, p + 1))
         # Row / reporting order of the edge classes: e_1 .. e_p, Eh, Ev.
         self.edge_classes = tuple(

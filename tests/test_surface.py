@@ -10,10 +10,12 @@ import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lensq import surface
 from lensq.catalog import alternating_vector, expected_for, fixtures
 from lensq.errors import (
     ArityMismatch,
@@ -37,6 +39,7 @@ from lensq.qsystem import (
 )
 from lensq.surface import (
     FullCoordinates,
+    _component_vertices,
     classify,
     edge_weights,
     euler_characteristic,
@@ -52,6 +55,7 @@ from lensq.triangulation import (
     QUAD_PAIRS,
     QUAD_TYPES,
     build_triangulation,
+    least_labels,
 )
 from test_triangulation import (
     bfs_classes,
@@ -285,6 +289,22 @@ def test_unmatched_disks_raise_named_guards():
         edge_weights(tri, lone)
 
 
+def test_crossings_off_the_edge_degree_raise_a_named_guard():
+    # Put each disk of a (5,2) sphere in a component of its own: the
+    # first disk crosses e1 once, and e1 has four slots.
+    tri = build_triangulation(5, 2)
+    graph = glue_disks(tri, reconstruct_trigons(
+        tri, (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0)))
+    with pytest.raises(ArityMismatch, match=r"^edge e1 in component 0: "
+                       r"1 crossings, edge degree is 4$"):
+        _component_vertices(tri, graph.disks, np.arange(len(graph.disks)))
+    comp, edge, count = _component_vertices(
+        tri, graph.disks, np.zeros(len(graph.disks), dtype=np.int64))
+    assert comp.tolist() == [0] * 6 and count.tolist() == [2] * 6
+    assert [tri.edge_classes[r] for r in edge] == [
+        "e1", "e2", "e4", "e5", "Eh", "Ev"]
+
+
 @pytest.mark.parametrize("p,q", [(2, 1), (5, 2), (8, 3)])
 def test_disk_graph_counts_arcs_and_vertices(p, q):
     tri = build_triangulation(p, q)
@@ -295,14 +315,12 @@ def test_disk_graph_counts_arcs_and_vertices(p, q):
         assert len(graph.arcs) == sum(
             full.trigons(tet + 1, corner) + full.quads(tet + 1, qtype + 1)
             for tet, corner, qtype in tri.corner_table[:, :3].tolist())
-        assert len(graph.vertices) == sum(edge_weights(tri, full).values())
-        assert len(graph.vertex_edges) == len(graph.vertices)
 
 
 def test_classify_memory_stays_in_arrays():
-    # The first (8,3) fixture times 10^4: 80,000 normal disks, 160,000
-    # arcs and 60,000 surface vertices.  A tuple or union-find node per
-    # disk held over 100 MiB here.
+    # The first (8,3) fixture times 10^4: 80,000 normal disks and
+    # 160,000 arcs.  A tuple or union-find node per disk held over
+    # 100 MiB here.
     tri = build_triangulation(8, 3)
     h = next(f.vector for f in fixtures()
              if (f.params.p, f.params.q) == (8, 3))
@@ -534,9 +552,8 @@ def test_euler_and_edge_weights_are_additive(data):
 def reference_gluing(tri, v):
     """Reference for ``glue_disks`` and ``classify``: the per-disk
     gluing, with one breadth-first labelling of the 6n crossing nodes
-    and one of the n disks with side parities.  Returns (arcs, least
-    crossing node of each vertex, the edge class of each vertex,
-    components in order of least disk)."""
+    and one of the n disks with side parities.  Returns (arcs, number
+    of surface vertices, components in order of least disk)."""
     full = reconstruct_trigons(tri, v)
     first = list(accumulate(full.entries, initial=0))
     tet_of = [slot // 7 + 1 for slot, count in enumerate(full.entries)
@@ -594,27 +611,48 @@ def reference_gluing(tri, v):
     one_sided = {component_of[d] for d in contradicted}
     components = tuple((e, comp not in one_sided)
                        for comp, e in enumerate(euler))
-    return arcs, [cls[0] for cls in vertices], labels, components
+    return arcs, len(vertices), components
 
 
 def assert_matches_reference(tri, v):
-    arcs, vertices, labels, components = reference_gluing(tri, v)
+    arcs, vertices, components = reference_gluing(tri, v)
     graph = glue_disks(tri, reconstruct_trigons(tri, v))
     assert graph.arcs.tolist() == [list(arc) for arc in arcs]
-    assert graph.vertices.tolist() == vertices
-    assert [tri.edge_classes[k] for k in graph.vertex_edges] == labels
     report = classify(tri, v)
     assert report.components == components
     assert report.euler == sum(e for e, _ in components)
     assert report.orientable == all(o for _, o in components)
-    assert len(graph.vertices) == sum(report.edge_weights.values())
+    assert vertices == sum(report.edge_weights.values())
 
 
 def test_fixtures_match_the_reference_gluing():
+    # Twice and three times a fixture are surfaces of several
+    # components.
     for fixture in fixtures():
         if fixture.params.p <= 30:
             tri = build_triangulation(fixture.params.p, fixture.params.q)
-            assert_matches_reference(tri, fixture.vector)
+            for k in (1, 2, 3):
+                assert_matches_reference(
+                    tri, tuple(k * x for x in fixture.vector))
+
+
+def test_classify_labels_at_most_two_nodes_per_disk(monkeypatch):
+    # Only the sides of the disks are labelled; surface vertices are
+    # counted from the edge crossings, not labelled.
+    tri = build_triangulation(8, 3)
+    h = next(f.vector for f in fixtures()
+             if (f.params.p, f.params.q) == (8, 3))
+    v = tuple(5 * x for x in h)
+    sizes = []
+
+    def spy(n, u, w, budget=None):
+        sizes.append(n)
+        return least_labels(n, u, w, budget)
+
+    monkeypatch.setattr(surface, "least_labels", spy)
+    classify(tri, v)
+    n = reconstruct_trigons(tri, v).total_disks()
+    assert sizes and max(sizes) <= 2 * n
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(8))

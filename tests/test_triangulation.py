@@ -19,10 +19,9 @@ from hypothesis import strategies as st
 
 from lensq.errors import BudgetExceeded, InvalidParams
 from lensq.qsystem import q_matrix
-from lensq.surface import EDGE_INDEX, _glue_table
+from lensq.surface import _glue_table
 from lensq.triangulation import (
     BOT,
-    CORNERS,
     LEFT,
     LOCAL_EDGES,
     PAIR_TO_QUAD,
@@ -39,6 +38,9 @@ from lensq.triangulation import (
 def coprime_pairs(max_p):
     return [(p, q) for p in range(2, max_p + 1) for q in range(1, p)
             if math.gcd(p, q) == 1]
+
+
+CORNERS = (TOP, BOT, LEFT, RIGHT)
 
 
 # ----------------------------------------------- per-slot reference
@@ -148,13 +150,10 @@ def reference_glue_table(tri):
     """The table ``glue_disks`` reads, one glued corner at a time."""
     table = []
     gluings = reference_corner_gluings(tri)
-    for face, (tet_a, za, qa), (tet_b, zb, qb) in gluings:
+    for _, (tet_a, za, qa), (tet_b, zb, qb) in gluings:
         table += (tet_a - 1, za, qa - 1, za in QUAD_PAIRS[qa][0],
                   tet_b - 1, zb, qb - 1, zb in QUAD_PAIRS[qb][0])
-        for ya, yb in face.corners():
-            if ya != za:
-                table += (EDGE_INDEX[za, ya], EDGE_INDEX[zb, yb])
-    return np.array(table, dtype=np.int64).reshape(-1, 12)
+    return np.array(table, dtype=np.int64).reshape(-1, 8)
 
 
 def vertex_classes(tri):
