@@ -13,7 +13,7 @@ blocks.
 
 The Hilbert basis (the set of minimal non-zero non-negative integer
 solutions) is enumerated by the classic completion scheme of Contejean
-and Devie: grow candidate vectors breadth first from the unit vectors,
+and Devie: grow candidate vectors breadth first from the zero vector,
 extending x by a unit e_j only when the residual A x moves closer to
 zero in the direction of column j (formally <A x, A e_j> < 0), and
 discard any candidate that already dominates a known minimal solution
@@ -25,10 +25,10 @@ parent the AND of its bitsets over all columns but j, so the verdict on
 x + e_j costs one more AND.  Only the surviving children are made, once
 each, in the lexicographic order of mixed-radix int64 keys over the
 box, so the output does not depend on chunk size.  The budget is read
-before any set-up, and A^T A is built from the sparse columns.  On a
-cone with ``rotations`` the completion runs on their orbits: each
-level holds one representative per orbit, the rotation with the least
-key, and every new solution enters the minimal set with all its
+before any set-up, and A^T A is built from the sparse columns.  The
+completion runs on ``rotations`` orbits (the identity alone without
+them): each level holds one representative per orbit, the least-key
+rotation, and every new solution enters the minimal set with all its
 rotations, so the frontier cap counts representatives.  A unimodular
 simplicial cone skips the completion: a lattice certificate on its
 extreme rays (``exact.maximal_minor_gcd``) shows they are the basis.
@@ -300,27 +300,22 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-# Rows of A^T A made by one batched product in ``_dense``.
-_GRAM_ROWS = 256
-
-
 def _dense(cone: SolutionCone):
     """A and A^T A as int64 arrays, built from the sparse columns.
 
     Row j of A^T A is the combination of the rows of A that column j's
-    entries name, so it costs O(n) per entry of column j instead of
-    the O(n^3) product.  The padding of ``padded_columns`` lands on an
-    extra all-zero row of A.
+    entries name, so A^T A is a sum of one n x n term per entry slot,
+    O(n) per entry instead of the O(n^3) product.  The padding of
+    ``padded_columns`` lands on an extra all-zero row of A.
     """
     n = cone.ncols
     entries = cone.padded_columns()
     rows, coefficients = entries[:, :, 0], entries[:, :, 1]
     A = np.zeros((cone.nrows + 1, n), dtype=np.int64)
     A[rows, np.arange(n)[:, None]] = coefficients
-    gram = np.empty((n, n), dtype=np.int64)
-    for lo in range(0, n, _GRAM_ROWS):
-        at = slice(lo, lo + _GRAM_ROWS)
-        gram[at] = (coefficients[at, None] @ A[rows[at]])[:, 0]
+    gram = np.zeros((n, n), dtype=np.int64)
+    for k in range(rows.shape[1]):
+        gram += coefficients[:, k, None] * A[rows[:, k]]
     return A[:-1], gram
 
 
@@ -330,10 +325,11 @@ class _Orbits:
     They are the cone's ``rotations`` R_k, (R_k x)_c = x_(turns[k, c]),
     which are the powers of R_1; the extreme-ray box ``bound`` is
     checked to be invariant under R_1 (InternalInvariantError
-    otherwise).  A cone without rotations has the identity alone, and
-    then every method hands its arguments back.  Each candidate carries its mixed-radix
-    keys over the box under every rotation, one run of ``width`` words
-    per k, and ``step[j]`` is what the unit e_j adds to them.
+    otherwise).  A cone without rotations has the identity, the 1 x n
+    table ``turns``, and takes the same steps; only ``rotate`` skips its
+    gather there.  Each candidate carries its mixed-radix keys over the
+    box under every rotation, one run of ``width`` words per k, and
+    ``step[j]`` is what the unit e_j adds to them.
     """
 
     def __init__(self, cone: SolutionCone, bound: np.ndarray):
@@ -342,14 +338,12 @@ class _Orbits:
         self.width = strides.shape[0]
         self.turns = cone.rotations
         if self.turns is None:
-            self.order = 1
-            self.step = strides.T
-            return
-        if (bound != bound[self.turns[1]]).any():
+            self.turns = np.arange(n)[None]
+        self.order = p = len(self.turns)
+        if (bound != bound[self.turns[1 % p]]).any():
             raise InternalInvariantError(
                 f"the extreme-ray box of {cone!r} is not invariant under "
                 f"its rotations")
-        self.order = p = len(self.turns)
         # Under R_k the unit e_j lands on column turns[-k, j].
         back = self.turns[-np.arange(p) % p]
         self.step = strides.T[back].transpose(1, 0, 2).reshape(n, -1)
@@ -362,8 +356,6 @@ class _Orbits:
     def least(self, keys: np.ndarray):
         """Per row of ``keys``, the rotation with the lexicographically
         least key (the first of them on a tie), and that key."""
-        if self.order == 1:
-            return None, keys
         runs = keys.reshape(keys.shape[0], self.order, self.width)
         tied = np.ones(runs.shape[:2], dtype=bool)
         for w in range(self.width):
@@ -377,26 +369,16 @@ class _Orbits:
         rows and dots read their columns at ``turns[t]`` (A^T A commutes
         with the shift), and the key runs move down by t."""
         if self.order == 1:
+            # The identity moves nothing, and the gather would copy the
+            # widest level's rows, dots and keys once more.
             return frontier, dots, keys
         turn = turn[pick]
         i = np.arange(turn.size)[:, None]
         at = self.turns[turn]
         return frontier[i, at], dots[i, at], keys[i, self.runs[turn]]
 
-    def representatives(self, frontier, dots, keys):
-        """One row per orbit among the given rows, in the lexicographic
-        order of the representatives."""
-        if self.order == 1:
-            return frontier, dots, keys
-        turn, least = self.least(keys)
-        pick = _distinct_sorted(least)
-        return self.rotate(turn, pick, frontier[pick], dots[pick],
-                           keys[pick])
-
     def all_rotations(self, rows, keys):
         """Every distinct rotation of the given rows."""
-        if self.order == 1:
-            return rows
         pick = _distinct_sorted(keys.reshape(-1, self.width))
         row, turn = np.divmod(pick, self.order)
         return rows[row[:, None], self.turns[turn]]
@@ -405,10 +387,11 @@ class _Orbits:
 def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     """All minimal non-zero non-negative integer solutions of A x = 0.
 
-    Completion from the unit vectors: a candidate x grows by e_j only
-    when <A x, A e_j> < 0, which preserves reachability of every
-    minimal solution.  Two sound prunings keep the frontier finite and
-    small: candidates dominating an already-found minimal solution die
+    Completion from the zero vector, whose children, the unit vectors,
+    are the first level: a candidate x grows by e_j only when
+    <A x, A e_j> < 0, which preserves reachability of every minimal
+    solution.  Two sound prunings keep the frontier finite and small:
+    candidates dominating an already-found minimal solution die
     (the primitive extreme rays are themselves minimal and are seeded
     up front), and candidates escaping the entrywise sum of the extreme
     rays die, because every minimal solution is a sub-one combination
@@ -423,18 +406,17 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     of the box, which sort like the rows, so the next level comes out
     in lexicographic order whatever the chunk size.
 
-    On a cone with ``rotations`` (a QMatrix, whose first read of them
-    checks that they permute the rows) the completion runs on their
-    orbits, once the extreme-ray box is checked to be invariant under
-    them (InternalInvariantError otherwise).  The rotations then keep
+    The completion runs on the orbits of the cone's ``rotations``: the
+    identity, a group of order 1, on a cone without them, and the block
+    shifts on a QMatrix, whose first read of them checks that they
+    permute the rows.  The extreme-ray box is checked to be invariant
+    under them (InternalInvariantError otherwise).  They then keep
     A^T A, the box and the minimal set, so every level is a union of
     orbits and holds one representative of each: its rotation with the
     least key.  A child's keys under all rotations are its parent's
     plus one row of the rotated strides, which finds the representative
     before the child is made.  Each new solution enters the minimal set
-    with all its distinct rotations.  The frontier cap counts
-    representatives.  Every other cone has the identity alone and runs
-    the same steps with no rotation work.
+    with all its distinct rotations.  The frontier cap counts orbits.
 
     The budget is read before any set-up, and A and A^T A are built
     from the sparse columns (``_dense``).  A unimodular simplicial cone
@@ -450,11 +432,8 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     """
     budget = budget or Budget()
     budget.check()
-    n = cone.ncols
-    if n == 0:
-        return ()
     rays = cone.extreme_rays
-    if len(rays) <= n and exact.maximal_minor_gcd(rays) == 1:
+    if len(rays) <= cone.ncols and exact.maximal_minor_gcd(rays) == 1:
         # The rays are independent and a basis of the lattice points of
         # their span, so every solution, a non-negative real combination
         # of them, is a non-negative integer one.
@@ -468,19 +447,31 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     A, gram = _dense(cone)
     minimal = np.array(rays, dtype=np.int64)
     index = _DominationIndex(minimal, budget)
-    columns = np.flatnonzero(bound)
-    frontier = np.eye(n, dtype=np.int64)[columns]
-    alive = ~index.dominates(frontier)
-    frontier, columns = frontier[alive], columns[alive]
     # Per frontier row x: its keys under every rotation, and dots[x, j]
     # = <A x, A e_j>; the child x + e_j adds row j of the rotated
-    # strides and of A^T A to them, and the unit e_j starts from them.
-    keys = orbits.step[columns]
-    dots = gram[columns]
-    frontier, dots, keys = orbits.representatives(frontier, dots, keys)
+    # strides and of A^T A to them.  The first level's one parent is
+    # zero, and its pairs are the (0, j) inside the box that dominate no
+    # ray.
+    frontier, dots = np.zeros((2, 1, cone.ncols), dtype=np.int64)
+    keys = np.zeros((1, orbits.order * orbits.width), dtype=np.int64)
+    columns = np.flatnonzero(bound)
+    parents = np.zeros(columns.size, dtype=np.intp)
+    alive = ~index.child_dominates(frontier, parents, columns)
+    parents, columns = parents[alive], columns[alive]
 
-    while frontier.shape[0]:
-        budget.check(frontier.shape[0])
+    while parents.size:
+        # Make each distinct child once, in the lexicographic order of
+        # its orbit representative.
+        keys = keys[parents] + orbits.step[columns]
+        turn, least = orbits.least(keys)
+        pick = _distinct_sorted(least)
+        budget.check(pick.size)  # the next level, before it is made
+        parents, columns, keys = parents[pick], columns[pick], keys[pick]
+        dots = dots[parents] + gram[columns]
+        frontier = frontier[parents]
+        frontier[np.arange(pick.size), columns] += 1
+        frontier, dots, keys = orbits.rotate(turn, pick, frontier, dots,
+                                             keys)
         # A^T A x = 0 exactly when A x = 0, as then |A x|^2 = 0.
         sol_mask = (dots == 0).all(axis=1)
         if sol_mask.any():
@@ -514,18 +505,6 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
             columns.append(j[alive])
         parents = np.concatenate(parents)
         columns = np.concatenate(columns)
-        # Make each distinct child once, in the lexicographic order of
-        # its orbit representative.
-        keys = keys[parents] + orbits.step[columns]
-        turn, least = orbits.least(keys)
-        pick = _distinct_sorted(least)
-        budget.check(pick.size)  # the next level, before it is made
-        parents, columns, keys = parents[pick], columns[pick], keys[pick]
-        dots = dots[parents] + gram[columns]
-        frontier = frontier[parents]
-        frontier[np.arange(pick.size), columns] += 1
-        frontier, dots, keys = orbits.rotate(turn, pick, frontier, dots,
-                                             keys)
 
     out = [tuple(int(x) for x in m) for m in minimal]
     out.sort(key=graded_lex_key)

@@ -390,13 +390,14 @@ def _necklace_kernels(matrix, budget):
     contributes its dependency, the kernel basis vector of that free
     column, to every pattern below the node.  Yields ``(columns,
     kernel)`` for each necklace, ``kernel`` being
-    ``exact.kernel_basis`` of ``matrix.restrict(columns)``.  Every node
-    checks the budget.
+    ``exact.kernel_basis`` of ``matrix.restrict(columns)`` as the
+    ``exact.push_column`` dependency dicts, entry k at key ~k; only the
+    caller densifies the ones it reads.  Every node checks the budget.
     """
     p = matrix.p
     pivots = []
     # Per depth on the current path: len(pivots) before the node's
-    # push, and the node's kernel vector or None.
+    # push, and the node's dependency or None.
     sizes, vectors = [], []
     for i, word, necklace in _prenecklaces(p, len(QUAD_TYPES)):
         if sizes:
@@ -404,10 +405,8 @@ def _necklace_kernels(matrix, budget):
         for j in range(i, p):
             budget.check()
             sizes.append(len(pivots))
-            dependency = exact.push_column(
-                pivots, matrix.columns[3 * j + word[j]] + ((~j, 1),))
-            vectors.append(None if dependency is None else tuple(
-                dependency.get(~k, 0) for k in range(p)))
+            vectors.append(exact.push_column(
+                pivots, matrix.columns[3 * j + word[j]] + ((~j, 1),)))
         if necklace:
             yield ([3 * j + t for j, t in enumerate(word)],
                    [v for v in vectors if v is not None])
@@ -444,8 +443,8 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     The necklaces and their kernel bases come from one walk of the
     prenecklace tree (``_necklace_kernels``), so necklaces that share a
     prefix share its elimination.  A full-rank necklace is skipped
-    before its reflection is looked at; every other one hands its
-    kernel basis straight to the double description and to
+    before its reflection is looked at; every other one densifies its
+    kernel basis and hands it straight to the double description and to
     ``hilbert_basis``, which returns the rays of a unimodular
     simplicial cone without a completion.  Returns a tuple in graded
     lexicographic order.
@@ -460,7 +459,8 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
             continue  # its reflected orbit's necklace came first
         pattern = matrix.restrict(columns)
         # The rays come from the kernel in hand, not from the dense rows.
-        pattern.extreme_rays = extreme_rays_of_kernel(kernel)
+        pattern.extreme_rays = extreme_rays_of_kernel(
+            [tuple(v.get(~k, 0) for k in range(matrix.p)) for v in kernel])
         for small in hilbert_basis(pattern, budget):
             entries = dict(zip(columns, small))
             solved.add(tuple(entries.get(c, 0) for c in range(matrix.ncols)))

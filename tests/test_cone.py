@@ -2,8 +2,8 @@
 Tests for fundamental/vertex solution machinery, and the reference
 oracles they compare against (``brute_force_minimal_solutions``,
 ``minimal_elements``, ``is_vertex_by_search``), which the acceptance
-suite also imports: the completion enumerator against the grid oracle
-and against a box search, its
+suite also imports: the completion enumerator on infeasible and
+0-column cones, against the grid oracle and against a box search, its
 block-rotation orbits against the unreduced completion and their
 symmetry checks, its domination index, child verdicts, key
 deduplication and sparse dense set-up against plain numpy references,
@@ -179,6 +179,9 @@ def test_single_difference_equation():
 
 def test_infeasible_cone_is_empty():
     assert hilbert_basis(SolutionCone([(1, 1)])) == ()
+    # No columns: no rays, and the empty certificate's gcd is 1.
+    assert hilbert_basis(SolutionCone([], ncols=0)) == ()
+    assert hilbert_basis(SolutionCone([()])) == ()
 
 
 def test_two_one_hilbert_basis_literal():
