@@ -3,13 +3,13 @@ Fundamental and vertex solutions of A x = 0 over the non-negative
 integers, for any sparse integer system.
 
 ``SolutionCone`` is the package's one integer-system class: it holds A
-as sparse columns, builds the dense rows only when they are read,
-eliminates the columns for its extreme rays, and ``restrict`` cuts out
-the subsystem on chosen columns.  A system may publish ``rotations``, a
-cyclic group of column permutations that each only permute its rows:
-the quad system ``qsystem.QMatrix`` does, and a plain SolutionCone,
-such as a pattern subcone, does not.  Nothing here knows the quad
-blocks.
+as sparse columns, builds the dense rows only when they are read, runs
+the double description on its columns for its extreme rays
+(``rays.extreme_rays``), and ``restrict`` cuts out the subsystem on
+chosen columns.  A system may publish ``rotations``, a cyclic group of
+column permutations that each only permute its rows: the quad system
+``qsystem.QMatrix`` does, and a plain SolutionCone, such as a face
+subcone, does not.  Nothing here knows the quad blocks.
 
 The Hilbert basis (the set of minimal non-zero non-negative integer
 solutions) is enumerated by the classic completion scheme of Contejean
@@ -58,7 +58,7 @@ from .errors import (
     NegativeEntry,
     NotASolution,
 )
-from .rays import extreme_rays_of_kernel
+from .rays import extreme_rays
 
 # Magnitude guard for the vectorized integer paths; entries beyond this
 # would risk silent int64 overflow in the matrix products.
@@ -145,8 +145,18 @@ class SolutionCone:
     @cached_property
     def extreme_rays(self):
         """The primitive extreme rays of {x >= 0 : A x = 0}, in graded
-        lexicographic order, from the kernel of the sparse columns."""
-        return extreme_rays_of_kernel(exact.column_kernel_basis(self.columns))
+        lexicographic order (``find_extreme_rays``)."""
+        return self.find_extreme_rays()
+
+    def find_extreme_rays(self, budget=None):
+        """The double description of the sparse columns
+        (``rays.extreme_rays``), reading ``budget`` if one is given,
+        with the rays made dense and sorted as ``extreme_rays`` holds
+        them."""
+        rays = extreme_rays(self.columns, self.nrows, budget)
+        return tuple(sorted(
+            (tuple(ray.get(j, 0) for j in range(self.ncols)) for ray in rays),
+            key=graded_lex_key))
 
     def restrict(self, columns):
         """The system on the given columns only, in the given order,
@@ -314,8 +324,13 @@ def _dense(cone: SolutionCone):
     A = np.zeros((cone.nrows + 1, n), dtype=np.int64)
     A[rows, np.arange(n)[:, None]] = coefficients
     gram = np.zeros((n, n), dtype=np.int64)
+    # One scratch array takes each slot's term in turn; every index is
+    # in range, and "clip" lets take write it in place, unbuffered.
+    term = np.empty_like(gram)
     for k in range(rows.shape[1]):
-        gram += coefficients[:, k, None] * A[rows[:, k]]
+        np.take(A, rows[:, k], axis=0, out=term, mode="clip")
+        term *= coefficients[:, k, None]
+        gram += term
     return A[:-1], gram
 
 
@@ -326,10 +341,11 @@ class _Orbits:
     which are the powers of R_1; the extreme-ray box ``bound`` is
     checked to be invariant under R_1 (InternalInvariantError
     otherwise).  A cone without rotations has the identity, the 1 x n
-    table ``turns``, and takes the same steps; only ``rotate`` skips its
-    gather there.  Each candidate carries its mixed-radix keys over the
-    box under every rotation, one run of ``width`` words per k, and
-    ``step[j]`` is what the unit e_j adds to them.
+    table ``turns``, and takes the same steps; only ``least`` and
+    ``rotate`` skip their gathers there.  Each candidate carries its
+    mixed-radix keys over the box under every rotation, one run of
+    ``width`` words per k, and ``step[j]`` is what the unit e_j adds to
+    them.
     """
 
     def __init__(self, cone: SolutionCone, bound: np.ndarray):
@@ -356,6 +372,10 @@ class _Orbits:
     def least(self, keys: np.ndarray):
         """Per row of ``keys``, the rotation with the lexicographically
         least key (the first of them on a tie), and that key."""
+        if self.order == 1:
+            # The identity: the keys themselves, and a read-only view of
+            # zero turns that holds no memory per row.
+            return np.broadcast_to(np.intp(0), keys.shape[:1]), keys
         runs = keys.reshape(keys.shape[0], self.order, self.width)
         tied = np.ones(runs.shape[:2], dtype=bool)
         for w in range(self.width):
@@ -418,11 +438,12 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     before the child is made.  Each new solution enters the minimal set
     with all its distinct rotations.  The frontier cap counts orbits.
 
-    The budget is read before any set-up, and A and A^T A are built
-    from the sparse columns (``_dense``).  A unimodular simplicial cone
-    needs no completion: when the k extreme rays are linearly
-    independent and the gcd of their k x k minors is 1
-    (``exact.maximal_minor_gcd``), they span every lattice point of
+    The budget is read before any set-up, the extreme rays, unless
+    already cached, come from a double description that reads it too,
+    and A and A^T A are built from the sparse columns (``_dense``).  A
+    unimodular simplicial cone needs no completion: when the k extreme
+    rays are linearly independent and the gcd of their k x k minors is
+    1 (``exact.maximal_minor_gcd``), they span every lattice point of
     their span, so they are the Hilbert basis.  A single primitive ray
     is the case k = 1.  A cone with more rays than columns is not
     simplicial and goes straight to the completion.
@@ -432,6 +453,9 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     """
     budget = budget or Budget()
     budget.check()
+    if "extreme_rays" not in vars(cone):
+        # Not cached yet: the double description reads the budget too.
+        cone.extreme_rays = cone.find_extreme_rays(budget)
     rays = cone.extreme_rays
     if len(rays) <= cone.ncols and exact.maximal_minor_gcd(rays) == 1:
         # The rays are independent and a basis of the lattice points of

@@ -16,10 +16,9 @@ new pivot or, when every row entry has cancelled, the column's
 dependency on the earlier independent columns.  That dependency is the
 kernel vector of the free column in reduced row echelon form, so
 ``column_kernel_basis`` and ``rank`` are loops over this one step, and
-a search over column sets that share prefixes, such as the necklace
-tree of ``qsystem.square_fundamental_solutions``, extends a prefix's
-state by one push and takes it back by truncating the list.  Dense
-rows enter through one converter, ``sparse_columns``.
+``cone.is_vertex`` pushes a support's columns to read the dimension of
+its kernel.  Dense rows enter through one converter,
+``sparse_columns``.
 
 Apart from it, ``maximal_minor_gcd`` runs one small column-Hermite
 elimination: the lattice index of a few independent vectors, which

@@ -22,19 +22,18 @@ the blocks, i -> -i with the quad types kept: ``QMatrix.rotations``
 tabulates the p block rotations and ``QMatrix.reflection`` the
 reflection, and one guard (``_symmetry_guard``) checks each exactly on
 its first read.  The square-condition fundamentals are the union of
-the Hilbert bases of the 3^p one-type-per-block pattern subcones, each
-a restriction to p columns.  ``square_fundamental_solutions`` solves
-one pattern per dihedral orbit (a 3-ary necklace whose reflected orbit
-has no smaller necklace) and closes the answers under the dihedral
-group once.  The necklaces are walked as the leaves of the prenecklace
-tree (Fredricksen-Kessler-Maiorana), depth first and without
-recursion, in the spirit of Burton and Ozlen's tree traversal: each
-tree node pushes one pattern column onto its parent's column-by-column
-exact elimination (``exact.push_column``), so a prefix shared by many
-patterns is eliminated once, and the budget is read at every node.  A
-full-rank necklace is skipped; the others pass their kernel basis to
-the double description and to ``cone.hilbert_basis``, which settles a
-unimodular simplicial pattern cone by its rays and completes the rest.
+the Hilbert bases of the maximal admissible faces of the solution
+cone, the faces spanned by maximal sets of pairwise compatible square
+extreme rays (Burton, ALENEX 2014).  ``square_fundamental_solutions``
+finds the square rays by one double description of the whole cone that
+never combines a pair whose union breaks the square condition
+(``rays.extreme_rays`` with one column class per block), takes the
+maximal cliques of the compatibility graph as the faces, solves one
+face per dihedral orbit with ``cone.hilbert_basis``, which settles a
+unimodular simplicial face by its rays and completes the rest, and
+closes the answers under the dihedral group once.  Every step reads
+the budget: the double description at every row and every chunk of
+pairs, the clique search at every node.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from . import exact
 from .cone import (
     Budget,
     SolutionCone,
@@ -60,7 +59,7 @@ from .errors import (
     NotASolution,
     SingularSystem,
 )
-from .rays import extreme_rays_of_kernel
+from .rays import extreme_rays
 from .triangulation import QUAD_TYPES, LensTriangulation
 
 # Integrality classes reported for sets of basis coefficients.
@@ -331,85 +330,50 @@ def integrality_class(coeffs: BasisCoefficients, p: int) -> dict:
     }
 
 
-def _prenecklaces(p, k):
-    """Every k-ary prenecklace of length p, in lexicographic order (the
-    Fredricksen-Kessler-Maiorana algorithm).
+def _square_rays(matrix, budget):
+    """The square extreme rays of the QMatrix ``matrix``'s solution
+    cone, as sparse dicts: one filtered double description with the
+    blocks as the column classes (``rays.extreme_rays``)."""
+    return extreme_rays(matrix.columns, matrix.nrows, budget,
+                        classes=[c // 3 for c in range(matrix.ncols)])
 
-    Yields ``(i, word, necklace)``: the word, one list changed in place;
-    the first position at which it differs from the word before; and
-    whether it is a necklace, the lexicographically least rotation of
-    its orbit (its Lyndon prefix length divides p).  The words are the
-    leaves of the prenecklace tree in depth-first order, so positions
-    i to p - 1 are the tree nodes first visited on the way to a word.
+
+def _maximal_faces(rays, budget):
+    """The maximal admissible faces spanned by the square rays
+    ``rays``, each a tuple of indices into ``rays``.
+
+    Two square rays are compatible when the union of their supports is
+    square, that is when they agree on every block they share; a set of
+    pairwise compatible rays has a square union.  The faces are the
+    maximal sets of pairwise compatible rays, the maximal cliques of the
+    compatibility graph, found by Bron-Kerbosch with pivoting, without
+    recursion and with a budget read at every node.
     """
-    word = [0] * p
-    i, lyndon = 0, 1
-    while True:
-        yield i, word, p % lyndon == 0
-        i = p - 1
-        while i >= 0 and word[i] == k - 1:
-            i -= 1
-        if i < 0:
-            return
-        word[i] += 1
-        for j in range(i + 1, p):
-            word[j] = word[j - i - 1]
-        lyndon = i + 1
-
-
-def _least_rotation(word):
-    """The lexicographically least rotation of ``word``, as a list, in
-    O(len(word)) comparisons: two candidate starts i < j race along the
-    doubled word, and on the first mismatch after k equal letters the
-    larger candidate moves past those k + 1 starts, none of which can
-    begin the least rotation."""
-    n = len(word)
-    doubled = list(word) * 2
-    i, j, k = 0, 1, 0
-    while j < n and k < n:
-        a, b = doubled[i + k], doubled[j + k]
-        if a == b:
-            k += 1
+    blocks = [frozenset(c // 3 for c in ray) for ray in rays]
+    compatible = [set() for _ in rays]
+    for i, j in combinations(range(len(rays)), 2):
+        if len(rays[i].keys() | rays[j].keys()) == len(blocks[i] | blocks[j]):
+            compatible[i].add(j)
+            compatible[j].add(i)
+    faces = []
+    # Each node: the clique so far, the rays that may still join it, and
+    # those that may not because their cliques were already listed.
+    stack = [((), set(range(len(rays))), set())] if rays else []
+    while stack:
+        budget.check()
+        clique, candidates, excluded = stack.pop()
+        if not candidates:
+            if not excluded:
+                faces.append(clique)
             continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        i, j, k = min(i, j), max(i, j) + (i == j), 0
-    return doubled[i:i + n]
-
-
-def _necklace_kernels(matrix, budget):
-    """The kernel basis of every necklace pattern of the QMatrix
-    ``matrix``, found along the prenecklace tree.
-
-    Walks the tree depth first, without recursion.  The node at depth
-    i pushes pattern column i (quad column 3i + t) onto the elimination
-    state of its parent (``exact.push_column``); going back up
-    truncates the state.  A column that depends on the ones above it
-    contributes its dependency, the kernel basis vector of that free
-    column, to every pattern below the node.  Yields ``(columns,
-    kernel)`` for each necklace, ``kernel`` being
-    ``exact.kernel_basis`` of ``matrix.restrict(columns)`` as the
-    ``exact.push_column`` dependency dicts, entry k at key ~k; only the
-    caller densifies the ones it reads.  Every node checks the budget.
-    """
-    p = matrix.p
-    pivots = []
-    # Per depth on the current path: len(pivots) before the node's
-    # push, and the node's dependency or None.
-    sizes, vectors = [], []
-    for i, word, necklace in _prenecklaces(p, len(QUAD_TYPES)):
-        if sizes:
-            del pivots[sizes[i]:], sizes[i:], vectors[i:]
-        for j in range(i, p):
-            budget.check()
-            sizes.append(len(pivots))
-            vectors.append(exact.push_column(
-                pivots, matrix.columns[3 * j + word[j]] + ((~j, 1),)))
-        if necklace:
-            yield ([3 * j + t for j, t in enumerate(word)],
-                   [v for v in vectors if v is not None])
+        pivot = max(sorted(candidates | excluded),
+                    key=lambda u: len(compatible[u] & candidates))
+        for v in sorted(candidates - compatible[pivot]):
+            stack.append((clique + (v,), candidates & compatible[v],
+                          excluded & compatible[v]))
+            candidates.discard(v)
+            excluded.add(v)
+    return faces
 
 
 def square_fundamental_solutions(matrix, budget: Budget | None = None):
@@ -418,55 +382,57 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
 
     The square condition is downward closed: anything below a
     one-type-per-block vector is again one-type-per-block.  A square
-    vector is therefore minimal among all solutions exactly when it is
-    minimal inside its own pattern subcone (``matrix.restrict`` to one
-    chosen quad column per block), and the union of the
-    3^p pattern Hilbert bases is precisely the set of square-condition
-    fundamental solutions.  Each pattern is a p-variable system, so
-    this stays fast long after full enumeration has become infeasible.
+    solution x lies in the face of the solution cone cut out by its
+    support, whose extreme rays are the cone's extreme rays with
+    support inside it: square rays, pairwise compatible.  So x lies in
+    a maximal admissible face (``_maximal_faces``), the solutions
+    supported on the union of a maximal set of pairwise compatible
+    square rays, and those are exactly that set's rays.  A solution
+    below x has its support inside x's, so x is minimal among all
+    solutions exactly when it is minimal in that face, and the union of
+    the faces' Hilbert bases is precisely the set of square-condition
+    fundamental solutions (Burton, "Enumerating fundamental normal
+    surfaces", ALENEX 2014).  The square rays come from one filtered
+    double description of the whole cone (``_square_rays``).
 
     Shifting every block by one tetrahedron maps column c to column
     c + 3 and, as the first read of ``matrix.rotations`` checks exactly
     (InternalInvariantError otherwise), renames the rows e_i -> e_(i+1)
     while fixing Eh and Ev.  Reflecting the blocks, (i, t) -> (-i, t),
     renames them e_r -> e_(1-q-r) (from 0, mod p), as the first read of
-    ``matrix.reflection`` checks.  A row permutation keeps every
-    solution set, so the image of a pattern's Hilbert basis is the
-    Hilbert basis of the image pattern.  Only one pattern per dihedral
-    orbit is solved: a necklace is skipped when the least rotation of
-    its reversed word, the necklace of its reflected orbit, is smaller,
-    since that one came first in the walk.  After the walk the solved
-    basis vectors are closed under the group once, with one budget
-    read per vector: F R_k = R_(-k) F on the column tables, so the p
+    ``matrix.reflection`` checks.  A row permutation keeps the solution
+    cone and the square condition, so it permutes the maximal faces,
+    and the image of a face's Hilbert basis is the Hilbert basis of the
+    image face.  Only one face per dihedral orbit is solved, with its
+    rays handed to ``hilbert_basis``, which returns the rays of a
+    unimodular simplicial face without a completion.  The solved basis
+    vectors are then closed under the group once, with one budget read
+    per vector: F R_k = R_(-k) F on the column tables, so the p
     rotations of each vector and of its reflection are its whole orbit.
-
-    The necklaces and their kernel bases come from one walk of the
-    prenecklace tree (``_necklace_kernels``), so necklaces that share a
-    prefix share its elimination.  A full-rank necklace is skipped
-    before its reflection is looked at; every other one densifies its
-    kernel basis and hands it straight to the double description and to
-    ``hilbert_basis``, which returns the rays of a unimodular
-    simplicial cone without a completion.  Returns a tuple in graded
-    lexicographic order.
+    Returns a tuple in graded lexicographic order.
     """
     budget = budget or Budget()
-    solved = set()
-    for columns, kernel in _necklace_kernels(matrix, budget):
-        if not kernel:
-            continue  # a full-rank pattern: its only solution is zero
-        word = [c % 3 for c in columns]
-        if _least_rotation(word[::-1]) < word:
-            continue  # its reflected orbit's necklace came first
-        pattern = matrix.restrict(columns)
-        # The rays come from the kernel in hand, not from the dense rows.
-        pattern.extreme_rays = extreme_rays_of_kernel(
-            [tuple(v.get(~k, 0) for k in range(matrix.p)) for v in kernel])
-        for small in hilbert_basis(pattern, budget):
-            entries = dict(zip(columns, small))
-            solved.add(tuple(entries.get(c, 0) for c in range(matrix.ncols)))
-    # The group is read, and so checked, only here.  An object array
-    # keeps the entries plain Python ints.
+    rays = _square_rays(matrix, budget)
+    faces = _maximal_faces(rays, budget)
+    # The group is read, and so checked, here.
     rotations, reflection = matrix.rotations, matrix.reflection
+    images, solved = set(), set()
+    for face in faces:
+        support = sorted(set().union(*(rays[i].keys() for i in face)))
+        indicator = np.zeros(matrix.ncols, dtype=bool)
+        indicator[support] = True
+        if indicator.tobytes() in images:
+            continue  # the image of a face already solved
+        for image in (indicator, indicator[reflection]):
+            images.update(map(np.ndarray.tobytes, image[rotations]))
+        cone = matrix.restrict(support)
+        cone.extreme_rays = tuple(sorted(
+            (tuple(rays[i].get(c, 0) for c in support) for i in face),
+            key=graded_lex_key))
+        for small in hilbert_basis(cone, budget):
+            entries = dict(zip(support, small))
+            solved.add(tuple(entries.get(c, 0) for c in range(matrix.ncols)))
+    # An object array keeps the entries plain Python ints.
     found = set()
     for v in np.array(list(solved), dtype=object).reshape(-1, matrix.ncols):
         budget.check()

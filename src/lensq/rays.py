@@ -1,20 +1,33 @@
 """
 Exact extreme-ray enumeration for cones {x >= 0 : A x = 0}.
 
-Implements the double description method directly in x-coordinates,
-over the integers.  The integer kernel basis of A (one vector per free
-column, positive there and zero on the other free columns) spans a
-simplicial cone: the kernel vectors that are non-negative on the free
-columns.  Its rays are the basis vectors, and it is described by every
-column on which all of them are non-negative.  Each remaining column
-x_j >= 0 is then imposed with the classic ray-splitting step, using the
-combinatorial adjacency test (two rays are adjacent when no third ray
-is zero on all the imposed columns where both are zero).  Rays are
-kept as primitive integer vectors.  ``extreme_rays_of_kernel`` takes
-the kernel basis in hand: ``cone.SolutionCone.extreme_rays`` eliminates
-its sparse columns for it (``exact.column_kernel_basis``), and the
-necklace tree of ``qsystem.square_fundamental_solutions`` collects one
-per pattern.
+One double description, over the integers.  It starts from the
+non-negative orthant, whose rays are the unit vectors, and imposes the
+rows of A one at a time as hyperplanes: a ray on which row r is zero
+stays, the others are split into a positive and a negative side, and
+every adjacent pair (one from each side) gives the new ray on the
+hyperplane, a positive combination of the two.  Rays are sparse, a
+dict from the columns of their support to their entries, and
+primitive.  A unit ray enters only when the first row that touches its
+column is imposed, so a row costs what the rays on its columns cost.
+
+Adjacency is tested combinatorially: two rays are adjacent when no
+third ray's support lies inside the union of theirs.  The one facet
+type is x_j >= 0, so the support of a positive combination is that
+union, and adjacency needs the kernel of the imposed rows on the union
+to be a plane, so the union is at most two wider than the rows imposed
+so far, which discards most pairs before the scan.
+
+``extreme_rays`` can keep only the rays whose supports are admissible:
+given a class for each column, at most one column of each class.
+Burton's filter ("Optimizing the double description method for normal
+surface enumeration", Math. Comp. 2010) applies because admissibility
+is closed downward: a pair whose union is not admissible is never
+combined, as every ray made from it, now or later, has a support
+holding that union, and the adjacency test stays exact, because any
+third ray inside an admissible union is admissible and so was kept.
+The quad system's square condition is the case of one class per
+tetrahedron (``qsystem.square_fundamental_solutions``).
 
 The extreme rays serve the Hilbert-basis completion
 (``cone.hilbert_basis``): each primitive ray is a minimal solution and
@@ -27,41 +40,93 @@ completion inside a finite box.
 
 from __future__ import annotations
 
-from . import exact
-from .errors import InternalInvariantError
+from math import gcd
+
+# Candidate pairs examined between two budget reads.
+_CHUNK_PAIRS = 4096
 
 
-def extreme_rays_of_kernel(basis):
-    """Primitive extreme rays of the non-negative part of the span of
-    ``basis``, a kernel basis in the form ``exact.kernel_basis`` gives.
+def extreme_rays(columns, nrows, budget=None, classes=None):
+    """The primitive extreme rays of {x >= 0 : A x = 0}, A given by its
+    sparse ``columns`` (``(row, coefficient)`` pairs) and ``nrows``.
 
-    Returns integer tuples sorted in graded lexicographic order.
+    With ``classes`` (one hashable label per column) only the rays
+    whose support holds at most one column of each class are kept;
+    they are exactly the admissible extreme rays of the whole cone.
+    ``budget``, when given, is read once per row, with the ray count as
+    its frontier size, and once per chunk of candidate pairs.
+
+    Returns the rays as dicts from the columns of their supports to
+    their (positive) entries, in no particular order.
     """
-    if not basis:
-        return ()
-    rays, ncols = basis, len(basis[0])
-    imposed = [j for j in range(ncols) if all(r[j] >= 0 for r in rays)]
-    for j in sorted(set(range(ncols)) - set(imposed)):
-        pos = [r for r in rays if r[j] > 0]
-        neg = [r for r in rays if r[j] < 0]
-        zero = [r for r in rays if r[j] == 0]
-        if neg and (pos or zero):
-            tight = {r: frozenset(i for i in imposed if r[i] == 0)
-                     for r in rays}
-            new = []
-            for rp in pos:
-                for rn in neg:
-                    common = tight[rp] & tight[rn]
-                    if not any(r is not rp and r is not rn
-                               and common <= tight[r] for r in rays):
-                        new.append(exact.primitive(
-                            [rp[j] * b - rn[j] * a for a, b in zip(rp, rn)]))
-            rays = pos + zero + new
-        elif neg:
-            rays = []
-        imposed.append(j)
-
-    for r in rays:
-        if any(v < 0 for v in r):
-            raise InternalInvariantError(f"ray left the orthant: {r}")
-    return tuple(sorted(set(rays), key=lambda v: (sum(v), v)))
+    rows = [[] for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for r, c in column:
+            rows[r].append((j, c))
+    # Each ray is (support, support's classes, entries); the classes
+    # are None when nothing is filtered.
+    rays = []
+    entered = set()
+    imposed = 0
+    for row in rows:
+        if budget is not None:
+            budget.check(len(rays), what="double description")
+        if not row:
+            continue
+        for j, _ in row:
+            if j not in entered:
+                entered.add(j)
+                rays.append((frozenset((j,)), None if classes is None
+                             else frozenset((classes[j],)), {j: 1}))
+        pos, neg, kept = [], [], []
+        for ray in rays:
+            entries = ray[2]
+            s = sum(c * entries[j] for j, c in row if j in entries)
+            if s > 0:
+                pos.append((s, ray))
+            elif s < 0:
+                neg.append((s, ray))
+            else:
+                kept.append(ray)
+        if pos and neg:
+            supports = [ray[0] for ray in rays]
+            widest = imposed + 2
+            examined = 0
+            for sp, (support_p, classes_p, entries_p) in pos:
+                for sn, (support_n, classes_n, entries_n) in neg:
+                    examined += 1
+                    if budget is not None and examined % _CHUNK_PAIRS == 0:
+                        budget.check(len(rays) + len(kept),
+                                     what="double description")
+                    union = support_p | support_n
+                    if len(union) > widest:
+                        continue
+                    if classes is not None:
+                        union_classes = classes_p | classes_n
+                        if len(union_classes) != len(union):
+                            continue
+                    else:
+                        union_classes = None
+                    # Adjacent when only the pair itself lies inside
+                    # the union.
+                    inside = 0
+                    for support in supports:
+                        if support <= union:
+                            inside += 1
+                            if inside > 2:
+                                break
+                    if inside > 2:
+                        continue
+                    entries = {j: sp * x for j, x in entries_n.items()}
+                    for j, x in entries_p.items():
+                        entries[j] = entries.get(j, 0) - sn * x
+                    g = gcd(*entries.values())
+                    if g > 1:
+                        entries = {j: x // g for j, x in entries.items()}
+                    kept.append((union, union_classes, entries))
+        rays = kept
+        imposed += 1
+    out = [entries for _, _, entries in rays]
+    # A column no row touches is a ray of its own.
+    out += [{j: 1} for j in range(len(columns)) if j not in entered]
+    return out

@@ -85,6 +85,39 @@ def test_raw_hilbert_json_is_byte_stable():
         "cde4320cfe51e28ec20d052e0545f570483dc7b958fc778f994add8f26cd93a2")
 
 
+# sha256 of ``enum --p P --q Q --format json`` stdout, pinned when the
+# square fundamentals came from the necklace walk over the 3^p patterns.
+ENUM_DIGESTS = {
+    (9, 2):
+        "8673c0d7c1bb3f7a552eb864d8df6dc2cc7c805f290b4cbd69155da605055dcd",
+    (9, 4):
+        "3578b951ff50c385d4cdd61540e04d77084510377b8ead152a311d389823b7d8",
+    (10, 3):
+        "89d5695aaf054fd140ff039b29d3d853f8a3b24475e94b52b9dd11959ac32737",
+    (11, 2):
+        "2b9e75f95e9ce7eb9d6f906c6b9443b52bcf4b22ecaa6d162c749f96b06eb664",
+    (11, 3):
+        "7fa10f146e3fda96c06793d79cb1d07a98d25ff59170e5a7d7a256e004a980fa",
+    (11, 4):
+        "7b0390b90a15073ac1a42612971a35da5eead7000ce889c88916b27beaae8219",
+    (11, 5):
+        "3185227207bd744b7b55cc7b8edc1cfc03d51b7838e2dec5fac55744ec35346c",
+    (12, 5):
+        "a5baded732002c5e7391b428d2d442576e173e2557c7839d8a00be19962ba64c",
+    (13, 2):
+        "1a3dd698d396c8173f7bec3129d8188e84b6eb0cc51760ba1d20084568387f1f",
+}
+
+
+def test_enum_json_is_byte_stable_up_to_p_13():
+    for (p, q), digest in ENUM_DIGESTS.items():
+        result = run_cli("enum", "--p", str(p), "--q", str(q),
+                         "--format", "json")
+        assert result.returncode == 0, (p, q)
+        assert hashlib.sha256(
+            result.stdout.encode()).hexdigest() == digest, (p, q)
+
+
 def test_matrix_csv_round_trips():
     result = run_cli("matrix", "--p", "3", "--q", "1", "--format", "csv")
     lines = result.stdout.strip().splitlines()
@@ -133,15 +166,17 @@ def test_enum_budget_exit_code():
 
 
 def test_enum_budget_message_names_the_users_limit():
-    result = run_cli("enum", "--p", "10", "--q", "3", "--max-seconds", "0.2")
+    # The (14,3) search runs for seconds, far past the limit.
+    result = run_cli("enum", "--p", "14", "--q", "3", "--max-seconds", "0.2")
     assert result.returncode == 3
     assert "0.2 seconds" in result.stderr
     assert result.stderr.count("\n") == 1
 
 
 def test_enum_budget_holds_at_large_p():
-    # The necklace tree reads the deadline at every node, so a search far
-    # too large to finish stops soon after its limit.
+    # The double description reads the deadline at every row and every
+    # chunk of pairs, so a search far too large to finish stops soon
+    # after its limit.
     start = time.monotonic()
     result = run_cli("enum", "--p", "2000", "--q", "3", "--max-seconds", "1")
     assert result.returncode == 3
@@ -162,8 +197,8 @@ def test_enum_budget_holds_through_the_set_up_at_p_50000():
 
 
 def test_enum_budget_is_read_before_the_completion_set_up():
-    # At p=800 the first necklace reaches the completion with 800
-    # columns; its set-up must not hold the deadline back.
+    # At p=800 the set-up of the search, the sparse rows of the double
+    # description, must not hold the deadline back.
     start = time.monotonic()
     result = run_cli("enum", "--p", "800", "--q", "3", "--max-seconds", "1")
     assert result.returncode == 3

@@ -7,11 +7,13 @@ suite also imports: the completion enumerator on infeasible and
 block-rotation orbits against the unreduced completion and their
 symmetry checks, its domination index, child verdicts, key
 deduplication and sparse dense set-up against plain numpy references,
-its memory peak, the box-search minimality test and its vertex
+its memory peaks, the box-search minimality test and its vertex
 shortcut, the support-rank vertex test against bounded search and
-against the exact extreme rays, the rotation-orbit pattern search
-against the plain 3^p pattern loop, its necklace and bracelet
-representatives and symmetry guards, the lattice certificate for
+against the exact extreme rays, the maximal-face search against the
+plain 3^p pattern loop and against the necklace walk
+(``necklace_oracle``), its square rays, faces, one solve per dihedral
+orbit and budget reads, the oracle's necklace and bracelet
+representatives, the symmetry guards, the lattice certificate for
 unimodular cones against a box search, and budget/determinism
 behaviour.
 """
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 from lensq import cone as cone_module
 from lensq import exact
 from lensq import qsystem as qsystem_module
+from lensq import rays as rays_module
 from lensq.catalog import alternating_vector
 from lensq.cone import (
     Budget,
@@ -52,17 +55,22 @@ from lensq.errors import (
     NotASolution,
 )
 from lensq.qsystem import (
-    _least_rotation,
-    _necklace_kernels,
-    _prenecklaces,
+    _maximal_faces,
+    _square_rays,
     _symmetry_guard,
     basis_vectors,
     q_matrix,
     square_condition,
     square_fundamental_solutions,
 )
+from lensq.rays import extreme_rays
 from lensq.triangulation import QUAD_TYPES, build_triangulation
-from test_exact import reference_rank
+from necklace_oracle import (
+    least_rotation,
+    necklace_kernels,
+    necklace_square_fundamentals,
+    prenecklaces,
+)
 
 
 def coprime_pairs(max_p):
@@ -269,6 +277,19 @@ def test_five_two_completion_memory_peak():
     assert peak < 7 * 2 ** 20
 
 
+def test_dense_set_up_holds_two_square_arrays():
+    # A^T A and one scratch term, 2 x 33.6 MiB at n = 2100, beside the
+    # 11.3 MiB of A; a third n x n array would pass 110 MiB.
+    cone = SolutionCone(q_matrix(build_triangulation(700, 3)))
+    tracemalloc.start()
+    try:
+        _dense(cone)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 90 * 2 ** 20
+
+
 def test_budget_deadline_is_kept_inside_a_level():
     # The (6,1) raw basis runs far past 2 s, and its late levels extend
     # hundreds of thousands of rows; the clock is read between chunks.
@@ -285,6 +306,18 @@ def test_budget_is_read_before_the_set_up():
     time.sleep(0.01)
     with pytest.raises(BudgetExceeded):
         hilbert_basis(cone, budget)
+    assert "extreme_rays" not in vars(cone)
+
+
+def test_budget_is_read_inside_the_double_description():
+    # The raw (11,3) cone's rays take about a minute to enumerate; the
+    # double description reads the deadline at every row and every
+    # chunk of pairs.
+    cone = q_matrix(build_triangulation(11, 3))
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        hilbert_basis(cone, Budget(max_seconds=0.5))
+    assert time.monotonic() - start < 0.5 + 1
     assert "extreme_rays" not in vars(cone)
 
 
@@ -326,7 +359,7 @@ def test_certified_pattern_bases_match_the_box_search(p, q):
     # certificate: the rays must be the whole box-search basis.
     matrix = q_matrix(build_triangulation(p, q))
     certified = 0
-    for columns, kernel in _necklace_kernels(matrix, Budget()):
+    for columns, kernel in necklace_kernels(matrix):
         pattern = matrix.restrict(columns)
         rays = pattern.extreme_rays
         if (kernel and len(rays) <= p
@@ -520,13 +553,49 @@ def test_orbit_search_matches_every_pattern(p, q):
             == square_fundamentals_of_every_pattern(matrix))
 
 
-@pytest.mark.parametrize("p,q,orbits", [(7, 2, 47), (8, 3, 272)])
-def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
-                                                   orbits):
-    # Of the necklaces (315 at (7,2), 834 at (8,3)) only those with a
-    # non-zero kernel and no smaller necklace in their reflected orbit
-    # reach hilbert_basis; every other one is full rank or the
-    # reflection of one that was solved.
+@pytest.mark.parametrize("p,q", coprime_pairs(10) + [(11, 3)])
+def test_face_search_matches_the_necklace_oracle(p, q):
+    matrix = q_matrix(build_triangulation(p, q))
+    assert (square_fundamental_solutions(matrix)
+            == necklace_square_fundamentals(matrix))
+
+
+def face_supports(matrix):
+    """The supports of the maximal admissible faces of ``matrix``."""
+    rays = _square_rays(matrix, Budget())
+    return [frozenset().union(*(rays[i].keys() for i in face))
+            for face in _maximal_faces(rays, Budget())]
+
+
+def dihedral_images(matrix, support):
+    """The supports of the images of the face on ``support`` under the
+    block rotations and the reflection."""
+    indicator = np.zeros(matrix.ncols, dtype=bool)
+    indicator[sorted(support)] = True
+    return {frozenset(np.flatnonzero(row).tolist())
+            for image in (indicator, indicator[matrix.reflection])
+            for row in image[matrix.rotations]}
+
+
+def record_faces(monkeypatch, matrix):
+    """The list of the supports the search restricts ``matrix`` to, one
+    per solved face, filled as it runs."""
+    supports = []
+    restrict = matrix.restrict
+
+    def recorded(columns):
+        supports.append(list(columns))
+        return restrict(columns)
+
+    monkeypatch.setattr(matrix, "restrict", recorded)
+    return supports
+
+
+@pytest.mark.parametrize("p,q,orbits", [(7, 2, 2), (8, 3, 2)])
+def test_face_search_solves_one_face_per_orbit(monkeypatch, p, q, orbits):
+    # Of the maximal faces (8 at (7,2), 3 at (8,3)) only one per
+    # dihedral orbit reaches hilbert_basis; every other one is an image
+    # of a solved face.
     calls = []
     solve = qsystem_module.hilbert_basis
 
@@ -536,41 +605,66 @@ def test_orbit_search_solves_one_pattern_per_orbit(monkeypatch, p, q,
 
     monkeypatch.setattr(qsystem_module, "hilbert_basis", counted)
     matrix = q_matrix(build_triangulation(p, q))
+    solved = record_faces(monkeypatch, matrix)
     square_fundamental_solutions(matrix)
-    assert len(calls) == orbits
-    solved = [cone.columns for cone, *_ in calls]
-    skipped = 0
-    for _, word, necklace in _prenecklaces(p, len(QUAD_TYPES)):
-        pattern = matrix.restrict([3 * i + t for i, t in enumerate(word)])
-        if necklace and pattern.columns not in solved:
-            skipped += 1
-            mirror = _least_rotation(word[::-1])
-            assert (reference_rank(pattern.rows) == p
-                    or mirror < word and matrix.restrict(
-                        [3 * i + t for i, t in enumerate(mirror)]
-                    ).columns in solved)
-    assert skipped + orbits == {7: 315, 8: 834}[p]
+    assert len(calls) == len(solved) == orbits
+    faces = face_supports(matrix)
+    assert len(faces) == {7: 8, 8: 3}[p]
+    orbit_of = [dihedral_images(matrix, support) for support in solved]
+    for face in faces:
+        assert sum(face in orbit for orbit in orbit_of) == 1
+    assert all(frozenset(support) in faces for support in solved)
 
 
-def test_necklace_tree_reads_the_budget_at_every_node(monkeypatch):
-    pushes = []
-    push = qsystem_module.exact.push_column
+@pytest.mark.parametrize("p,q,rays,faces", [
+    (8, 3, 17, 3), (9, 2, 10, 13), (10, 3, 21, 8), (11, 3, 23, 23),
+    (12, 5, 25, 6), (13, 2, 14, 40), (14, 3, 43, 38)])
+def test_square_rays_and_maximal_faces(p, q, rays, faces):
+    # The face counts are before the orbit reduction.
+    matrix = q_matrix(build_triangulation(p, q))
+    square = _square_rays(matrix, Budget())
+    assert len(square) == rays
+    vectors = [tuple(ray.get(c, 0) for c in range(3 * p)) for ray in square]
+    for v in vectors:
+        assert square_condition(v) and is_vertex(matrix, v)
+        assert math.gcd(*v) == 1
+    found = _maximal_faces(square, Budget())
+    assert len(found) == faces == len(set(found))
+    for face in found:
+        # Square together, and no other ray can join.
+        assert square_condition([sum(vectors[i][c] for i in face)
+                                 for c in range(3 * p)])
+        for j in set(range(rays)) - set(face):
+            assert not square_condition([
+                sum(vectors[i][c] for i in face + (j,))
+                for c in range(3 * p)])
 
-    def counted(*args):
-        pushes.append(args)
-        return push(*args)
 
-    monkeypatch.setattr(qsystem_module.exact, "push_column", counted)
+def test_double_description_reads_the_budget_every_row(monkeypatch):
+    # One read per row, with the rays in hand as the frontier size, and
+    # one per chunk of candidate pairs inside a row.
+    matrix = q_matrix(build_triangulation(7, 2))
     budget = Budget()
-    checks = []
-    monkeypatch.setattr(budget, "check", lambda *args: checks.append(args))
-    leaves = list(qsystem_module._necklace_kernels(
-        q_matrix(build_triangulation(7, 2)), budget))
-    assert len(leaves) == 315
-    assert len(checks) == len(pushes) > len(leaves)
-    with pytest.raises(BudgetExceeded):
-        next(qsystem_module._necklace_kernels(
-            q_matrix(build_triangulation(7, 2)), Budget(max_seconds=0)))
+    reads = []
+    monkeypatch.setattr(budget, "check", lambda size=0, what="frontier":
+                        reads.append((size, what)))
+    monkeypatch.setattr(rays_module, "_CHUNK_PAIRS", 10 ** 9)
+    rays = extreme_rays(matrix.columns, matrix.nrows, budget)
+    assert len(reads) == matrix.nrows
+    assert reads[0] == (0, "double description")
+    # Eh and Ev follow from the e-rows and change nothing.
+    assert reads[-2:] == [(len(rays), "double description")] * 2
+    reads.clear()
+    monkeypatch.setattr(rays_module, "_CHUNK_PAIRS", 1)
+    extreme_rays(matrix.columns, matrix.nrows, budget)
+    assert len(reads) > 100 * matrix.nrows
+    budget = Budget(max_seconds=0)
+    time.sleep(0.01)
+    with pytest.raises(BudgetExceeded, match="^search exceeded 0 seconds$"):
+        square_fundamental_solutions(matrix, budget)
+    with pytest.raises(BudgetExceeded,
+                       match="^double description grew past 20 states$"):
+        square_fundamental_solutions(matrix, Budget(max_frontier=20))
 
 
 def refuse_dense_rows(monkeypatch, ncols):
@@ -602,9 +696,9 @@ def test_pattern_search_never_builds_the_dense_rows(monkeypatch):
 
 @pytest.mark.parametrize("p", range(1, 11))
 def test_necklaces_are_one_per_rotation_orbit(p):
-    words = [tuple(word) for _, word, _ in _prenecklaces(p, 3)]
+    words = [tuple(word) for _, word, _ in prenecklaces(p, 3)]
     assert words == sorted(set(words))
-    reps = [tuple(word) for _, word, necklace in _prenecklaces(p, 3)
+    reps = [tuple(word) for _, word, necklace in prenecklaces(p, 3)
             if necklace]
     assert reps == sorted(set(reps))
     kept = set(reps)
@@ -715,8 +809,8 @@ def dihedral_least(word):
 def test_bracelets_are_the_dihedral_orbit_minima(p):
     # The search's rule: a necklace is solved unless the least rotation
     # of its reversed word is smaller.
-    kept = [tuple(word) for _, word, necklace in _prenecklaces(p, 3)
-            if necklace and not _least_rotation(word[::-1]) < word]
+    kept = [tuple(word) for _, word, necklace in prenecklaces(p, 3)
+            if necklace and not least_rotation(word[::-1]) < word]
     assert set(kept) == {dihedral_least(word) for word in
                          itertools.product(range(3), repeat=p)}
 
@@ -734,9 +828,9 @@ def test_least_rotation_is_linear_at_p_800():
         __hash__ = int.__hash__
 
     word = [Letter(0)] * 799 + [Letter(1)]
-    assert _least_rotation(word[1:] + word[:1]) == word
+    assert least_rotation(word[1:] + word[:1]) == word
     assert len(compares) < 4 * len(word)
-    assert _least_rotation([1, 0, 1, 1, 0, 0]) == [0, 0, 1, 0, 1, 1]
+    assert least_rotation([1, 0, 1, 1, 0, 0]) == [0, 0, 1, 0, 1, 1]
 
 
 @pytest.mark.parametrize("p,q", [(5, 2), (7, 2), (7, 3), (8, 3), (9, 2)])
@@ -751,28 +845,31 @@ def test_square_fundamentals_are_invariant_under_reflection(p, q):
 
 def test_search_adds_the_rotations_of_each_basis_and_its_reflection(
         monkeypatch):
-    # The real pattern bases here hold the reflection of each element
+    # The real face bases here hold the reflection of each element
     # among its rotations, so only a fake basis with distinct entries
-    # (1, ..., p) shows the reflected images.  The search closes its
-    # solved vectors under the whole dihedral group, so every solved
-    # word adds them, a word whose reflected orbit is its own too.
+    # (1, ..., k) on a face of k columns shows the reflected images.
+    # The search closes its solved vectors under the whole dihedral
+    # group, so every solved face adds them, a face whose reflected
+    # orbit is its own too.
     p = 8
     matrix = q_matrix(build_triangulation(p, 3))
-    fake = tuple(range(1, p + 1))
+    solved = record_faces(monkeypatch, matrix)
     expected, symmetric = set(), []
 
-    def fake_basis(pattern, budget):
-        word = [next(t for t in range(3)
-                     if matrix.columns[3 * j + t] == column)
-                for j, column in enumerate(pattern.columns)]
-        if _least_rotation(word[::-1]) == word:
-            symmetric.append(word)
+    def fake_basis(face, budget):
+        support = solved[-1]
+        fake = tuple(range(1, len(support) + 1))
         v = [0] * 3 * p
-        for j, t in enumerate(word):
-            v[3 * j + t] = fake[j]
-        for w in (v, [v[c] for c in matrix.reflection]):
-            expected.update(tuple(w[c] for c in turn)
-                            for turn in matrix.rotations)
+        for c, x in zip(support, fake):
+            v[c] = x
+        images = [[tuple(w[c] for c in turn) for turn in matrix.rotations]
+                  for w in (v, [v[c] for c in matrix.reflection])]
+        supports = [{frozenset(np.flatnonzero(w)) for w in side}
+                    for side in images]
+        if supports[0] == supports[1]:
+            symmetric.append(support)
+            assert set(images[0]) != set(images[1])
+        expected.update(*images)
         return (fake,)
 
     monkeypatch.setattr(qsystem_module, "hilbert_basis", fake_basis)

@@ -2,10 +2,12 @@
 Cross-checks of the integer exact core: rank, kernel basis and extreme
 rays against sympy on small random integer matrices, and the
 column-by-column elimination, on its own and along the necklace tree
-of the pattern search, against a row-wise Gauss-Jordan reference on
-random matrices, on every necklace pattern with p <= 8 and on the full
-quad systems with p <= 12; and the column-Hermite gcd of maximal minors
-against the gcd of every minor.
+of the reference search (``necklace_oracle``), against a row-wise
+Gauss-Jordan reference on random matrices, on every necklace pattern
+with p <= 8 and on the full quad systems with p <= 12; the double
+description against the reference's kernel-based one and its square
+filter against the unfiltered rays; and the column-Hermite gcd of
+maximal minors against the gcd of every minor.
 """
 
 import itertools
@@ -19,10 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensq import exact
-from lensq.cone import Budget, SolutionCone, hilbert_basis
+from lensq.cone import SolutionCone, hilbert_basis
 from lensq.errors import DimensionMismatch
-from lensq.qsystem import _necklace_kernels, _prenecklaces, q_matrix
+from lensq.qsystem import q_matrix, square_condition
+from lensq.rays import extreme_rays
 from lensq.triangulation import QUAD_TYPES, build_triangulation
+from necklace_oracle import (
+    extreme_rays_of_kernel,
+    necklace_kernels,
+    prenecklaces,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
@@ -216,9 +224,9 @@ def test_necklace_tree_matches_the_row_reference(p, q):
     # Every necklace pattern: the elimination on its rows, and the
     # kernel the tree collects along the pattern's path.
     matrix = q_matrix(build_triangulation(p, q))
-    kernels = list(_necklace_kernels(matrix, Budget(max_seconds=None)))
+    kernels = list(necklace_kernels(matrix))
     necklaces = [[3 * i + t for i, t in enumerate(word)]
-                 for _, word, necklace in _prenecklaces(p, len(QUAD_TYPES))
+                 for _, word, necklace in prenecklaces(p, len(QUAD_TYPES))
                  if necklace]
     assert [columns for columns, _ in kernels] == necklaces
     for columns, kernel in kernels:
@@ -232,6 +240,45 @@ def test_necklace_tree_matches_the_row_reference(p, q):
 def test_elimination_matches_the_row_reference_on_quad_systems(p, q):
     matrix = q_matrix(build_triangulation(p, q))
     assert_matches_reference(matrix.rows, 3 * p)
+
+
+# ------------------------------------------------- double description
+
+@pytest.mark.parametrize("p,q", [(4, 1), (5, 1), (5, 2), (6, 1)])
+def test_double_description_matches_the_kernel_reference(p, q):
+    matrix = q_matrix(build_triangulation(p, q))
+    assert matrix.extreme_rays == extreme_rays_of_kernel(
+        exact.column_kernel_basis(matrix.columns))
+
+
+def ray_key(ray):
+    return sorted(ray.items())
+
+
+@PROPERTY_SETTINGS
+@given(small_matrices(), st.data())
+def test_filtered_double_description_keeps_the_admissible_rays(rows, data):
+    # Admissible: at most one column of each class in the support.
+    ncols = len(rows[0])
+    classes = data.draw(st.lists(st.integers(0, 2), min_size=ncols,
+                                 max_size=ncols))
+    columns = exact.sparse_columns(rows)
+    every = extreme_rays(columns, len(rows))
+    admissible = [ray for ray in every
+                  if len({classes[j] for j in ray}) == len(ray)]
+    assert sorted(map(ray_key, extreme_rays(
+        columns, len(rows), classes=classes))) == sorted(
+            map(ray_key, admissible))
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(7))
+def test_square_filter_keeps_exactly_the_square_rays(p, q):
+    matrix = q_matrix(build_triangulation(p, q))
+    square = extreme_rays(matrix.columns, matrix.nrows,
+                          classes=[c // 3 for c in range(3 * p)])
+    assert sorted(tuple(ray.get(c, 0) for c in range(3 * p))
+                  for ray in square) == sorted(
+        ray for ray in matrix.extreme_rays if square_condition(ray))
 
 
 # ------------------------------------------------- gcd of maximal minors
