@@ -23,12 +23,13 @@ against the matching equations and the square condition before use.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
 from .cone import Budget, graded_lex_key, is_fundamental, is_vertex
 from .errors import (
+    InternalInvariantError,
     LensQError,
     NoExpectation,
     NotASolution,
@@ -41,6 +42,7 @@ from .qsystem import (
     BasisCoefficients,
     basis_vectors,
     decompose,
+    dihedral_images,
     expand,
     integrality_class,
     is_q_solution,
@@ -129,12 +131,43 @@ def expected_for(p: int, q: int) -> ExpectedCatalog:
 def enumerate_q_fundamental(p: int, q: int,
                             budget: Budget | None = None):
     """All square-condition fundamental solutions with their surface
-    reports, in graded lexicographic order."""
+    reports, in graded lexicographic order.
+
+    The solutions come in orbits of the block rotations and the block
+    reflection, automorphisms of the triangulation that keep quad
+    types, so only the least vector of each orbit is classified.  Every
+    other vector of the orbit takes that report with its edge weights
+    renamed by ``qsystem.dihedral_images``: under rotation k the image's
+    weight on e_r is the representative's weight on e_(r+k), under the
+    reflection e_r takes the weight of e_(1-q-r) (from 0, mod p), and
+    Eh, Ev keep theirs.  The Euler characteristic, orientability,
+    components and the two criterion parts are the representative's.
+    The budget is read once per image.  A fundamental surface is
+    connected, since a disconnected solution is the sum of its
+    components; a representative with more than one component raises
+    InternalInvariantError.
+    """
+    budget = budget or Budget()
     tri = build_triangulation(p, q)
     matrix = q_matrix(tri)
     vectors = square_fundamental_solutions(matrix, budget)
-    return tuple((v, classify(tri, v, matrix=matrix, budget=budget))
-                 for v in vectors)
+    labels = matrix.row_labels
+    reports = {}
+    for v in vectors:
+        if v in reports:
+            continue
+        report = classify(tri, v, matrix=matrix, budget=budget)
+        if report.component_count() != 1:
+            raise InternalInvariantError(
+                f"fundamental {v} of (p,q)=({p},{q}) has "
+                f"{report.component_count()} components")
+        weights = [report.edge_weights[label] for label in labels]
+        for image, rows in dihedral_images(matrix, v):
+            budget.check()
+            if image not in reports:
+                reports[image] = replace(report, edge_weights=dict(
+                    zip(labels, [weights[r] for r in rows])))
+    return tuple((v, reports[v]) for v in vectors)
 
 
 def _bounds_for(cls_label):

@@ -15,7 +15,7 @@ stay small without ever leaving the integers.  What is left is either a
 new pivot or, when every row entry has cancelled, the column's
 dependency on the earlier independent columns.  That dependency is the
 kernel vector of the free column in reduced row echelon form, so
-``column_kernel_basis`` and ``rank`` are loops over this one step, and
+``column_kernel_basis`` is a loop over this one step, and
 ``cone.is_vertex`` pushes a support's columns to read the dimension of
 its kernel.  Dense rows enter through one converter,
 ``sparse_columns``.
@@ -145,13 +145,6 @@ def sparse_columns(rows, ncols=None):
         raise DimensionMismatch("ragged matrix rows")
     return tuple(tuple((r, x) for r, x in enumerate(map(index, column)) if x)
                  for column in zip(*rows)) or ((),) * ncols
-
-
-def rank(rows) -> int:
-    pivots = []
-    for column in sparse_columns(rows, 0):
-        push_column(pivots, column)
-    return len(pivots)
 
 
 def kernel_basis(rows, ncols=None):

@@ -31,7 +31,8 @@ never combines a pair whose union breaks the square condition
 maximal cliques of the compatibility graph as the faces, solves one
 face per dihedral orbit with ``cone.hilbert_basis``, which settles a
 unimodular simplicial face by its rays and completes the rest, and
-closes the answers under the dihedral group once.  Every step reads
+closes the answers under the dihedral group once (``dihedral_images``,
+which also gives each image's row renaming).  Every step reads
 the budget: the double description at every row and every chunk of
 pairs, the clique search at every node.
 """
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -77,8 +79,8 @@ class QMatrix(SolutionCone):
     non-zero ``(row, coefficient)`` pairs of column c, at most four
     since a quad meets four edges.  The dense ``rows``, the extreme
     rays, ``residual`` and ``restrict`` are the SolutionCone's own;
-    ``rotations`` and ``reflection``, the block symmetries, are the
-    QMatrix's.
+    ``rotations`` and ``reflection``, the block symmetries, and
+    ``edge_renamings``, their renamings of the rows, are the QMatrix's.
     """
 
     def __init__(self, tri: LensTriangulation):
@@ -104,11 +106,10 @@ class QMatrix(SolutionCone):
         read-only view of every third window over two copies of
         0..3p-1, O(p) in memory.  The first read checks that the block
         shift c -> c + 3 renames the rows e_r -> e_(r+1)
-        (``_symmetry_guard``)."""
+        (``edge_renamings[0]``, by ``_symmetry_guard``)."""
         columns = np.arange(self.ncols)
-        e = np.arange(self.p)
         _symmetry_guard(self, "block shift", np.roll(columns, -3),
-                        (e + 1) % self.p)
+                        self.edge_renamings[0])
         windows = np.lib.stride_tricks.sliding_window_view(
             np.concatenate((columns, columns)), self.ncols)
         return windows[:self.ncols:3]
@@ -118,13 +119,23 @@ class QMatrix(SolutionCone):
         """The block reflection as a 3p column permutation: position
         (i, t) reads column (-i mod p, t); it is its own inverse.  The
         first read checks that it renames the rows e_r -> e_(1-q-r),
-        indices from 0 and mod p (``_symmetry_guard``)."""
+        indices from 0 and mod p (``edge_renamings[1]``, by
+        ``_symmetry_guard``)."""
         blocks = -np.arange(self.p) % self.p
         table = (3 * blocks[:, None] + np.arange(3)).ravel()
         _symmetry_guard(self, "block reflection", table,
-                        (1 - self.q - np.arange(self.p)) % self.p)
+                        self.edge_renamings[1])
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def edge_renamings(self):
+        """The renamings of the rows e_r, indices from 0 and mod p,
+        under the block shift and the block reflection: e_r -> e_(r+1)
+        and e_r -> e_(1-q-r), as two length-p arrays.  Eh and Ev are
+        fixed by both.  ``rotations`` and ``reflection`` check them."""
+        e = np.arange(self.p)
+        return (e + 1) % self.p, (1 - self.q - e) % self.p
 
     def __repr__(self):
         return f"QMatrix(p={self.p}, q={self.q})"
@@ -160,6 +171,33 @@ def _symmetry_guard(matrix, name, image, rename):
         raise InternalInvariantError(
             f"quad column {int(image[c])} is not the {name} of column {c} "
             f"for (p,q)=({p},{matrix.q})")
+
+
+def dihedral_images(matrix, v):
+    """The 2p images of the quad vector ``v`` under the block rotations
+    and the block reflection of the QMatrix ``matrix``, each with its
+    row renaming.
+
+    Yields pairs (w, rows) of tuples: w is v[rotations[k]] for k = 0..p-1,
+    then v[reflection][rotations[k]], and row r of w's matching equations
+    is row rows[r] of v's, over all p + 2 rows.  So the surface of
+    w meets edge class r as often as the surface of v meets edge class
+    rows[r]: rotation k renames e_r -> e_(r+k), the reflection e_r ->
+    e_(1-q-r) (from 0, mod p), and Eh, Ev are fixed.  The renamings are
+    composed from ``matrix.edge_renamings``, the arrays the first reads
+    of ``matrix.rotations`` and ``matrix.reflection`` check.  Images
+    repeat when part of the group fixes v.
+    """
+    turns = [itemgetter(*columns) for columns in matrix.rotations.tolist()]
+    fixed = list(range(matrix.p, matrix.nrows))
+    shift, mirror = (itemgetter(*rename.tolist(), *fixed)
+                     for rename in matrix.edge_renamings)
+    identity = tuple(range(matrix.nrows))
+    mirrored = itemgetter(*matrix.reflection.tolist())(v)
+    for image, rows in ((v, identity), (mirrored, mirror(identity))):
+        for turn in turns:
+            yield turn(image), rows
+            rows = shift(rows)
 
 
 def q_matrix(tri: LensTriangulation) -> QMatrix:
@@ -406,10 +444,14 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     image face.  Only one face per dihedral orbit is solved, with its
     rays handed to ``hilbert_basis``, which returns the rays of a
     unimodular simplicial face without a completion.  The solved basis
-    vectors are then closed under the group once, with one budget read
-    per vector: F R_k = R_(-k) F on the column tables, so the p
-    rotations of each vector and of its reflection are its whole orbit.
-    Returns a tuple in graded lexicographic order.
+    vectors are then closed under the group once by ``dihedral_images``,
+    with one budget read per vector: F R_k = R_(-k) F on the column
+    tables, so the p rotations of each vector and of its reflection are
+    its whole orbit.  The answer is thus a union of dihedral orbits, and
+    ``catalog.enumerate_q_fundamental`` classifies one surface per orbit
+    and gives every other image the same report, its edge weights
+    renamed by the image's row renaming.  Returns a tuple in graded
+    lexicographic order.
     """
     budget = budget or Budget()
     rays = _square_rays(matrix, budget)
@@ -432,10 +474,8 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
         for small in hilbert_basis(cone, budget):
             entries = dict(zip(support, small))
             solved.add(tuple(entries.get(c, 0) for c in range(matrix.ncols)))
-    # An object array keeps the entries plain Python ints.
     found = set()
-    for v in np.array(list(solved), dtype=object).reshape(-1, matrix.ncols):
+    for v in solved:
         budget.check()
-        for image in (v, v[reflection]):
-            found.update(map(tuple, image[rotations].tolist()))
+        found.update(image for image, _ in dihedral_images(matrix, v))
     return tuple(sorted(found, key=graded_lex_key))

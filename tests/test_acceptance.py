@@ -26,7 +26,6 @@ from lensq.cone import (
     is_fundamental,
     is_vertex,
 )
-from lensq.exact import rank
 from lensq.qsystem import (
     basis_vectors,
     decompose,
@@ -42,6 +41,7 @@ from lensq.surface import (
 )
 from lensq.triangulation import build_triangulation
 from test_cone import brute_force_minimal_solutions
+from test_exact import rank
 
 _ENUM_CACHE = {}
 

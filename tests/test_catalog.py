@@ -3,10 +3,12 @@ Tests for the expected-result catalog, the worked-example fixtures, and
 the theorem verification suite.
 """
 
+import dataclasses
 import math
 
 import pytest
 
+from lensq import catalog as catalog_module
 from lensq.catalog import (
     FIXTURE_SHA256,
     alternating_vector,
@@ -17,8 +19,15 @@ from lensq.catalog import (
     read_records,
     verify_theorems,
 )
-from lensq.errors import LensQError, NoExpectation
-from lensq.qsystem import basis_vectors, is_q_solution, q_matrix, square_condition
+from lensq.cone import graded_lex_key
+from lensq.errors import InternalInvariantError, LensQError, NoExpectation
+from lensq.qsystem import (
+    basis_vectors,
+    is_q_solution,
+    q_matrix,
+    square_condition,
+    square_fundamental_solutions,
+)
 from lensq.surface import classify, surface_name
 from lensq.triangulation import build_triangulation
 
@@ -83,6 +92,68 @@ def test_mirror_parameter_fundamental_counts(p):
     counts = {q: len(enumerate_q_fundamental(p, q)) for q in qs}
     for q in qs:
         assert counts[q] == counts[p - q]
+
+
+COPRIME_UP_TO_12 = [(p, q) for p in range(2, 13) for q in range(1, p)
+                    if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("p,q", COPRIME_UP_TO_12)
+def test_orbit_reports_equal_classifying_every_vector(p, q):
+    # Each image takes its orbit representative's report with the edge
+    # weights renamed; classifying every vector on its own must agree,
+    # down to the order of the edge weights.
+    tri = build_triangulation(p, q)
+    matrix = q_matrix(tri)
+    want = [(v, classify(tri, v, matrix=matrix))
+            for v in square_fundamental_solutions(matrix)]
+    got = enumerate_q_fundamental(p, q)
+    assert list(got) == want
+    for (_, ours), (_, theirs) in zip(got, want):
+        assert list(ours.edge_weights) == list(theirs.edge_weights)
+
+
+def counted_classify(monkeypatch, components=None):
+    """Count the calls of ``catalog.classify``; with ``components`` its
+    reports claim those components instead."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        report = classify(*args, **kwargs)
+        if components is not None:
+            report = dataclasses.replace(report, components=components)
+        return report
+
+    monkeypatch.setattr(catalog_module, "classify", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p,q,orbits,vectors",
+                         [(7, 2, 2, 8), (8, 3, 3, 17)])
+def test_enumeration_classifies_one_vector_per_orbit(
+        monkeypatch, p, q, orbits, vectors):
+    calls = counted_classify(monkeypatch)
+    found = enumerate_q_fundamental(p, q)
+    assert len(found) == vectors
+    assert len(calls) == orbits
+    # The classified vectors are the least vectors of their orbits under
+    # the block rotations and the block reflection i -> -i.
+
+    def orbit(v):
+        blocks = [v[3 * i:3 * i + 3] for i in range(p)]
+        mirrored = [blocks[-i % p] for i in range(p)]
+        return {sum(w[k:] + w[:k], ()) for w in (blocks, mirrored)
+                for k in range(p)}
+
+    least = {min(orbit(v), key=graded_lex_key) for v, _ in found}
+    assert calls == sorted(least, key=graded_lex_key)
+
+
+def test_enumeration_rejects_a_disconnected_fundamental(monkeypatch):
+    counted_classify(monkeypatch, components=((2, True), (2, True)))
+    with pytest.raises(InternalInvariantError, match="2 components"):
+        enumerate_q_fundamental(5, 2)
 
 
 # ------------------------------------------------------------- verification

@@ -86,8 +86,14 @@ def test_raw_hilbert_json_is_byte_stable():
 
 
 # sha256 of ``enum --p P --q Q --format json`` stdout, pinned when the
-# square fundamentals came from the necklace walk over the 3^p patterns.
+# square fundamentals came from the necklace walk over the 3^p patterns,
+# and for q > p/2, where the reflection's renaming of the edge weights
+# shows, when every fundamental was classified on its own.
 ENUM_DIGESTS = {
+    (7, 5):
+        "a8655231b3e2e6ed2fd1c0262732d2d9d86fd83e93c1713acd75fa09a73d9354",
+    (8, 5):
+        "35619a31dc5fd3726bbd117e9701be6ff159e003aa243cd60d03fc1189d5c4d2",
     (9, 2):
         "8673c0d7c1bb3f7a552eb864d8df6dc2cc7c805f290b4cbd69155da605055dcd",
     (9, 4):
@@ -102,8 +108,12 @@ ENUM_DIGESTS = {
         "7b0390b90a15073ac1a42612971a35da5eead7000ce889c88916b27beaae8219",
     (11, 5):
         "3185227207bd744b7b55cc7b8edc1cfc03d51b7838e2dec5fac55744ec35346c",
+    (11, 7):
+        "a75ce5d5eaeda7736fb354cad69fd09ecf3da2dd26f97704bc44cb4831c6b310",
     (12, 5):
         "a5baded732002c5e7391b428d2d442576e173e2557c7839d8a00be19962ba64c",
+    (12, 7):
+        "a714048f26047f7bb2887a6bf93c75f1630ea4bcfc7a3512d5185670a72c15e2",
     (13, 2):
         "1a3dd698d396c8173f7bec3129d8188e84b6eb0cc51760ba1d20084568387f1f",
 }

@@ -8,9 +8,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lensq import exact
 from lensq import qsystem as qsystem_module
 from lensq.catalog import alternating_vector
 from lensq.cone import SolutionCone
@@ -25,6 +25,7 @@ from lensq.qsystem import (
     QMatrix,
     basis_vectors,
     decompose,
+    dihedral_images,
     expand,
     integrality_class,
     is_q_solution,
@@ -33,6 +34,7 @@ from lensq.qsystem import (
 )
 from lensq.surface import classify
 from lensq.triangulation import build_triangulation
+from test_exact import rank
 
 
 def coprime_pairs(max_p):
@@ -96,7 +98,7 @@ def test_core_rows_are_minus_half_the_slanted_sum(p, q):
 @pytest.mark.parametrize("p,q", coprime_pairs(8))
 def test_rank_is_p(p, q):
     matrix = q_matrix(build_triangulation(p, q))
-    assert exact.rank(matrix.rows) == p
+    assert rank(matrix.rows) == p
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(12))
@@ -114,6 +116,28 @@ def test_multiply_matches_dense_rows(p, q):
     cols = rng.sample(range(3 * p), rng.randint(1, 3 * p))
     assert matrix.restrict(cols).rows == tuple(
         tuple(row[c] for c in cols) for row in matrix.rows)
+
+
+@pytest.mark.parametrize("p,q", coprime_pairs(9))
+def test_dihedral_images_rename_the_matching_rows(p, q):
+    # On any integer vector, row r of an image's residual is row rows[r]
+    # of the vector's; the 2p images are the rotations of the vector
+    # and of its block reflection, in that order.
+    matrix = q_matrix(build_triangulation(p, q))
+    rng = random.Random(1000 * p + q)
+    v = tuple(rng.randint(-5, 5) for _ in range(3 * p))
+    before = matrix.residual(v)
+    mirrored = [v[3 * (-i % p) + t] for i in range(p) for t in range(3)]
+    images = list(dihedral_images(matrix, v))
+    assert [w for w, _ in images] == [
+        tuple(w[3 * k:] + w[:3 * k]) for w in (list(v), mirrored)
+        for k in range(p)]
+    for k, (w, rows) in enumerate(images):
+        assert matrix.residual(w) == tuple(before[r] for r in rows)
+        e = (k + np.arange(p)) % p
+        if k >= p:
+            e = (1 - q - e) % p
+        assert rows == (*e.tolist(), p, p + 1)
 
 
 def test_large_p_checks_never_build_the_dense_rows(monkeypatch):
@@ -153,7 +177,7 @@ def test_basis_vectors_solve_and_span(p, q):
     for v in s_vecs + t_vecs:
         assert is_q_solution(matrix, v)
     # 2p independent solutions of a rank-p system on 3p columns.
-    assert exact.rank(list(s_vecs + t_vecs)) == 2 * p
+    assert rank(list(s_vecs + t_vecs)) == 2 * p
 
 
 def test_sphere_vector_for_q_one():
