@@ -6,10 +6,11 @@ integers, for any sparse integer system.
 as sparse columns, builds the dense rows only when they are read, runs
 the double description on its columns for its extreme rays
 (``rays.extreme_rays``), and ``restrict`` cuts out the subsystem on
-chosen columns.  A system may publish ``rotations``, a cyclic group of
-column permutations that each only permute its rows: the quad system
-``qsystem.QMatrix`` does, and a plain SolutionCone, such as a face
-subcone, does not.  Nothing here knows the quad blocks.
+chosen columns.  A system may publish ``symmetries``, a group of
+column permutations, each of which only permutes its rows, as a table
+of one row per element: the quad system ``qsystem.QMatrix`` does, and
+a plain SolutionCone, such as a face subcone, does not.  Nothing here
+knows the quad blocks.
 
 The Hilbert basis (the set of minimal non-zero non-negative integer
 solutions) is enumerated by the classic completion scheme of Contejean
@@ -26,10 +27,10 @@ x + e_j costs one more AND.  Only the surviving children are made, once
 each, in the lexicographic order of mixed-radix int64 keys over the
 box, so the output does not depend on chunk size.  The budget is read
 before any set-up, and A^T A is built from the sparse columns.  The
-completion runs on ``rotations`` orbits (the identity alone without
+completion runs on ``symmetries`` orbits (the identity alone without
 them): each level holds one representative per orbit, the least-key
-rotation, and every new solution enters the minimal set with all its
-rotations, so the frontier cap counts representatives.  A unimodular
+image, and every new solution enters the minimal set with all its
+images, so the frontier cap counts representatives.  A unimodular
 simplicial cone skips the completion: a lattice certificate on its
 extreme rays (``exact.maximal_minor_gcd``) shows they are the basis.
 
@@ -129,9 +130,10 @@ class SolutionCone:
         self.columns = exact.sparse_columns(rows, ncols)
         self.nrows, self.ncols = len(rows), len(self.columns)
 
-    # Row k lists the columns that rotation k reads, position by
-    # position, when A has such a group (see qsystem.QMatrix).
-    rotations = None
+    # A group of column permutations, each of which only permutes the
+    # rows of A, when A has one (see qsystem.QMatrix): row k lists the
+    # columns that element k reads, position by position.
+    symmetries = None
 
     @cached_property
     def rows(self):
@@ -335,42 +337,51 @@ def _dense(cone: SolutionCone):
 
 
 class _Orbits:
-    """The rotations the completion applies to its candidates.
+    """The symmetries the completion applies to its candidates.
 
-    They are the cone's ``rotations`` R_k, (R_k x)_c = x_(turns[k, c]),
-    which are the powers of R_1; the extreme-ray box ``bound`` is
-    checked to be invariant under R_1 (InternalInvariantError
-    otherwise).  A cone without rotations has the identity, the 1 x n
-    table ``turns``, and takes the same steps; only ``least`` and
-    ``rotate`` skip their gathers there.  Each candidate carries its
-    mixed-radix keys over the box under every rotation, one run of
-    ``width`` words per k, and ``step[j]`` is what the unit e_j adds to
-    them.
+    They are the cone's ``symmetries`` R_k, (R_k x)_c = x_(turns[k, c]),
+    a group of column permutations; a cone without them has the
+    identity, the 1 x n table ``turns``, and takes the same steps, only
+    ``least`` and ``rotate`` skip their gathers there.  The extreme-ray
+    box ``bound`` is checked to be invariant under every R_k, and every
+    product R_k R_t to be a row of ``turns`` (InternalInvariantError
+    otherwise).  Each candidate carries its mixed-radix keys over the
+    box under every R_k, one run of ``width`` words per k, and
+    ``step[j]`` is what the unit e_j adds to them.
     """
 
     def __init__(self, cone: SolutionCone, bound: np.ndarray):
         n = cone.ncols
         strides = _radix_strides(bound)
         self.width = strides.shape[0]
-        self.turns = cone.rotations
+        self.turns = cone.symmetries
         if self.turns is None:
             self.turns = np.arange(n)[None]
-        self.order = p = len(self.turns)
-        if (bound != bound[self.turns[1 % p]]).any():
+        self.order = len(self.turns)
+        if (bound[self.turns] != bound).any():
             raise InternalInvariantError(
                 f"the extreme-ray box of {cone!r} is not invariant under "
-                f"its rotations")
-        # Under R_k the unit e_j lands on column turns[-k, j].
-        back = self.turns[-np.arange(p) % p]
+                f"its symmetries")
+        # Under R_k the unit e_j lands on column back[k, j], as R_k's
+        # inverse reads it.
+        back = np.argsort(self.turns, axis=1)
         self.step = strides.T[back].transpose(1, 0, 2).reshape(n, -1)
-        # R_k R_t = R_(k+t): run k of the keys of R_t x is run k + t of
-        # the keys of x, so runs[t] lists the key columns R_t reads.
-        shifted = (np.arange(p) + np.arange(p)[:, None]) % p
-        columns = np.arange(p * self.width).reshape(p, self.width)
-        self.runs = columns[shifted].reshape(p, -1)
+        # R_k R_t x reads x at turns[t, turns[k]], the row m of turns
+        # that holds it: run k of the keys of R_t x is run m of the keys
+        # of x, so runs[t] lists the key columns R_t reads.
+        index = {turn.tobytes(): m for m, turn in enumerate(self.turns)}
+        try:
+            products = [[index[t[k].tobytes()] for k in self.turns]
+                        for t in self.turns]
+        except KeyError:
+            raise InternalInvariantError(
+                f"the symmetries of {cone!r} are not closed under "
+                f"products") from None
+        runs = np.arange(self.order * self.width).reshape(self.order, -1)
+        self.runs = runs[products].reshape(self.order, -1)
 
     def least(self, keys: np.ndarray):
-        """Per row of ``keys``, the rotation with the lexicographically
+        """Per row of ``keys``, the symmetry with the lexicographically
         least key (the first of them on a tie), and that key."""
         if self.order == 1:
             # The identity: the keys themselves, and a read-only view of
@@ -385,9 +396,9 @@ class _Orbits:
         return turn, runs[np.arange(turn.size), turn]
 
     def rotate(self, turn, pick, frontier, dots, keys):
-        """Row i of each array rotated by R_t, t = turn[pick[i]]: the
+        """Row i of each array moved by R_t, t = turn[pick[i]]: the
         rows and dots read their columns at ``turns[t]`` (A^T A commutes
-        with the shift), and the key runs move down by t."""
+        with every R_t), and the key runs at ``runs[t]``."""
         if self.order == 1:
             # The identity moves nothing, and the gather would copy the
             # widest level's rows, dots and keys once more.
@@ -397,8 +408,8 @@ class _Orbits:
         at = self.turns[turn]
         return frontier[i, at], dots[i, at], keys[i, self.runs[turn]]
 
-    def all_rotations(self, rows, keys):
-        """Every distinct rotation of the given rows."""
+    def all_images(self, rows, keys):
+        """Every distinct image of the given rows."""
         pick = _distinct_sorted(keys.reshape(-1, self.width))
         row, turn = np.divmod(pick, self.order)
         return rows[row[:, None], self.turns[turn]]
@@ -426,17 +437,18 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     of the box, which sort like the rows, so the next level comes out
     in lexicographic order whatever the chunk size.
 
-    The completion runs on the orbits of the cone's ``rotations``: the
-    identity, a group of order 1, on a cone without them, and the block
-    shifts on a QMatrix, whose first read of them checks that they
-    permute the rows.  The extreme-ray box is checked to be invariant
-    under them (InternalInvariantError otherwise).  They then keep
-    A^T A, the box and the minimal set, so every level is a union of
-    orbits and holds one representative of each: its rotation with the
-    least key.  A child's keys under all rotations are its parent's
-    plus one row of the rotated strides, which finds the representative
-    before the child is made.  Each new solution enters the minimal set
-    with all its distinct rotations.  The frontier cap counts orbits.
+    The completion runs on the orbits of the cone's ``symmetries``
+    (``_Orbits``): the identity, a group of order 1, on a cone without
+    them, and the 2p block rotations and reflections on a QMatrix, whose
+    first read of them checks that they permute the rows.  The
+    extreme-ray box is checked to be invariant under them
+    (InternalInvariantError otherwise).  They then keep A^T A, the box
+    and the minimal set, so every level is a union of orbits and holds
+    one representative of each: its image with the least key.  A
+    child's keys under all symmetries are its parent's plus one row of
+    the permuted strides, which finds the representative before the
+    child is made.  Each new solution enters the minimal set with all
+    its distinct images.  The frontier cap counts orbits.
 
     The budget is read before any set-up, the extreme rays, unless
     already cached, come from a double description that reads it too,
@@ -471,8 +483,8 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     A, gram = _dense(cone)
     minimal = np.array(rays, dtype=np.int64)
     index = _DominationIndex(minimal, budget)
-    # Per frontier row x: its keys under every rotation, and dots[x, j]
-    # = <A x, A e_j>; the child x + e_j adds row j of the rotated
+    # Per frontier row x: its keys under every symmetry, and dots[x, j]
+    # = <A x, A e_j>; the child x + e_j adds row j of the permuted
     # strides and of A^T A to them.  The first level's one parent is
     # zero, and its pairs are the (0, j) inside the box that dominate no
     # ray.
@@ -502,9 +514,9 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
             # Every frontier row has passed the domination filter against
             # the seeded rays and all solutions of lower degree, and the
             # rows of one level are distinct, so each solution is
-            # minimal; so is each of its rotations.
-            solutions = orbits.all_rotations(frontier[sol_mask],
-                                             keys[sol_mask])
+            # minimal; so is each of its images.
+            solutions = orbits.all_images(frontier[sol_mask],
+                                          keys[sol_mask])
             if (solutions @ A.T).any() or index.dominates(solutions).any():
                 raise InternalInvariantError(
                     "a new solution is not a minimal solution of A x = 0")

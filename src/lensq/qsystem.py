@@ -18,23 +18,27 @@ coefficients.
 
 The triangulation is a cyclic chain, so shifting every block by one
 tetrahedron permutes the matching equations, and so does reflecting
-the blocks, i -> -i with the quad types kept: ``QMatrix.rotations``
-tabulates the p block rotations and ``QMatrix.reflection`` the
-reflection, and one guard (``_symmetry_guard``) checks each exactly on
-its first read.  The square-condition fundamentals are the union of
-the Hilbert bases of the maximal admissible faces of the solution
-cone, the faces spanned by maximal sets of pairwise compatible square
-extreme rays (Burton, ALENEX 2014).  ``square_fundamental_solutions``
-finds the square rays by one double description of the whole cone that
-never combines a pair whose union breaks the square condition
+the blocks, i -> -i with the quad types kept.  The dihedral group they
+generate is held once, as two tables: ``QMatrix.symmetries`` lists
+the 2p column permutations and ``QMatrix.edge_renamings`` their
+renamings of the rows, and one guard (``_symmetry_guard``) checks the
+two generators exactly on the first read.  Every reader of the group
+reads these rows and composes nothing itself.
+
+The square-condition fundamentals are the union of the Hilbert bases
+of the maximal admissible faces of the solution cone, the faces
+spanned by maximal sets of pairwise compatible square extreme rays
+(Burton, ALENEX 2014).  ``square_fundamental_solutions`` finds the
+square rays by one double description of the whole cone that never
+combines a pair whose union breaks the square condition
 (``rays.extreme_rays`` with one column class per block), takes the
 maximal cliques of the compatibility graph as the faces, solves one
 face per dihedral orbit with ``cone.hilbert_basis``, which settles a
 unimodular simplicial face by its rays and completes the rest, and
-closes the answers under the dihedral group once (``dihedral_images``,
-which also gives each image's row renaming).  Every step reads
-the budget: the double description at every row and every chunk of
-pairs, the clique search at every node.
+closes the answers under the group once (``dihedral_images``, which
+also gives each image's row renaming).  Every step reads the budget:
+the double description at every row and every chunk of pairs, the
+clique search at every node.
 """
 
 from __future__ import annotations
@@ -79,8 +83,8 @@ class QMatrix(SolutionCone):
     non-zero ``(row, coefficient)`` pairs of column c, at most four
     since a quad meets four edges.  The dense ``rows``, the extreme
     rays, ``residual`` and ``restrict`` are the SolutionCone's own;
-    ``rotations`` and ``reflection``, the block symmetries, and
-    ``edge_renamings``, their renamings of the rows, are the QMatrix's.
+    ``symmetries``, the dihedral group of the blocks, and
+    ``edge_renamings``, its renamings of the rows, are the QMatrix's.
     """
 
     def __init__(self, tri: LensTriangulation):
@@ -100,42 +104,38 @@ class QMatrix(SolutionCone):
         self.nrows, self.ncols = len(self.row_labels), len(self.columns)
 
     @cached_property
-    def rotations(self):
-        """The p block rotations as a p x 3p column table: rotation k
-        reads column (c + 3k) mod 3p at position c.  The table is a
-        read-only view of every third window over two copies of
-        0..3p-1, O(p) in memory.  The first read checks that the block
-        shift c -> c + 3 renames the rows e_r -> e_(r+1)
-        (``edge_renamings[0]``, by ``_symmetry_guard``)."""
-        columns = np.arange(self.ncols)
-        _symmetry_guard(self, "block shift", np.roll(columns, -3),
-                        self.edge_renamings[0])
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate((columns, columns)), self.ncols)
-        return windows[:self.ncols:3]
-
-    @cached_property
-    def reflection(self):
-        """The block reflection as a 3p column permutation: position
-        (i, t) reads column (-i mod p, t); it is its own inverse.  The
-        first read checks that it renames the rows e_r -> e_(1-q-r),
-        indices from 0 and mod p (``edge_renamings[1]``, by
-        ``_symmetry_guard``)."""
-        blocks = -np.arange(self.p) % self.p
-        table = (3 * blocks[:, None] + np.arange(3)).ravel()
-        _symmetry_guard(self, "block reflection", table,
-                        self.edge_renamings[1])
+    def symmetries(self):
+        """The dihedral group of the blocks as a read-only 2p x 3p
+        column table.  Row k < p is rotation k: position c reads column
+        (c + 3k) mod 3p.  Row p + k is the block reflection after it:
+        reflection[(c + 3k) mod 3p], the reflection sending block i to
+        block -i mod p with the quad type kept.  Row m renames the rows
+        of the matching equations as ``edge_renamings[m]``.  The first
+        read checks the two generators, rows 1 and p, against their
+        renamings (``_symmetry_guard``); the other rows are their
+        products."""
+        p, n = self.p, self.ncols
+        rotations = (np.arange(n) + 3 * np.arange(p)[:, None]) % n
+        reflection = (3 * (-np.arange(p) % p)[:, None]
+                      + np.arange(3)).ravel()
+        table = np.concatenate((rotations, reflection[rotations]))
+        for name, m in (("block shift", 1), ("block reflection", p)):
+            _symmetry_guard(self, name, table[m], self.edge_renamings[m])
         table.flags.writeable = False
         return table
 
     @cached_property
     def edge_renamings(self):
-        """The renamings of the rows e_r, indices from 0 and mod p,
-        under the block shift and the block reflection: e_r -> e_(r+1)
-        and e_r -> e_(1-q-r), as two length-p arrays.  Eh and Ev are
-        fixed by both.  ``rotations`` and ``reflection`` check them."""
-        e = np.arange(self.p)
-        return (e + 1) % self.p, (1 - self.q - e) % self.p
+        """The row renamings of ``symmetries`` as a read-only
+        2p x (p+2) table over the rows e_1 .. e_p, Eh, Ev, indices from
+        0 and mod p: row k maps e_r -> e_(r+k), row p + k maps
+        e_r -> e_(1-q-r-k), and Eh, Ev are fixed."""
+        p = self.p
+        e = (np.arange(p) + np.arange(p)[:, None]) % p
+        table = np.hstack((np.concatenate((e, (1 - self.q - e) % p)),
+                           np.tile((p, p + 1), (2 * p, 1))))
+        table.flags.writeable = False
+        return table
 
     def __repr__(self):
         return f"QMatrix(p={self.p}, q={self.q})"
@@ -144,16 +144,14 @@ class QMatrix(SolutionCone):
 def _symmetry_guard(matrix, name, image, rename):
     """Check that the column permutation c -> ``image[c]`` permutes the
     matching equations of the QMatrix ``matrix``: column image[c] must
-    be column c with each row e_r renamed e_(rename[r]) and rows Eh, Ev
-    left alone.  Then the permuted vector of a solution is again a
-    solution.  The columns' padded array (``padded_columns``), each
-    column sorted by row, is compared at once, O(p).
+    be column c with each row r renamed ``rename[r]``, over all p + 2
+    rows.  Then the permuted vector of a solution is again a solution.
+    The columns' padded array (``padded_columns``), each column sorted
+    by row, is compared at once, O(p).
 
     Raises InternalInvariantError, naming the symmetry, when it does not
     hold.
     """
-    p = matrix.p
-
     def by_row(table):
         order = np.argsort(table[..., 0], axis=1, kind="stable")
         return np.take_along_axis(table, order[..., None], axis=1)
@@ -162,42 +160,31 @@ def _symmetry_guard(matrix, name, image, rename):
     # renamed.
     pairs = by_row(matrix.padded_columns())
     renamed = pairs.copy()
-    renamed[..., 0] = np.concatenate((rename, np.arange(p, p + 3)))[
-        pairs[..., 0]]
+    renamed[..., 0] = np.append(rename, matrix.nrows)[pairs[..., 0]]
     wrong = np.flatnonzero(
         (by_row(renamed) != pairs[image]).any(axis=(1, 2)))
     if wrong.size:
         c = int(wrong[0])
         raise InternalInvariantError(
             f"quad column {int(image[c])} is not the {name} of column {c} "
-            f"for (p,q)=({p},{matrix.q})")
+            f"for (p,q)=({matrix.p},{matrix.q})")
 
 
 def dihedral_images(matrix, v):
-    """The 2p images of the quad vector ``v`` under the block rotations
-    and the block reflection of the QMatrix ``matrix``, each with its
-    row renaming.
+    """The 2p images of the quad vector ``v`` under the block symmetries
+    of the QMatrix ``matrix``, each with its row renaming.
 
-    Yields pairs (w, rows) of tuples: w is v[rotations[k]] for k = 0..p-1,
-    then v[reflection][rotations[k]], and row r of w's matching equations
-    is row rows[r] of v's, over all p + 2 rows.  So the surface of
-    w meets edge class r as often as the surface of v meets edge class
-    rows[r]: rotation k renames e_r -> e_(r+k), the reflection e_r ->
-    e_(1-q-r) (from 0, mod p), and Eh, Ev are fixed.  The renamings are
-    composed from ``matrix.edge_renamings``, the arrays the first reads
-    of ``matrix.rotations`` and ``matrix.reflection`` check.  Images
-    repeat when part of the group fixes v.
+    Yields pairs (w, rows) of tuples, one per row m of
+    ``matrix.symmetries``: w is v[symmetries[m]], and row r of w's
+    matching equations is row rows[r] = ``edge_renamings[m, r]`` of
+    v's, over all p + 2 rows.  So the surface of w meets edge class r
+    as often as the surface of v meets edge class rows[r].  The first p
+    images are v's rotations, the last p those of its reflection.
+    Images repeat when part of the group fixes v.
     """
-    turns = [itemgetter(*columns) for columns in matrix.rotations.tolist()]
-    fixed = list(range(matrix.p, matrix.nrows))
-    shift, mirror = (itemgetter(*rename.tolist(), *fixed)
-                     for rename in matrix.edge_renamings)
-    identity = tuple(range(matrix.nrows))
-    mirrored = itemgetter(*matrix.reflection.tolist())(v)
-    for image, rows in ((v, identity), (mirrored, mirror(identity))):
-        for turn in turns:
-            yield turn(image), rows
-            rows = shift(rows)
+    for columns, rows in zip(matrix.symmetries.tolist(),
+                             matrix.edge_renamings.tolist()):
+        yield itemgetter(*columns)(v), tuple(rows)
 
 
 def q_matrix(tri: LensTriangulation) -> QMatrix:
@@ -434,20 +421,20 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     double description of the whole cone (``_square_rays``).
 
     Shifting every block by one tetrahedron maps column c to column
-    c + 3 and, as the first read of ``matrix.rotations`` checks exactly
-    (InternalInvariantError otherwise), renames the rows e_i -> e_(i+1)
-    while fixing Eh and Ev.  Reflecting the blocks, (i, t) -> (-i, t),
-    renames them e_r -> e_(1-q-r) (from 0, mod p), as the first read of
-    ``matrix.reflection`` checks.  A row permutation keeps the solution
-    cone and the square condition, so it permutes the maximal faces,
-    and the image of a face's Hilbert basis is the Hilbert basis of the
-    image face.  Only one face per dihedral orbit is solved, with its
-    rays handed to ``hilbert_basis``, which returns the rays of a
-    unimodular simplicial face without a completion.  The solved basis
-    vectors are then closed under the group once by ``dihedral_images``,
-    with one budget read per vector: F R_k = R_(-k) F on the column
-    tables, so the p rotations of each vector and of its reflection are
-    its whole orbit.  The answer is thus a union of dihedral orbits, and
+    c + 3 and renames the rows e_i -> e_(i+1) while fixing Eh and Ev;
+    reflecting the blocks, (i, t) -> (-i, t), renames them
+    e_r -> e_(1-q-r) (from 0, mod p).  The first read of
+    ``matrix.symmetries``, the 2p elements of the group they generate,
+    checks both exactly (InternalInvariantError otherwise).  A row
+    permutation keeps the solution cone and the square condition, so it
+    permutes the maximal faces, and the image of a face's Hilbert basis
+    is the Hilbert basis of the image face.  A face is solved unless its
+    support is a row of ``indicator[symmetries]`` for a face already
+    solved, so one face per dihedral orbit reaches ``hilbert_basis``,
+    which returns the rays of a unimodular simplicial face without a
+    completion.  The solved basis vectors are then closed under the
+    group once by ``dihedral_images``, with one budget read per vector.
+    The answer is thus a union of dihedral orbits, and
     ``catalog.enumerate_q_fundamental`` classifies one surface per orbit
     and gives every other image the same report, its edge weights
     renamed by the image's row renaming.  Returns a tuple in graded
@@ -457,7 +444,7 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     rays = _square_rays(matrix, budget)
     faces = _maximal_faces(rays, budget)
     # The group is read, and so checked, here.
-    rotations, reflection = matrix.rotations, matrix.reflection
+    symmetries = matrix.symmetries
     images, solved = set(), set()
     for face in faces:
         support = sorted(set().union(*(rays[i].keys() for i in face)))
@@ -465,8 +452,7 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
         indicator[support] = True
         if indicator.tobytes() in images:
             continue  # the image of a face already solved
-        for image in (indicator, indicator[reflection]):
-            images.update(map(np.ndarray.tobytes, image[rotations]))
+        images.update(map(np.ndarray.tobytes, indicator[symmetries]))
         cone = matrix.restrict(support)
         cone.extreme_rays = tuple(sorted(
             (tuple(rays[i].get(c, 0) for c in support) for i in face),

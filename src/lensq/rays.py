@@ -53,18 +53,20 @@ def extreme_rays(columns, nrows, budget=None, classes=None):
     With ``classes`` (one hashable label per column) only the rays
     whose support holds at most one column of each class are kept;
     they are exactly the admissible extreme rays of the whole cone.
+    Without, each column is a class of its own and every ray is kept.
     ``budget``, when given, is read once per row, with the ray count as
     its frontier size, and once per chunk of candidate pairs.
 
     Returns the rays as dicts from the columns of their supports to
     their (positive) entries, in no particular order.
     """
+    if classes is None:
+        classes = range(len(columns))
     rows = [[] for _ in range(nrows)]
     for j, column in enumerate(columns):
         for r, c in column:
             rows[r].append((j, c))
-    # Each ray is (support, support's classes, entries); the classes
-    # are None when nothing is filtered.
+    # Each ray is (support, support's classes, entries).
     rays = []
     entered = set()
     imposed = 0
@@ -76,8 +78,8 @@ def extreme_rays(columns, nrows, budget=None, classes=None):
         for j, _ in row:
             if j not in entered:
                 entered.add(j)
-                rays.append((frozenset((j,)), None if classes is None
-                             else frozenset((classes[j],)), {j: 1}))
+                rays.append((frozenset((j,)), frozenset((classes[j],)),
+                             {j: 1}))
         pos, neg, kept = [], [], []
         for ray in rays:
             entries = ray[2]
@@ -101,12 +103,9 @@ def extreme_rays(columns, nrows, budget=None, classes=None):
                     union = support_p | support_n
                     if len(union) > widest:
                         continue
-                    if classes is not None:
-                        union_classes = classes_p | classes_n
-                        if len(union_classes) != len(union):
-                            continue
-                    else:
-                        union_classes = None
+                    union_classes = classes_p | classes_n
+                    if len(union_classes) != len(union):
+                        continue
                     # Adjacent when only the pair itself lies inside
                     # the union.
                     inside = 0

@@ -16,8 +16,6 @@ kernel basis by a double description of its own
 search nor the ray enumeration of the package.
 """
 
-import numpy as np
-
 from lensq import exact
 from lensq.cone import Budget, graded_lex_key, hilbert_basis
 from lensq.errors import InternalInvariantError
@@ -99,6 +97,18 @@ def necklace_kernels(matrix):
                    [v for v in vectors if v is not None])
 
 
+def block_rotation(p, k):
+    """Block rotation k of the p blocks as a column table: position c
+    reads column (c + 3k) mod 3p."""
+    return [(c + 3 * k) % (3 * p) for c in range(3 * p)]
+
+
+def block_reflection(p):
+    """The block reflection as a column table: position (i, t) reads
+    column (-i mod p, t)."""
+    return [3 * (-i % p) + t for i in range(p) for t in range(3)]
+
+
 def extreme_rays_of_kernel(basis):
     """Primitive extreme rays of the non-negative part of the span of
     ``basis``, a kernel basis in the form ``exact.kernel_basis`` gives.
@@ -142,7 +152,9 @@ def extreme_rays_of_kernel(basis):
 def necklace_square_fundamentals(matrix):
     """The square-condition fundamental solutions of the QMatrix
     ``matrix`` by the necklace walk: the Hilbert basis of one pattern
-    per dihedral orbit, closed under the rotations and the reflection.
+    per dihedral orbit, closed under the block rotations and the block
+    reflection, built from their closed forms (``block_rotation``,
+    ``block_reflection``).
     A full-rank necklace is skipped, and so is one whose reversed
     word's least rotation is smaller, as that necklace came first."""
     budget = Budget(max_seconds=None)
@@ -159,8 +171,10 @@ def necklace_square_fundamentals(matrix):
         for small in hilbert_basis(pattern, budget):
             entries = dict(zip(columns, small))
             solved.add(tuple(entries.get(c, 0) for c in range(matrix.ncols)))
+    p = matrix.p
     found = set()
-    for v in np.array(list(solved), dtype=object).reshape(-1, matrix.ncols):
-        for image in (v, v[matrix.reflection]):
-            found.update(map(tuple, image[matrix.rotations].tolist()))
+    for v in solved:
+        for image in (v, [v[c] for c in block_reflection(p)]):
+            found.update(tuple(image[c] for c in block_rotation(p, k))
+                         for k in range(p))
     return tuple(sorted(found, key=graded_lex_key))

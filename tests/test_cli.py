@@ -85,6 +85,30 @@ def test_raw_hilbert_json_is_byte_stable():
         "cde4320cfe51e28ec20d052e0545f570483dc7b958fc778f994add8f26cd93a2")
 
 
+# sha256 of ``enum --p P --q Q --format json --raw-hilbert`` stdout,
+# pinned when the completion ran on the orbits of the block rotations
+# alone, before it took the block reflection too.
+RAW_DIGESTS = {
+    (4, 3):
+        "81ed61acaa7c85471b2024ad8e29279cedfa104d75a79a067ae4be621d0c75ec",
+    (5, 1):
+        "c632ef7872d442e05ca002321275621710a912f0d7d368cf9c769361d9b347c3",
+    (5, 3):
+        "3bcd744536308faeaa3e03a51d1f45cbc86a53cc6a45e889de11be178d6487b9",
+    (5, 4):
+        "6d6a8d5b07e68c68f32f49e7447b15759a06d4f7a57a810f4a1799185903831b",
+}
+
+
+@pytest.mark.parametrize("p,q", sorted(RAW_DIGESTS))
+def test_raw_hilbert_json_is_byte_stable_on_dihedral_orbits(p, q):
+    result = run_cli("enum", "--p", str(p), "--q", str(q), "--raw-hilbert",
+                     "--format", "json")
+    assert result.returncode == 0
+    assert hashlib.sha256(
+        result.stdout.encode()).hexdigest() == RAW_DIGESTS[p, q]
+
+
 # sha256 of ``enum --p P --q Q --format json`` stdout, pinned when the
 # square fundamentals came from the necklace walk over the 3^p patterns,
 # and for q > p/2, where the reflection's renaming of the edge weights

@@ -4,18 +4,17 @@ oracles they compare against (``brute_force_minimal_solutions``,
 ``minimal_elements``, ``is_vertex_by_search``), which the acceptance
 suite also imports: the completion enumerator on infeasible and
 0-column cones, against the grid oracle and against a box search, its
-block-rotation orbits against the unreduced completion and their
-symmetry checks, its domination index, child verdicts, key
-deduplication and sparse dense set-up against plain numpy references,
-its memory peaks, the box-search minimality test and its vertex
-shortcut, the support-rank vertex test against bounded search and
-against the exact extreme rays, the maximal-face search against the
-plain 3^p pattern loop and against the necklace walk
-(``necklace_oracle``), its square rays, faces, one solve per dihedral
-orbit and budget reads, the oracle's necklace and bracelet
-representatives, the symmetry guards, the lattice certificate for
-unimodular cones against a box search, and budget/determinism
-behaviour.
+dihedral orbits against the unreduced completion and their symmetry
+checks, its domination index, child verdicts, key deduplication and
+sparse dense set-up against plain numpy references, its memory peaks,
+the box-search minimality test and its vertex shortcut, the
+support-rank vertex test against bounded search and against the exact
+extreme rays, the maximal-face search against the plain 3^p pattern
+loop and against the necklace walk (``necklace_oracle``), its square
+rays, faces, one solve per dihedral orbit and budget reads, the
+oracle's necklace and bracelet representatives, the symmetry tables
+and their guards, the lattice certificate for unimodular cones against
+a box search, and budget/determinism behaviour.
 """
 
 import itertools
@@ -29,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lensq import cli
 from lensq import cone as cone_module
 from lensq import exact
 from lensq import qsystem as qsystem_module
@@ -66,6 +66,8 @@ from lensq.qsystem import (
 from lensq.rays import extreme_rays
 from lensq.triangulation import QUAD_TYPES, build_triangulation
 from necklace_oracle import (
+    block_reflection,
+    block_rotation,
     least_rotation,
     necklace_kernels,
     necklace_square_fundamentals,
@@ -374,7 +376,7 @@ def test_certified_pattern_bases_match_the_box_search(p, q):
 @pytest.mark.parametrize("p,q", coprime_pairs(5))
 def test_orbit_completion_matches_the_unreduced_completion(p, q):
     # A plain SolutionCone has the identity alone, so it completes every
-    # rotation of every candidate: the oracle for the QMatrix's orbits.
+    # image of every candidate: the oracle for the QMatrix's orbits.
     matrix = q_matrix(build_triangulation(p, q))
     budget = Budget(max_seconds=300)
     assert hilbert_basis(matrix, budget) == hilbert_basis(
@@ -408,6 +410,25 @@ def test_orbit_completion_checks_the_box():
     matrix.extreme_rays = tuple(r for r in rays if r != lopsided)
     with pytest.raises(InternalInvariantError):
         hilbert_basis(matrix)
+
+
+def test_dihedral_orbits_keep_the_five_two_extension_set_under_8000():
+    # On the 2p dihedral images the widest extension set holds 5,908
+    # representatives; on the p block rotations alone it held 11,796.
+    matrix = q_matrix(build_triangulation(5, 2))
+    assert len(hilbert_basis(matrix, Budget(max_frontier=8000))) == 161
+
+
+def test_orbit_completion_takes_any_group_of_symmetries():
+    # Swapping the first two columns of x + y = 2z is a group of order
+    # two; the swap alone is not closed under products.
+    cone = SolutionCone([[1, 1, -2]])
+    cone.symmetries = np.array([[0, 1, 2], [1, 0, 2]])
+    assert hilbert_basis(cone) == ((0, 2, 1), (1, 1, 1), (2, 0, 1))
+    cone = SolutionCone([[1, 1, -2]])
+    cone.symmetries = np.array([[1, 0, 2]])
+    with pytest.raises(InternalInvariantError, match="not closed under"):
+        hilbert_basis(cone)
 
 
 # ------------------------------------------------- completion kernels
@@ -569,12 +590,14 @@ def face_supports(matrix):
 
 def dihedral_images(matrix, support):
     """The supports of the images of the face on ``support`` under the
-    block rotations and the reflection."""
-    indicator = np.zeros(matrix.ncols, dtype=bool)
-    indicator[sorted(support)] = True
-    return {frozenset(np.flatnonzero(row).tolist())
-            for image in (indicator, indicator[matrix.reflection])
-            for row in image[matrix.rotations]}
+    block rotations and the reflection, from their closed forms: the
+    image v[reflection][rotation] reads column reflection[rotation[c]]
+    at c."""
+    p, support = matrix.p, set(support)
+    turns = [block_rotation(p, k) for k in range(p)]
+    return {frozenset(c for c in range(3 * p) if image[turn[c]] in support)
+            for image in (range(3 * p), block_reflection(p))
+            for turn in turns}
 
 
 def record_faces(monkeypatch, matrix):
@@ -713,22 +736,46 @@ def test_necklaces_are_one_per_rotation_orbit(p):
 
 def test_block_rotation_guard_holds_below_forty():
     for p, q in coprime_pairs(39):
-        q_matrix(build_triangulation(p, q)).rotations
+        symmetries = q_matrix(build_triangulation(p, q)).symmetries
+        assert symmetries[1].tolist() == block_rotation(p, 1)
 
 
 def test_block_reflection_guard_holds_below_forty():
     pairs = coprime_pairs(39)
     assert len(pairs) == 473
     for p, q in pairs:
-        reflection = q_matrix(build_triangulation(p, q)).reflection
-        assert list(reflection) == [3 * (-i % p) + t for i in range(p)
-                                    for t in range(3)]
-        assert not reflection.flags.writeable
+        symmetries = q_matrix(build_triangulation(p, q)).symmetries
+        assert symmetries[p].tolist() == block_reflection(p)
+
+
+def test_symmetry_tables_compose_the_generators_below_forty():
+    # Row k applies the block shift k times and row p + k applies it
+    # after the block reflection, to the columns and the row renamings
+    # alike: T then S reads T[S], in both tables.
+    for p, q in coprime_pairs(39):
+        matrix = q_matrix(build_triangulation(p, q))
+        fixed = [p, p + 1]
+        shift = (block_rotation(p, 1), [(r + 1) % p for r in range(p)]
+                 + fixed)
+        columns, rows = [], []
+        for table in ((list(range(3 * p)), list(range(p + 2))),
+                      (block_reflection(p),
+                       [(1 - q - r) % p for r in range(p)] + fixed)):
+            for _ in range(p):
+                columns.append(table[0])
+                rows.append(table[1])
+                table = tuple([t[s] for s in g] for t, g in zip(table, shift))
+        assert matrix.symmetries.tolist() == columns
+        assert matrix.edge_renamings.tolist() == rows
+        assert not matrix.symmetries.flags.writeable
+        assert not matrix.edge_renamings.flags.writeable
+        assert (np.sort(matrix.symmetries, axis=1)
+                == np.arange(3 * p)).all()
 
 
 def test_block_rotation_guard_runs_once_per_matrix(monkeypatch):
-    # The raw completion reads the rotations only; the pattern search
-    # reads the reflection too, each guarded on its first read.
+    # The raw completion and the pattern search both read the
+    # symmetries, whose first read checks the two generators.
     calls = []
     guard = qsystem_module._symmetry_guard
 
@@ -739,29 +786,30 @@ def test_block_rotation_guard_runs_once_per_matrix(monkeypatch):
     monkeypatch.setattr(qsystem_module, "_symmetry_guard", counted)
     matrix = q_matrix(build_triangulation(4, 1))
     hilbert_basis(matrix)
-    assert calls == [(matrix, "block shift")]
+    assert calls == [(matrix, "block shift"), (matrix, "block reflection")]
     square_fundamental_solutions(matrix)
     square_fundamental_solutions(matrix)
     hilbert_basis(matrix)
     assert calls == [(matrix, "block shift"), (matrix, "block reflection")]
-    assert [list(turn) for turn in matrix.rotations] == [
-        [(c + 3 * k) % 12 for c in range(12)] for k in range(4)]
-    assert SolutionCone(matrix).rotations is None
+    turns = [block_rotation(4, k) for k in range(4)]
+    assert matrix.symmetries.tolist() == turns + [
+        [block_reflection(4)[c] for c in turn] for turn in turns]
+    assert SolutionCone(matrix).symmetries is None
 
 
-def test_block_rotations_are_a_read_only_view_in_linear_memory():
-    # A p x 3p int64 table would take 206 MiB at (3000,7).
-    matrix = q_matrix(build_triangulation(3000, 7))
-    tracemalloc.start()
-    try:
-        rotations = matrix.rotations
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
-    assert rotations.shape == (3000, 9000)
-    assert not rotations.flags.writeable
-    assert list(rotations[2999, :6]) == [8997, 8998, 8999, 0, 1, 2]
+def test_enum_at_p_3000_stops_without_reading_the_symmetries(
+        monkeypatch, capsys):
+    # The 2p x 3p table would take 432 MiB at (3000,7); the budget runs
+    # out in the double description, before any reader of the group.
+    def refuse(self):
+        raise AssertionError("the symmetries were read")
+
+    monkeypatch.setattr(qsystem_module.QMatrix, "symmetries",
+                        property(refuse))
+    assert cli.main(["enum", "--p", "3000", "--q", "7",
+                     "--max-seconds", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: budget exceeded: search exceeded 1.0 seconds\n")
 
 
 def tampered_on_every_first_column(p, q):
@@ -779,10 +827,10 @@ def tampered_on_every_first_column(p, q):
 
 
 def test_broken_block_reflection_raises():
+    # The block shift, checked first, still holds.
     matrix = tampered_on_every_first_column(7, 2)
-    matrix.rotations  # the block shift still holds
     with pytest.raises(InternalInvariantError, match="block reflection"):
-        matrix.reflection
+        matrix.symmetries
     with pytest.raises(InternalInvariantError, match="block reflection"):
         square_fundamental_solutions(tampered_on_every_first_column(7, 2))
 
@@ -791,10 +839,10 @@ def test_symmetry_guard_reports_the_first_wrong_column():
     matrix = q_matrix(build_triangulation(5, 2))
     n = matrix.ncols
     identity = np.arange(n)
-    _symmetry_guard(matrix, "identity", identity, np.arange(5))
+    _symmetry_guard(matrix, "identity", identity, np.arange(7))
     with pytest.raises(InternalInvariantError,
                        match="quad column 3 is not the swap of column 0"):
-        _symmetry_guard(matrix, "swap", np.roll(identity, -3), np.arange(5))
+        _symmetry_guard(matrix, "swap", np.roll(identity, -3), np.arange(7))
 
 
 def dihedral_least(word):
@@ -837,10 +885,11 @@ def test_least_rotation_is_linear_at_p_800():
 def test_square_fundamentals_are_invariant_under_reflection(p, q):
     matrix = q_matrix(build_triangulation(p, q))
     found = square_fundamental_solutions(matrix)
-    mirrored = {tuple(v[c] for c in matrix.reflection) for v in found}
+    mirror = block_reflection(p)
+    mirrored = {tuple(v[c] for c in mirror) for v in found}
     assert mirrored == set(found)
     for v in found:
-        assert matrix.is_solution(tuple(v[c] for c in matrix.reflection))
+        assert matrix.is_solution(tuple(v[c] for c in mirror))
 
 
 def test_search_adds_the_rotations_of_each_basis_and_its_reflection(
@@ -862,8 +911,9 @@ def test_search_adds_the_rotations_of_each_basis_and_its_reflection(
         v = [0] * 3 * p
         for c, x in zip(support, fake):
             v[c] = x
-        images = [[tuple(w[c] for c in turn) for turn in matrix.rotations]
-                  for w in (v, [v[c] for c in matrix.reflection])]
+        images = [[tuple(w[c] for c in block_rotation(p, k))
+                   for k in range(p)]
+                  for w in (v, [v[c] for c in block_reflection(p)])]
         supports = [{frozenset(np.flatnonzero(w)) for w in side}
                     for side in images]
         if supports[0] == supports[1]:
