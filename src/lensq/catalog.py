@@ -30,6 +30,7 @@ from importlib import resources
 from .cone import Budget, graded_lex_key, is_fundamental, is_vertex
 from .errors import (
     InternalInvariantError,
+    InvalidParams,
     LensQError,
     NoExpectation,
     NotASolution,
@@ -40,6 +41,7 @@ from .qsystem import (
     INTEGERS,
     ZERO,
     BasisCoefficients,
+    QMatrix,
     basis_vectors,
     decompose,
     dihedral_images,
@@ -129,7 +131,8 @@ def expected_for(p: int, q: int) -> ExpectedCatalog:
 
 
 def enumerate_q_fundamental(p: int, q: int,
-                            budget: Budget | None = None):
+                            budget: Budget | None = None,
+                            matrix: QMatrix | None = None):
     """All square-condition fundamental solutions with their surface
     reports, in graded lexicographic order.
 
@@ -146,10 +149,16 @@ def enumerate_q_fundamental(p: int, q: int,
     connected, since a disconnected solution is the sum of its
     components; a representative with more than one component raises
     InternalInvariantError.
+    ``matrix``, the (p,q) quad matching matrix, is built when not given;
+    a matrix of another (p,q) raises InvalidParams.
     """
     budget = budget or Budget()
-    tri = build_triangulation(p, q)
-    matrix = q_matrix(tri)
+    if matrix is None:
+        matrix = q_matrix(build_triangulation(p, q))
+    elif (matrix.p, matrix.q) != (p, q):
+        raise InvalidParams(f"matrix of (p,q)=({matrix.p},{matrix.q}) "
+                            f"given for ({p},{q})")
+    tri = matrix.tri
     vectors = square_fundamental_solutions(matrix, budget)
     labels = matrix.row_labels
     reports = {}
@@ -203,7 +212,7 @@ def verify_theorems(p: int, q: int, budget: Budget | None = None):
     tri = build_triangulation(p, q)
     matrix = q_matrix(tri)
     results = []
-    enumerated = enumerate_q_fundamental(p, q, budget)
+    enumerated = enumerate_q_fundamental(p, q, budget, matrix)
     vectors = tuple(v for v, _ in enumerated)
 
     try:

@@ -131,12 +131,12 @@ def _report_payload(report):
 
 def cmd_enum(args) -> int:
     budget = budget_from(args)
-    found = catalog.enumerate_q_fundamental(args.p, args.q, budget)
+    matrix = q_matrix(build_triangulation(args.p, args.q))
+    found = catalog.enumerate_q_fundamental(args.p, args.q, budget, matrix)
     payload = {"fundamental": [
         {"vector": list(v), **_report_payload(report)}
         for v, report in found]}
     if args.raw_hilbert:
-        matrix = q_matrix(build_triangulation(args.p, args.q))
         payload["hilbert_basis"] = [list(v)
                                     for v in hilbert_basis(matrix, budget)]
     if args.format == "json":

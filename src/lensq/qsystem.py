@@ -84,10 +84,12 @@ class QMatrix(SolutionCone):
     since a quad meets four edges.  The dense ``rows``, the extreme
     rays, ``residual`` and ``restrict`` are the SolutionCone's own;
     ``symmetries``, the dihedral group of the blocks, and
-    ``edge_renamings``, its renamings of the rows, are the QMatrix's.
+    ``edge_renamings``, its renamings of the rows, are the QMatrix's,
+    and so is ``tri``, the triangulation it was built from.
     """
 
     def __init__(self, tri: LensTriangulation):
+        self.tri = tri
         self.p = tri.p
         self.q = tri.q
         self.row_labels = tri.edge_classes

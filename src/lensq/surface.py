@@ -13,7 +13,8 @@ makes the minimum count in each class zero.
 Classification numbers the disks slot by slot and glues them across
 every face corner, matching arcs in nesting order.  The 6p glued
 corners are read once, as runs of disk ids; everything per disk or arc
-is an array pass.  Each arc joins the sides of its two disks, swapped
+is an array pass, its ids int32 whenever the surface's side nodes fit
+(``glue_disks``).  Each arc joins the sides of its two disks, swapped
 when the arc reverses them, and one labelling of the sides
 (``triangulation.least_labels``) gives the components.  A component is
 two-sided (equivalently orientable, the ambient space being orientable)
@@ -47,6 +48,8 @@ from .qsystem import QMatrix, q_matrix, square_condition
 from .triangulation import (
     BOT,
     CORNER_TEMPLATE,
+    INT32_MAX,
+    INT64_MAX,
     LEFT,
     LOCAL_EDGES,
     QUAD_PAIRS,
@@ -252,7 +255,7 @@ class DiskGraph:
     corner k for k < 4 and a quad of type k - 3 otherwise.  ``arcs``:
     an A x 3 array of (disk, disk, reversed) rows, ``reversed`` being
     1 when the two disks' reference sides disagree across the glued
-    arc.
+    arc.  Both hold the graph's one id dtype (see :func:`glue_disks`).
     """
 
     disks: np.ndarray
@@ -270,7 +273,8 @@ def _side_runs(first, tet, corner, j, ascending):
     q0, q1 = first[slot + 4 + j], first[slot + 5 + j]
     return (np.stack((t0, np.where(ascending, q0, q1 - 1)), axis=1),
             np.stack((t1 - t0, q1 - q0), axis=1),
-            np.stack((np.ones_like(t0), 2 * ascending - 1), axis=1))
+            np.stack((np.ones_like(t0), 2 * ascending - 1), axis=1,
+                     dtype=first.dtype))
 
 
 def _expand_runs(start, length, step):
@@ -320,19 +324,24 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     corners' slots come as one integer table (``_glue_table``); array
     passes turn them into the arcs.  A ``budget``, if given, is charged
     the disk count, and its deadline read, before any array is made.
-    A surface too large for int64 side nodes (2 per disk, the widest
-    index :func:`classify` builds from the graph) raises
-    BudgetExceeded, budget or not.
+    Every array of the graph, and every per-disk array built from it,
+    holds its ids in one dtype, ``_index_dtype`` of the side node count
+    (2 per disk, the widest index :func:`classify` builds from the
+    graph) and the 7p slots: int32 when they fit, int64 otherwise.  A
+    surface too large for int64 side nodes raises BudgetExceeded,
+    budget or not.
     """
     total = full.total_disks()
     if budget is not None:
         budget.check(total, what="normal disks")
-    if 2 * total > np.iinfo(np.int64).max:
+    if 2 * total > INT64_MAX:
         raise BudgetExceeded(
             f"{total} normal disks cannot be indexed in int64")
+    dtype = _index_dtype(max(2 * total, len(full.entries)))
     table = _glue_table(tri)
-    counts = np.array(full.entries, dtype=np.int64)
-    first = np.concatenate(([0], np.cumsum(counts)))
+    counts = np.array(full.entries, dtype=dtype)
+    first = np.zeros(len(counts) + 1, dtype=dtype)
+    np.cumsum(counts, out=first[1:])
     side_a = _side_runs(first, *table[:, 0:4].T)
     side_b = _side_runs(first, *table[:, 4:8].T)
     arity_a, arity_b = side_a[1].sum(axis=1), side_b[1].sum(axis=1)
@@ -343,8 +352,41 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
         raise ArityMismatch(
             f"face {tri.face_label(k)} corner {za}->{zb}: "
             f"{arity_a[k]} vs {arity_b[k]} arcs")
-    return DiskGraph(disks=np.repeat(np.arange(len(counts)), counts),
+    return DiskGraph(disks=np.repeat(np.arange(len(counts), dtype=dtype),
+                                     counts),
                      arcs=_arc_array(side_a, side_b))
+
+
+def _index_dtype(ids: int):
+    """The id dtype of a disk graph whose ids run below ``ids``: int32
+    when ``ids`` is at most int32's max, int64 otherwise."""
+    return np.int32 if ids <= INT32_MAX else np.int64
+
+
+def _components(graph: DiskGraph, budget: Budget | None):
+    """The component of each disk, numbered by least disk, and whether
+    each component is one-sided, from one labelling of the side graph
+    that reads the ``budget`` deadline each round."""
+    # Side node 2d + s is side s of disk d; an arc (a, b, reversed)
+    # glues side s of a to side s ^ reversed of b.  The edge lists are
+    # one preallocated pair in the graph's dtype.
+    n, m, arcs = len(graph.disks), len(graph.arcs), graph.arcs
+    u = np.empty(2 * m, dtype=arcs.dtype)
+    v = np.empty_like(u)
+    np.multiply(arcs[:, 0], 2, out=u[:m])
+    np.multiply(arcs[:, 1], 2, out=v[:m])
+    v[:m] += arcs[:, 2]
+    np.bitwise_xor(u[:m], 1, out=u[m:])
+    np.bitwise_xor(v[:m], 1, out=v[m:])
+    side = least_labels(2 * n, u, v, budget)
+    # Each side class holds a side of its component's least disk, whose
+    # two sides share a class exactly when the component is one-sided.
+    least = side[0::2] // 2
+    is_root = least == np.arange(n, dtype=least.dtype)
+    roots = np.flatnonzero(is_root)
+    one_sided = side[2 * roots] == side[2 * roots + 1]
+    # A disk's component is the rank of its least disk among the roots.
+    return (np.cumsum(is_root, dtype=least.dtype) - 1)[least], one_sided
 
 
 def _component_vertices(tri, disks, component_of):
@@ -353,26 +395,46 @@ def _component_vertices(tri, disks, component_of):
     component, then edge class.  A component's crossings with edge
     class r, summed from its disks' slots (``CROSSES``), are deg(r) per
     vertex; a sum that deg(r) does not divide raises ArityMismatch."""
-    # Disks are numbered slot by slot, so a stable sort by component
-    # runs through each component's disks in slot order.
-    order = np.argsort(component_of, kind="stable")
-    comp, slot = component_of[order], disks[order]
-    start = np.flatnonzero((np.diff(comp, prepend=-1) != 0)
-                           | (np.diff(slot, prepend=-1) != 0))
-    copies = np.diff(start, append=len(comp))
-    comp, slot = comp[start], slot[start]
-    run, local = np.nonzero(CROSSES[slot % SLOTS_PER_TET])
-    comp, copies = comp[run], copies[run]
-    edge = tri.slot_edges[slot[run] // SLOTS_PER_TET, local]
-
-    order = np.lexsort((edge, comp))
-    comp, edge, copies = comp[order], edge[order], copies[order]
-    start = np.flatnonzero((np.diff(comp, prepend=-1) != 0)
-                           | (np.diff(edge, prepend=-1) != 0))
-    comp, edge = comp[start], edge[start]
-    crossings = np.add.reduceat(copies, start)
-    degree = np.bincount(tri.slot_edges.ravel(),
-                         minlength=len(tri.edge_classes))[edge]
+    # One sorted copy of the per-disk rows, as (component, slot) keys;
+    # runs of equal keys are one component's copies of one slot.
+    nslots = SLOTS_PER_TET * tri.p
+    ncomps = int(component_of.max()) + 1 if len(disks) else 0
+    if ncomps * nslots > INT64_MAX:
+        raise BudgetExceeded(f"{ncomps} components of {nslots} slots "
+                             f"cannot be indexed in int64")
+    key = component_of.astype(np.int64)
+    key *= nslots
+    key += disks
+    key.sort()
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    copies = np.diff(start, append=len(key))
+    comp, slot = np.divmod(key[start], nslots)
+    del key
+    # Each run crosses its slot's local edges (``CROSSES``); sum the
+    # crossings per (component, edge class) key.  Laid out one local
+    # edge at a time, each edge's keys come sorted by component and
+    # within a component nearly by edge class, so the stable (merge)
+    # sort has few runs to merge.
+    nedges = len(tri.edge_classes)
+    cross = CROSSES[slot % SLOTS_PER_TET]
+    tet, base = slot // SLOTS_PER_TET, comp * nedges
+    key = np.empty(np.count_nonzero(cross), dtype=np.int64)
+    count = np.empty_like(key)
+    end = 0
+    for local, edges in enumerate(tri.slot_edges.T):
+        run = np.flatnonzero(cross[:, local])
+        at, end = end, end + len(run)
+        np.add(base[run], edges[tet[run]], out=key[at:end])
+        count[at:end] = copies[run]
+    del cross, tet, base
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    count = count[order]
+    del order
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    comp, edge = np.divmod(key[start], nedges)
+    crossings = np.add.reduceat(count, start)
+    degree = np.bincount(tri.slot_edges.ravel(), minlength=nedges)[edge]
     wrong = np.flatnonzero(crossings % degree)
     if wrong.size:
         k = wrong[0]
@@ -423,28 +485,16 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     full = reconstruct_trigons(tri, v, matrix=matrix)
     weights = edge_weights(tri, full)
     graph = glue_disks(tri, full, budget)
-    n = len(graph.disks)
-
-    # Side node 2d + s is side s of disk d; an arc glues side s of one
-    # disk to side s ^ reversed of the other.
-    da, db, reverse = graph.arcs.T
-    side = least_labels(
-        2 * n, np.concatenate((2 * da, 2 * da + 1)),
-        np.concatenate((2 * db + reverse, 2 * db + 1 - reverse)), budget)
-    # Each side class holds a side of its component's least disk, whose
-    # two sides share a class exactly when the component is one-sided.
-    least = side[0::2] // 2
-    roots = np.flatnonzero(least == np.arange(n))
-    one_sided = side[2 * roots] == side[2 * roots + 1]
-    component_of = np.searchsorted(roots, least)
+    component_of, one_sided = _components(graph, budget)
 
     # An arc lies in one component by construction: its disks were
     # glued above.
-    k = len(roots)
+    k = len(one_sided)
     comp, edge, count = _component_vertices(tri, graph.disks, component_of)
     vertices = np.zeros(k, dtype=np.int64)
     np.add.at(vertices, comp, count)
-    euler = (vertices - np.bincount(component_of[da], minlength=k)
+    euler = (vertices - np.bincount(component_of[graph.arcs[:, 0]],
+                                    minlength=k)
              + np.bincount(component_of, minlength=k))
     for core in ("Ev", "Eh"):
         on_core = np.zeros(k, dtype=np.int64)

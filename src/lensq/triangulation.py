@@ -64,6 +64,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidParams
 
+# The largest ids the two index dtypes hold.
+INT32_MAX = int(np.iinfo(np.int32).max)
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 # Local corner labels of one tetrahedron.
 TOP, BOT, LEFT, RIGHT = 0, 1, 2, 3
 CORNER_NAMES = {TOP: "top", BOT: "bot", LEFT: "left", RIGHT: "right"}
@@ -104,32 +108,45 @@ CORNER_TEMPLATE = tuple(
 
 def least_labels(n: int, u, v, budget=None):
     """For every node 0..n-1, the least node of its class under the
-    edges u[k] ~ v[k], as an int64 array: the package's one class
-    labelling, for the sides of the glued disks.
+    edges u[k] ~ v[k]: the package's one class labelling, for the sides
+    of the glued disks.  The labels keep the edges' dtype when both are
+    int32 arrays and n fits it, as for the side graph of a surface under
+    2^30 disks; otherwise they are int64.
 
-    Each round reads the ``budget`` deadline, hooks every class root to
-    the least root it meets along an edge and jumps pointers until each
-    node points at its root.  It stops when no edge joins two labels;
-    every round lowers some root's label, so it does.
+    Each round reads the ``budget`` deadline, keeps the edges whose ends
+    carry different labels, hooks every class root to the least root it
+    meets along them, jumps pointers until each node points at its root
+    and gathers the kept edges' labels.  It stops when no edge joins two
+    labels; every round lowers some root's label, so it does.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    label = np.arange(n, dtype=np.int64)
+    u, v = np.asarray(u), np.asarray(v)
+    narrow = (u.dtype == v.dtype == np.int32
+              and n <= INT32_MAX)
+    dtype = np.int32 if narrow else np.int64
+    u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
+    label = np.arange(n, dtype=dtype)
+    # The labels of the edges' ends, the nodes themselves at first.
+    lu, lv = u, v
     while True:
         if budget is not None:
             budget.check()
-        lu, lv = label[u], label[v]
+        # An edge whose ends share a label keeps them together for good.
+        # The full-length arrays go before the hooking; in the first
+        # round every edge is usually apart, and nothing is copied.
         apart = lu != lv
         if not apart.any():
             return label
-        # An edge whose ends share a label keeps them together for good.
-        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        if not apart.all():
+            u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        del apart
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        del lu, lv
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
                 break
             label = jumped
+        lu, lv = label[u], label[v]
 
 
 @dataclass(frozen=True)
@@ -163,7 +180,7 @@ class LensTriangulation:
     def __init__(self, params: LensParams):
         p, q = params.p, params.q
         # The widest index, a full-coordinate slot, lies below 7p.
-        if 7 * p > np.iinfo(np.int64).max:
+        if 7 * p > INT64_MAX:
             raise BudgetExceeded(f"p = {p} cannot be indexed in int64")
         self.p, self.q = p, q
         self.tetrahedra = tuple(range(1, p + 1))

@@ -20,7 +20,12 @@ from lensq.catalog import (
     verify_theorems,
 )
 from lensq.cone import graded_lex_key
-from lensq.errors import InternalInvariantError, LensQError, NoExpectation
+from lensq.errors import (
+    InternalInvariantError,
+    InvalidParams,
+    LensQError,
+    NoExpectation,
+)
 from lensq.qsystem import (
     basis_vectors,
     is_q_solution,
@@ -154,6 +159,15 @@ def test_enumeration_rejects_a_disconnected_fundamental(monkeypatch):
     counted_classify(monkeypatch, components=((2, True), (2, True)))
     with pytest.raises(InternalInvariantError, match="2 components"):
         enumerate_q_fundamental(5, 2)
+
+
+def test_enumeration_takes_a_built_matrix_of_its_pair():
+    matrix = q_matrix(build_triangulation(7, 2))
+    assert enumerate_q_fundamental(7, 2, matrix=matrix) == (
+        enumerate_q_fundamental(7, 2))
+    with pytest.raises(InvalidParams, match=r"^matrix of \(p,q\)=\(7,2\) "
+                       r"given for \(7,3\)$"):
+        enumerate_q_fundamental(7, 3, matrix=matrix)
 
 
 # ------------------------------------------------------------- verification

@@ -797,6 +797,24 @@ def test_block_rotation_guard_runs_once_per_matrix(monkeypatch):
     assert SolutionCone(matrix).symmetries is None
 
 
+def test_enum_raw_hilbert_builds_one_matrix(monkeypatch, capsys):
+    # The enumeration and the raw completion share one QMatrix, so its
+    # two generators are checked once.
+    calls = []
+    guard = qsystem_module._symmetry_guard
+
+    def counted(matrix, name, *args):
+        calls.append((matrix, name))
+        guard(matrix, name, *args)
+
+    monkeypatch.setattr(qsystem_module, "_symmetry_guard", counted)
+    assert cli.main(["enum", "--p", "5", "--q", "2", "--raw-hilbert",
+                     "--format", "json"]) == 0
+    capsys.readouterr()
+    assert [name for _, name in calls] == ["block shift", "block reflection"]
+    assert calls[0][0] is calls[1][0]
+
+
 def test_enum_at_p_3000_stops_without_reading_the_symmetries(
         monkeypatch, capsys):
     # The 2p x 3p table would take 432 MiB at (3000,7); the budget runs

@@ -40,6 +40,7 @@ from lensq.qsystem import (
 from lensq.surface import (
     FullCoordinates,
     _component_vertices,
+    _index_dtype,
     classify,
     edge_weights,
     euler_characteristic,
@@ -176,8 +177,57 @@ def test_full_coordinates_take_only_non_negative_integers():
 def test_glue_disks_refuses_more_disks_than_int64_can_index():
     tri = build_triangulation(2, 1)
     full = reconstruct_trigons(tri, (10 ** 23, 0, 0) * 2)
-    with pytest.raises(BudgetExceeded, match="int64"):
+    with pytest.raises(BudgetExceeded, match=(
+            f"^{2 * 10 ** 23} normal disks cannot be indexed in int64$")):
         glue_disks(tri, full)
+
+
+def test_index_dtype_is_int32_up_to_its_max():
+    # Side nodes come two per disk; 2^30 - 1 disks are the most whose
+    # side nodes still fit int32.
+    assert _index_dtype(2 * (2 ** 30 - 1)) is np.int32
+    assert _index_dtype(2 ** 31 - 1) is np.int32
+    assert _index_dtype(2 * 2 ** 30) is np.int64
+    assert _index_dtype(2 ** 63 - 1) is np.int64
+
+
+def test_glue_disks_ids_are_int32_on_fixtures():
+    for p, q in [(8, 3), (418, 153)]:
+        tri = build_triangulation(p, q)
+        h = next(f.vector for f in fixtures()
+                 if (f.params.p, f.params.q) == (p, q))
+        graph = glue_disks(tri, reconstruct_trigons(tri, h))
+        assert graph.disks.dtype == np.int32
+        assert graph.arcs.dtype == np.int32
+
+
+def test_int64_ids_give_the_same_graph_and_report(monkeypatch):
+    # Past 2^31 - 1 side nodes the ids are int64; forcing that width on
+    # small surfaces must change nothing but the dtype.
+    cases = [(f.params.p, f.params.q, f.vector) for f in fixtures()
+             if f.params.p <= 30][:6]
+    cases.append((8, 3, next(f.vector for f in fixtures()
+                             if (f.params.p, f.params.q) == (8, 3))))
+    narrow = []
+    for p, q, v in cases:
+        tri = build_triangulation(p, q)
+        narrow.append((glue_disks(tri, reconstruct_trigons(tri, v)),
+                       classify(tri, v)))
+    monkeypatch.setattr(surface, "_index_dtype", lambda ids: np.int64)
+    for (p, q, v), (graph, report) in zip(cases, narrow):
+        tri = build_triangulation(p, q)
+        wide = glue_disks(tri, reconstruct_trigons(tri, v))
+        assert wide.disks.dtype == wide.arcs.dtype == np.int64
+        assert np.array_equal(wide.disks, graph.disks)
+        assert np.array_equal(wide.arcs, graph.arcs)
+        assert classify(tri, v) == report
+
+
+def test_component_vertex_keys_past_int64_are_refused():
+    tri = build_triangulation(8, 3)
+    disks = np.array([0], dtype=np.int64)
+    with pytest.raises(BudgetExceeded, match="cannot be indexed in int64$"):
+        _component_vertices(tri, disks, np.array([2 ** 62]))
 
 
 def reference_surface_passes(tri, v, perturbed):
@@ -331,7 +381,7 @@ def test_classify_memory_stays_in_arrays():
     finally:
         tracemalloc.stop()
     assert report.euler == -20000 and len(report.components) == 5000
-    assert peak < 48 * 2 ** 20
+    assert peak < 12.5 * 2 ** 20
 
 
 # ------------------------------------------------------------------ euler

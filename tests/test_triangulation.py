@@ -571,6 +571,25 @@ def test_least_labels_name_the_least_node_of_each_class(case):
             least in one_sided)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=60))))
+def test_least_labels_keep_int32_edges_and_their_classes(case):
+    n, edges = case
+    u = [x for x, _ in edges]
+    v = [y for _, y in edges]
+    wide = least_labels(n, np.array(u, dtype=np.int64),
+                        np.array(v, dtype=np.int64))
+    narrow = least_labels(n, np.array(u, dtype=np.int32),
+                          np.array(v, dtype=np.int32))
+    assert wide.dtype == np.int64 and narrow.dtype == np.int32
+    assert np.array_equal(narrow, wide)
+    # Mixed widths, and lists, take int64.
+    assert least_labels(n, np.array(u, dtype=np.int32), v).dtype == np.int64
+
+
 @pytest.mark.parametrize("n", [0, 1, 7])
 def test_least_labels_without_edges_are_the_nodes(n):
     assert np.array_equal(least_labels(n, [], []), np.arange(n))
