@@ -30,7 +30,6 @@ from importlib import resources
 from .cone import Budget, graded_lex_key, is_fundamental, is_vertex
 from .errors import (
     InternalInvariantError,
-    InvalidParams,
     LensQError,
     NoExpectation,
     NotASolution,
@@ -48,6 +47,7 @@ from .qsystem import (
     expand,
     integrality_class,
     is_q_solution,
+    matrix_for,
     q_matrix,
     square_condition,
     square_fundamental_solutions,
@@ -150,15 +150,12 @@ def enumerate_q_fundamental(p: int, q: int,
     components; a representative with more than one component raises
     InternalInvariantError.
     ``matrix``, the (p,q) quad matching matrix, is built when not given;
-    a matrix of another (p,q) raises InvalidParams.
+    a matrix of another (p,q) raises InvalidParams
+    (``qsystem.matrix_for``).
     """
     budget = budget or Budget()
-    if matrix is None:
-        matrix = q_matrix(build_triangulation(p, q))
-    elif (matrix.p, matrix.q) != (p, q):
-        raise InvalidParams(f"matrix of (p,q)=({matrix.p},{matrix.q}) "
-                            f"given for ({p},{q})")
-    tri = matrix.tri
+    tri = build_triangulation(p, q)
+    matrix = matrix_for(tri, matrix)
     vectors = square_fundamental_solutions(matrix, budget)
     labels = matrix.row_labels
     reports = {}

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -168,20 +167,6 @@ class SolutionCone:
         sub.columns = tuple(self.columns[j] for j in columns)
         sub.ncols = len(sub.columns)
         return sub
-
-    def padded_columns(self):
-        """The columns as one ncols x width x 2 int64 array of (row,
-        coefficient) pairs, width being the longest column's length.
-        Shorter columns are padded with (nrows, 0), a zero entry on a
-        row past every real one."""
-        width = max(map(len, self.columns), default=0)
-        pad = ((self.nrows, 0),)
-        return np.fromiter(
-            chain.from_iterable(chain.from_iterable(
-                column + pad * (width - len(column))
-                for column in self.columns)),
-            dtype=np.int64, count=2 * self.ncols * width).reshape(
-                self.ncols, width, 2)
 
     def residual(self, v):
         if len(v) != self.ncols:
@@ -315,25 +300,21 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
 def _dense(cone: SolutionCone):
     """A and A^T A as int64 arrays, built from the sparse columns.
 
-    Row j of A^T A is the combination of the rows of A that column j's
-    entries name, so A^T A is a sum of one n x n term per entry slot,
-    O(n) per entry instead of the O(n^3) product.  The padding of
-    ``padded_columns`` lands on an extra all-zero row of A.
+    A^T A is the sum of a a^T over the rows a of A, each term made on
+    the row's support alone, O(support^2) per row instead of the O(n^3)
+    product.
     """
     n = cone.ncols
-    entries = cone.padded_columns()
-    rows, coefficients = entries[:, :, 0], entries[:, :, 1]
-    A = np.zeros((cone.nrows + 1, n), dtype=np.int64)
-    A[rows, np.arange(n)[:, None]] = coefficients
+    A = np.zeros((cone.nrows, n), dtype=np.int64)
+    for j, column in enumerate(cone.columns):
+        for r, c in column:
+            A[r, j] = c
     gram = np.zeros((n, n), dtype=np.int64)
-    # One scratch array takes each slot's term in turn; every index is
-    # in range, and "clip" lets take write it in place, unbuffered.
-    term = np.empty_like(gram)
-    for k in range(rows.shape[1]):
-        np.take(A, rows[:, k], axis=0, out=term, mode="clip")
-        term *= coefficients[:, k, None]
-        gram += term
-    return A[:-1], gram
+    for row in A:
+        support = np.flatnonzero(row)
+        gram[np.ix_(support, support)] += np.outer(row[support],
+                                                   row[support])
+    return A, gram
 
 
 class _Orbits:

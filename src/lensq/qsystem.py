@@ -61,6 +61,7 @@ from .errors import (
     DimensionMismatch,
     IntegralityViolated,
     InternalInvariantError,
+    InvalidParams,
     NegativeEntry,
     NotASolution,
     SingularSystem,
@@ -84,12 +85,10 @@ class QMatrix(SolutionCone):
     since a quad meets four edges.  The dense ``rows``, the extreme
     rays, ``residual`` and ``restrict`` are the SolutionCone's own;
     ``symmetries``, the dihedral group of the blocks, and
-    ``edge_renamings``, its renamings of the rows, are the QMatrix's,
-    and so is ``tri``, the triangulation it was built from.
+    ``edge_renamings``, its renamings of the rows, are the QMatrix's.
     """
 
     def __init__(self, tri: LensTriangulation):
-        self.tri = tri
         self.p = tri.p
         self.q = tri.q
         self.row_labels = tri.edge_classes
@@ -148,28 +147,19 @@ def _symmetry_guard(matrix, name, image, rename):
     matching equations of the QMatrix ``matrix``: column image[c] must
     be column c with each row r renamed ``rename[r]``, over all p + 2
     rows.  Then the permuted vector of a solution is again a solution.
-    The columns' padded array (``padded_columns``), each column sorted
-    by row, is compared at once, O(p).
+    Each column is compared as its sorted (row, coefficient) pairs,
+    O(p) in all.
 
     Raises InternalInvariantError, naming the symmetry, when it does not
     hold.
     """
-    def by_row(table):
-        order = np.argsort(table[..., 0], axis=1, kind="stable")
-        return np.take_along_axis(table, order[..., None], axis=1)
-
-    # The padding row p + 2 sorts after every real row and is not
-    # renamed.
-    pairs = by_row(matrix.padded_columns())
-    renamed = pairs.copy()
-    renamed[..., 0] = np.append(rename, matrix.nrows)[pairs[..., 0]]
-    wrong = np.flatnonzero(
-        (by_row(renamed) != pairs[image]).any(axis=(1, 2)))
-    if wrong.size:
-        c = int(wrong[0])
-        raise InternalInvariantError(
-            f"quad column {int(image[c])} is not the {name} of column {c} "
-            f"for (p,q)=({matrix.p},{matrix.q})")
+    columns, rename = matrix.columns, rename.tolist()
+    for c, target in enumerate(image.tolist()):
+        if (sorted((rename[r], s) for r, s in columns[c])
+                != sorted(columns[target])):
+            raise InternalInvariantError(
+                f"quad column {target} is not the {name} of column {c} "
+                f"for (p,q)=({matrix.p},{matrix.q})")
 
 
 def dihedral_images(matrix, v):
@@ -192,6 +182,18 @@ def dihedral_images(matrix, v):
 def q_matrix(tri: LensTriangulation) -> QMatrix:
     """Assemble the quad matching matrix of ``tri``."""
     return QMatrix(tri)
+
+
+def matrix_for(tri: LensTriangulation, matrix: QMatrix | None = None):
+    """The quad matching matrix of ``tri``: ``matrix`` when given, else
+    built.  A matrix of another (p,q) raises InvalidParams naming both
+    pairs."""
+    if matrix is None:
+        return q_matrix(tri)
+    if (matrix.p, matrix.q) != (tri.p, tri.q):
+        raise InvalidParams(f"matrix of (p,q)=({matrix.p},{matrix.q}) "
+                            f"given for ({tri.p},{tri.q})")
+    return matrix
 
 
 def is_q_solution(matrix: QMatrix, v) -> bool:
@@ -261,12 +263,12 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
     are Fractions.  Raises DimensionMismatch for a wrong length,
     NotASolution when matrix . v != 0 and SingularSystem if a cycle
     closes inconsistently, which cannot happen for coprime parameters.
+    ``matrix`` is read through ``matrix_for``: a matrix of another
+    (p,q) raises InvalidParams.
     """
     p, q = tri.p, tri.q
     vec = tuple(v)
-    if matrix is None:
-        matrix = q_matrix(tri)
-    if not matrix.is_solution(vec):
+    if not matrix_for(tri, matrix).is_solution(vec):
         raise NotASolution("vector does not satisfy the matching equations")
 
     c = [vec[3 * i + 1] - vec[3 * i] for i in range(p)]  # b_{i+1} + b_{i-q}

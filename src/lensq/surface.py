@@ -10,15 +10,21 @@ trigon counts relative to one another around each vertex class; the
 surface with no trivial (vertex-linking) component is the shift that
 makes the minimum count in each class zero.
 
+The full (trigon + quad) matching system is held as one table,
+``_corner_slots``: per glued face corner, the full-coordinate
+positions of the trigon and the quad on each side.  The dense matrix,
+its residual, the Euler count and the gluing all read it.
+
 Classification numbers the disks slot by slot and glues them across
 every face corner, matching arcs in nesting order.  The 6p glued
 corners are read once, as runs of disk ids; everything per disk or arc
 is an array pass, its ids int32 whenever the surface's side nodes fit
 (``glue_disks``).  Each arc joins the sides of its two disks, swapped
 when the arc reverses them, and one labelling of the sides
-(``triangulation.least_labels``) gives the components.  A component is
-two-sided (equivalently orientable, the ambient space being orientable)
-exactly when its least disk's two sides lie in different classes.  A
+(``least_labels``, the package's one class labelling) gives the
+components.  A component is two-sided (equivalently orientable, the
+ambient space being orientable) exactly when its least disk's two
+sides lie in different classes.  A
 surface vertex on edge class r meets one disk in each of the deg(r)
 slots around r, all in one component, so a component's vertices on r
 are its crossings with r over deg(r); chi = vertices - arcs + disks,
@@ -44,11 +50,10 @@ from .errors import (
     NegativeEntry,
     SquareConditionViolated,
 )
-from .qsystem import QMatrix, q_matrix, square_condition
+from .qsystem import QMatrix, matrix_for, square_condition
 from .triangulation import (
     BOT,
     CORNER_TEMPLATE,
-    INT32_MAX,
     INT64_MAX,
     LEFT,
     LOCAL_EDGES,
@@ -58,8 +63,10 @@ from .triangulation import (
     RIGHT,
     TOP,
     LensTriangulation,
-    least_labels,
 )
+
+# The largest id int32 holds.
+INT32_MAX = int(np.iinfo(np.int32).max)
 
 # Per-tetrahedron layout of a full coordinate vector: four trigon counts
 # in corner order, then the three quad counts.  Disks are numbered in
@@ -75,6 +82,12 @@ WEIGHT_SLOTS = tuple(
 # block cross each local edge.
 CROSSES = np.array([[k in slots for slots in WEIGHT_SLOTS]
                     for k in range(SLOTS_PER_TET)])
+# Per row of ``CORNER_TEMPLATE``, whether the quad copies of side a and
+# of side b ascend toward the corner (step 1): whether the corner lies
+# on the first side of its quad's partition.
+QUAD_ASCENDS = np.array([
+    (za in QUAD_PAIRS[qa + 1][0], zb in QUAD_PAIRS[qb + 1][0])
+    for za, qa, zb, qb in CORNER_TEMPLATE])
 
 
 class FullCoordinates:
@@ -117,18 +130,16 @@ class FullCoordinates:
 
 def _corner_slots(tri: LensTriangulation):
     """Per glued face corner (row of ``tri.corner_table``), the entries
-    of a full coordinate vector whose arcs meet there: four lists of
-    positions, (trigon a, quad a, trigon b, quad b)."""
-    tet_a, za, qa, tet_b, zb, qb = tri.corner_table.T
-    return ((SLOTS_PER_TET * tet_a + za).tolist(),
-            (SLOTS_PER_TET * tet_a + 4 + qa).tolist(),
-            (SLOTS_PER_TET * tet_b + zb).tolist(),
-            (SLOTS_PER_TET * tet_b + 4 + qb).tolist())
+    of a full coordinate vector whose arcs meet there, as a 6p x 4
+    int64 array of positions: (trigon a, quad a, trigon b, quad b)."""
+    table = tri.corner_table
+    return (SLOTS_PER_TET * table[:, [0, 0, 3, 3]] + table[:, [1, 2, 4, 5]]
+            + (0, 4, 0, 4))
 
 
 def haken_matrix(tri: LensTriangulation):
     """The 6p x 7p full matching matrix, the dense form of
-    ``tri.corner_table`` for display: one row per glued face corner.
+    ``_corner_slots`` for display: one row per glued face corner.
 
     Row blocks follow the face-class order (vertical then cone faces),
     with one row per corner of the first side, corners ascending.  Each
@@ -138,7 +149,7 @@ def haken_matrix(tri: LensTriangulation):
     """
     n = SLOTS_PER_TET * tri.p
     rows = []
-    for trigon_a, quad_a, trigon_b, quad_b in zip(*_corner_slots(tri)):
+    for trigon_a, quad_a, trigon_b, quad_b in _corner_slots(tri).tolist():
         row = [0] * n
         row[trigon_a] += 1
         row[quad_a] += 1
@@ -154,7 +165,7 @@ def haken_residual(tri: LensTriangulation, full: FullCoordinates):
     e = full.entries
     return tuple(e[trigon_a] + e[quad_a] - e[trigon_b] - e[quad_b]
                  for trigon_a, quad_a, trigon_b, quad_b
-                 in zip(*_corner_slots(tri)))
+                 in _corner_slots(tri).tolist())
 
 
 def reconstruct_trigons(tri: LensTriangulation, v,
@@ -177,11 +188,11 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     non-integral entry or a failed matching equation raises
     NotASolution, a wrong length DimensionMismatch, a negative entry
     NegativeEntry and the zero vector EmptyVector.  Two quad types in
-    one tetrahedron then raise SquareConditionViolated.
+    one tetrahedron then raise SquareConditionViolated.  ``matrix`` is
+    read through ``qsystem.matrix_for``: a matrix of another (p,q)
+    raises InvalidParams.
     """
-    if matrix is None:
-        matrix = q_matrix(tri)
-    vec = matrix.check_solution_vector(v)
+    vec = matrix_for(tri, matrix).check_solution_vector(v)
     if not square_condition(vec):
         raise SquareConditionViolated(
             "more than one quad type in a tetrahedron")
@@ -240,9 +251,8 @@ def euler_characteristic(tri: LensTriangulation, full: FullCoordinates) -> int:
 
 def _cell_euler(tri, full, weights):
     """``euler_characteristic`` given the surface's edge weights."""
-    trigon_a, quad_a, _, _ = _corner_slots(tri)
-    e = full.entries
-    arcs = sum(map(e.__getitem__, trigon_a)) + sum(map(e.__getitem__, quad_a))
+    side_a = _corner_slots(tri)[:, :2].ravel().tolist()
+    arcs = sum(map(full.entries.__getitem__, side_a))
     return sum(weights.values()) - arcs + full.total_disks()
 
 
@@ -262,15 +272,15 @@ class DiskGraph:
     arcs: np.ndarray
 
 
-def _side_runs(first, tet, corner, j, ascending):
+def _side_runs(first, trigon, quad, ascending):
     """The arcs at each glued corner side, innermost first, as two runs
     of disk ids, trigons then quads: (start, length, step) arrays with
-    one row per corner.  Quad copies run toward the corner (step 1)
-    when it lies on the first side of the quad's partition
-    (``ascending``) and away from it (step -1) otherwise."""
-    slot = SLOTS_PER_TET * tet
-    t0, t1 = first[slot + corner], first[slot + corner + 1]
-    q0, q1 = first[slot + 4 + j], first[slot + 5 + j]
+    one row per corner, the corner's trigon and quad at full-coordinate
+    positions ``trigon`` and ``quad``.  Quad copies run toward the
+    corner (step 1) when it lies on the first side of the quad's
+    partition (``ascending``) and away from it (step -1) otherwise."""
+    t0, t1 = first[trigon], first[trigon + 1]
+    q0, q1 = first[quad], first[quad + 1]
     return (np.stack((t0, np.where(ascending, q0, q1 - 1)), axis=1),
             np.stack((t1 - t0, q1 - q0), axis=1),
             np.stack((np.ones_like(t0), 2 * ascending - 1), axis=1,
@@ -299,20 +309,6 @@ def _arc_array(side_a, side_b):
     return np.stack((da, db, flip_a ^ flip_b), axis=1)
 
 
-def _glue_table(tri: LensTriangulation):
-    """The 6p x 8 int64 table ``glue_disks`` reads, one row per glued
-    corner (row of ``tri.corner_table``): (tet, corner, quad type,
-    quads ascend) for sides a and b, tetrahedra and quad types from 0.
-    The ascend flags are constants of the corner's face template."""
-    ascend = np.array([
-        (za in QUAD_PAIRS[qa + 1][0], zb in QUAD_PAIRS[qb + 1][0])
-        for za, qa, zb, qb in CORNER_TEMPLATE])
-    per_corner = np.tile(ascend.reshape(2, 1, 6), (1, tri.p, 1)).reshape(-1, 2)
-    table = tri.corner_table
-    return np.concatenate((table[:, :3], per_corner[:, :1], table[:, 3:],
-                           per_corner[:, 1:]), axis=1)
-
-
 def glue_disks(tri: LensTriangulation, full: FullCoordinates,
                budget: Budget | None = None) -> DiskGraph:
     """Number the disk copies and glue their arcs across every face.
@@ -321,9 +317,10 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     copies sit nearest the vertex, quad copies follow, and parallel
     quad copies run toward or away from the corner according to which
     side of the quad's partition the corner lies on.  The glued
-    corners' slots come as one integer table (``_glue_table``); array
-    passes turn them into the arcs.  A ``budget``, if given, is charged
-    the disk count, and its deadline read, before any array is made.
+    corners' positions come as one integer table (``_corner_slots``),
+    their ascend flags from ``QUAD_ASCENDS``; array passes turn them
+    into the arcs.  A ``budget``, if given, is charged the disk count,
+    and its deadline read, before any array is made.
     Every array of the graph, and every per-disk array built from it,
     holds its ids in one dtype, ``_index_dtype`` of the side node count
     (2 per disk, the widest index :func:`classify` builds from the
@@ -338,12 +335,15 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
         raise BudgetExceeded(
             f"{total} normal disks cannot be indexed in int64")
     dtype = _index_dtype(max(2 * total, len(full.entries)))
-    table = _glue_table(tri)
+    slots = _corner_slots(tri)
+    # Row k of the corner table takes its face template's row.
+    ascend = np.broadcast_to(QUAD_ASCENDS.reshape(2, 1, 3, 2),
+                             (2, tri.p, 3, 2)).reshape(-1, 2)
     counts = np.array(full.entries, dtype=dtype)
     first = np.zeros(len(counts) + 1, dtype=dtype)
     np.cumsum(counts, out=first[1:])
-    side_a = _side_runs(first, *table[:, 0:4].T)
-    side_b = _side_runs(first, *table[:, 4:8].T)
+    side_a = _side_runs(first, slots[:, 0], slots[:, 1], ascend[:, 0])
+    side_b = _side_runs(first, slots[:, 2], slots[:, 3], ascend[:, 1])
     arity_a, arity_b = side_a[1].sum(axis=1), side_b[1].sum(axis=1)
     wrong = np.flatnonzero(arity_a != arity_b)
     if wrong.size:
@@ -361,6 +361,48 @@ def _index_dtype(ids: int):
     """The id dtype of a disk graph whose ids run below ``ids``: int32
     when ``ids`` is at most int32's max, int64 otherwise."""
     return np.int32 if ids <= INT32_MAX else np.int64
+
+
+def least_labels(n: int, u, v, budget=None):
+    """For every node 0..n-1, the least node of its class under the
+    edges u[k] ~ v[k]: the package's one class labelling, for the sides
+    of the glued disks.  The labels take the edges' dtype widened to
+    ``_index_dtype(n)``: int32 when both are int32 arrays and n fits it,
+    as for the side graph of a surface under 2^30 disks; int64 for
+    int64 edges, mixed widths or lists.
+
+    Each round reads the ``budget`` deadline, keeps the edges whose ends
+    carry different labels, hooks every class root to the least root it
+    meets along them, jumps pointers until each node points at its root
+    and gathers the kept edges' labels.  It stops when no edge joins two
+    labels; every round lowers some root's label, so it does.
+    """
+    dtype = np.result_type(getattr(u, "dtype", np.int64),
+                           getattr(v, "dtype", np.int64), _index_dtype(n))
+    u, v = np.asarray(u, dtype=dtype), np.asarray(v, dtype=dtype)
+    label = np.arange(n, dtype=dtype)
+    # The labels of the edges' ends, the nodes themselves at first.
+    lu, lv = u, v
+    while True:
+        if budget is not None:
+            budget.check()
+        # An edge whose ends share a label keeps them together for good.
+        # The full-length arrays go before the hooking; in the first
+        # round every edge is usually apart, and nothing is copied.
+        apart = lu != lv
+        if not apart.any():
+            return label
+        if not apart.all():
+            u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        del apart
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        del lu, lv
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        lu, lv = label[u], label[v]
 
 
 def _components(graph: DiskGraph, budget: Budget | None):

@@ -50,9 +50,8 @@ for display and error messages.
 
 The corner graph (local corners joined across every glued face corner)
 has two classes, the poles and the equator, for every coprime (p,q).
-``level_tree`` walks it along a spanning tree in closed form, and
-``least_labels`` is the package's one class labelling, for the sides
-of the glued disks in the surface layer.
+``level_tree`` walks it along a spanning tree in closed form, so no
+class labelling is needed here.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidParams
 
-# The largest ids the two index dtypes hold.
-INT32_MAX = int(np.iinfo(np.int32).max)
+# The largest id int64 holds.
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Local corner labels of one tetrahedron.
@@ -104,49 +102,6 @@ CORNER_TEMPLATE = tuple(
     (za, PAIR_TO_QUAD[frozenset((za, fa))] - 1,
      zb, PAIR_TO_QUAD[frozenset((zb, fb))] - 1)
     for _, fa, fb, pairs in FACE_TEMPLATES for za, zb in pairs)
-
-
-def least_labels(n: int, u, v, budget=None):
-    """For every node 0..n-1, the least node of its class under the
-    edges u[k] ~ v[k]: the package's one class labelling, for the sides
-    of the glued disks.  The labels keep the edges' dtype when both are
-    int32 arrays and n fits it, as for the side graph of a surface under
-    2^30 disks; otherwise they are int64.
-
-    Each round reads the ``budget`` deadline, keeps the edges whose ends
-    carry different labels, hooks every class root to the least root it
-    meets along them, jumps pointers until each node points at its root
-    and gathers the kept edges' labels.  It stops when no edge joins two
-    labels; every round lowers some root's label, so it does.
-    """
-    u, v = np.asarray(u), np.asarray(v)
-    narrow = (u.dtype == v.dtype == np.int32
-              and n <= INT32_MAX)
-    dtype = np.int32 if narrow else np.int64
-    u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
-    label = np.arange(n, dtype=dtype)
-    # The labels of the edges' ends, the nodes themselves at first.
-    lu, lv = u, v
-    while True:
-        if budget is not None:
-            budget.check()
-        # An edge whose ends share a label keeps them together for good.
-        # The full-length arrays go before the hooking; in the first
-        # round every edge is usually apart, and nothing is copied.
-        apart = lu != lv
-        if not apart.any():
-            return label
-        if not apart.all():
-            u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
-        del apart
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        del lu, lv
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-        lu, lv = label[u], label[v]
 
 
 @dataclass(frozen=True)

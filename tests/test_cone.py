@@ -280,8 +280,10 @@ def test_five_two_completion_memory_peak():
 
 
 def test_dense_set_up_holds_two_square_arrays():
-    # A^T A and one scratch term, 2 x 33.6 MiB at n = 2100, beside the
-    # 11.3 MiB of A; a third n x n array would pass 110 MiB.
+    # A^T A, 33.6 MiB at n = 2100, beside the 11.3 MiB of A and one
+    # row's term: the Eh and Ev rows meet 2p = 1400 columns, so their
+    # a a^T and the block of A^T A it is added to take 2 x 15 MiB.  A
+    # second n x n array would pass 105 MiB.
     cone = SolutionCone(q_matrix(build_triangulation(700, 3)))
     tracemalloc.start()
     try:
@@ -861,6 +863,35 @@ def test_symmetry_guard_reports_the_first_wrong_column():
     with pytest.raises(InternalInvariantError,
                        match="quad column 3 is not the swap of column 0"):
         _symmetry_guard(matrix, "swap", np.roll(identity, -3), np.arange(7))
+
+
+def flip_sign(column):
+    (row, s), *rest = column
+    return ((row, -s), *rest)
+
+
+def move_to_another_row(column):
+    # The least row the column misses, the same coefficient on it.
+    (_, s), *rest = column
+    free = min(set(range(len(column) + 1)) - {r for r, _ in column})
+    return ((free, s), *rest)
+
+
+@pytest.mark.parametrize("tamper", [flip_sign, move_to_another_row])
+def test_symmetry_guard_compares_rows_and_signs_exactly(tamper):
+    # One entry of column 4 changed: the block shift takes column 1 to
+    # column 4, so column 1 is the first whose image is wrong.
+    matrix = q_matrix(build_triangulation(7, 2))
+    shift = np.array(block_rotation(7, 1))
+    _symmetry_guard(matrix, "block shift", shift, matrix.edge_renamings[1])
+    columns = list(matrix.columns)
+    columns[4] = tamper(columns[4])
+    matrix.columns = tuple(columns)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^quad column 4 is not the block shift of "
+                             r"column 1 for \(p,q\)=\(7,2\)$"):
+        _symmetry_guard(matrix, "block shift", shift,
+                        matrix.edge_renamings[1])
 
 
 def dihedral_least(word):

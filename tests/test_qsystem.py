@@ -17,6 +17,7 @@ from lensq.cone import SolutionCone
 from lensq.errors import (
     DimensionMismatch,
     IntegralityViolated,
+    InvalidParams,
     NegativeEntry,
     NotASolution,
 )
@@ -31,6 +32,7 @@ from lensq.qsystem import (
     is_q_solution,
     q_matrix,
     square_condition,
+    square_fundamental_solutions,
 )
 from lensq.surface import classify
 from lensq.triangulation import build_triangulation
@@ -234,6 +236,16 @@ def test_decompose_rejects_non_solution():
     tri = build_triangulation(3, 1)
     with pytest.raises(NotASolution):
         decompose(tri, (1, 0, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_decompose_refuses_a_matrix_of_another_pair():
+    # The (7,3) matrix passes its own first fundamental, which the
+    # (7,2) basis then fails to reproduce (SingularSystem).
+    other = q_matrix(build_triangulation(7, 3))
+    v = square_fundamental_solutions(other)[0]
+    with pytest.raises(InvalidParams, match=r"^matrix of \(p,q\)=\(7,3\) "
+                       r"given for \(7,2\)$"):
+        decompose(build_triangulation(7, 2), v, matrix=other)
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(40))

@@ -40,7 +40,7 @@ def test_only_budget_reads_the_clock():
 
 
 def test_one_union_find_and_no_breadth_first_queues():
-    # Every class labelling goes through triangulation.least_labels and
+    # Every class labelling goes through surface.least_labels and
     # the trigon levels and basis coefficients walk closed-form spanning
     # orders: no deque is used, and no function is named find or union.
     deques, stray = [], []

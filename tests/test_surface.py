@@ -23,6 +23,7 @@ from lensq.errors import (
     DimensionMismatch,
     EmptyVector,
     InconsistentWeights,
+    InvalidParams,
     NegativeEntry,
     NoExpectation,
     NotASolution,
@@ -48,6 +49,7 @@ from lensq.surface import (
     haken_fundamental_criterion,
     haken_matrix,
     haken_residual,
+    least_labels,
     reconstruct_trigons,
     surface_name,
 )
@@ -56,7 +58,6 @@ from lensq.triangulation import (
     QUAD_PAIRS,
     QUAD_TYPES,
     build_triangulation,
-    least_labels,
 )
 from test_triangulation import (
     bfs_classes,
@@ -785,6 +786,19 @@ def test_sum_with_block_conflict_is_rejected():
     v = tuple(a + b for a, b in zip(t_vecs[0], t_vecs[1]))
     with pytest.raises(SquareConditionViolated):
         classify(tri, v)
+
+
+@pytest.mark.parametrize("entry", [
+    reconstruct_trigons, classify, haken_fundamental_criterion])
+def test_a_matrix_of_another_pair_is_refused(entry):
+    # The (7,3) matrix passes its own first fundamental, so without the
+    # pair check the trigon walk over the (7,2) gluings fails its
+    # matching equations and reports a bug (InconsistentPropagation).
+    other = q_matrix(build_triangulation(7, 3))
+    v = square_fundamental_solutions(other)[0]
+    with pytest.raises(InvalidParams, match=r"^matrix of \(p,q\)=\(7,3\) "
+                       r"given for \(7,2\)$"):
+        entry(build_triangulation(7, 2), v, matrix=other)
 
 
 # ------------------------------------------------------------- criterion

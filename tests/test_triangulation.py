@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from lensq.errors import BudgetExceeded, InvalidParams
 from lensq.qsystem import q_matrix
-from lensq.surface import _glue_table
+from lensq.surface import QUAD_ASCENDS, _corner_slots, least_labels
 from lensq.triangulation import (
     BOT,
     LEFT,
@@ -31,7 +31,6 @@ from lensq.triangulation import (
     TOP,
     LensParams,
     build_triangulation,
-    least_labels,
 )
 
 
@@ -146,14 +145,17 @@ def reference_columns(tri):
         for i in tri.tetrahedra for j in QUAD_TYPES)
 
 
-def reference_glue_table(tri):
-    """The table ``glue_disks`` reads, one glued corner at a time."""
-    table = []
-    gluings = reference_corner_gluings(tri)
-    for _, (tet_a, za, qa), (tet_b, zb, qb) in gluings:
-        table += (tet_a - 1, za, qa - 1, za in QUAD_PAIRS[qa][0],
-                  tet_b - 1, zb, qb - 1, zb in QUAD_PAIRS[qb][0])
-    return np.array(table, dtype=np.int64).reshape(-1, 8)
+def reference_corner_slots(tri):
+    """What ``glue_disks`` reads, one glued corner at a time: the
+    full-coordinate positions (trigon a, quad a, trigon b, quad b), and
+    whether the quad copies of side a and of side b ascend toward the
+    corner."""
+    positions, ascends = [], []
+    for _, (tet_a, za, qa), (tet_b, zb, qb) in reference_corner_gluings(tri):
+        positions.append([7 * (tet_a - 1) + za, 7 * (tet_a - 1) + 3 + qa,
+                          7 * (tet_b - 1) + zb, 7 * (tet_b - 1) + 3 + qb])
+        ascends.append([za in QUAD_PAIRS[qa][0], zb in QUAD_PAIRS[qb][0]])
+    return positions, ascends
 
 
 def vertex_classes(tri):
@@ -199,7 +201,12 @@ def assert_tables_match_reference(p, q):
         assert tuple((s // 6 + 1, LOCAL_EDGES[s % 6])
                      for s in np.flatnonzero(flat == row).tolist()) == \
             slots[label]
-    assert np.array_equal(_glue_table(tri), reference_glue_table(tri))
+    positions, ascends = reference_corner_slots(tri)
+    corners = _corner_slots(tri)
+    assert corners.dtype == np.int64 and corners.tolist() == positions
+    # Row k of the corner table takes its face template's flags.
+    rows = np.arange(6 * p)
+    assert QUAD_ASCENDS[rows // (3 * p) * 3 + rows % 3].tolist() == ascends
 
 
 def test_tables_match_the_per_slot_reference_below_forty():
