@@ -10,10 +10,18 @@ trigon counts relative to one another around each vertex class; the
 surface with no trivial (vertex-linking) component is the shift that
 makes the minimum count in each class zero.
 
+A surface's 7p full-coordinate entries are held as one integer array
+(``FullCoordinates.array``), and every per-corner and per-slot pass is
+one array expression over it.  Its dtype is picked once per surface by
+one rule (``_value_dtype``): int64 when a bound on the widest sum the
+passes form proves that every value fits, ``object`` (Python ints)
+otherwise, on the same code path.
+
 The full (trigon + quad) matching system is held as one table,
 ``_corner_slots``: per glued face corner, the full-coordinate
 positions of the trigon and the quad on each side.  The dense matrix,
-its residual, the Euler count and the gluing all read it.
+its residual, the Euler count and the gluing all read it; ``classify``
+builds it once.
 
 Classification numbers the disks slot by slot and glues them across
 every face corner, matching arcs in nesting order.  The 6p glued
@@ -29,8 +37,8 @@ surface vertex on edge class r meets one disk in each of the deg(r)
 slots around r, all in one component, so a component's vertices on r
 are its crossings with r over deg(r); chi = vertices - arcs + disks,
 per component.  The trigon levels need no labelling either: they are
-walked along the corner graph's closed-form spanning tree,
-``LensTriangulation.level_tree``.
+running sums along the chains of the corner graph's closed-form
+spanning tree, ``LensTriangulation.level_tree``.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentPropagation,
     InconsistentWeights,
+    InvalidParams,
     NegativeEntry,
     SquareConditionViolated,
 )
@@ -94,22 +103,30 @@ class FullCoordinates:
     """A normal surface in full (trigon + quad) coordinates.
 
     ``entries`` is the flat 7p vector, tetrahedron-major, each block
-    being (t_top, t_bot, t_left, t_right, x_1, x_2, x_3).  Entries are
-    read with ``operator.index``, so a non-integer raises TypeError; a
-    wrong length raises DimensionMismatch and a negative entry
-    NegativeEntry.
+    being (t_top, t_bot, t_left, t_right, x_1, x_2, x_3), as a tuple of
+    Python ints; ``array`` holds the same entries as one read-only
+    numpy array in the surface's value dtype (``_value_dtype``).
+    Entries are read with ``operator.index``, so a non-integer raises
+    TypeError; a wrong length raises DimensionMismatch and a negative
+    entry NegativeEntry.  An integer numpy array is read as a whole,
+    without a call per entry.
     """
 
     def __init__(self, tri: LensTriangulation, entries):
-        entries = tuple(map(operator.index, entries))
+        if not (isinstance(entries, np.ndarray)
+                and entries.dtype.kind in "iu"):
+            entries = np.array(list(map(operator.index, entries)),
+                               dtype=object)
         if len(entries) != SLOTS_PER_TET * tri.p:
             raise DimensionMismatch(
                 f"full coordinates need length 7p = {SLOTS_PER_TET * tri.p},"
                 f" got {len(entries)}")
-        if any(x < 0 for x in entries):
+        if entries.min() < 0:
             raise NegativeEntry("full coordinates have a negative entry")
         self.tri = tri
-        self.entries = entries
+        self.array = entries.astype(_value_dtype(tri.p, int(entries.max())))
+        self.array.flags.writeable = False
+        self.entries = tuple(self.array.tolist())
 
     def trigons(self, tet: int, corner: int) -> int:
         return self.entries[SLOTS_PER_TET * (tet - 1) + corner]
@@ -118,7 +135,7 @@ class FullCoordinates:
         return self.entries[SLOTS_PER_TET * (tet - 1) + 4 + (qtype - 1)]
 
     def total_disks(self) -> int:
-        return sum(self.entries)
+        return int(self.array.sum())
 
     def __eq__(self, other):
         return (isinstance(other, FullCoordinates)
@@ -126,6 +143,27 @@ class FullCoordinates:
 
     def __repr__(self):
         return f"FullCoordinates(p={self.tri.p}, q={self.tri.q})"
+
+
+def _value_dtype(p: int, largest: int):
+    """The value dtype of a surface on p tetrahedra whose entries are at
+    most ``largest``: int64 when 12 p ``largest`` fits it, ``object``
+    (Python ints) otherwise.
+
+    That bounds every value the passes form: the widest sum is the arc
+    count of ``_cell_euler``, two entries at each of the 6p glued
+    corners, while a residual or a slot weight adds four entries and
+    the disk total 7p.
+    """
+    return np.int64 if 12 * p * largest <= INT64_MAX else object
+
+
+def _same_pair(tri: LensTriangulation, full: FullCoordinates):
+    """Raise InvalidParams naming both pairs when ``full`` is a surface
+    of another (p,q) than ``tri``."""
+    if (full.tri.p, full.tri.q) != (tri.p, tri.q):
+        raise InvalidParams(f"surface of (p,q)=({full.tri.p},{full.tri.q}) "
+                            f"given for ({tri.p},{tri.q})")
 
 
 def _corner_slots(tri: LensTriangulation):
@@ -159,13 +197,19 @@ def haken_matrix(tri: LensTriangulation):
     return tuple(rows)
 
 
+def _residual(full: FullCoordinates, slots):
+    """``haken_matrix`` applied to ``full``, as an array with one entry
+    per row of ``slots`` (``_corner_slots``)."""
+    arcs = full.array[slots]
+    return arcs[:, 0] + arcs[:, 1] - arcs[:, 2] - arcs[:, 3]
+
+
 def haken_residual(tri: LensTriangulation, full: FullCoordinates):
     """``haken_matrix(tri)`` applied to ``full.entries``, one entry per
-    glued face corner, without building the matrix."""
-    e = full.entries
-    return tuple(e[trigon_a] + e[quad_a] - e[trigon_b] - e[quad_b]
-                 for trigon_a, quad_a, trigon_b, quad_b
-                 in _corner_slots(tri).tolist())
+    glued face corner, without building the matrix.  A surface of
+    another (p,q) raises InvalidParams."""
+    _same_pair(tri, full)
+    return tuple(_residual(full, _corner_slots(tri)).tolist())
 
 
 def reconstruct_trigons(tri: LensTriangulation, v,
@@ -175,14 +219,18 @@ def reconstruct_trigons(tri: LensTriangulation, v,
 
     Each glued face corner z of ``tri.corner_table`` imposes
     t(z) + x(quad at z) = t(z') + x(quad at z'), one difference between
-    two trigon levels.  The levels are walked once along the spanning
-    tree ``tri.level_tree``, which fixes all trigon counts up to one
+    two trigon levels.  The levels are walked along the spanning tree
+    ``tri.level_tree``, which fixes all trigon counts up to one
     constant for the pole corners and one for the equator corners; the
     no-trivial-component normalization pins each to make its minimum
-    zero.  The full matching equations are then checked on every corner,
-    so a corner outside the tree whose cycle does not close, impossible
-    for a matching solution, raises InconsistentPropagation as a guarded
-    bug signal.
+    zero.  The tree is three chains hung from its roots, whose levels
+    are running sums of their steps, and one step to each RIGHT corner,
+    so the walk is a few array passes in the surface's value dtype
+    (``_value_dtype``), picked up front from the largest entry a walk
+    of p steps can reach.  The full matching equations are then checked
+    on every corner at once, so a corner outside the tree whose cycle
+    does not close, impossible for a matching solution, raises
+    InconsistentPropagation as a guarded bug signal.
 
     ``v`` is admitted by ``matrix.check_solution_vector``: a
     non-integral entry or a failed matching equation raises
@@ -192,6 +240,11 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     read through ``qsystem.matrix_for``: a matrix of another (p,q)
     raises InvalidParams.
     """
+    return _reconstruct(tri, v, matrix, _corner_slots(tri))
+
+
+def _reconstruct(tri, v, matrix, slots):
+    """``reconstruct_trigons``, checked on the corners of ``slots``."""
     vec = matrix_for(tri, matrix).check_solution_vector(v)
     if not square_condition(vec):
         raise SquareConditionViolated(
@@ -199,24 +252,35 @@ def reconstruct_trigons(tri: LensTriangulation, v,
 
     # Corner node 4(tet-1)+c holds the trigon level, which steps by the
     # quad count at the parent's side minus that at the node's side.
+    # A level lies within p steps of 0, so the surface's entries lie
+    # within 2p max(vec); the running sum over the 3p - 2 chain steps
+    # below stays far inside the 24 p^2 max(vec) that dtype admits.
+    p = tri.p
+    quads = np.array(vec, dtype=_value_dtype(p, 2 * p * max(vec)))
     tree = tri.level_tree
     tet_a, _, qa, tet_b, _, qb = tri.corner_table[tree[:, 2]].T
-    quads = (3 * tet_a + qa, 3 * tet_b + qb)
-    up, down = np.where(tree[:, 3] > 0, quads, quads[::-1]).tolist()
-    level = [0] * (4 * tri.p)
-    for node, parent, x, y in zip(tree[:, 0].tolist(), tree[:, 1].tolist(),
-                                  up, down):
-        level[node] = level[parent] + vec[x] - vec[y]
-    pole = min(min(level[TOP::4]), min(level[BOT::4]))
-    equator = min(min(level[LEFT::4]), min(level[RIGHT::4]))
-    shift = (pole, pole, equator, equator)
+    sides = (3 * tet_a + qa, 3 * tet_b + qb)
+    up, down = np.where(tree[:, 3] > 0, sides, sides[::-1])
+    step = quads[up] - quads[down]
+    # Rows [0, p-1), [p-1, 2p-1) and [2p-1, 3p-2) are the TOP, BOT and
+    # LEFT chains, each hung from a root at level 0, so their levels are
+    # one running sum restarted at each chain; the last p rows hang one
+    # RIGHT node off a LEFT node.
+    run = np.cumsum(step[:3 * p - 2])
+    run[p - 1:] -= run[p - 2]
+    run[2 * p - 1:] -= run[2 * p - 2]
+    level = np.zeros(4 * p, dtype=quads.dtype)
+    level[tree[:3 * p - 2, 0]] = run
+    right = tree[3 * p - 2:]
+    level[right[:, 0]] = level[right[:, 1]] + step[3 * p - 2:]
 
-    entries = []
-    for tet in range(tri.p):
-        entries += map(operator.sub, level[4 * tet: 4 * tet + 4], shift)
-        entries += vec[3 * tet: 3 * tet + 3]
-    full = FullCoordinates(tri, entries)
-    if any(haken_residual(tri, full)):
+    level = level.reshape(p, 4)
+    entries = np.empty((p, SLOTS_PER_TET), dtype=quads.dtype)
+    for corners in ((TOP, BOT), (LEFT, RIGHT)):
+        entries[:, corners] = level[:, corners] - level[:, corners].min()
+    entries[:, 4:] = quads.reshape(p, 3)
+    full = FullCoordinates(tri, entries.ravel())
+    if np.count_nonzero(_residual(full, slots)):
         raise InconsistentPropagation(
             "reconstructed coordinates fail the full matching equations")
     return full
@@ -227,32 +291,39 @@ def edge_weights(tri: LensTriangulation, full: FullCoordinates):
 
     Every (tetrahedron, local edge) slot of a class must report the
     same value: the two trigon counts at the edge's ends plus the two
-    quad types not parallel to it (``WEIGHT_SLOTS``).
+    quad types not parallel to it (``WEIGHT_SLOTS``).  The first slot
+    that disagrees with its class's first slot raises
+    InconsistentWeights; a surface of another (p,q) raises
+    InvalidParams.
     """
-    e = full.entries
-    slots = (SLOTS_PER_TET * np.arange(tri.p)[:, None, None]
-             + np.array(WEIGHT_SLOTS)).reshape(-1, 4).tolist()
-    weights = [None] * len(tri.edge_classes)
-    for r, (t, u, x, y) in zip(tri.slot_edges.ravel().tolist(), slots):
-        w = e[t] + e[u] + e[x] + e[y]
-        if weights[r] is None:
-            weights[r] = w
-        elif weights[r] != w:
-            raise InconsistentWeights(f"edge {tri.edge_classes[r]} slots "
-                                      f"disagree: {sorted((weights[r], w))}")
-    return dict(zip(tri.edge_classes, weights))
+    _same_pair(tri, full)
+    slot = full.array.reshape(-1, SLOTS_PER_TET)[:, WEIGHT_SLOTS].sum(axis=2)
+    slot, edge = slot.ravel(), tri.slot_edges.ravel()
+    # Every class has a slot, so its weight is one of its slots'; it is
+    # the class's weight when all its slots agree with it.
+    weights = np.zeros(len(tri.edge_classes), dtype=slot.dtype)
+    weights[edge] = slot
+    if np.count_nonzero(weights[edge] != slot):
+        first = {}
+        for r, w in zip(edge.tolist(), slot.tolist()):
+            if first.setdefault(r, w) != w:
+                raise InconsistentWeights(
+                    f"edge {tri.edge_classes[r]} slots disagree: "
+                    f"{sorted((first[r], w))}")
+    return dict(zip(tri.edge_classes, weights.tolist()))
 
 
 def euler_characteristic(tri: LensTriangulation, full: FullCoordinates) -> int:
     """chi = edge crossings - face arcs + disks, each counted once per
-    class of the glued-up cell structure."""
-    return _cell_euler(tri, full, edge_weights(tri, full))
+    class of the glued-up cell structure.  A surface of another (p,q)
+    raises InvalidParams."""
+    return _cell_euler(full, edge_weights(tri, full), _corner_slots(tri))
 
 
-def _cell_euler(tri, full, weights):
-    """``euler_characteristic`` given the surface's edge weights."""
-    side_a = _corner_slots(tri)[:, :2].ravel().tolist()
-    arcs = sum(map(full.entries.__getitem__, side_a))
+def _cell_euler(full, weights, slots):
+    """``euler_characteristic`` given the surface's edge weights and
+    its ``_corner_slots``: the arcs are counted on side a."""
+    arcs = int(full.array[slots[:, :2]].sum())
     return sum(weights.values()) - arcs + full.total_disks()
 
 
@@ -326,20 +397,25 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     (2 per disk, the widest index :func:`classify` builds from the
     graph) and the 7p slots: int32 when they fit, int64 otherwise.  A
     surface too large for int64 side nodes raises BudgetExceeded,
-    budget or not.
+    budget or not.  A surface of another (p,q) raises InvalidParams.
     """
+    _same_pair(tri, full)
+    return _glue(tri, full, _corner_slots(tri), budget)
+
+
+def _glue(tri, full, slots, budget):
+    """``glue_disks`` across the corners of ``slots``."""
     total = full.total_disks()
     if budget is not None:
         budget.check(total, what="normal disks")
     if 2 * total > INT64_MAX:
         raise BudgetExceeded(
             f"{total} normal disks cannot be indexed in int64")
-    dtype = _index_dtype(max(2 * total, len(full.entries)))
-    slots = _corner_slots(tri)
+    dtype = _index_dtype(max(2 * total, len(full.array)))
     # Row k of the corner table takes its face template's row.
     ascend = np.broadcast_to(QUAD_ASCENDS.reshape(2, 1, 3, 2),
                              (2, tri.p, 3, 2)).reshape(-1, 2)
-    counts = np.array(full.entries, dtype=dtype)
+    counts = full.array.astype(dtype)
     first = np.zeros(len(counts) + 1, dtype=dtype)
     np.cumsum(counts, out=first[1:])
     side_a = _side_runs(first, slots[:, 0], slots[:, 1], ascend[:, 0])
@@ -524,9 +600,10 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     its deadline read once per round of the side labelling, the only
     labelling here.
     """
-    full = reconstruct_trigons(tri, v, matrix=matrix)
+    slots = _corner_slots(tri)
+    full = _reconstruct(tri, v, matrix, slots)
     weights = edge_weights(tri, full)
-    graph = glue_disks(tri, full, budget)
+    graph = _glue(tri, full, slots, budget)
     component_of, one_sided = _components(graph, budget)
 
     # An arc lies in one component by construction: its disks were
@@ -550,13 +627,13 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     components = tuple(zip(euler.tolist(), (~one_sided).tolist()))
 
     total_euler = sum(e for e, _ in components)
-    formula_euler = _cell_euler(tri, full, weights)
+    formula_euler = _cell_euler(full, weights, slots)
     if total_euler != formula_euler:
         raise InconsistentPropagation(
             f"component Euler sum {total_euler} != cell count "
             f"{formula_euler}")
 
-    meets_cores_once, has_type23_quad = _criterion_parts(tri, full, weights)
+    meets_cores_once, has_type23_quad = _criterion_parts(full, weights)
     return SurfaceReport(
         euler=total_euler,
         orientable=all(o for _, o in components),
@@ -567,11 +644,11 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     )
 
 
-def _criterion_parts(tri: LensTriangulation, full: FullCoordinates, weights):
+def _criterion_parts(full: FullCoordinates, weights):
     """(crosses each core circle once, has a type-2 or type-3 quad)."""
+    quads = full.array.reshape(-1, SLOTS_PER_TET)[:, 5:]
     return (weights["Ev"] == 1 and weights["Eh"] == 1,
-            any(full.entries[5::SLOTS_PER_TET])
-            or any(full.entries[6::SLOTS_PER_TET]))
+            bool(np.count_nonzero(quads)))
 
 
 def haken_fundamental_criterion(tri: LensTriangulation, v,
@@ -586,7 +663,7 @@ def haken_fundamental_criterion(tri: LensTriangulation, v,
     forbids next to a type-2 or type-3 quad.
     """
     full = reconstruct_trigons(tri, v, matrix=matrix)
-    return all(_criterion_parts(tri, full, edge_weights(tri, full)))
+    return all(_criterion_parts(full, edge_weights(tri, full)))
 
 
 def surface_name(euler: int, orientable: bool) -> str:

@@ -174,7 +174,11 @@ class LensTriangulation:
         With tetrahedra from 1 and indices mod p, the walk takes TOP
         k-1 -> k and BOT k-1 -> k by V_k, TOP 1 -> BOT 1+q by H_1, LEFT
         k -> k+q by H_k (q is a unit mod p, so this reaches every k),
-        and RIGHT k-1 from LEFT k by V_k.  The 2p + 2 rows outside it
+        and RIGHT k-1 from LEFT k by V_k.  The rows come in that order:
+        rows [0, p-1), [p-1, 2p-1) and [2p-1, 3p-2) are the TOP, BOT and
+        LEFT chains, each row's parent the node of the row before except
+        that each chain starts at a root; the last p rows hang one RIGHT
+        node each off the LEFT chain.  The 2p + 2 rows outside it
         close cycles.  Built in closed form on each read, which costs
         about 1% of one walk along it, so nothing is written onto the
         triangulation.

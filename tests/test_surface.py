@@ -54,6 +54,7 @@ from lensq.surface import (
     surface_name,
 )
 from lensq.triangulation import (
+    INT64_MAX,
     LOCAL_EDGES,
     QUAD_PAIRS,
     QUAD_TYPES,
@@ -293,6 +294,38 @@ def test_table_passes_are_exact_at_huge_scale(p, q):
         assert type(value) is int
 
 
+def test_value_dtype_turns_to_python_ints_past_the_int64_bound():
+    # A surface's values stay in int64 while 12 p times its largest
+    # entry fits; one step of scale past that they are Python ints.
+    tri = build_triangulation(8, 3)
+    v = next(f.vector for f in fixtures()
+             if (f.params.p, f.params.q) == (8, 3) and f.has("q-fundamental"))
+    largest = max(reconstruct_trigons(tri, v).entries)
+    below = INT64_MAX // (12 * tri.p * largest)
+    for scale, dtype in ((below, np.int64), (below + 1, object)):
+        w = tuple(scale * x for x in v)
+        top = scale * largest
+        assert (12 * tri.p * top <= INT64_MAX) == (dtype is np.int64)
+        entries = reconstruct_trigons(tri, w).entries
+        assert max(entries) == top
+        # Step up every other entry below the largest, so the residual
+        # is not zero and the largest entry stays.
+        perturbed = [x + k % 2 if x < top else x
+                     for k, x in enumerate(entries)]
+        reference = reference_surface_passes(tri, w, perturbed)
+        full = reconstruct_trigons(tri, w)
+        off = FullCoordinates(tri, perturbed)
+        found = (full.entries, edge_weights(tri, full),
+                 haken_residual(tri, off), euler_characteristic(tri, full))
+        assert found == reference and any(found[2])
+        assert full.array.dtype == off.array.dtype == dtype
+        for value in (*found[0], *found[1].values(), *found[2], found[3]):
+            assert type(value) is int
+        # An int64 array of the same entries takes the same dtype.
+        as_array = FullCoordinates(tri, np.array(perturbed, dtype=np.int64))
+        assert as_array == off and as_array.array.dtype == dtype
+
+
 @pytest.mark.parametrize("p,q", [(3, 1), (5, 2), (8, 3)])
 def test_reconstruction_has_no_trivial_component(p, q):
     tri = build_triangulation(p, q)
@@ -336,7 +369,8 @@ def test_unmatched_disks_raise_named_guards():
     lone = FullCoordinates(tri, (1,) + (0,) * 34)
     with pytest.raises(ArityMismatch, match=r"^face V1 corner 0->0: "):
         glue_disks(tri, lone)
-    with pytest.raises(InconsistentWeights, match=r"^edge Ev slots "):
+    with pytest.raises(InconsistentWeights,
+                       match=r"^edge Ev slots disagree: \[0, 1\]$"):
         edge_weights(tri, lone)
 
 
@@ -537,6 +571,21 @@ def square_solutions(draw, base=None):
         if square_condition(candidate):
             total = candidate
     return p, q, tuple(t - x for t, x in zip(total, start))
+
+
+@PROPERTY_SETTINGS
+@given(square_solutions(), st.data())
+def test_array_passes_match_the_reference(case, data):
+    p, q, v = case
+    tri = build_triangulation(p, q)
+    full = reconstruct_trigons(tri, v)
+    steps = data.draw(st.lists(st.integers(0, 3), min_size=7 * p,
+                               max_size=7 * p))
+    perturbed = [x + k for x, k in zip(full.entries, steps)]
+    found = (full.entries, edge_weights(tri, full),
+             haken_residual(tri, FullCoordinates(tri, perturbed)),
+             euler_characteristic(tri, full))
+    assert found == reference_surface_passes(tri, v, perturbed)
 
 
 @PROPERTY_SETTINGS
@@ -799,6 +848,19 @@ def test_a_matrix_of_another_pair_is_refused(entry):
     with pytest.raises(InvalidParams, match=r"^matrix of \(p,q\)=\(7,3\) "
                        r"given for \(7,2\)$"):
         entry(build_triangulation(7, 2), v, matrix=other)
+
+
+@pytest.mark.parametrize("entry", [
+    edge_weights, haken_residual, euler_characteristic, glue_disks])
+@pytest.mark.parametrize("p,q", [(10, 3), (8, 5)])
+def test_a_surface_of_another_pair_is_refused(entry, p, q):
+    # Read with the (8,3) triangulation, the (10,3) surface gave weights
+    # from its first 56 entries and the (8,5) one chi = -2.
+    full = reconstruct_trigons(build_triangulation(p, q),
+                               alternating_vector(p, 3))
+    with pytest.raises(InvalidParams, match=(
+            rf"^surface of \(p,q\)=\({p},{q}\) given for \(8,3\)$")):
+        entry(build_triangulation(8, 3), full)
 
 
 # ------------------------------------------------------------- criterion

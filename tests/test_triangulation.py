@@ -241,6 +241,13 @@ def assert_level_tree_spans(tri):
         sides = (4 * tet_a + za, 4 * tet_b + zb)
         assert sides == {1: (parent, node), -1: (node, parent)}[sign]
     assert reached == set(range(4 * tri.p))
+    # The rows are three chains hung from the roots, then the RIGHT
+    # nodes off the third chain: the layout the trigon walk sums along.
+    p, (node, parent) = tri.p, tree[:, :2].T.tolist()
+    for first, end, root in ((0, p - 1, TOP), (p - 1, 2 * p - 1, TOP),
+                             (2 * p - 1, 3 * p - 2, LEFT)):
+        assert parent[first: end] == [root] + node[first: end - 1]
+    assert set(parent[3 * p - 2:]) <= set(node[2 * p - 1: 3 * p - 2] + [LEFT])
 
 
 def test_level_tree_spans_the_corners_below_forty():
