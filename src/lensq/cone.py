@@ -3,10 +3,17 @@ Fundamental and vertex solutions of A x = 0 over the non-negative
 integers, for any sparse integer system.
 
 ``SolutionCone`` is the package's one integer-system class: it holds A
-as sparse columns, builds the dense rows only when they are read, runs
-the double description on its columns for its extreme rays
-(``rays.extreme_rays``), and ``restrict`` cuts out the subsystem on
-chosen columns.  A system may publish ``symmetries``, a group of
+as compressed sparse columns, three read-only int arrays (``col_start``,
+``col_rows``, ``col_coefs``, the layout of ``exact``), builds the dense
+rows only when they are read, runs the double description on those
+arrays for its extreme rays (``rays.extreme_rays``), and ``restrict``
+gathers the subsystem on chosen columns.  The residual and the
+admission of a candidate vector (``check_solution_vector``) are array
+passes in the value dtype of ``exact.value_array``: int64 when the sum
+of the coefficients' magnitudes times the vector's largest magnitude
+fits, Python ints otherwise.  The walkers that take one column at a
+time, the box search and ``exact.push_column``, read it through
+``SolutionCone.column``.  A system may publish ``symmetries``, a group of
 column permutations, each of which only permutes its rows, as a table
 of one row per element: the quad system ``qsystem.QMatrix`` does, and
 a plain SolutionCone, such as a face subcone, does not.  Nothing here
@@ -26,7 +33,7 @@ parent the AND of its bitsets over all columns but j, so the verdict on
 x + e_j costs one more AND.  Only the surviving children are made, once
 each, in the lexicographic order of mixed-radix int64 keys over the
 box, so the output does not depend on chunk size.  The budget is read
-before any set-up, and A^T A is built from the sparse columns.  The
+before any set-up, and A^T A is built from the column arrays.  The
 completion runs on ``symmetries`` orbits (the identity alone without
 them): each level holds one representative per orbit, the least-key
 image, and every new solution enters the minimal set with all its
@@ -110,38 +117,58 @@ class Budget:
 class SolutionCone:
     """An integer system A x = 0 together with its solution cone.
 
-    The system is held only as sparse columns: ``columns[j]`` lists the
-    non-zero ``(row, coefficient)`` pairs of column j, and ``nrows`` and
-    ``ncols`` give the shape.  It is made from explicit integer rows,
-    through ``exact.sparse_columns`` (``ncols`` is required when there
-    are none), or from another SolutionCone, whose columns it shares; a
+    The system is held only as compressed sparse columns, the read-only
+    int arrays ``col_start`` (ncols + 1 offsets), ``col_rows`` and
+    ``col_coefs``: column j's non-zero entries lie at
+    ``col_start[j]:col_start[j + 1]``.  ``nrows`` and ``ncols`` give
+    the shape.  It is made from explicit integer rows, through
+    ``exact.sparse_columns`` (``ncols`` is required when there are
+    none), or from another SolutionCone, whose arrays it shares; a
     QMatrix is a SolutionCone filled from its triangulation.  The dense
     ``rows`` and the primitive extreme rays, computed in exact
-    arithmetic from the columns, are built on first read and cached.
+    arithmetic from the arrays, are built on first read and cached.
+    ``column(j)`` reads one column as (row, coefficient) pairs, for the
+    walkers that take one column at a time.
     """
 
     def __init__(self, matrix, ncols: int | None = None):
         if isinstance(matrix, SolutionCone):
-            self.columns = matrix.columns
+            self.col_start, self.col_rows, self.col_coefs = (
+                matrix.col_start, matrix.col_rows, matrix.col_coefs)
             self.nrows, self.ncols = matrix.nrows, matrix.ncols
             return
         rows = list(matrix)
-        self.columns = exact.sparse_columns(rows, ncols)
-        self.nrows, self.ncols = len(rows), len(self.columns)
+        self.col_start, self.col_rows, self.col_coefs = (
+            exact.sparse_columns(rows, ncols))
+        self.nrows, self.ncols = len(rows), len(self.col_start) - 1
 
     # A group of column permutations, each of which only permutes the
     # rows of A, when A has one (see qsystem.QMatrix): row k lists the
     # columns that element k reads, position by position.
     symmetries = None
 
+    # Names of the rows in error messages, when A has them (see
+    # qsystem.QMatrix); row indices otherwise.
+    row_labels = None
+
+    def column(self, j):
+        """Column j's non-zero ``(row, coefficient)`` pairs, as Python
+        ints in stored order (``exact.column_pairs``)."""
+        return exact.column_pairs(self.col_start, self.col_rows,
+                                  self.col_coefs, j)
+
+    @property
+    def col_index(self):
+        """The column of every stored entry, aligned with ``col_rows``
+        and ``col_coefs``."""
+        return np.repeat(np.arange(self.ncols), np.diff(self.col_start))
+
     @cached_property
     def rows(self):
         """The dense rows, as plain integer tuples."""
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, entries in enumerate(self.columns):
-            for r, c in entries:
-                rows[r][j] = c
-        return tuple(tuple(row) for row in rows)
+        dense = np.zeros((self.nrows, self.ncols), dtype=self.col_coefs.dtype)
+        dense[self.col_rows, self.col_index] = self.col_coefs
+        return tuple(map(tuple, dense.tolist()))
 
     @cached_property
     def extreme_rays(self):
@@ -150,11 +177,11 @@ class SolutionCone:
         return self.find_extreme_rays()
 
     def find_extreme_rays(self, budget=None):
-        """The double description of the sparse columns
+        """The double description of the column arrays
         (``rays.extreme_rays``), reading ``budget`` if one is given,
         with the rays made dense and sorted as ``extreme_rays`` holds
         them."""
-        rays = extreme_rays(self.columns, self.nrows, budget)
+        rays = extreme_rays(self, budget)
         return tuple(sorted(
             (tuple(ray.get(j, 0) for j in range(self.ncols)) for ray in rays),
             key=graded_lex_key))
@@ -162,43 +189,93 @@ class SolutionCone:
     def restrict(self, columns):
         """The system on the given columns only, in the given order,
         with every row kept: the cone of the solutions that vanish off
-        those columns."""
+        those columns.  The arrays are gathered, not shared."""
+        length, take = self.column_entries(columns)
+        start = np.zeros(len(length) + 1, dtype=np.int64)
+        np.cumsum(length, out=start[1:])
         sub = SolutionCone(self)
-        sub.columns = tuple(self.columns[j] for j in columns)
-        sub.ncols = len(sub.columns)
+        sub.col_start, sub.col_rows, sub.col_coefs = (
+            start, self.col_rows[take], self.col_coefs[take])
+        for array in (sub.col_start, sub.col_rows, sub.col_coefs):
+            array.flags.writeable = False
+        sub.ncols = len(length)
         return sub
 
-    def residual(self, v):
+    def column_entries(self, columns):
+        """Each given column's entry count, and the positions in
+        ``col_rows`` and ``col_coefs`` of their entries, column after
+        column in the given order."""
+        columns = np.asarray(columns, dtype=np.intp)
+        length = np.diff(self.col_start)[columns]
+        # Entry k of the c-th given column sits k past that column's
+        # start; the c-th run begins at the sum of the lengths before.
+        before = np.cumsum(length) - length
+        take = (np.repeat(self.col_start[columns] - before, length)
+                + np.arange(length.sum()))
+        return length, take
+
+    @cached_property
+    def _weight(self):
+        """The sum of the coefficients' magnitudes: no entry of A x
+        exceeds it times the largest magnitude in x, the bound of the
+        value dtype rule (``exact.value_array``)."""
+        return int(np.abs(self.col_coefs).sum())
+
+    def _residual(self, x):
+        """A x as an array, for the value array ``x``
+        (``exact.value_array`` with weight ``_weight``)."""
+        out = np.zeros(self.nrows, dtype=np.result_type(x, self.col_coefs))
+        np.add.at(out, self.col_rows, self.col_coefs * x[self.col_index])
+        return out
+
+    def _values(self, v):
+        """The vector ``v`` as a value array for ``_residual``; a wrong
+        length raises DimensionMismatch."""
         if len(v) != self.ncols:
             raise DimensionMismatch(
                 f"vector length {len(v)} != {self.ncols} columns")
-        out = [0] * self.nrows
-        for entries, x in zip(self.columns, v):
-            if x:
-                for r, c in entries:
-                    out[r] += c * x
-        return tuple(out)
+        return exact.value_array(v, self._weight)
+
+    def residual(self, v):
+        """A v, as a tuple with one entry per row."""
+        return tuple(self._residual(self._values(v)).tolist())
 
     def is_solution(self, v) -> bool:
-        return not any(self.residual(v))
+        return not self._residual(self._values(v)).any()
 
     def check_solution_vector(self, v):
-        """Validate a candidate: non-negative, non-zero, integral,
-        solves A v = 0.  Returns the tuple form."""
+        """Validate a candidate: integral (NotASolution), of length
+        ``ncols`` (DimensionMismatch), non-negative (NegativeEntry),
+        non-zero (EmptyVector) and a solution of A v = 0 (NotASolution).
+        The messages name the first negative position or the first row
+        left non-zero (its ``row_labels`` entry when A has them), never
+        the whole vector.  Returns the tuple form."""
+        return self.admit(v)[0]
+
+    def admit(self, v):
+        """``check_solution_vector``, returning the tuple form and the
+        value array it was checked in (``exact.value_array``).  One
+        Python pass makes the entries ints; the sign, zero and residual
+        checks are array passes."""
         values = tuple(v)
-        if any(int(x) != x for x in values):
-            raise NotASolution("vector must be integral")
         vec = tuple(map(int, values))
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(
-                f"vector length {len(vec)} != {self.ncols} columns")
-        if any(x < 0 for x in vec):
-            raise NegativeEntry(f"vector has negative entries: {vec}")
-        if not any(vec):
+        if vec != values:
+            raise NotASolution("vector must be integral")
+        x = self._values(vec)
+        negative = np.flatnonzero(x < 0)
+        if negative.size:
+            i = int(negative[0])
+            raise NegativeEntry(
+                f"vector has a negative entry: position {i} is {vec[i]}")
+        if not x.any():
             raise EmptyVector("the zero vector is excluded by definition")
-        if not self.is_solution(vec):
-            raise NotASolution(f"A . v != 0 for {vec}")
-        return vec
+        residual = self._residual(x)
+        wrong = np.flatnonzero(residual)
+        if wrong.size:
+            r = int(wrong[0])
+            name = r if self.row_labels is None else self.row_labels[r]
+            raise NotASolution(f"A . v != 0: row {name} is {residual[r]}")
+        return vec, x
 
 
 def graded_lex_key(v):
@@ -298,7 +375,8 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
 
 
 def _dense(cone: SolutionCone):
-    """A and A^T A as int64 arrays, built from the sparse columns.
+    """A and A^T A as int64 arrays, A filled from the column arrays in
+    one scatter.
 
     A^T A is the sum of a a^T over the rows a of A, each term made on
     the row's support alone, O(support^2) per row instead of the O(n^3)
@@ -306,9 +384,7 @@ def _dense(cone: SolutionCone):
     """
     n = cone.ncols
     A = np.zeros((cone.nrows, n), dtype=np.int64)
-    for j, column in enumerate(cone.columns):
-        for r, c in column:
-            A[r, j] = c
+    A[cone.col_rows, cone.col_index] = cone.col_coefs
     gram = np.zeros((n, n), dtype=np.int64)
     for row in A:
         support = np.flatnonzero(row)
@@ -433,7 +509,7 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
 
     The budget is read before any set-up, the extreme rays, unless
     already cached, come from a double description that reads it too,
-    and A and A^T A are built from the sparse columns (``_dense``).  A
+    and A and A^T A are built from the column arrays (``_dense``).  A
     unimodular simplicial cone needs no completion: when the k extreme
     rays are linearly independent and the gcd of their k x k minors is
     1 (``exact.maximal_minor_gcd``), they span every lattice point of
@@ -547,8 +623,9 @@ def _box_solutions(cone: SolutionCone, bounds, budget, stop_after=None):
     lo, hi = [0] * cone.nrows, [0] * cone.nrows
     reach = []
     for j in reversed(support):
-        reach.append([(r, c, lo[r], hi[r]) for r, c in cone.columns[j]])
-        for r, c in cone.columns[j]:
+        column = cone.column(j)
+        reach.append([(r, c, lo[r], hi[r]) for r, c in column])
+        for r, c in column:
             if c < 0:
                 lo[r] += c * bounds[j]
             else:
@@ -629,7 +706,7 @@ def is_vertex(cone: SolutionCone, v) -> bool:
     support = [j for j, x in enumerate(vec) if x]
     pivots = []
     for j in support:
-        exact.push_column(pivots, cone.columns[j])
+        exact.push_column(pivots, cone.column(j))
     dim = len(support) - len(pivots)
     if dim < 1:
         # v itself restricts to a kernel vector, so this cannot happen.

@@ -5,6 +5,17 @@ Float arithmetic is banned from the core because half-integer basis
 coefficients are routine here and rounding would silently corrupt
 integrality classifications.
 
+A sparse integer system is held in one layout, compressed sparse
+columns: three read-only arrays, ``col_start`` (ncols + 1 offsets),
+``col_rows`` and ``col_coefs``, column j's non-zero entries lying at
+``col_start[j]:col_start[j + 1]``.  Dense rows enter through one
+converter, ``sparse_columns``, and ``column_pairs`` reads one column
+back as (row, coefficient) pairs of Python ints for the pair walkers.
+Values meet the coefficients by one rule (``value_dtype``,
+``value_array``): int64 when a bound proves that every sum a pass forms
+fits, ``object`` (Python ints, Fractions) otherwise, on the same code
+path.
+
 There is one elimination, and it runs column by column.
 ``push_column`` adds one sparse column to an elimination state: the
 list of the independent columns pushed so far, each kept as a reduced,
@@ -17,8 +28,7 @@ dependency on the earlier independent columns.  That dependency is the
 kernel vector of the free column in reduced row echelon form, so
 ``column_kernel_basis`` is a loop over this one step, and
 ``cone.is_vertex`` pushes a support's columns to read the dimension of
-its kernel.  Dense rows enter through one converter,
-``sparse_columns``.
+its kernel.
 
 Apart from it, ``maximal_minor_gcd`` runs one small column-Hermite
 elimination: the lattice index of a few independent vectors, which
@@ -30,7 +40,34 @@ from __future__ import annotations
 from math import gcd
 from operator import index
 
+import numpy as np
+
 from .errors import DimensionMismatch
+
+# The largest value int64 holds.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def value_dtype(bound: int):
+    """The value dtype of a pass whose every sum is at most ``bound``
+    in magnitude: int64 when it fits, ``object`` (Python ints)
+    otherwise."""
+    return np.int64 if bound <= INT64_MAX else object
+
+
+def value_array(values, weight: int = 1):
+    """``values`` (a sequence or an array) as one numpy array for a
+    pass whose sums add at most ``weight`` times the largest magnitude
+    among them: int64 when they are integers and that bound fits
+    (``value_dtype``), ``object`` otherwise, which keeps Python ints
+    and Fractions exact."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu" or not array.size:
+        largest = (max(int(array.max()), -int(array.min()))
+                   if array.size else 0)
+        if value_dtype(weight * largest) is np.int64:
+            return array.astype(np.int64, copy=False)
+    return array.astype(object)
 
 
 def primitive(vec):
@@ -133,9 +170,11 @@ def maximal_minor_gcd(rows) -> int:
 
 
 def sparse_columns(rows, ncols=None):
-    """The columns of the integer matrix ``rows`` as tuples of their
-    non-zero ``(row, entry)`` pairs.  ``ncols`` is required when there
-    are no rows (ValueError); ragged rows raise DimensionMismatch and a
+    """The integer matrix ``rows`` as compressed sparse columns: the
+    read-only arrays (col_start, col_rows, col_coefs), each column's
+    non-zero entries in row order, the coefficients int64 when they fit
+    and ``object`` otherwise.  ``ncols`` is required when there are no
+    rows (ValueError); ragged rows raise DimensionMismatch and a
     non-integer entry TypeError."""
     if rows:
         ncols = len(rows[0])
@@ -143,24 +182,41 @@ def sparse_columns(rows, ncols=None):
         raise ValueError("ncols required for an empty matrix")
     if any(len(row) != ncols for row in rows):
         raise DimensionMismatch("ragged matrix rows")
-    return tuple(tuple((r, x) for r, x in enumerate(map(index, column)) if x)
-                 for column in zip(*rows)) or ((),) * ncols
+    dense = value_array([list(map(index, row)) for row in rows]).reshape(
+        len(rows), ncols)
+    cols, col_rows = np.nonzero(dense.T)
+    col_coefs = dense[col_rows, cols]
+    col_start = np.zeros(ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=ncols), out=col_start[1:])
+    out = col_start, col_rows.astype(np.int64), col_coefs
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def column_pairs(col_start, col_rows, col_coefs, j):
+    """Column j of compressed sparse columns as its non-zero
+    ``(row, coefficient)`` pairs of Python ints, in stored order."""
+    lo, hi = col_start[j], col_start[j + 1]
+    return tuple(zip(col_rows[lo:hi].tolist(), col_coefs[lo:hi].tolist()))
 
 
 def kernel_basis(rows, ncols=None):
     """Basis of the rational nullspace {x : rows . x = 0}; ``ncols`` is
     required when ``rows`` is empty.  See ``column_kernel_basis``."""
-    return column_kernel_basis(sparse_columns(rows, ncols))
+    return column_kernel_basis(*sparse_columns(rows, ncols))
 
 
-def column_kernel_basis(columns):
-    """Basis of the rational nullspace of the system with the given
-    sparse columns: primitive integer tuples, one per free column (a
-    column that depends on the columns before it), each positive on its
-    own free column and zero on the other free columns."""
-    n = len(columns)
+def column_kernel_basis(col_start, col_rows, col_coefs):
+    """Basis of the rational nullspace of the system held as the given
+    compressed sparse columns: primitive integer tuples, one per free
+    column (a column that depends on the columns before it), each
+    positive on its own free column and zero on the other free
+    columns."""
+    n = len(col_start) - 1
     pivots, basis = [], []
-    for k, column in enumerate(columns):
+    for k in range(n):
+        column = column_pairs(col_start, col_rows, col_coefs, k)
         dependency = push_column(pivots, column + ((~k, 1),))
         if dependency is not None:
             basis.append(tuple(dependency.get(~j, 0) for j in range(n)))

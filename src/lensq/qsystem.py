@@ -7,14 +7,19 @@ blocks of three, block i holding the counts of the three quad types of
 tetrahedron i.  Each edge class imposes one balance equation (equal
 numbers of climbing and descending quads around the edge), giving a
 (p+2) x 3p integer matrix whose rational rank is p.  ``QMatrix`` holds
-it as a ``cone.SolutionCone`` of 3p sparse columns, so the cone code
-takes it as it is.  The solution space has dimension 2p, and it
-carries a standard basis of 2p vectors: one "full block" vector per
-tetrahedron and one "edge sphere" vector per slanted edge.  This module
-assembles the matrix, produces the basis, decomposes arbitrary
-solutions over it exactly (a walk along the step-two cycles of the
-b-coefficients), and classifies the integrality pattern of the
-coefficients.
+it as a ``cone.SolutionCone`` of 3p compressed sparse columns, filled
+from the triangulation's sense templates and slot edges in a few array
+operations, so the cone code takes it as it is.  The solution space has
+dimension 2p, and it carries a standard basis of 2p vectors: one "full
+block" vector per tetrahedron and one "edge sphere" vector per slanted
+edge.  This module assembles the matrix, produces the basis,
+decomposes arbitrary solutions over it exactly (running sums along the
+step-two cycles of the b-coefficients, checked by ``expand``, whose
+reproduction of the vector is the admission), and classifies the
+integrality pattern of the coefficients by their denominators.  The
+O(p) passes are array passes in the value dtype of
+``exact.value_array``: int64 when a bound proves that every sum fits,
+Python ints or Fractions otherwise.
 
 The triangulation is a cyclic chain, so shifting every block by one
 tetrahedron permutes the matching equations, and so does reflecting
@@ -66,6 +71,7 @@ from .errors import (
     NotASolution,
     SingularSystem,
 )
+from .exact import value_array
 from .rays import extreme_rays
 from .triangulation import QUAD_TYPES, LensTriangulation
 
@@ -77,14 +83,14 @@ ZERO = "{0}"
 
 class QMatrix(SolutionCone):
     """The (p+2) x 3p quad matching matrix, a SolutionCone held as 3p
-    sparse columns.
+    compressed sparse columns.
 
     Column order is block-major with the three quad types inside each
-    block; row order is e_1 .. e_p, Eh, Ev.  ``columns[c]`` lists the
-    non-zero ``(row, coefficient)`` pairs of column c, at most four
-    since a quad meets four edges.  The dense ``rows``, the extreme
-    rays, ``residual`` and ``restrict`` are the SolutionCone's own;
-    ``symmetries``, the dihedral group of the blocks, and
+    block; row order is e_1 .. e_p, Eh, Ev, named by ``row_labels``.
+    Column c holds at most four entries, since a quad meets four edges,
+    in its quad type's sense-template order.  The dense ``rows``, the
+    extreme rays, ``residual`` and ``restrict`` are the SolutionCone's
+    own; ``symmetries``, the dihedral group of the blocks, and
     ``edge_renamings``, its renamings of the rows, are the QMatrix's.
     """
 
@@ -93,16 +99,19 @@ class QMatrix(SolutionCone):
         self.q = tri.q
         self.row_labels = tri.edge_classes
         # Column (i, j) reads the rows of quad type j's sense template
-        # off row i of the slot edges.
-        by_type = []
-        for j in QUAD_TYPES:
-            template = tri.sense_template(j)
-            signs = [s for _, s in template]
-            rows = tri.slot_edges[:, [e for e, _ in template]].tolist()
-            by_type.append([tuple(zip(row, signs)) for row in rows])
-        self.columns = tuple(column for block in zip(*by_type)
-                             for column in block)
-        self.nrows, self.ncols = len(self.row_labels), len(self.columns)
+        # off row i of the slot edges, so block i's entries are row i of
+        # the slot edges at the three templates' local edges in turn.
+        templates = [tri.sense_template(j) for j in QUAD_TYPES]
+        local = [e for template in templates for e, _ in template]
+        signs = [s for template in templates for _, s in template]
+        length = np.tile([len(template) for template in templates], tri.p)
+        self.col_start = np.zeros(len(length) + 1, dtype=np.int64)
+        np.cumsum(length, out=self.col_start[1:])
+        self.col_rows = tri.slot_edges[:, local].ravel()
+        self.col_coefs = np.tile(np.array(signs, dtype=np.int64), tri.p)
+        for array in (self.col_start, self.col_rows, self.col_coefs):
+            array.flags.writeable = False
+        self.nrows, self.ncols = len(self.row_labels), len(length)
 
     @cached_property
     def symmetries(self):
@@ -147,19 +156,28 @@ def _symmetry_guard(matrix, name, image, rename):
     matching equations of the QMatrix ``matrix``: column image[c] must
     be column c with each row r renamed ``rename[r]``, over all p + 2
     rows.  Then the permuted vector of a solution is again a solution.
-    Each column is compared as its sorted (row, coefficient) pairs,
-    O(p) in all.
+    Both sides are read from the column arrays as (column, row,
+    coefficient) entries, column image[c]'s under the name c, and
+    compared after one sort of each, O(p log p) in all.
 
-    Raises InternalInvariantError, naming the symmetry, when it does not
-    hold.
+    Raises InternalInvariantError, naming the symmetry and the first
+    column c that fails, when it does not hold.
     """
-    columns, rename = matrix.columns, rename.tolist()
-    for c, target in enumerate(image.tolist()):
-        if (sorted((rename[r], s) for r, s in columns[c])
-                != sorted(columns[target])):
-            raise InternalInvariantError(
-                f"quad column {target} is not the {name} of column {c} "
-                f"for (p,q)=({matrix.p},{matrix.q})")
+    length, take = matrix.column_entries(image)
+    sides = ((matrix.col_index, rename[matrix.col_rows], matrix.col_coefs),
+             (np.repeat(np.arange(len(image)), length),
+              matrix.col_rows[take], matrix.col_coefs[take]))
+    # A permutation moves every entry, so both sides hold them all, and
+    # the first sorted position where they differ lies in the first
+    # failing column (the side that runs on past it names it).
+    ours, theirs = (np.stack(side)[:, np.lexsort(side[::-1])]
+                    for side in sides)
+    differ = np.flatnonzero((ours != theirs).any(axis=0))
+    if differ.size:
+        c = int(min(ours[0, differ[0]], theirs[0, differ[0]]))
+        raise InternalInvariantError(
+            f"quad column {int(image[c])} is not the {name} of column {c} "
+            f"for (p,q)=({matrix.p},{matrix.q})")
 
 
 def dihedral_images(matrix, v):
@@ -213,23 +231,23 @@ class BasisCoefficients:
 
 
 def expand(tri: LensTriangulation, coeffs: BasisCoefficients):
-    """The vector sum(a_i s_i) + sum(b_i t_i), in O(p).
+    """The vector sum(a_i s_i) + sum(b_i t_i), in O(p), as a tuple.
 
     Block i of the result is
-    (a_i, a_i + b_{i+1} + b_{i-q}, a_i + b_i + b_{i-q+1}).
+    (a_i, a_i + b_{i+1} + b_{i-q}, a_i + b_i + b_{i-q+1}): three
+    gathers of b, summed in the value dtype of a and b
+    (``exact.value_array``, a sum of three).
     """
     p = tri.p
-    a, b = coeffs.a, coeffs.b
-    if len(a) != p or len(b) != p:
+    if len(coeffs.a) != p or len(coeffs.b) != p:
         raise DimensionMismatch(f"need {p} coefficients of each kind")
+    a, b = value_array(coeffs.a, 3), value_array(coeffs.b, 3)
     k = np.arange(p)
-    after, below, below_after = (((k + shift) % p).tolist()
-                                 for shift in (1, -tri.q, 1 - tri.q))
-    out = []
-    for i, x in enumerate(a):
-        out += (x, x + b[after[i]] + b[below[i]],
-                x + b[i] + b[below_after[i]])
-    return tuple(out)
+    out = np.empty((p, 3), dtype=np.result_type(a, b))
+    out[:, 0] = a
+    out[:, 1] = a + b[(k + 1) % p] + b[(k - tri.q) % p]
+    out[:, 2] = a + b + b[(k + 1 - tri.q) % p]
+    return tuple(out.ravel().tolist())
 
 
 def basis_vectors(tri: LensTriangulation):
@@ -256,82 +274,98 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
     entries give the cyclic system b_{i+1} + b_{i-q} = c_i,
     b_i + b_{i-q+1} = d_i, which fixes every difference b_k - b_{k+2}.
     The steps of two form one cycle (p odd) or two (p even), walked
-    from b_1 and b_2, and d_k pins each cycle at its first k: b_k and
-    its partner b_{k-q+1} lie on the same cycle, since q is odd when p
-    is even.  O(p); the walk and the final ``expand`` check run on 2a
-    and 2b in the input's own numbers, and only the returned a and b
-    are Fractions.  Raises DimensionMismatch for a wrong length,
-    NotASolution when matrix . v != 0 and SingularSystem if a cycle
-    closes inconsistently, which cannot happen for coprime parameters.
-    ``matrix`` is read through ``matrix_for``: a matrix of another
-    (p,q) raises InvalidParams.
+    from b_1 and b_2 as running sums of those differences, and d_k pins
+    each cycle at its first k: b_k and its partner b_{k-q+1} lie on the
+    same cycle, since q is odd when p is even.  O(p) in array passes;
+    the walk and the final ``expand`` check run on 2a and 2b in the
+    input's own numbers, in the value dtype of the widest sum
+    (``exact.value_array``), and only the returned a and b are
+    Fractions.
+
+    The check is the admission: a vector that ``expand`` reproduces is
+    a combination of solutions, so no residual is computed for it.
+    Only when a cycle fails to close or the check fails is the residual
+    read, to tell a non-solution (NotASolution) from a basis that does
+    not span (SingularSystem, which cannot happen for coprime
+    parameters).  A wrong length raises DimensionMismatch.  ``matrix``
+    is read through ``matrix_for``: a matrix of another (p,q) raises
+    InvalidParams.
     """
     p, q = tri.p, tri.q
+    if matrix is not None:
+        matrix_for(tri, matrix)  # refuses a matrix of another (p,q)
     vec = tuple(v)
+    if len(vec) == 3 * p:
+        # A step is at most 4 max|v| and an offset p steps, so 2b, twice
+        # an offset plus its cycle's base, is at most 14 p max|v|.
+        x = value_array(vec, 14 * p).reshape(p, 3)
+        c = x[:, 1] - x[:, 0]  # b_{i+1} + b_{i-q}
+        d = x[:, 2] - x[:, 0]  # b_i + b_{i-q+1}
+        # Indices from 0.  b_{k+2} = b_k + step[k]; row f of ``cycle``
+        # walks k = f, f + 2, ... around its cycle.
+        k = np.arange(p)
+        step = d[(k + q + 1) % p] - c[(k + q) % p]
+        cycles = 2 - p % 2
+        cycle = (np.arange(cycles)[:, None]
+                 + 2 * np.arange(p // cycles)) % p
+        walk = step[cycle]
+        closed = not walk.sum(axis=1).any()
+        # Each b as its offset from the first b of its cycle.
+        offset = np.zeros(p, dtype=x.dtype)
+        offset[cycle[:, 1:]] = np.cumsum(walk[:, :-1], axis=1)
+        first = np.arange(cycles)
+        base = d[first] - offset[(first - q + 1) % p]
+        twice_b = offset * 2
+        twice_b[cycle] += base[:, None]
+        twice = BasisCoefficients(a=tuple((2 * x[:, 0]).tolist()),
+                                  b=tuple(twice_b.tolist()))
+        if closed and expand(tri, twice) == tuple((2 * x).ravel().tolist()):
+            return BasisCoefficients(a=_fractions(x[:, 0], 1),
+                                     b=_fractions(twice_b, 2))
     if not matrix_for(tri, matrix).is_solution(vec):
         raise NotASolution("vector does not satisfy the matching equations")
+    raise SingularSystem(
+        f"decomposition failed to reproduce the vector for "
+        f"(p,q)=({p},{q}); basis does not span")
 
-    c = [vec[3 * i + 1] - vec[3 * i] for i in range(p)]  # b_{i+1} + b_{i-q}
-    d = [vec[3 * i + 2] - vec[3 * i] for i in range(p)]  # b_i + b_{i-q+1}
 
-    # Indices from 0; each b is walked as its offset from the first b
-    # of its cycle, and 2b is kept so the numbers stay the input's own.
-    cycles = 2 - p % 2
-    offset, twice_b = [0] * p, [None] * p
-
-    def next_offset(k):  # b_{k+2} = b_k - c_{k+q} + d_{k+q+1}
-        return offset[k] - c[(k + q) % p] + d[(k + q + 1) % p]
-
-    for first in range(cycles):
-        k = first
-        for _ in range(p // cycles - 1):
-            offset[(k + 2) % p] = next_offset(k)
-            k = (k + 2) % p
-        if next_offset(k) != 0:
-            raise SingularSystem(
-                f"chain closure failed for (p,q)=({p},{q}); "
-                "basis does not span")
-        base = d[first] - offset[(first - q + 1) % p]
-        for k in range(first, p, cycles):
-            twice_b[k] = base + 2 * offset[k]
-
-    twice = BasisCoefficients(a=tuple(2 * x for x in vec[::3]),
-                              b=tuple(twice_b))
-    if expand(tri, twice) != tuple(2 * x for x in vec):
-        raise SingularSystem(
-            f"decomposition failed to reproduce the vector for "
-            f"(p,q)=({p},{q})")
-    return BasisCoefficients(a=tuple(map(Fraction, vec[::3])),
-                             b=tuple(Fraction(x, 2) for x in twice_b))
+def _fractions(values, denominator):
+    """The array ``values`` over ``denominator`` as a tuple of
+    Fractions, each distinct value made once."""
+    values = values.tolist()
+    made = {x: Fraction(x, denominator) for x in set(values)}
+    return tuple(map(made.__getitem__, values))
 
 
 def square_condition(v) -> bool:
     """True iff every block has at most one non-zero entry.
 
     Quads of different types inside one tetrahedron intersect, so an
-    embedded surface allows only one type per block.
+    embedded surface allows only one type per block.  ``v`` may be any
+    sequence or an array; a trailing short block is read as it is.
     """
-    vec = tuple(v)
-    if any(x < 0 for x in vec):
+    x = value_array(v if isinstance(v, np.ndarray) else tuple(v))
+    if (x < 0).any():
         raise NegativeEntry("square condition is only defined for "
                             "non-negative vectors")
-    for i in range(0, len(vec), 3):
-        if sum(1 for x in vec[i:i + 3] if x) > 1:
-            return False
-    return True
+    nonzero = np.zeros(-(-len(x) // 3) * 3, dtype=bool)
+    nonzero[:len(x)] = x != 0
+    return bool((nonzero.reshape(-1, 3).sum(axis=1) <= 1).all())
 
 
 def _classify_set(values):
-    fracs = [Fraction(x) for x in values]
-    if all(x == 0 for x in fracs):
+    """The integrality label of one coefficient set, read from the
+    ``denominator`` of each value (an int's is 1)."""
+    if not any(values):
         return ZERO
-    if all(x.denominator == 1 for x in fracs):
+    denominators = {x.denominator for x in values}
+    if denominators == {1}:
         return INTEGERS
-    if all(x.denominator == 2 for x in fracs):
+    if denominators == {2}:
         return HALF_INTEGERS
     # Mixed integers and half integers do not form a coset of Z.
     raise IntegralityViolated(f"coefficient set fits neither Z nor Z+1/2: "
-                              f"{[str(x) for x in fracs]}")
+                              f"{[str(x) for x in values]}")
 
 
 def integrality_class(coeffs: BasisCoefficients, p: int) -> dict:
@@ -347,7 +381,7 @@ def integrality_class(coeffs: BasisCoefficients, p: int) -> dict:
     """
     if len(coeffs.a) != p or len(coeffs.b) != p:
         raise DimensionMismatch(f"expected {p} coefficients of each kind")
-    if any(Fraction(x).denominator != 1 for x in coeffs.a):
+    if any(x.denominator != 1 for x in coeffs.a):
         raise IntegralityViolated(
             f"a-coefficients of an integral solution must be integers: "
             f"{[str(x) for x in coeffs.a]}")
@@ -363,7 +397,7 @@ def _square_rays(matrix, budget):
     """The square extreme rays of the QMatrix ``matrix``'s solution
     cone, as sparse dicts: one filtered double description with the
     blocks as the column classes (``rays.extreme_rays``)."""
-    return extreme_rays(matrix.columns, matrix.nrows, budget,
+    return extreme_rays(matrix, budget,
                         classes=[c // 3 for c in range(matrix.ncols)])
 
 

@@ -10,6 +10,8 @@ hyperplane, a positive combination of the two.  Rays are sparse, a
 dict from the columns of their support to their entries, and
 primitive.  A unit ray enters only when the first row that touches its
 column is imposed, so a row costs what the rays on its columns cost.
+The rows are read off the system's compressed sparse columns by one
+stable sort of the entries by row, each row's entries in column order.
 
 Adjacency is tested combinatorially: two rays are adjacent when no
 third ray's support lies inside the union of theirs.  The one facet
@@ -42,13 +44,16 @@ from __future__ import annotations
 
 from math import gcd
 
+import numpy as np
+
 # Candidate pairs examined between two budget reads.
 _CHUNK_PAIRS = 4096
 
 
-def extreme_rays(columns, nrows, budget=None, classes=None):
-    """The primitive extreme rays of {x >= 0 : A x = 0}, A given by its
-    sparse ``columns`` (``(row, coefficient)`` pairs) and ``nrows``.
+def extreme_rays(system, budget=None, classes=None):
+    """The primitive extreme rays of {x >= 0 : A x = 0}, A given by a
+    ``cone.SolutionCone`` ``system``, read straight from its compressed
+    sparse column arrays.
 
     With ``classes`` (one hashable label per column) only the rays
     whose support holds at most one column of each class are kept;
@@ -60,12 +65,17 @@ def extreme_rays(columns, nrows, budget=None, classes=None):
     Returns the rays as dicts from the columns of their supports to
     their (positive) entries, in no particular order.
     """
+    ncols = system.ncols
     if classes is None:
-        classes = range(len(columns))
-    rows = [[] for _ in range(nrows)]
-    for j, column in enumerate(columns):
-        for r, c in column:
-            rows[r].append((j, c))
+        classes = range(ncols)
+    # Row r's (column, coefficient) pairs in column order: the entries
+    # sorted stably by row, cut at each row's first entry.
+    order = np.argsort(system.col_rows, kind="stable")
+    cut = np.searchsorted(system.col_rows[order],
+                          np.arange(system.nrows + 1)).tolist()
+    pairs = list(zip(system.col_index[order].tolist(),
+                     system.col_coefs[order].tolist()))
+    rows = [pairs[lo:hi] for lo, hi in zip(cut, cut[1:])]
     # Each ray is (support, support's classes, entries).
     rays = []
     entered = set()
@@ -127,5 +137,5 @@ def extreme_rays(columns, nrows, budget=None, classes=None):
         imposed += 1
     out = [entries for _, _, entries in rays]
     # A column no row touches is a ray of its own.
-    out += [{j: 1} for j in range(len(columns)) if j not in entered]
+    out += [{j: 1} for j in range(ncols) if j not in entered]
     return out

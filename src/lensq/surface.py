@@ -59,6 +59,7 @@ from .errors import (
     NegativeEntry,
     SquareConditionViolated,
 )
+from .exact import value_dtype
 from .qsystem import QMatrix, matrix_for, square_condition
 from .triangulation import (
     BOT,
@@ -126,20 +127,24 @@ class FullCoordinates:
         self.tri = tri
         self.array = entries.astype(_value_dtype(tri.p, int(entries.max())))
         self.array.flags.writeable = False
-        self.entries = tuple(self.array.tolist())
+
+    @property
+    def entries(self):
+        """The entries as a tuple of Python ints, made on each read."""
+        return tuple(self.array.tolist())
 
     def trigons(self, tet: int, corner: int) -> int:
-        return self.entries[SLOTS_PER_TET * (tet - 1) + corner]
+        return int(self.array[SLOTS_PER_TET * (tet - 1) + corner])
 
     def quads(self, tet: int, qtype: int) -> int:
-        return self.entries[SLOTS_PER_TET * (tet - 1) + 4 + (qtype - 1)]
+        return int(self.array[SLOTS_PER_TET * (tet - 1) + 4 + (qtype - 1)])
 
     def total_disks(self) -> int:
         return int(self.array.sum())
 
     def __eq__(self, other):
         return (isinstance(other, FullCoordinates)
-                and self.entries == other.entries)
+                and np.array_equal(self.array, other.array))
 
     def __repr__(self):
         return f"FullCoordinates(p={self.tri.p}, q={self.tri.q})"
@@ -147,15 +152,15 @@ class FullCoordinates:
 
 def _value_dtype(p: int, largest: int):
     """The value dtype of a surface on p tetrahedra whose entries are at
-    most ``largest``: int64 when 12 p ``largest`` fits it, ``object``
-    (Python ints) otherwise.
+    most ``largest``: ``exact.value_dtype`` of 12 p ``largest``, int64
+    when that fits and ``object`` (Python ints) otherwise.
 
     That bounds every value the passes form: the widest sum is the arc
     count of ``_cell_euler``, two entries at each of the 6p glued
     corners, while a residual or a slot weight adds four entries and
     the disk total 7p.
     """
-    return np.int64 if 12 * p * largest <= INT64_MAX else object
+    return value_dtype(12 * p * largest)
 
 
 def _same_pair(tri: LensTriangulation, full: FullCoordinates):
@@ -245,8 +250,8 @@ def reconstruct_trigons(tri: LensTriangulation, v,
 
 def _reconstruct(tri, v, matrix, slots):
     """``reconstruct_trigons``, checked on the corners of ``slots``."""
-    vec = matrix_for(tri, matrix).check_solution_vector(v)
-    if not square_condition(vec):
+    _, admitted = matrix_for(tri, matrix).admit(v)
+    if not square_condition(admitted):
         raise SquareConditionViolated(
             "more than one quad type in a tetrahedron")
 
@@ -256,7 +261,8 @@ def _reconstruct(tri, v, matrix, slots):
     # within 2p max(vec); the running sum over the 3p - 2 chain steps
     # below stays far inside the 24 p^2 max(vec) that dtype admits.
     p = tri.p
-    quads = np.array(vec, dtype=_value_dtype(p, 2 * p * max(vec)))
+    quads = admitted.astype(_value_dtype(p, 2 * p * int(admitted.max())),
+                            copy=False)
     tree = tri.level_tree
     tet_a, _, qa, tet_b, _, qb = tri.corner_table[tree[:, 2]].T
     sides = (3 * tet_a + qa, 3 * tet_b + qb)

@@ -62,9 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidParams
-
-# The largest id int64 holds.
-INT64_MAX = int(np.iinfo(np.int64).max)
+from .exact import INT64_MAX
 
 # Local corner labels of one tetrahedron.
 TOP, BOT, LEFT, RIGHT = 0, 1, 2, 3

@@ -91,7 +91,7 @@ def necklace_kernels(matrix):
         for j in range(i, p):
             sizes.append(len(pivots))
             vectors.append(exact.push_column(
-                pivots, matrix.columns[3 * j + word[j]] + ((~j, 1),)))
+                pivots, matrix.column(3 * j + word[j]) + ((~j, 1),)))
         if necklace:
             yield ([3 * j + t for j, t in enumerate(word)],
                    [v for v in vectors if v is not None])

@@ -373,6 +373,25 @@ def test_classify_non_solution_is_invalid():
     assert "NotASolution" in result.stderr
 
 
+@pytest.mark.parametrize("bump,error", [
+    (-2, "NegativeEntry: vector has a negative entry: position 5 is -2"),
+    (1, "NotASolution: A . v != 0: row e"),
+], ids=["negative", "non-solution"])
+def test_classify_names_one_entry_of_a_bad_vector_at_p_100000(
+        tmp_path, bump, error):
+    # The message names one position or one row: formatting the whole
+    # vector made one line of about 900 KB.
+    p = 10 ** 5
+    vector = list(lensq.alternating_vector(p, 3))
+    vector[5] += bump
+    record = tmp_path / "vector.txt"
+    record.write_text(f"{p} 3 " + ",".join(map(str, vector)) + "\n")
+    result = run_cli("classify", "--p", str(p), "--q", "3",
+                     "--vector", f"@{record}")
+    assert result.returncode == 1
+    assert error in result.stderr and len(result.stderr) < 200
+
+
 def test_classify_rejects_a_wrong_length_vector_before_building(
         monkeypatch, capsys):
     from lensq import cli

@@ -395,12 +395,23 @@ def test_orbit_completion_obeys_the_budget():
         hilbert_basis(matrix, Budget(max_frontier=3))
 
 
+def tamper_first_entry(matrix, c, tamper):
+    """Replace the column arrays of ``matrix`` by copies in which
+    ``tamper(rows, coefs, entries)`` has changed the first entry of
+    column c, whose entries are the slice ``entries`` of both."""
+    rows, coefs = matrix.col_rows.copy(), matrix.col_coefs.copy()
+    lo, hi = matrix.col_start[c:c + 2].tolist()
+    tamper(rows, coefs, slice(lo, hi))
+    matrix.col_rows, matrix.col_coefs = rows, coefs
+
+
+def double_coefficient(rows, coefs, entries):
+    coefs[entries.start] *= 2
+
+
 def test_orbit_completion_checks_the_block_shift():
     matrix = q_matrix(build_triangulation(5, 2))
-    columns = list(matrix.columns)
-    (row, s), *rest = columns[4]
-    columns[4] = ((row, 2 * s), *rest)
-    matrix.columns = tuple(columns)
+    tamper_first_entry(matrix, 4, double_coefficient)
     with pytest.raises(InternalInvariantError):
         hilbert_basis(matrix)
 
@@ -674,14 +685,14 @@ def test_double_description_reads_the_budget_every_row(monkeypatch):
     monkeypatch.setattr(budget, "check", lambda size=0, what="frontier":
                         reads.append((size, what)))
     monkeypatch.setattr(rays_module, "_CHUNK_PAIRS", 10 ** 9)
-    rays = extreme_rays(matrix.columns, matrix.nrows, budget)
+    rays = extreme_rays(matrix, budget)
     assert len(reads) == matrix.nrows
     assert reads[0] == (0, "double description")
     # Eh and Ev follow from the e-rows and change nothing.
     assert reads[-2:] == [(len(rays), "double description")] * 2
     reads.clear()
     monkeypatch.setattr(rays_module, "_CHUNK_PAIRS", 1)
-    extreme_rays(matrix.columns, matrix.nrows, budget)
+    extreme_rays(matrix, budget)
     assert len(reads) > 100 * matrix.nrows
     budget = Budget(max_seconds=0)
     time.sleep(0.01)
@@ -838,11 +849,8 @@ def tampered_on_every_first_column(p, q):
     changed alike, but that entry's row is not the reflection's image
     of it."""
     matrix = q_matrix(build_triangulation(p, q))
-    columns = list(matrix.columns)
     for c in range(0, matrix.ncols, 3):
-        (row, s), *rest = columns[c]
-        columns[c] = ((row, 2 * s), *rest)
-    matrix.columns = tuple(columns)
+        tamper_first_entry(matrix, c, double_coefficient)
     return matrix
 
 
@@ -865,16 +873,14 @@ def test_symmetry_guard_reports_the_first_wrong_column():
         _symmetry_guard(matrix, "swap", np.roll(identity, -3), np.arange(7))
 
 
-def flip_sign(column):
-    (row, s), *rest = column
-    return ((row, -s), *rest)
+def flip_sign(rows, coefs, entries):
+    coefs[entries.start] *= -1
 
 
-def move_to_another_row(column):
+def move_to_another_row(rows, coefs, entries):
     # The least row the column misses, the same coefficient on it.
-    (_, s), *rest = column
-    free = min(set(range(len(column) + 1)) - {r for r, _ in column})
-    return ((free, s), *rest)
+    column = rows[entries].tolist()
+    rows[entries.start] = min(set(range(len(column) + 1)) - set(column))
 
 
 @pytest.mark.parametrize("tamper", [flip_sign, move_to_another_row])
@@ -884,9 +890,7 @@ def test_symmetry_guard_compares_rows_and_signs_exactly(tamper):
     matrix = q_matrix(build_triangulation(7, 2))
     shift = np.array(block_rotation(7, 1))
     _symmetry_guard(matrix, "block shift", shift, matrix.edge_renamings[1])
-    columns = list(matrix.columns)
-    columns[4] = tamper(columns[4])
-    matrix.columns = tuple(columns)
+    tamper_first_entry(matrix, 4, tamper)
     with pytest.raises(InternalInvariantError,
                        match=r"^quad column 4 is not the block shift of "
                              r"column 1 for \(p,q\)=\(7,2\)$"):
@@ -978,10 +982,7 @@ def test_search_adds_the_rotations_of_each_basis_and_its_reflection(
 
 def test_broken_block_rotation_raises():
     matrix = q_matrix(build_triangulation(7, 2))
-    columns = list(matrix.columns)
-    (row, s), *rest = columns[4]
-    columns[4] = ((row, 2 * s), *rest)
-    matrix.columns = tuple(columns)
+    tamper_first_entry(matrix, 4, double_coefficient)
     with pytest.raises(InternalInvariantError):
         square_fundamental_solutions(matrix)
 

@@ -12,9 +12,11 @@ maximal minors against the gcd of every minor.
 
 import itertools
 import math
+from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -156,8 +158,9 @@ def rank(rows):
     """The rank of the integer matrix ``rows``: the number of pivots
     left after every column is pushed through ``exact.push_column``."""
     pivots = []
-    for column in exact.sparse_columns(rows, 0):
-        exact.push_column(pivots, column)
+    columns = exact.sparse_columns(rows, 0)
+    for j in range(len(columns[0]) - 1):
+        exact.push_column(pivots, exact.column_pairs(*columns, j))
     return len(pivots)
 
 
@@ -251,13 +254,37 @@ def test_elimination_matches_the_row_reference_on_quad_systems(p, q):
     assert_matches_reference(matrix.rows, 3 * p)
 
 
+def test_value_array_is_int64_exactly_while_the_bound_fits():
+    top = exact.INT64_MAX // 12
+    assert exact.value_array([top, -1], 12).dtype == np.int64
+    for values in ([top + 1, 0], [-(top + 1)]):
+        assert exact.value_array(values, 12).dtype == object
+        assert exact.value_array(values, 12).tolist() == values
+    assert exact.value_array([2 ** 70, 1]).tolist() == [2 ** 70, 1]
+    assert exact.value_array([Fraction(1, 2), 1]).dtype == object
+    assert exact.value_array((), 5).dtype == np.int64
+
+
+def test_sparse_columns_hold_each_column_in_row_order():
+    rows = [[0, 3, 0], [-1, 0, 0], [2, 5, 0]]
+    col_start, col_rows, col_coefs = exact.sparse_columns(rows)
+    assert col_start.tolist() == [0, 2, 4, 4]
+    assert [exact.column_pairs(col_start, col_rows, col_coefs, j)
+            for j in range(3)] == [((1, -1), (2, 2)), ((0, 3), (2, 5)), ()]
+    for array in (col_start, col_rows, col_coefs):
+        assert not array.flags.writeable
+    _, _, big = exact.sparse_columns([[2 ** 70]])
+    assert big.dtype == object and big.tolist() == [2 ** 70]
+
+
 # ------------------------------------------------- double description
 
 @pytest.mark.parametrize("p,q", [(4, 1), (5, 1), (5, 2), (6, 1)])
 def test_double_description_matches_the_kernel_reference(p, q):
     matrix = q_matrix(build_triangulation(p, q))
     assert matrix.extreme_rays == extreme_rays_of_kernel(
-        exact.column_kernel_basis(matrix.columns))
+        exact.column_kernel_basis(matrix.col_start, matrix.col_rows,
+                                  matrix.col_coefs))
 
 
 def ray_key(ray):
@@ -271,20 +298,18 @@ def test_filtered_double_description_keeps_the_admissible_rays(rows, data):
     ncols = len(rows[0])
     classes = data.draw(st.lists(st.integers(0, 2), min_size=ncols,
                                  max_size=ncols))
-    columns = exact.sparse_columns(rows)
-    every = extreme_rays(columns, len(rows))
+    system = SolutionCone(rows)
+    every = extreme_rays(system)
     admissible = [ray for ray in every
                   if len({classes[j] for j in ray}) == len(ray)]
     assert sorted(map(ray_key, extreme_rays(
-        columns, len(rows), classes=classes))) == sorted(
-            map(ray_key, admissible))
+        system, classes=classes))) == sorted(map(ray_key, admissible))
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(7))
 def test_square_filter_keeps_exactly_the_square_rays(p, q):
     matrix = q_matrix(build_triangulation(p, q))
-    square = extreme_rays(matrix.columns, matrix.nrows,
-                          classes=[c // 3 for c in range(3 * p)])
+    square = extreme_rays(matrix, classes=[c // 3 for c in range(3 * p)])
     assert sorted(tuple(ray.get(c, 0) for c in range(3 * p))
                   for ray in square) == sorted(
         ray for ray in matrix.extreme_rays if square_condition(ray))

@@ -113,8 +113,9 @@ def test_multiply_matches_dense_rows(p, q):
             sum(c * x for c, x in zip(row, v)) for row in matrix.rows)
     # The rows and the sparse columns are one system, and a restriction
     # is the dense cut of the rows.
-    assert ([set(c) for c in SolutionCone(matrix.rows).columns]
-            == [set(c) for c in matrix.columns])
+    dense = SolutionCone(matrix.rows)
+    assert ([set(dense.column(j)) for j in range(3 * p)]
+            == [set(matrix.column(j)) for j in range(3 * p)])
     cols = rng.sample(range(3 * p), rng.randint(1, 3 * p))
     assert matrix.restrict(cols).rows == tuple(
         tuple(row[c] for c in cols) for row in matrix.rows)
@@ -290,6 +291,85 @@ def test_decompose_checks_an_int_vector_in_ints(p, q, monkeypatch):
     coeffs = decompose(tri, v)
     assert seen and all(type(x) is int for x in seen)
     assert expand(tri, coeffs) == v
+
+
+@pytest.mark.parametrize("p,q,bumped", [
+    # Even p: the step-two cycles do not close.
+    (1000, 3, (5,)),
+    (1000, 3, (3,)),
+    # Odd p: the one cycle closes, and the expand check fails.
+    (999, 5, (4, 5)),
+])
+def test_decompose_reads_the_residual_only_on_failure(p, q, bumped,
+                                                      monkeypatch):
+    # The expand check admits a solution, so no residual is read; a
+    # vector that fails it is then told apart by one residual.
+    tri = build_triangulation(p, q)
+    calls = []
+    residual = SolutionCone._residual
+    monkeypatch.setattr(SolutionCone, "_residual", lambda self, x: (
+        calls.append(len(x)), residual(self, x))[1])
+    v = list(alternating_vector(p, 3) if p % 2 == 0 else (1, 0, 0) * p)
+    decompose(tri, v)
+    assert not calls
+    for k in bumped:
+        v[k] += 1
+    with pytest.raises(NotASolution):
+        decompose(tri, v)
+    assert calls == [3 * p]
+
+
+def random_solution(tri, rng):
+    """A non-negative integral solution: a random non-negative
+    combination of the 2p basis vectors."""
+    s_vecs, t_vecs = basis_vectors(tri)
+    v = [0] * (3 * tri.p)
+    for vec in s_vecs + t_vecs:
+        c = rng.randint(0, 2)
+        for j, x in enumerate(vec):
+            v[j] += c * x
+    return tuple(v)
+
+
+@pytest.mark.parametrize("p,q", [(7, 3), (8, 3), (12, 5)])
+def test_python_int_and_fraction_vectors_take_the_object_path_exactly(p, q):
+    # Past int64 (x 10^30) a vector is admitted and decomposed in
+    # Python ints, and as Fractions it is decomposed in Fractions, to
+    # the int64 path's answers; admission makes integral Fractions ints.
+    tri = build_triangulation(p, q)
+    matrix = q_matrix(tri)
+    rng = random.Random(31 * p + q)
+    scale = 10 ** 30
+    for _ in range(5):
+        v = random_solution(tri, rng)
+        big = tuple(scale * x for x in v)
+        fractions = tuple(map(Fraction, v))
+        assert matrix.admit(v)[1].dtype == np.int64
+        assert matrix.admit(big)[1].dtype == object
+        for w, factor in ((big, scale), (fractions, 1)):
+            assert matrix.check_solution_vector(w) == tuple(
+                factor * x for x in v)
+            assert square_condition(w) == square_condition(v)
+            ints, got = decompose(tri, v), decompose(tri, w)
+            assert got.a == tuple(factor * x for x in ints.a)
+            assert got.b == tuple(factor * x for x in ints.b)
+            assert integrality_class(got, p) == integrality_class(
+                BasisCoefficients(*(tuple(factor * x for x in xs)
+                                    for xs in (ints.a, ints.b))), p)
+        w = [rng.randint(-5, 5) for _ in range(3 * p)]
+        assert matrix.residual([scale * x for x in w]) == tuple(
+            scale * r for r in matrix.residual(w))
+        off = list(big)
+        off[rng.randrange(3 * p)] += 1
+        with pytest.raises(NotASolution):
+            matrix.check_solution_vector(off)
+        with pytest.raises(NotASolution):
+            decompose(tri, off)
+        off[0] = -scale
+        with pytest.raises(NegativeEntry,
+                           match=f"^vector has a negative entry: position 0 "
+                                 f"is -{scale}$"):
+            matrix.check_solution_vector(off)
 
 
 def test_expand_matches_literal_combination():

@@ -11,6 +11,7 @@ the quad matrix.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -191,8 +192,14 @@ def assert_tables_match_reference(p, q):
         for _, (tet_a, za, qa), (tet_b, zb, qb) in gluings]
     assert [tri.face_label(row) for row in range(6 * p)] == [
         face.label for face, _, _ in gluings]
-    # Tuple for tuple and in entry order: exact.push_column reads them.
-    assert q_matrix(tri).columns == reference_columns(tri)
+    # Tuple for tuple and in entry order: exact.push_column reads them,
+    # and the column arrays hold them end to end.
+    matrix, reference = q_matrix(tri), reference_columns(tri)
+    assert tuple(matrix.column(j) for j in range(3 * p)) == reference
+    assert matrix.col_start.tolist() == list(
+        accumulate(map(len, reference), initial=0))
+    assert list(zip(matrix.col_rows.tolist(), matrix.col_coefs.tolist())) == [
+        pair for column in reference for pair in column]
     slots = reference_edge_slots(tri)
     flat = tri.slot_edges.ravel()
     assert np.bincount(flat, minlength=p + 2).tolist() == [
