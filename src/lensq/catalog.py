@@ -314,7 +314,7 @@ def read_records(text: str, source: str):
         try:
             p_str, q_str, entries, *tags = fields
             p, q = int(p_str), int(q_str)
-            vector = tuple(int(x) for x in entries.split(","))
+            vector = tuple(map(int, entries.split(",")))
         except ValueError:
             raise LensQError(
                 f"{source}:{lineno}: malformed record, expected "

@@ -50,7 +50,7 @@ def parse_vector(spec: str, p: int, q: int, index: int | None):
         if index is not None:
             raise LensQError("--index needs a vector given as @file")
         try:
-            return tuple(int(x) for x in spec.split(","))
+            return tuple(map(int, spec.split(",")))
         except ValueError as exc:
             raise LensQError(f"cannot parse vector: {exc}") from exc
     path = spec[1:]
@@ -123,7 +123,7 @@ def _report_payload(report):
         "components": [{"euler": e, "orientable": o,
                         "name": surface_name(e, o)}
                        for e, o in report.components],
-        "edge_weights": dict(sorted(report.edge_weights.items())),
+        "edge_weights": report.edge_weights,
         "meets_cores_once": report.meets_cores_once,
         "has_type23_quad": report.has_type23_quad,
     }
@@ -193,10 +193,9 @@ def cmd_classify(args) -> int:
         weights = " ".join(f"{k}={v}" for k, v in
                            sorted(report.edge_weights.items()))
         sys.stdout.write(f"edge weights: {weights}\n")
-        sys.stdout.write(
-            f"coefficients a: {', '.join(str(x) for x in coeffs.a)}\n")
-        sys.stdout.write(
-            f"coefficients b: {', '.join(str(x) for x in coeffs.b)}\n")
+        for kind in ("a", "b"):
+            sys.stdout.write(f"coefficients {kind}: "
+                             f"{', '.join(payload['coefficients'][kind])}\n")
         sys.stdout.write(
             f"integrality: {payload['integrality']}  "
             f"criterion={payload['haken_fundamental_criterion']}\n")

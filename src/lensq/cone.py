@@ -7,17 +7,17 @@ as compressed sparse columns, three read-only int arrays (``col_start``,
 ``col_rows``, ``col_coefs``, the layout of ``exact``), builds the dense
 rows only when they are read, runs the double description on those
 arrays for its extreme rays (``rays.extreme_rays``), and ``restrict``
-gathers the subsystem on chosen columns.  The residual and the
-admission of a candidate vector (``check_solution_vector``) are array
-passes in the value dtype of ``exact.value_array``: int64 when the sum
-of the coefficients' magnitudes times the vector's largest magnitude
-fits, Python ints otherwise.  The walkers that take one column at a
-time, the box search and ``exact.push_column``, read it through
+gathers the subsystem on chosen columns.  ``SolutionCone.admit`` is the
+one admission of a caller's vector.  The walkers that take one column
+at a time, the box search and ``exact.push_column``, read it through
 ``SolutionCone.column``.  A system may publish ``symmetries``, a group of
 column permutations, each of which only permutes its rows, as a table
 of one row per element: the quad system ``qsystem.QMatrix`` does, and
 a plain SolutionCone, such as a face subcone, does not.  Nothing here
-knows the quad blocks.
+knows the quad blocks.  Every sum over A, in the admission, the
+residual and the completion's dot products, is formed in
+``exact.value_dtype`` of a bound on it: int64 when that fits, Python
+ints otherwise, on the same code path.
 
 The Hilbert basis (the set of minimal non-zero non-negative integer
 solutions) is enumerated by the classic completion scheme of Contejean
@@ -32,20 +32,19 @@ and a value-indexed bitset table over the minimal solutions gives each
 parent the AND of its bitsets over all columns but j, so the verdict on
 x + e_j costs one more AND.  Only the surviving children are made, once
 each, in the lexicographic order of mixed-radix int64 keys over the
-box, so the output does not depend on chunk size.  The budget is read
-before any set-up, and A^T A is built from the column arrays.  The
-completion runs on ``symmetries`` orbits (the identity alone without
-them): each level holds one representative per orbit, the least-key
-image, and every new solution enters the minimal set with all its
-images, so the frontier cap counts representatives.  A unimodular
-simplicial cone skips the completion: a lattice certificate on its
-extreme rays (``exact.maximal_minor_gcd``) shows they are the basis.
+box, so the output does not depend on chunk size.  The completion runs
+on ``symmetries`` orbits (the identity alone without them): each level
+holds one representative per orbit, the least-key image, and every new
+solution enters the minimal set with all its images, so the frontier
+cap counts representatives.  A unimodular simplicial cone skips the
+completion: a lattice certificate on its extreme rays
+(``exact.maximal_minor_gcd``) shows they are the basis.
 
-Alongside the enumerator there are direct, definition-level tests:
-``is_fundamental`` settles a vertex by the gcd of its entries and runs
-an exhaustive box search below any other solution, and ``is_vertex``
-checks that the rational kernel restricted to the support is a single
-ray.
+Alongside the enumerator there are direct, definition-level tests, each
+admitting its vector once: ``is_vertex`` checks that the rational kernel
+restricted to the support is a single ray, and ``is_fundamental``
+settles a vertex by the gcd of its entries and runs an exhaustive box
+search below any other solution.
 """
 
 from __future__ import annotations
@@ -67,8 +66,9 @@ from .errors import (
 )
 from .rays import extreme_rays
 
-# Magnitude guard for the vectorized integer paths; entries beyond this
-# would risk silent int64 overflow in the matrix products.
+# The largest extreme-ray box entry the completion takes: each column's
+# radix must fit one mixed-radix int64 key word on its own, and the
+# domination table holds a row per box value.
 _SAFE_MAGNITUDE = 2 ** 30
 
 # Frontier rows extended between two budget checks.
@@ -218,8 +218,10 @@ class SolutionCone:
     def _weight(self):
         """The sum of the coefficients' magnitudes: no entry of A x
         exceeds it times the largest magnitude in x, the bound of the
-        value dtype rule (``exact.value_array``)."""
-        return int(np.abs(self.col_coefs).sum())
+        value dtype rule (``exact.value_array``), by which it is summed
+        too, as an int64 sum can wrap."""
+        magnitudes = np.abs(self.col_coefs)
+        return int(exact.value_array(magnitudes, len(magnitudes)).sum())
 
     def _residual(self, x):
         """A x as an array, for the value array ``x``
@@ -243,20 +245,16 @@ class SolutionCone:
     def is_solution(self, v) -> bool:
         return not self._residual(self._values(v)).any()
 
-    def check_solution_vector(self, v):
+    def admit(self, v):
         """Validate a candidate: integral (NotASolution), of length
         ``ncols`` (DimensionMismatch), non-negative (NegativeEntry),
         non-zero (EmptyVector) and a solution of A v = 0 (NotASolution).
         The messages name the first negative position or the first row
         left non-zero (its ``row_labels`` entry when A has them), never
-        the whole vector.  Returns the tuple form."""
-        return self.admit(v)[0]
-
-    def admit(self, v):
-        """``check_solution_vector``, returning the tuple form and the
-        value array it was checked in (``exact.value_array``).  One
-        Python pass makes the entries ints; the sign, zero and residual
-        checks are array passes."""
+        the whole vector.  Returns the tuple form and the value array it
+        was checked in (``exact.value_array``).  One Python pass makes
+        the entries ints; the sign, zero and residual checks are array
+        passes."""
         values = tuple(v)
         vec = tuple(map(int, values))
         if vec != values:
@@ -374,18 +372,21 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _dense(cone: SolutionCone):
-    """A and A^T A as int64 arrays, A filled from the column arrays in
-    one scatter.
+def _dense(cone: SolutionCone, largest: int = 1):
+    """A and A^T A, A filled from the column arrays in one scatter, in
+    ``exact.value_dtype`` of W^2 ``largest``, W = ``cone._weight``: an
+    entry of A^T A is at most W^2, so <A x, A e_j> and the entries of
+    A x are at most W^2 max(x) for x in the box [0, ``largest``].
 
     A^T A is the sum of a a^T over the rows a of A, each term made on
     the row's support alone, O(support^2) per row instead of the O(n^3)
     product.
     """
     n = cone.ncols
-    A = np.zeros((cone.nrows, n), dtype=np.int64)
+    dtype = exact.value_dtype(cone._weight ** 2 * largest)
+    A = np.zeros((cone.nrows, n), dtype=dtype)
     A[cone.col_rows, cone.col_index] = cone.col_coefs
-    gram = np.zeros((n, n), dtype=np.int64)
+    gram = np.zeros((n, n), dtype=dtype)
     for row in A:
         support = np.flatnonzero(row)
         gram[np.ix_(support, support)] += np.outer(row[support],
@@ -483,16 +484,9 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     (the primitive extreme rays are themselves minimal and are seeded
     up front), and candidates escaping the entrywise sum of the extreme
     rays die, because every minimal solution is a sub-one combination
-    of the rays and therefore lies inside that box.
-
-    A level is extended as (parent, column) pairs, a chunk of parents
-    at a time with the budget checked after each chunk.  Both prunings
-    act on the pairs, so only surviving children are ever made: the
-    box test reads one entry, and the domination verdict of x + e_j is
-    the AND of x's bitsets over every column but j with the bitset of
-    x_j + 1.  The survivors are deduplicated on mixed-radix int64 keys
-    of the box, which sort like the rows, so the next level comes out
-    in lexicographic order whatever the chunk size.
+    of the rays and therefore lies inside that box.  Both act on
+    (parent, column) pairs, so only surviving children are made (see
+    the module docstring).
 
     The completion runs on the orbits of the cone's ``symmetries``
     (``_Orbits``): the identity, a group of order 1, on a cone without
@@ -537,7 +531,7 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
                              "range")
     bound = np.array(bound, dtype=np.int64)
     orbits = _Orbits(cone, bound)
-    A, gram = _dense(cone)
+    A, gram = _dense(cone, int(bound.max()))
     minimal = np.array(rays, dtype=np.int64)
     index = _DominationIndex(minimal, budget)
     # Per frontier row x: its keys under every symmetry, and dots[x, j]
@@ -545,7 +539,8 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     # strides and of A^T A to them.  The first level's one parent is
     # zero, and its pairs are the (0, j) inside the box that dominate no
     # ray.
-    frontier, dots = np.zeros((2, 1, cone.ncols), dtype=np.int64)
+    frontier = np.zeros((1, cone.ncols), dtype=np.int64)
+    dots = np.zeros((1, cone.ncols), dtype=gram.dtype)
     keys = np.zeros((1, orbits.order * orbits.width), dtype=np.int64)
     columns = np.flatnonzero(bound)
     parents = np.zeros(columns.size, dtype=np.intp)
@@ -678,14 +673,14 @@ def _box_solutions(cone: SolutionCone, bounds, budget, stop_after=None):
 def is_fundamental(cone: SolutionCone, v, budget: Budget | None = None) -> bool:
     """Definition-level minimality test: no solution v' with 0 < v' < v.
 
-    A vertex (``is_vertex``) is settled by the gcd of its entries.
-    Otherwise the box below v restricted to the support of v is
-    searched, pruning with the linear equations: exact but exponential
-    in the support size, meant for the small explicit vectors this
-    package handles.
+    ``v`` is admitted once (``SolutionCone.admit``).  A vertex is
+    settled by the gcd of its entries.  Otherwise the box below v
+    restricted to the support of v is searched, pruning with the linear
+    equations: exact but exponential in the support size, meant for the
+    small explicit vectors this package handles.
     """
-    vec = cone.check_solution_vector(v)
-    if is_vertex(cone, vec):
+    vec, _ = cone.admit(v)
+    if _support_kernel_dimension(cone, vec) == 1:
         # The solutions on the support of a vertex are the multiples of
         # one primitive ray, so v is minimal exactly when it is that ray.
         return gcd(*vec) == 1
@@ -700,15 +695,23 @@ def is_vertex(cone: SolutionCone, v) -> bool:
 
     Equivalent to the definition "every solution below every multiple
     of v is itself a multiple": the rational kernel of A restricted to
-    the support of v must be one-dimensional.
+    the support of v must be one-dimensional.  ``v`` is admitted by
+    ``SolutionCone.admit``.
     """
-    vec = cone.check_solution_vector(v)
+    return _support_kernel_dimension(cone, cone.admit(v)[0]) == 1
+
+
+def _support_kernel_dimension(cone: SolutionCone, vec) -> int:
+    """The dimension of the rational kernel of A restricted to the
+    support of the admitted solution ``vec``, from pushing the
+    support's columns (``exact.push_column``)."""
     support = [j for j, x in enumerate(vec) if x]
     pivots = []
     for j in support:
         exact.push_column(pivots, cone.column(j))
     dim = len(support) - len(pivots)
     if dim < 1:
-        # v itself restricts to a kernel vector, so this cannot happen.
-        raise NotASolution("support-restricted system lost the solution")
-    return dim == 1
+        # vec itself restricts to a kernel vector, so this cannot happen.
+        raise InternalInvariantError(
+            "support-restricted system lost the solution")
+    return dim

@@ -11,10 +11,10 @@ columns: three read-only arrays, ``col_start`` (ncols + 1 offsets),
 ``col_start[j]:col_start[j + 1]``.  Dense rows enter through one
 converter, ``sparse_columns``, and ``column_pairs`` reads one column
 back as (row, coefficient) pairs of Python ints for the pair walkers.
-Values meet the coefficients by one rule (``value_dtype``,
-``value_array``): int64 when a bound proves that every sum a pass forms
-fits, ``object`` (Python ints, Fractions) otherwise, on the same code
-path.
+Every integer pass of the package, the Hilbert completion's A^T A
+included, sizes its sums by one rule (``value_dtype``, ``value_array``):
+int64 when a bound proves that every sum it forms fits, ``object``
+(Python ints, Fractions) otherwise, on the same code path.
 
 There is one elimination, and it runs column by column.
 ``push_column`` adds one sparse column to an elimination state: the
@@ -68,15 +68,6 @@ def value_array(values, weight: int = 1):
         if value_dtype(weight * largest) is np.int64:
             return array.astype(np.int64, copy=False)
     return array.astype(object)
-
-
-def primitive(vec):
-    """``vec`` divided by the gcd of its entries, as a tuple of ints.
-
-    Signs are kept; the zero vector is returned unchanged.
-    """
-    g = gcd(*vec)
-    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 def push_column(pivots, column):

@@ -15,11 +15,13 @@ block" vector per tetrahedron and one "edge sphere" vector per slanted
 edge.  This module assembles the matrix, produces the basis,
 decomposes arbitrary solutions over it exactly (running sums along the
 step-two cycles of the b-coefficients, checked by ``expand``, whose
-reproduction of the vector is the admission), and classifies the
-integrality pattern of the coefficients by their denominators.  The
-O(p) passes are array passes in the value dtype of
+reproduction of the vector proves it a solution without a residual),
+and classifies the integrality pattern of the coefficients by their
+denominators.  The O(p) passes are array passes in the value dtype of
 ``exact.value_array``: int64 when a bound proves that every sum fits,
-Python ints or Fractions otherwise.
+Python ints or Fractions otherwise.  A caller's matrix is taken through
+``matrix_for``, and one of another (p,q) is refused by the package's
+one pair guard, ``triangulation.check_same_pair``.
 
 The triangulation is a cyclic chain, so shifting every block by one
 tetrahedron permutes the matching equations, and so does reflecting
@@ -66,14 +68,13 @@ from .errors import (
     DimensionMismatch,
     IntegralityViolated,
     InternalInvariantError,
-    InvalidParams,
     NegativeEntry,
     NotASolution,
     SingularSystem,
 )
 from .exact import value_array
 from .rays import extreme_rays
-from .triangulation import QUAD_TYPES, LensTriangulation
+from .triangulation import QUAD_TYPES, LensTriangulation, check_same_pair
 
 # Integrality classes reported for sets of basis coefficients.
 INTEGERS = "Z"
@@ -205,12 +206,10 @@ def q_matrix(tri: LensTriangulation) -> QMatrix:
 def matrix_for(tri: LensTriangulation, matrix: QMatrix | None = None):
     """The quad matching matrix of ``tri``: ``matrix`` when given, else
     built.  A matrix of another (p,q) raises InvalidParams naming both
-    pairs."""
+    pairs (``triangulation.check_same_pair``)."""
     if matrix is None:
         return q_matrix(tri)
-    if (matrix.p, matrix.q) != (tri.p, tri.q):
-        raise InvalidParams(f"matrix of (p,q)=({matrix.p},{matrix.q}) "
-                            f"given for ({tri.p},{tri.q})")
+    check_same_pair(tri, matrix, "matrix")
     return matrix
 
 
@@ -287,13 +286,14 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
     Only when a cycle fails to close or the check fails is the residual
     read, to tell a non-solution (NotASolution) from a basis that does
     not span (SingularSystem, which cannot happen for coprime
-    parameters).  A wrong length raises DimensionMismatch.  ``matrix``
-    is read through ``matrix_for``: a matrix of another (p,q) raises
-    InvalidParams.
+    parameters).  A wrong length raises DimensionMismatch.  A
+    ``matrix`` of another (p,q) raises InvalidParams up front
+    (``triangulation.check_same_pair``); without one, the residual
+    reads a matrix built then.
     """
     p, q = tri.p, tri.q
     if matrix is not None:
-        matrix_for(tri, matrix)  # refuses a matrix of another (p,q)
+        check_same_pair(tri, matrix, "matrix")
     vec = tuple(v)
     if len(vec) == 3 * p:
         # A step is at most 4 max|v| and an offset p steps, so 2b, twice
@@ -322,7 +322,7 @@ def decompose(tri: LensTriangulation, v, matrix: QMatrix | None = None) -> Basis
         if closed and expand(tri, twice) == tuple((2 * x).ravel().tolist()):
             return BasisCoefficients(a=_fractions(x[:, 0], 1),
                                      b=_fractions(twice_b, 2))
-    if not matrix_for(tri, matrix).is_solution(vec):
+    if not (matrix or q_matrix(tri)).is_solution(vec):
         raise NotASolution("vector does not satisfy the matching equations")
     raise SingularSystem(
         f"decomposition failed to reproduce the vector for "

@@ -8,7 +8,9 @@ The trigon counts follow from the face gluings: at every glued face
 corner, the arcs from both sides must agree in number, which fixes all
 trigon counts relative to one another around each vertex class; the
 surface with no trivial (vertex-linking) component is the shift that
-makes the minimum count in each class zero.
+makes the minimum count in each class zero.  The vector is admitted by
+its QMatrix (``SolutionCone.admit``), and a matrix or a surface of
+another (p,q) is refused by ``triangulation.check_same_pair``.
 
 A surface's 7p full-coordinate entries are held as one integer array
 (``FullCoordinates.array``), and every per-corner and per-slot pass is
@@ -55,7 +57,6 @@ from .errors import (
     DimensionMismatch,
     InconsistentPropagation,
     InconsistentWeights,
-    InvalidParams,
     NegativeEntry,
     SquareConditionViolated,
 )
@@ -73,6 +74,7 @@ from .triangulation import (
     RIGHT,
     TOP,
     LensTriangulation,
+    check_same_pair,
 )
 
 # The largest id int32 holds.
@@ -163,14 +165,6 @@ def _value_dtype(p: int, largest: int):
     return value_dtype(12 * p * largest)
 
 
-def _same_pair(tri: LensTriangulation, full: FullCoordinates):
-    """Raise InvalidParams naming both pairs when ``full`` is a surface
-    of another (p,q) than ``tri``."""
-    if (full.tri.p, full.tri.q) != (tri.p, tri.q):
-        raise InvalidParams(f"surface of (p,q)=({full.tri.p},{full.tri.q}) "
-                            f"given for ({tri.p},{tri.q})")
-
-
 def _corner_slots(tri: LensTriangulation):
     """Per glued face corner (row of ``tri.corner_table``), the entries
     of a full coordinate vector whose arcs meet there, as a 6p x 4
@@ -213,7 +207,7 @@ def haken_residual(tri: LensTriangulation, full: FullCoordinates):
     """``haken_matrix(tri)`` applied to ``full.entries``, one entry per
     glued face corner, without building the matrix.  A surface of
     another (p,q) raises InvalidParams."""
-    _same_pair(tri, full)
+    check_same_pair(tri, full.tri, "surface")
     return tuple(_residual(full, _corner_slots(tri)).tolist())
 
 
@@ -237,10 +231,10 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     does not close, impossible for a matching solution, raises
     InconsistentPropagation as a guarded bug signal.
 
-    ``v`` is admitted by ``matrix.check_solution_vector``: a
-    non-integral entry or a failed matching equation raises
-    NotASolution, a wrong length DimensionMismatch, a negative entry
-    NegativeEntry and the zero vector EmptyVector.  Two quad types in
+    ``v`` is admitted by ``matrix.admit``: a non-integral entry or a
+    failed matching equation raises NotASolution, a wrong length
+    DimensionMismatch, a negative entry NegativeEntry and the zero
+    vector EmptyVector.  Two quad types in
     one tetrahedron then raise SquareConditionViolated.  ``matrix`` is
     read through ``qsystem.matrix_for``: a matrix of another (p,q)
     raises InvalidParams.
@@ -302,7 +296,7 @@ def edge_weights(tri: LensTriangulation, full: FullCoordinates):
     InconsistentWeights; a surface of another (p,q) raises
     InvalidParams.
     """
-    _same_pair(tri, full)
+    check_same_pair(tri, full.tri, "surface")
     slot = full.array.reshape(-1, SLOTS_PER_TET)[:, WEIGHT_SLOTS].sum(axis=2)
     slot, edge = slot.ravel(), tri.slot_edges.ravel()
     # Every class has a slot, so its weight is one of its slots'; it is
@@ -405,7 +399,7 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     surface too large for int64 side nodes raises BudgetExceeded,
     budget or not.  A surface of another (p,q) raises InvalidParams.
     """
-    _same_pair(tri, full)
+    check_same_pair(tri, full.tri, "surface")
     return _glue(tri, full, _corner_slots(tri), budget)
 
 

@@ -46,7 +46,8 @@ j - 1, and edge class r is ``edge_classes[r]`` (e_i, then Eh, Ev).
 A quad type's senses are one template over the local edges
 (``sense_template``), since which edges of a row coincide depends on p
 and q only.  ``face_label`` names the face of a ``corner_table`` row,
-for display and error messages.
+for display and error messages.  ``check_same_pair`` is the one guard
+that refuses a matrix or a surface of another (p,q).
 
 The corner graph (local corners joined across every glued face corner)
 has two classes, the poles and the equator, for every coprime (p,q).
@@ -228,6 +229,15 @@ class LensTriangulation:
 
     def __repr__(self):
         return f"LensTriangulation(p={self.p}, q={self.q})"
+
+
+def check_same_pair(tri: LensTriangulation, other, what: str):
+    """Raise InvalidParams naming both pairs when ``other``, anything
+    with ``p`` and ``q`` (a quad matrix, a surface's triangulation), is
+    of another (p,q) than ``tri``; ``what`` names it in the message."""
+    if (other.p, other.q) != (tri.p, tri.q):
+        raise InvalidParams(f"{what} of (p,q)=({other.p},{other.q}) "
+                            f"given for ({tri.p},{tri.q})")
 
 
 def build_triangulation(params_or_p, q: int | None = None) -> LensTriangulation:

@@ -16,10 +16,21 @@ kernel basis by a double description of its own
 search nor the ray enumeration of the package.
 """
 
+from math import gcd
+
 from lensq import exact
 from lensq.cone import Budget, graded_lex_key, hilbert_basis
 from lensq.errors import InternalInvariantError
 from lensq.triangulation import QUAD_TYPES
+
+
+def primitive(vec):
+    """``vec`` divided by the gcd of its entries, as a tuple of ints.
+
+    Signs are kept; the zero vector is returned unchanged.
+    """
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 def prenecklaces(p, k):
@@ -136,7 +147,7 @@ def extreme_rays_of_kernel(basis):
                     common = tight[rp] & tight[rn]
                     if not any(r is not rp and r is not rn
                                and common <= tight[r] for r in rays):
-                        new.append(exact.primitive(
+                        new.append(primitive(
                             [rp[j] * b - rn[j] * a for a, b in zip(rp, rn)]))
             rays = pos + zero + new
         elif neg:

@@ -4,6 +4,7 @@ byte-for-byte determinism contract.
 """
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import lensq
-from lensq.catalog import FIXTURE_FILE
+from lensq.catalog import FIXTURE_FILE, alternating_vector
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TWO_ONE_ROWS = [
     [-2, 2, 0, 2, 0, -2],
@@ -150,6 +153,102 @@ def test_enum_json_is_byte_stable_up_to_p_13():
         assert result.returncode == 0, (p, q)
         assert hashlib.sha256(
             result.stdout.encode()).hexdigest() == digest, (p, q)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's input builders, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Commands whose stdout sha256 ``perfbench/reference.json`` records under
+# their label, each run with the argv ``perfbench/workloads.py`` builds
+# for it: the benchmark's whole commands and the classify-large inputs
+# (the (418,153) fixture times 31, 32 and 33, surfaces of many
+# components, and the alternating vector at p = 1000).
+REFERENCE_LABELS = (
+    "enum-7-2", "enum-8-3", "enum-5-2", "enum-4-1-raw", "verify-fixtures",
+    "classify-418-153-fixture0", "classify-8-3-fixture0",
+    "classify-418-153-x31", "classify-418-153-x32", "classify-418-153-x33",
+    "classify-alt-1000-3",
+)
+
+
+def _alternating_100000(workloads, tmp_path):
+    # 600 KB is past the per-argument limit, so the vector is read from
+    # a record file.
+    path = tmp_path / "alternating.txt"
+    path.write_text("100000 3 " + ",".join(
+        map(str, alternating_vector(100000, 3))) + "\n")
+    return ["classify", "--p", "100000", "--q", "3", "--format", "json",
+            "--vector", f"@{path}"]
+
+
+# Commands pinned here, by name: (argv, or a function of the workloads
+# module and a scratch directory that builds it, stdout sha256).
+PINNED = {
+    # The two large classify paths, as the per-slot Python passes
+    # printed them: the (418,153) fixture times 1000, and the
+    # alternating vector at p = 100000.
+    "classify-418-153-x1000": (
+        lambda workloads, _: workloads.scaled_fixture(1000)[1],
+        "158917bf852f527bd080a67f74bcf2da3221c73bb2bddd02c5db81c677bf3265"),
+    "classify-alt-100000-3": (
+        _alternating_100000,
+        "b0bb2b8bf7eff8ead15818fc8c81400e79e8ec66ed4e44c7c685b04453648a2a"),
+    # The quad and the full matching matrix, as printed before
+    # haken_matrix read one corner-slot array.
+    "matrix-8-3-haken-csv": (
+        ["matrix", "--p", "8", "--q", "3", "--system", "haken",
+         "--format", "csv"],
+        "a4c9b15661e23298e03da9a1e168e7f02f22362c69c93b6812a446b99ccc7b00"),
+    "matrix-8-3-json": (
+        ["matrix", "--p", "8", "--q", "3", "--format", "json"],
+        "d20c8c7470f9486920770b0b411afc847d62764755d35da3da2aadafd077cd55"),
+    "matrix-7-2-haken-table": (
+        ["matrix", "--p", "7", "--q", "2", "--system", "haken"],
+        "7a8c6f65f5ad16e295388ee73748da67ec2da044cbefe48f83467139a2a9753e"),
+    # The merged quad columns (q = 1, q = p - 1), as the tuple-of-pairs
+    # columns printed them, and the doubled q = 1 column through
+    # admission, decompose and the box search.
+    "matrix-3-1-csv": (
+        ["matrix", "--p", "3", "--q", "1", "--format", "csv"],
+        "473ee7fca91ec99f3797d7576851a61b3b971d0e61673082e55ba996905ad8e8"),
+    "matrix-7-6-table": (
+        ["matrix", "--p", "7", "--q", "6"],
+        "9b8dbfc03d2ba680087f0d4214dad09402506f48489d0d1d3c894691ef456fe1"),
+    "classify-4-1-fundamental": (
+        ["classify", "--p", "4", "--q", "1", "--format", "json", "--vector",
+         "1,0,0,1,0,0,1,0,0,1,0,0", "--fundamental"],
+        "9f249d0dbb8d44e54c3929f99abb289487befb857fd14c71447d681b29c504f1"),
+    "verify-9-2": (
+        ["verify", "--p", "9", "--q", "2"],
+        "2ce3cdac4a943df812a2cbecd04411f88b80f2c52265470f19802d3b54331a23"),
+    "verify-10-3": (
+        ["verify", "--p", "10", "--q", "3"],
+        "f6ba4d631c32876ec370f43dfb726756719bbac8bbb0543c4ba40e73bbbc3317"),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_LABELS + tuple(PINNED))
+def test_stdout_digest(name, workloads, tmp_path, monkeypatch):
+    # The workloads name the fixture file by its path from the root.
+    monkeypatch.chdir(ROOT)
+    if name in PINNED:
+        argv, digest = PINNED[name]
+        if callable(argv):
+            argv = argv(workloads, tmp_path)
+    else:
+        argv = workloads.all_commands()[name]
+        digest = json.loads((ROOT / "perfbench" / "reference.json")
+                            .read_text())["stdout_sha256"][name]
+    result = run_cli(*argv)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_matrix_csv_round_trips():

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lensq import cli
@@ -42,6 +42,7 @@ from lensq.cone import (
     _distinct_sorted,
     _DominationIndex,
     _radix_strides,
+    _support_kernel_dimension,
     graded_lex_key,
     hilbert_basis,
     is_fundamental,
@@ -165,7 +166,7 @@ def is_vertex_by_search(cone: SolutionCone, v, k: int = 3,
     Enumerates all solutions in [0, k v] and checks each is a multiple
     of v.  Exponential; use only on small vectors.
     """
-    vec = cone.check_solution_vector(v)
+    vec = cone.admit(v)[0]
     bounds = tuple(k * x for x in vec)
     for sol in _box_solutions(cone, bounds, budget or Budget()):
         if not any(sol):
@@ -552,6 +553,25 @@ def test_hilbert_basis_matches_the_box_search(rows):
     unlimited = Budget(max_seconds=None, max_frontier=None)
     solutions = [s for s in _box_solutions(cone, box, unlimited) if any(s)]
     assert hilbert_basis(cone) == minimal_elements(solutions)
+
+
+# Row scales around the int64 edge: from 2^31 + 1 on, A^T A of
+# [[s, s, -2s]] (6 s^2 on its diagonal) passes 2^63, and 2^70 is past
+# int64 for A itself.
+SCALES = (1, 2 ** 31 + 1, 2 ** 32, 2 ** 61 + 1, 2 ** 70)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_matrices())
+@example([[1, 1, -2]])
+def test_scaled_rows_keep_the_hilbert_basis(rows):
+    # The cone does not change when its rows are scaled, so neither do
+    # its Hilbert basis and the minimality of each element.
+    basis = hilbert_basis(SolutionCone(rows))
+    for s in SCALES:
+        cone = SolutionCone([[s * x for x in row] for row in rows])
+        assert hilbert_basis(cone) == basis, s
+        assert all(is_fundamental(cone, v) for v in basis), s
 
 
 # ------------------------------------------------- square-pattern shortcut
@@ -1032,6 +1052,16 @@ def test_is_fundamental_input_validation():
         is_fundamental(cone, (-1, 0, 0, -1, 0, 0))
 
 
+def test_admission_past_int64_is_exact():
+    # The coefficients' magnitudes sum to 2^63, which an int64 sum wraps
+    # to -2^63; that weight sent (4, 0) through an int64 residual, where
+    # 2^62 * 4 wraps to 0, and admitted it.
+    cone = SolutionCone([[2 ** 62, -2 ** 62]])
+    assert cone.residual((4, 0)) == (2 ** 64,)
+    with pytest.raises(NotASolution):
+        cone.admit((4, 0))
+
+
 def test_is_fundamental_reads_a_one_shot_vector_once():
     # Read twice, an iterator's integrality test saw nothing and the
     # half-integer vector passed as its truncation (1, 0, 0, 1, 0, 0).
@@ -1041,6 +1071,34 @@ def test_is_fundamental_reads_a_one_shot_vector_once():
         with pytest.raises(NotASolution):
             is_fundamental(cone, vector)
     assert is_fundamental(cone, iter([1, 0, 0, 1, 0, 0]))
+
+
+def test_is_fundamental_admits_once(monkeypatch):
+    # A vertex, twice a vertex, and a non-vertex that goes to the box
+    # search.
+    calls = []
+    admit = SolutionCone.admit
+
+    def counted(self, v):
+        calls.append(v)
+        return admit(self, v)
+
+    monkeypatch.setattr(SolutionCone, "admit", counted)
+    cone = SolutionCone(q_matrix(build_triangulation(4, 1)))
+    sphere = (0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 1, 0)
+    for v, minimal in ((sphere, True), (tuple(2 * x for x in sphere), False),
+                       ((0, 1, 0, 0, 0, 1) * 2, True)):
+        calls.clear()
+        assert is_fundamental(cone, v) == minimal
+        assert calls == [v]
+
+
+def test_support_without_kernel_is_a_bug_signal():
+    # Only an admitted solution reaches the kernel step, so a support
+    # whose kernel is empty is a broken invariant, not bad input.
+    with pytest.raises(InternalInvariantError,
+                       match="lost the solution"):
+        _support_kernel_dimension(SolutionCone([[1, 0], [0, 1]]), (1, 1))
 
 
 @pytest.mark.parametrize("p,q", coprime_pairs(4))

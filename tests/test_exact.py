@@ -32,6 +32,7 @@ from necklace_oracle import (
     extreme_rays_of_kernel,
     necklace_kernels,
     prenecklaces,
+    primitive,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
@@ -114,9 +115,9 @@ def test_extreme_rays_match_the_support_oracle(rows):
 
 
 def test_primitive_keeps_signs_and_zero():
-    assert exact.primitive([4, -6, 0]) == (2, -3, 0)
-    assert exact.primitive([0, 0]) == (0, 0)
-    assert exact.primitive([-1, 1]) == (-1, 1)
+    assert primitive([4, -6, 0]) == (2, -3, 0)
+    assert primitive([0, 0]) == (0, 0)
+    assert primitive([-1, 1]) == (-1, 1)
 
 
 # ------------------------------------- row-wise reference elimination
@@ -129,7 +130,7 @@ def reference_row_echelon(rows):
     pivot row; each row is primitive.  Returns (echelon_rows,
     pivot_columns), with the zero rows last.
     """
-    m = [list(exact.primitive([index(x) for x in row])) for row in rows]
+    m = [list(primitive([index(x) for x in row])) for row in rows]
     if not m:
         return [], []
     pivots = []
@@ -145,7 +146,7 @@ def reference_row_echelon(rows):
         for i in range(len(m)):
             f = m[i][c]
             if i != r and f:
-                m[i] = list(exact.primitive(
+                m[i] = list(primitive(
                     [piv * a - f * b for a, b in zip(m[i], m[r])]))
         pivots.append(c)
         r += 1
@@ -185,7 +186,7 @@ def reference_kernel_basis(rows, ncols=None):
         vec[fc] = scale
         for r, pc in enumerate(pivots):
             vec[pc] = -echelon[r][fc] * scale // echelon[r][pc]
-        basis.append(exact.primitive(vec))
+        basis.append(primitive(vec))
     return basis
 
 

@@ -249,6 +249,23 @@ def test_decompose_refuses_a_matrix_of_another_pair():
         decompose(build_triangulation(7, 2), v, matrix=other)
 
 
+def test_decompose_checks_the_pair_once(monkeypatch):
+    # A non-solution takes the residual path, which reads the given
+    # matrix without checking its pair a second time.
+    calls = []
+    guard = qsystem_module.check_same_pair
+
+    def counted(*args):
+        calls.append(args)
+        guard(*args)
+
+    monkeypatch.setattr(qsystem_module, "check_same_pair", counted)
+    tri = build_triangulation(3, 1)
+    with pytest.raises(NotASolution):
+        decompose(tri, (1, 0, 0, 0, 0, 0, 0, 0, 0), matrix=q_matrix(tri))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("p,q", coprime_pairs(40))
 def test_decompose_round_trip(p, q):
     """decompose . expand is the identity.  b all integers or all
@@ -347,8 +364,7 @@ def test_python_int_and_fraction_vectors_take_the_object_path_exactly(p, q):
         assert matrix.admit(v)[1].dtype == np.int64
         assert matrix.admit(big)[1].dtype == object
         for w, factor in ((big, scale), (fractions, 1)):
-            assert matrix.check_solution_vector(w) == tuple(
-                factor * x for x in v)
+            assert matrix.admit(w)[0] == tuple(factor * x for x in v)
             assert square_condition(w) == square_condition(v)
             ints, got = decompose(tri, v), decompose(tri, w)
             assert got.a == tuple(factor * x for x in ints.a)
@@ -362,14 +378,14 @@ def test_python_int_and_fraction_vectors_take_the_object_path_exactly(p, q):
         off = list(big)
         off[rng.randrange(3 * p)] += 1
         with pytest.raises(NotASolution):
-            matrix.check_solution_vector(off)
+            matrix.admit(off)[0]
         with pytest.raises(NotASolution):
             decompose(tri, off)
         off[0] = -scale
         with pytest.raises(NegativeEntry,
                            match=f"^vector has a negative entry: position 0 "
                                  f"is -{scale}$"):
-            matrix.check_solution_vector(off)
+            matrix.admit(off)[0]
 
 
 def test_expand_matches_literal_combination():
