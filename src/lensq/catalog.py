@@ -350,7 +350,9 @@ def verify_fixture(fixture: Fixture, budget: Budget | None = None):
     """Check every property tag of one fixture against its surface
     report and, for the minimality tags, the box search of
     ``is_fundamental``.  Returns a list of CheckResult, one per tag it
-    knows; ``solution`` and ``square`` were already checked on load."""
+    knows; ``solution`` and ``square`` were already checked on load.  A
+    tag after the record's name that no check knows gives a failed
+    CheckResult, so a misspelled tag cannot pass unchecked."""
     p, q = fixture.params.p, fixture.params.q
     tri = build_triangulation(p, q)
     matrix = q_matrix(tri)
@@ -360,7 +362,7 @@ def verify_fixture(fixture: Fixture, budget: Budget | None = None):
     # frontier cap meant for the minimality searches below.
     report = classify(tri, fixture.vector, matrix=matrix)
     criterion = report.haken_fundamental_criterion
-    for tag in fixture.tags:
+    for position, tag in enumerate(fixture.tags):
         label = f"({p},{q}) {name}: {tag}"
         if tag in ("solution", "square"):
             checks.append(CheckResult(label, True, "validated on load"))
@@ -384,4 +386,6 @@ def verify_fixture(fixture: Fixture, budget: Budget | None = None):
             want = tag.replace("-", " ").replace("klein", "Klein")
             got = [surface_name(e, o) for e, o in report.components]
             checks.append(CheckResult(label, got == [want], f"got {got}"))
+        elif position:
+            checks.append(CheckResult(label, False, "unknown tag"))
     return checks

@@ -23,7 +23,8 @@ from .cone import Budget, hilbert_basis, is_fundamental
 from .errors import BudgetExceeded, DimensionMismatch, LensQError
 from .qsystem import decompose, integrality_class, q_matrix
 from .surface import classify, haken_matrix, surface_name
-from .triangulation import CORNER_NAMES, LensParams, build_triangulation
+from .triangulation import (CORNER_NAMES, SLOTS_PER_TET, LensParams,
+                            build_triangulation)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -90,9 +91,9 @@ def cmd_matrix(args) -> int:
         col_labels = [f"x{i}{j}" for i in tri.tetrahedra for j in (1, 2, 3)]
     else:
         rows = haken_matrix(tri)
+        corners = tri.corner_slots[:, 0] % SLOTS_PER_TET
         row_labels = [f"{tri.face_label(row)}.{CORNER_NAMES[corner]}"
-                      for row, corner
-                      in enumerate(tri.corner_table[:, 1].tolist())]
+                      for row, corner in enumerate(corners.tolist())]
         col_labels = [f"tet{i}.{name}" for i in tri.tetrahedra
                       for name in ("tT", "tB", "tL", "tR", "x1", "x2", "x3")]
     if args.format == "json":

@@ -26,7 +26,8 @@ stay small without ever leaving the integers.  What is left is either a
 new pivot or, when every row entry has cancelled, the column's
 dependency on the earlier independent columns.  That dependency is the
 kernel vector of the free column in reduced row echelon form, so
-``column_kernel_basis`` is a loop over this one step, and
+``kernel_basis`` is a loop over this one step on the sparse columns
+of its rows, and
 ``cone.is_vertex`` pushes a support's columns to read the dimension of
 its kernel.
 
@@ -193,17 +194,13 @@ def column_pairs(col_start, col_rows, col_coefs, j):
 
 
 def kernel_basis(rows, ncols=None):
-    """Basis of the rational nullspace {x : rows . x = 0}; ``ncols`` is
-    required when ``rows`` is empty.  See ``column_kernel_basis``."""
-    return column_kernel_basis(*sparse_columns(rows, ncols))
-
-
-def column_kernel_basis(col_start, col_rows, col_coefs):
-    """Basis of the rational nullspace of the system held as the given
-    compressed sparse columns: primitive integer tuples, one per free
-    column (a column that depends on the columns before it), each
-    positive on its own free column and zero on the other free
-    columns."""
+    """Basis of the rational nullspace {x : rows . x = 0}, pushed
+    column by column from ``sparse_columns(rows, ncols)``: primitive
+    integer tuples, one per free column (a column that depends on the
+    columns before it), each positive on its own free column and zero
+    on the other free columns.  ``ncols`` is required when ``rows`` is
+    empty."""
+    col_start, col_rows, col_coefs = sparse_columns(rows, ncols)
     n = len(col_start) - 1
     pivots, basis = [], []
     for k in range(n):

@@ -19,11 +19,11 @@ one rule (``_value_dtype``): int64 when a bound on the widest sum the
 passes form proves that every value fits, ``object`` (Python ints)
 otherwise, on the same code path.
 
-The full (trigon + quad) matching system is held as one table,
-``_corner_slots``: per glued face corner, the full-coordinate
-positions of the trigon and the quad on each side.  The dense matrix,
-its residual, the Euler count and the gluing all read it; ``classify``
-builds it once.
+The full (trigon + quad) matching system is read through one table,
+``LensTriangulation.corner_slots``: per glued face corner, the
+full-coordinate positions of the trigon and the quad on each side.  The
+dense matrix, its residual, the trigon walk, the Euler count and the
+gluing all read it.
 
 Classification numbers the disks slot by slot and glues them across
 every face corner, matching arcs in nesting order.  The 6p glued
@@ -40,7 +40,8 @@ slots around r, all in one component, so a component's vertices on r
 are its crossings with r over deg(r); chi = vertices - arcs + disks,
 per component.  The trigon levels need no labelling either: they are
 running sums along the chains of the corner graph's closed-form
-spanning tree, ``LensTriangulation.level_tree``.
+spanning tree, ``LensTriangulation.level_tree``, written straight into
+the trigon positions.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .triangulation import (
     QUAD_TYPES,
     PAIR_TO_QUAD,
     RIGHT,
+    SLOTS_PER_TET,
     TOP,
     LensTriangulation,
     check_same_pair,
@@ -80,10 +82,6 @@ from .triangulation import (
 # The largest id int32 holds.
 INT32_MAX = int(np.iinfo(np.int32).max)
 
-# Per-tetrahedron layout of a full coordinate vector: four trigon counts
-# in corner order, then the three quad counts.  Disks are numbered in
-# the same order, each slot's copies in a row.
-SLOTS_PER_TET = 7
 # Per local edge, the four slots of a tetrahedron's block that cross
 # it: the trigons at its two ends and the two quad types not parallel
 # to it.
@@ -98,8 +96,8 @@ CROSSES = np.array([[k in slots for slots in WEIGHT_SLOTS]
 # of side b ascend toward the corner (step 1): whether the corner lies
 # on the first side of its quad's partition.
 QUAD_ASCENDS = np.array([
-    (za in QUAD_PAIRS[qa + 1][0], zb in QUAD_PAIRS[qb + 1][0])
-    for za, qa, zb, qb in CORNER_TEMPLATE])
+    (za in QUAD_PAIRS[xa - 3][0], zb in QUAD_PAIRS[xb - 3][0])
+    for za, xa, zb, xb in CORNER_TEMPLATE])
 
 
 class FullCoordinates:
@@ -165,18 +163,9 @@ def _value_dtype(p: int, largest: int):
     return value_dtype(12 * p * largest)
 
 
-def _corner_slots(tri: LensTriangulation):
-    """Per glued face corner (row of ``tri.corner_table``), the entries
-    of a full coordinate vector whose arcs meet there, as a 6p x 4
-    int64 array of positions: (trigon a, quad a, trigon b, quad b)."""
-    table = tri.corner_table
-    return (SLOTS_PER_TET * table[:, [0, 0, 3, 3]] + table[:, [1, 2, 4, 5]]
-            + (0, 4, 0, 4))
-
-
 def haken_matrix(tri: LensTriangulation):
     """The 6p x 7p full matching matrix, the dense form of
-    ``_corner_slots`` for display: one row per glued face corner.
+    ``tri.corner_slots`` for display: one row per glued face corner.
 
     Row blocks follow the face-class order (vertical then cone faces),
     with one row per corner of the first side, corners ascending.  Each
@@ -186,7 +175,7 @@ def haken_matrix(tri: LensTriangulation):
     """
     n = SLOTS_PER_TET * tri.p
     rows = []
-    for trigon_a, quad_a, trigon_b, quad_b in _corner_slots(tri).tolist():
+    for trigon_a, quad_a, trigon_b, quad_b in tri.corner_slots.tolist():
         row = [0] * n
         row[trigon_a] += 1
         row[quad_a] += 1
@@ -196,10 +185,10 @@ def haken_matrix(tri: LensTriangulation):
     return tuple(rows)
 
 
-def _residual(full: FullCoordinates, slots):
+def _residual(full: FullCoordinates):
     """``haken_matrix`` applied to ``full``, as an array with one entry
-    per row of ``slots`` (``_corner_slots``)."""
-    arcs = full.array[slots]
+    per row of ``full.tri.corner_slots``."""
+    arcs = full.array[full.tri.corner_slots]
     return arcs[:, 0] + arcs[:, 1] - arcs[:, 2] - arcs[:, 3]
 
 
@@ -208,7 +197,7 @@ def haken_residual(tri: LensTriangulation, full: FullCoordinates):
     glued face corner, without building the matrix.  A surface of
     another (p,q) raises InvalidParams."""
     check_same_pair(tri, full.tri, "surface")
-    return tuple(_residual(full, _corner_slots(tri)).tolist())
+    return tuple(_residual(full).tolist())
 
 
 def reconstruct_trigons(tri: LensTriangulation, v,
@@ -216,20 +205,23 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     """Fill in trigon counts for a quad solution with the square
     condition, normalized to have no trivial component.
 
-    Each glued face corner z of ``tri.corner_table`` imposes
+    Each glued face corner z (row of ``tri.corner_slots``) imposes
     t(z) + x(quad at z) = t(z') + x(quad at z'), one difference between
     two trigon levels.  The levels are walked along the spanning tree
     ``tri.level_tree``, which fixes all trigon counts up to one
     constant for the pole corners and one for the equator corners; the
     no-trivial-component normalization pins each to make its minimum
-    zero.  The tree is three chains hung from its roots, whose levels
-    are running sums of their steps, and one step to each RIGHT corner,
-    so the walk is a few array passes in the surface's value dtype
-    (``_value_dtype``), picked up front from the largest entry a walk
-    of p steps can reach.  The full matching equations are then checked
-    on every corner at once, so a corner outside the tree whose cycle
-    does not close, impossible for a matching solution, raises
-    InconsistentPropagation as a guarded bug signal.
+    zero.  The quads are put into the p x 7 entries first, so each
+    step reads its two quads through ``corner_slots`` and each level is
+    written straight into its trigon position.  The tree is three
+    chains hung from its roots, whose levels are running sums of their
+    steps, and one step to each RIGHT corner, so the walk is a few
+    array passes in the surface's value dtype (``_value_dtype``),
+    picked up front from the largest entry a walk of p steps can reach.
+    The full matching equations are then checked on every corner at
+    once, so a corner outside the tree whose cycle does not close,
+    impossible for a matching solution, raises InconsistentPropagation
+    as a guarded bug signal.
 
     ``v`` is admitted by ``matrix.admit``: a non-integral entry or a
     failed matching equation raises NotASolution, a wrong length
@@ -239,29 +231,25 @@ def reconstruct_trigons(tri: LensTriangulation, v,
     read through ``qsystem.matrix_for``: a matrix of another (p,q)
     raises InvalidParams.
     """
-    return _reconstruct(tri, v, matrix, _corner_slots(tri))
-
-
-def _reconstruct(tri, v, matrix, slots):
-    """``reconstruct_trigons``, checked on the corners of ``slots``."""
     _, admitted = matrix_for(tri, matrix).admit(v)
     if not square_condition(admitted):
         raise SquareConditionViolated(
             "more than one quad type in a tetrahedron")
 
-    # Corner node 4(tet-1)+c holds the trigon level, which steps by the
-    # quad count at the parent's side minus that at the node's side.
-    # A level lies within p steps of 0, so the surface's entries lie
-    # within 2p max(vec); the running sum over the 3p - 2 chain steps
-    # below stays far inside the 24 p^2 max(vec) that dtype admits.
+    # A trigon level steps by the quad count at the parent's side minus
+    # that at the node's side.  A level lies within p steps of 0, so the
+    # surface's entries lie within 2p max(vec); the running sum over the
+    # 3p - 2 chain steps below stays far inside the 24 p^2 max(vec) that
+    # dtype admits.
     p = tri.p
-    quads = admitted.astype(_value_dtype(p, 2 * p * int(admitted.max())),
-                            copy=False)
+    entries = np.zeros((p, SLOTS_PER_TET),
+                       dtype=_value_dtype(p, 2 * p * int(admitted.max())))
+    entries[:, 4:] = admitted.reshape(p, 3)
+    flat = entries.reshape(-1)
     tree = tri.level_tree
-    tet_a, _, qa, tet_b, _, qb = tri.corner_table[tree[:, 2]].T
-    sides = (3 * tet_a + qa, 3 * tet_b + qb)
-    up, down = np.where(tree[:, 3] > 0, sides, sides[::-1])
-    step = quads[up] - quads[down]
+    quad = tri.corner_slots[tree[:, 2], 1::2].T
+    up, down = np.where(tree[:, 3] > 0, quad, quad[::-1])
+    step = flat[up] - flat[down]
     # Rows [0, p-1), [p-1, 2p-1) and [2p-1, 3p-2) are the TOP, BOT and
     # LEFT chains, each hung from a root at level 0, so their levels are
     # one running sum restarted at each chain; the last p rows hang one
@@ -269,18 +257,13 @@ def _reconstruct(tri, v, matrix, slots):
     run = np.cumsum(step[:3 * p - 2])
     run[p - 1:] -= run[p - 2]
     run[2 * p - 1:] -= run[2 * p - 2]
-    level = np.zeros(4 * p, dtype=quads.dtype)
-    level[tree[:3 * p - 2, 0]] = run
+    flat[tree[:3 * p - 2, 0]] = run
     right = tree[3 * p - 2:]
-    level[right[:, 0]] = level[right[:, 1]] + step[3 * p - 2:]
-
-    level = level.reshape(p, 4)
-    entries = np.empty((p, SLOTS_PER_TET), dtype=quads.dtype)
+    flat[right[:, 0]] = flat[right[:, 1]] + step[3 * p - 2:]
     for corners in ((TOP, BOT), (LEFT, RIGHT)):
-        entries[:, corners] = level[:, corners] - level[:, corners].min()
-    entries[:, 4:] = quads.reshape(p, 3)
-    full = FullCoordinates(tri, entries.ravel())
-    if np.count_nonzero(_residual(full, slots)):
+        entries[:, corners] -= entries[:, corners].min()
+    full = FullCoordinates(tri, flat)
+    if np.count_nonzero(_residual(full)):
         raise InconsistentPropagation(
             "reconstructed coordinates fail the full matching equations")
     return full
@@ -317,13 +300,13 @@ def euler_characteristic(tri: LensTriangulation, full: FullCoordinates) -> int:
     """chi = edge crossings - face arcs + disks, each counted once per
     class of the glued-up cell structure.  A surface of another (p,q)
     raises InvalidParams."""
-    return _cell_euler(full, edge_weights(tri, full), _corner_slots(tri))
+    return _cell_euler(full, edge_weights(tri, full))
 
 
-def _cell_euler(full, weights, slots):
-    """``euler_characteristic`` given the surface's edge weights and
-    its ``_corner_slots``: the arcs are counted on side a."""
-    arcs = int(full.array[slots[:, :2]].sum())
+def _cell_euler(full, weights):
+    """``euler_characteristic`` given the surface's edge weights: the
+    arcs are counted on side a of ``full.tri.corner_slots``."""
+    arcs = int(full.array[full.tri.corner_slots[:, :2]].sum())
     return sum(weights.values()) - arcs + full.total_disks()
 
 
@@ -388,7 +371,7 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     copies sit nearest the vertex, quad copies follow, and parallel
     quad copies run toward or away from the corner according to which
     side of the quad's partition the corner lies on.  The glued
-    corners' positions come as one integer table (``_corner_slots``),
+    corners' positions come as one integer table (``tri.corner_slots``),
     their ascend flags from ``QUAD_ASCENDS``; array passes turn them
     into the arcs.  A ``budget``, if given, is charged the disk count,
     and its deadline read, before any array is made.
@@ -400,11 +383,6 @@ def glue_disks(tri: LensTriangulation, full: FullCoordinates,
     budget or not.  A surface of another (p,q) raises InvalidParams.
     """
     check_same_pair(tri, full.tri, "surface")
-    return _glue(tri, full, _corner_slots(tri), budget)
-
-
-def _glue(tri, full, slots, budget):
-    """``glue_disks`` across the corners of ``slots``."""
     total = full.total_disks()
     if budget is not None:
         budget.check(total, what="normal disks")
@@ -412,19 +390,20 @@ def _glue(tri, full, slots, budget):
         raise BudgetExceeded(
             f"{total} normal disks cannot be indexed in int64")
     dtype = _index_dtype(max(2 * total, len(full.array)))
-    # Row k of the corner table takes its face template's row.
+    # Row k of ``corner_slots`` takes its face template's row.
     ascend = np.broadcast_to(QUAD_ASCENDS.reshape(2, 1, 3, 2),
                              (2, tri.p, 3, 2)).reshape(-1, 2)
     counts = full.array.astype(dtype)
     first = np.zeros(len(counts) + 1, dtype=dtype)
     np.cumsum(counts, out=first[1:])
+    slots = tri.corner_slots
     side_a = _side_runs(first, slots[:, 0], slots[:, 1], ascend[:, 0])
     side_b = _side_runs(first, slots[:, 2], slots[:, 3], ascend[:, 1])
     arity_a, arity_b = side_a[1].sum(axis=1), side_b[1].sum(axis=1)
     wrong = np.flatnonzero(arity_a != arity_b)
     if wrong.size:
         k = wrong[0]
-        za, zb = tri.corner_table[k, [1, 4]].tolist()
+        za, zb = (slots[k, [0, 2]] % SLOTS_PER_TET).tolist()
         raise ArityMismatch(
             f"face {tri.face_label(k)} corner {za}->{zb}: "
             f"{arity_a[k]} vs {arity_b[k]} arcs")
@@ -600,10 +579,9 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     its deadline read once per round of the side labelling, the only
     labelling here.
     """
-    slots = _corner_slots(tri)
-    full = _reconstruct(tri, v, matrix, slots)
+    full = reconstruct_trigons(tri, v, matrix)
     weights = edge_weights(tri, full)
-    graph = _glue(tri, full, slots, budget)
+    graph = glue_disks(tri, full, budget)
     component_of, one_sided = _components(graph, budget)
 
     # An arc lies in one component by construction: its disks were
@@ -627,7 +605,7 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
     components = tuple(zip(euler.tolist(), (~one_sided).tolist()))
 
     total_euler = sum(e for e, _ in components)
-    formula_euler = _cell_euler(full, weights, slots)
+    formula_euler = _cell_euler(full, weights)
     if total_euler != formula_euler:
         raise InconsistentPropagation(
             f"component Euler sum {total_euler} != cell count "

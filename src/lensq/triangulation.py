@@ -34,25 +34,30 @@ Tetrahedron k meets only k +- 1 and k +- q, so the incidence is two
 read-only int64 tables in closed form, built with numpy up front.
 Their indices are 0-based: tetrahedron k is row k - 1, quad type j is
 j - 1, and edge class r is ``edge_classes[r]`` (e_i, then Eh, Ev).
+A full (trigon + quad) coordinate vector has one block of
+``SLOTS_PER_TET`` = 7 positions per tetrahedron, from 7 (k - 1): the
+trigons at corners TOP, BOT, LEFT, RIGHT, then quad types 1, 2, 3.
 
 * ``slot_edges`` (p x 6), the edge class of each local edge in
   ``LOCAL_EDGES`` order: row k is (Ev, Eh, k, k+1, k-q, k+1-q) mod p.
-* ``corner_table`` (6p x 6), one glued face corner per row: (tet a,
-  corner a, quad a, tet b, corner b, quad b), the quad type being the
-  one whose arc cuts off that corner in that face.  Face V_k glues
-  tetrahedron k-1 to k and H_k glues k to k+q, each by a three-row
-  template (``FACE_TEMPLATES``): rows V_1..V_p, then H_1..H_p.
+* ``corner_slots`` (6p x 4), one glued face corner per row: the
+  full-coordinate positions (trigon a, quad a, trigon b, quad b) of
+  its corner on each side and of the quad type whose arc cuts off that
+  corner in that face.  Face V_k glues tetrahedron k-1 to k and H_k
+  glues k to k+q, each by a three-row template of in-block offsets
+  (``CORNER_TEMPLATE``): rows V_1..V_p, then H_1..H_p.  A position's
+  local corner is the position mod ``SLOTS_PER_TET``.
 
 A quad type's senses are one template over the local edges
 (``sense_template``), since which edges of a row coincide depends on p
-and q only.  ``face_label`` names the face of a ``corner_table`` row,
+and q only.  ``face_label`` names the face of a ``corner_slots`` row,
 for display and error messages.  ``check_same_pair`` is the one guard
 that refuses a matrix or a surface of another (p,q).
 
-The corner graph (local corners joined across every glued face corner)
-has two classes, the poles and the equator, for every coprime (p,q).
-``level_tree`` walks it along a spanning tree in closed form, so no
-class labelling is needed here.
+The corner graph (trigon positions joined across every glued face
+corner) has two classes, the poles and the equator, for every coprime
+(p,q).  ``level_tree`` walks it along a spanning tree in closed form,
+so no class labelling is needed here.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ import numpy as np
 from .errors import BudgetExceeded, InvalidParams
 from .exact import INT64_MAX
 
-# Local corner labels of one tetrahedron.
+# Local corner labels of one tetrahedron, also the in-block offsets of
+# their trigons.
 TOP, BOT, LEFT, RIGHT = 0, 1, 2, 3
 CORNER_NAMES = {TOP: "top", BOT: "bot", LEFT: "left", RIGHT: "right"}
 
@@ -86,6 +92,10 @@ QUAD_PAIRS = {
 PAIR_TO_QUAD = {pair: j for j, pairs in QUAD_PAIRS.items() for pair in pairs}
 QUAD_TYPES = (1, 2, 3)
 
+# Positions per tetrahedron in full coordinates: four trigons in corner
+# order, then quad type j at offset 3 + j.
+SLOTS_PER_TET = 7
+
 # The face templates: (label prefix, face of side a, face of side b,
 # (corner a, corner b) pairs by corner a).  V_k is the RIGHT
 # face of tetrahedron k and the LEFT face of k-1; H_k glues the upper
@@ -94,12 +104,12 @@ FACE_TEMPLATES = (
     ("V", LEFT, RIGHT, ((TOP, TOP), (BOT, BOT), (RIGHT, LEFT))),
     ("H", BOT, TOP, ((TOP, BOT), (LEFT, LEFT), (RIGHT, RIGHT))),
 )
-# Their six corner rows, V then H: (corner a, quad a, corner b, quad b),
-# quad types from 0.  The quad type that cuts off a corner in a face
+# Their six corner rows, V then H, as in-block offsets (trigon a, quad
+# a, trigon b, quad b).  The quad type that cuts off a corner in a face
 # pairs the corner with the face's off vertex, the face's own label.
 CORNER_TEMPLATE = tuple(
-    (za, PAIR_TO_QUAD[frozenset((za, fa))] - 1,
-     zb, PAIR_TO_QUAD[frozenset((zb, fb))] - 1)
+    (za, 3 + PAIR_TO_QUAD[frozenset((za, fa))],
+     zb, 3 + PAIR_TO_QUAD[frozenset((zb, fb))])
     for _, fa, fb, pairs in FACE_TEMPLATES for za, zb in pairs)
 
 
@@ -128,13 +138,13 @@ class LensTriangulation:
     Construct via :func:`build_triangulation`.  All query methods are
     pure; instances can be shared freely across threads.  The incidence
     is held as the read-only index tables ``slot_edges`` and
-    ``corner_table`` (see the module docstring).
+    ``corner_slots`` (see the module docstring).
     """
 
     def __init__(self, params: LensParams):
         p, q = params.p, params.q
-        # The widest index, a full-coordinate slot, lies below 7p.
-        if 7 * p > INT64_MAX:
+        # The widest index, a full-coordinate position, lies below 7p.
+        if SLOTS_PER_TET * p > INT64_MAX:
             raise BudgetExceeded(f"p = {p} cannot be indexed in int64")
         self.p, self.q = p, q
         self.tetrahedra = tuple(range(1, p + 1))
@@ -145,18 +155,19 @@ class LensTriangulation:
         slot_edges = np.empty((p, 6), dtype=np.int64)
         slot_edges[:, 0], slot_edges[:, 1] = p + 1, p
         slot_edges[:, 2:] = (k[:, None] + (0, 1, -q, 1 - q)) % p
-        # Face template f glues tetrahedron k + shift_a to k + shift_b.
-        table = np.empty((2, p, 3, 6), dtype=np.int64)
-        table[..., [1, 2, 4, 5]] = np.reshape(CORNER_TEMPLATE, (2, 1, 3, 4))
-        for f, (shift_a, shift_b) in enumerate(((-1, 0), (0, q))):
-            table[f, :, :, 0] = ((k + shift_a) % p)[:, None]
-            table[f, :, :, 3] = ((k + shift_b) % p)[:, None]
-        self.slot_edges, self.corner_table = slot_edges, table.reshape(-1, 6)
-        for array in (self.slot_edges, self.corner_table):
+        # Face template f glues tetrahedron k - 1 to k (V) or k to k + q
+        # (H): per face and column, the block of that column's side.
+        shifts = np.array(((-1, -1, 0, 0), (0, 0, q, q)))[:, None]
+        blocks = SLOTS_PER_TET * ((k[:, None] + shifts) % p)
+        corner_slots = (blocks[:, :, None]
+                        + np.reshape(CORNER_TEMPLATE, (2, 1, 3, 4)))
+        self.slot_edges = slot_edges
+        self.corner_slots = corner_slots.reshape(-1, 4)
+        for array in (self.slot_edges, self.corner_slots):
             array.flags.writeable = False
 
     def face_label(self, row: int) -> str:
-        """The face, "V_k" or "H_k", that glues ``corner_table`` row
+        """The face, "V_k" or "H_k", that glues ``corner_slots`` row
         ``row``."""
         prefix = FACE_TEMPLATES[row // (3 * self.p)][0]
         return f"{prefix}{row // 3 % self.p + 1}"
@@ -164,11 +175,11 @@ class LensTriangulation:
     @property
     def level_tree(self):
         """A spanning walk of the corner graph, as a read-only
-        (4p - 2) x 4 int64 table of (node, parent, ``corner_table``
-        row, sign), corner node 4 (tet - 1) + corner.  Every node comes
-        after its parent; the roots are TOP and LEFT of tetrahedron 1.
-        The row's side b is the node when sign is 1 and the parent when
-        it is -1.
+        (4p - 2) x 4 int64 table of (node, parent, ``corner_slots``
+        row, sign), each node a trigon position 7 (tet - 1) + corner.
+        Every node comes after its parent; the roots are TOP and LEFT
+        of tetrahedron 1.  The row's side b is the node when sign is 1
+        and the parent when it is -1.
 
         With tetrahedra from 1 and indices mod p, the walk takes TOP
         k-1 -> k and BOT k-1 -> k by V_k, TOP 1 -> BOT 1+q by H_1, LEFT
@@ -182,17 +193,17 @@ class LensTriangulation:
         about 1% of one walk along it, so nothing is written onto the
         triangulation.
         """
-        p, q = self.p, self.q
+        p, q, n = self.p, self.q, SLOTS_PER_TET
         k = np.arange(p)
         # The tetrahedra (from 0) of the BOT chain and the LEFT chain,
         # in walk order.
         bot, left = (q + k) % p, k * q % p
-        nodes = np.concatenate((4 * k[1:] + TOP, 4 * bot + BOT,
-                                4 * left[1:] + LEFT,
-                                4 * ((k - 1) % p) + RIGHT))
-        parents = np.concatenate((4 * k[:-1] + TOP, [TOP],
-                                  4 * bot[:-1] + BOT, 4 * left[:-1] + LEFT,
-                                  4 * k + LEFT))
+        nodes = np.concatenate((n * k[1:] + TOP, n * bot + BOT,
+                                n * left[1:] + LEFT,
+                                n * ((k - 1) % p) + RIGHT))
+        parents = np.concatenate((n * k[:-1] + TOP, [TOP],
+                                  n * bot[:-1] + BOT, n * left[:-1] + LEFT,
+                                  n * k + LEFT))
         # Face f (from 0, the p H faces after the p V faces) holds rows
         # 3f + pair, its pairs in ``FACE_TEMPLATES`` order.
         rows = np.concatenate((3 * k[1:], [3 * p], 3 * bot[1:] + 1,
@@ -244,7 +255,7 @@ def build_triangulation(params_or_p, q: int | None = None) -> LensTriangulation:
     """Build the triangulation for ``LensParams`` or a plain (p, q) pair.
 
     Raises InvalidParams unless p >= 2, 1 <= q <= p-1 and gcd(p,q) = 1,
-    and BudgetExceeded when the 7p full-coordinate slots cannot be
+    and BudgetExceeded when the 7p full-coordinate positions cannot be
     indexed in int64.
     """
     if isinstance(params_or_p, LensParams):

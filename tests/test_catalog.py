@@ -17,6 +17,7 @@ from lensq.catalog import (
     fixture_text,
     fixtures,
     read_records,
+    verify_fixture,
     verify_theorems,
 )
 from lensq.cone import graded_lex_key
@@ -209,6 +210,19 @@ def test_fixtures_load_and_verify():
     assert len(records) == 9
     pairs = {(f.params.p, f.params.q) for f in records}
     assert pairs == {(8, 3), (16, 3), (18, 7), (30, 11), (418, 153)}
+
+
+def test_misspelled_fixture_tags_fail_instead_of_passing_unchecked():
+    record = next(f for f in fixtures() if f.tags[0] == "h-t1")
+    known = verify_fixture(record)
+    assert [check.passed for check in known] == [True] * 4
+    checks = verify_fixture(dataclasses.replace(
+        record, tags=record.tags + ("eulr=5", "q-fundamentl")))
+    assert checks[:4] == known
+    assert [(check.name, check.passed, check.detail)
+            for check in checks[4:]] == [
+        ("(8,3) h-t1: eulr=5", False, "unknown tag"),
+        ("(8,3) h-t1: q-fundamentl", False, "unknown tag")]
 
 
 def test_records_parse_and_name_the_malformed_line():

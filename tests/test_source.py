@@ -57,6 +57,27 @@ def test_one_union_find_and_no_breadth_first_queues():
     assert stray == []
 
 
+def test_one_full_coordinate_layout_and_no_corner_slot_twins():
+    # The full-coordinate layout is defined once, next to the glued-corner
+    # table that reads it (``LensTriangulation.corner_slots``): only
+    # triangulation.py assigns SLOTS_PER_TET, and no module derives the
+    # corner positions again in a function of its own.
+    layouts, twins = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(
+                           node, (ast.AnnAssign, ast.AugAssign)) else [])
+            if any(isinstance(target, ast.Name)
+                   and target.id == "SLOTS_PER_TET" for target in targets):
+                layouts.append(path.name)
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == "_corner_slots"):
+                twins.append(f"{path.name}:{node.lineno}")
+    assert layouts == ["triangulation.py"]
+    assert twins == []
+
+
 def test_benchmark_imports_resolve():
     # The benchmark's traced replay runs outside this suite; a rename or
     # deletion of a package name it imports, or reads off an imported

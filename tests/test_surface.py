@@ -397,9 +397,10 @@ def test_disk_graph_counts_arcs_and_vertices(p, q):
         full = reconstruct_trigons(tri, tuple(2 * x for x in t))
         graph = glue_disks(tri, full)
         assert len(graph.disks) == full.total_disks()
+        entries = full.entries
         assert len(graph.arcs) == sum(
-            full.trigons(tet + 1, corner) + full.quads(tet + 1, qtype + 1)
-            for tet, corner, qtype in tri.corner_table[:, :3].tolist())
+            entries[trigon] + entries[quad]
+            for trigon, quad, _, _ in tri.corner_slots.tolist())
 
 
 def test_classify_memory_stays_in_arrays():

@@ -5,7 +5,7 @@ and edge incidence, vertex classes, and the sense tables.
 The closed-form index tables are checked against per-slot reference
 builders kept here: one face class, edge slot, corner gluing and sense
 contribution at a time.  Edge degrees, vertex classes and senses are
-read off what the program reads: ``slot_edges``, ``corner_table`` and
+read off what the program reads: ``slot_edges``, ``corner_slots`` and
 the quad matrix.
 """
 
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from lensq.errors import BudgetExceeded, InvalidParams
 from lensq.qsystem import q_matrix
-from lensq.surface import QUAD_ASCENDS, _corner_slots, least_labels
+from lensq.surface import QUAD_ASCENDS, least_labels
 from lensq.triangulation import (
     BOT,
     LEFT,
@@ -29,6 +29,7 @@ from lensq.triangulation import (
     QUAD_PAIRS,
     QUAD_TYPES,
     RIGHT,
+    SLOTS_PER_TET,
     TOP,
     LensParams,
     build_triangulation,
@@ -159,17 +160,29 @@ def reference_corner_slots(tri):
     return positions, ascends
 
 
+def corner_sides(tri):
+    """``tri.corner_slots`` read back by divmod ``SLOTS_PER_TET``, one
+    glued corner per row: (tet a, corner a, quad a, tet b, corner b,
+    quad b), tetrahedra and quad types from 0.  Each side's quad lies in
+    its trigon's block, quad type j at in-block offset 3 + j."""
+    tet, offset = np.divmod(tri.corner_slots, SLOTS_PER_TET)
+    assert np.array_equal(tet[:, 0::2], tet[:, 1::2])
+    return np.stack((tet[:, 0], offset[:, 0], offset[:, 1] - 4,
+                     tet[:, 2], offset[:, 2], offset[:, 3] - 4), axis=1)
+
+
 def vertex_classes(tri):
     """The local corners (tetrahedron, corner) of each vertex class, in
-    order of their least corner: the corner graph of ``corner_table``
-    labelled by ``least_labels``."""
-    table = tri.corner_table
-    label = least_labels(4 * tri.p, 4 * table[:, 0] + table[:, 1],
-                         4 * table[:, 3] + table[:, 4])
+    order of their least corner: the corner graph on the trigon
+    positions of ``corner_slots`` labelled by ``least_labels``, the
+    quad positions being isolated nodes."""
+    slots = tri.corner_slots
+    label = least_labels(SLOTS_PER_TET * tri.p, slots[:, 0], slots[:, 2])
+    trigons = np.arange(SLOTS_PER_TET * tri.p) % SLOTS_PER_TET < 4
     return tuple(
-        tuple((node // 4 + 1, node % 4)
+        tuple((node // SLOTS_PER_TET + 1, node % SLOTS_PER_TET)
               for node in np.flatnonzero(label == least).tolist())
-        for least in np.unique(label).tolist())
+        for least in np.unique(label[trigons]).tolist())
 
 
 def sense(tri, edge, quad):
@@ -187,7 +200,7 @@ def assert_tables_match_reference(p, q):
         [index[reference_edge_of(tri, tet, edge)] for edge in LOCAL_EDGES]
         for tet in tri.tetrahedra]
     gluings = reference_corner_gluings(tri)
-    assert tri.corner_table.tolist() == [
+    assert corner_sides(tri).tolist() == [
         [tet_a - 1, za, qa - 1, tet_b - 1, zb, qb - 1]
         for _, (tet_a, za, qa), (tet_b, zb, qb) in gluings]
     assert [tri.face_label(row) for row in range(6 * p)] == [
@@ -209,9 +222,9 @@ def assert_tables_match_reference(p, q):
                      for s in np.flatnonzero(flat == row).tolist()) == \
             slots[label]
     positions, ascends = reference_corner_slots(tri)
-    corners = _corner_slots(tri)
+    corners = tri.corner_slots
     assert corners.dtype == np.int64 and corners.tolist() == positions
-    # Row k of the corner table takes its face template's flags.
+    # Row k of ``corner_slots`` takes its face template's flags.
     rows = np.arange(6 * p)
     assert QUAD_ASCENDS[rows // (3 * p) * 3 + rows % 3].tolist() == ascends
 
@@ -228,7 +241,7 @@ def test_tables_match_the_per_slot_reference_at_large_p(p, q):
 
 def test_tables_are_read_only():
     tri = build_triangulation(7, 3)
-    for table in (tri.slot_edges, tri.corner_table):
+    for table in (tri.slot_edges, tri.corner_slots):
         assert table.dtype == np.int64
         with pytest.raises(ValueError):
             table[0, 0] = 1
@@ -236,18 +249,21 @@ def test_tables_are_read_only():
 
 def assert_level_tree_spans(tri):
     """Each of the 4p - 2 non-root corners comes once, after its parent,
-    and its ``corner_table`` row joins it to the parent: as side b when
-    the sign is 1, as side a when it is -1."""
+    and its ``corner_slots`` row joins it to the parent: as side b when
+    the sign is 1, as side a when it is -1.  Nodes are the trigon
+    positions 7 (tet - 1) + corner."""
     tree = tri.level_tree
     assert tree.shape == (4 * tri.p - 2, 4)
     reached = {TOP, LEFT}  # of tetrahedron 1
+    slots = tri.corner_slots.tolist()
     for node, parent, row, sign in tree.tolist():
         assert parent in reached and node not in reached
         reached.add(node)
-        tet_a, za, _, tet_b, zb, _ = tri.corner_table[row].tolist()
-        sides = (4 * tet_a + za, 4 * tet_b + zb)
-        assert sides == {1: (parent, node), -1: (node, parent)}[sign]
-    assert reached == set(range(4 * tri.p))
+        trigon_a, _, trigon_b, _ = slots[row]
+        assert (trigon_a, trigon_b) == {1: (parent, node),
+                                        -1: (node, parent)}[sign]
+    assert reached == {SLOTS_PER_TET * tet + corner
+                       for tet in range(tri.p) for corner in CORNERS}
     # The rows are three chains hung from the roots, then the RIGHT
     # nodes off the third chain: the layout the trigon walk sums along.
     p, (node, parent) = tri.p, tree[:, :2].T.tolist()
@@ -325,7 +341,7 @@ def test_cell_complex_euler_characteristic_vanishes(p, q):
     tri = build_triangulation(p, q)
     vertices = len(vertex_classes(tri))
     edges = len(tri.edge_classes)
-    faces = len(tri.corner_table) // 3
+    faces = len(tri.corner_slots) // 3
     assert vertices == 2
     assert faces == 2 * p
     assert vertices - edges + faces - p == 0
@@ -337,7 +353,7 @@ def test_every_tetrahedron_fills_four_face_slots(p, q):
     slots = {}
     # Each face holds three rows; on either side its three corners are
     # all but the one that names the face.
-    for face in tri.corner_table.reshape(2 * p, 3, 6).tolist():
+    for face in corner_sides(tri).reshape(2 * p, 3, 6).tolist():
         for side in (0, 3):
             (tet,) = {row[side] for row in face}
             (face_id,) = set(CORNERS) - {row[side + 1] for row in face}
@@ -350,9 +366,9 @@ def test_every_tetrahedron_fills_four_face_slots(p, q):
 @pytest.mark.parametrize("p,q", coprime_pairs(6))
 def test_corner_gluings_cover_each_corner_once_per_quad_type(p, q):
     tri = build_triangulation(p, q)
-    assert len(tri.corner_table) == 6 * p
+    assert len(tri.corner_slots) == 6 * p
     seen = {}
-    for row in tri.corner_table.tolist():
+    for row in corner_sides(tri).tolist():
         for tet, corner, qtype in (row[:3], row[3:]):
             seen.setdefault((tet + 1, corner), []).append(qtype + 1)
     # A corner lies on three faces, and in each it is cut off by a
@@ -378,7 +394,7 @@ def test_horizontal_gluing_of_five_two():
     # H1 glues the BOT face of tetrahedron 1 to the TOP face of 3 by
     # top -> bot, left -> left, right -> right: rows 3p .. 3p + 2.
     tri = build_triangulation(5, 2)
-    rows = tri.corner_table[15:18].tolist()
+    rows = corner_sides(tri)[15:18].tolist()
     assert {tri.face_label(row) for row in range(15, 18)} == {"H1"}
     assert [(ta, za, tb, zb) for ta, za, _, tb, zb, _ in rows] == [
         (0, TOP, 2, BOT), (0, LEFT, 2, LEFT), (0, RIGHT, 2, RIGHT)]
@@ -387,7 +403,7 @@ def test_horizontal_gluing_of_five_two():
 def test_vertical_face_of_two_one():
     # V1 glues the LEFT face of tetrahedron 2 to the RIGHT face of 1.
     tri = build_triangulation(2, 1)
-    rows = tri.corner_table[:3].tolist()
+    rows = corner_sides(tri)[:3].tolist()
     assert {tri.face_label(row) for row in range(3)} == {"V1"}
     assert {(ta, tb) for ta, _, _, tb, _, _ in rows} == {(1, 0)}
     assert LEFT not in {za for _, za, _, _, _, _ in rows}
