@@ -66,7 +66,6 @@ from .surface import (
     edge_weights,
     euler_characteristic,
     glue_disks,
-    haken_fundamental_criterion,
     haken_matrix,
     reconstruct_trigons,
     surface_name,

@@ -359,7 +359,8 @@ def verify_fixture(fixture: Fixture, budget: Budget | None = None):
     name = fixture.tags[0]
     checks = []
     # Unbudgeted: the (418,153) fixture's 1,086 disks would trip a
-    # frontier cap meant for the minimality searches below.
+    # frontier cap below that count, such as ``--max-frontier 100``,
+    # which is meant for the minimality searches below.
     report = classify(tri, fixture.vector, matrix=matrix)
     criterion = report.haken_fundamental_criterion
     for position, tag in enumerate(fixture.tags):

@@ -71,7 +71,6 @@ from .triangulation import (
     LOCAL_EDGES,
     QUAD_PAIRS,
     QUAD_TYPES,
-    PAIR_TO_QUAD,
     RIGHT,
     SLOTS_PER_TET,
     TOP,
@@ -82,16 +81,13 @@ from .triangulation import (
 # The largest id int32 holds.
 INT32_MAX = int(np.iinfo(np.int32).max)
 
-# Per local edge, the four slots of a tetrahedron's block that cross
-# it: the trigons at its two ends and the two quad types not parallel
-# to it.
-WEIGHT_SLOTS = tuple(
-    (*sorted(edge), *(3 + j for j in QUAD_TYPES if j != PAIR_TO_QUAD[edge]))
-    for edge in LOCAL_EDGES)
-# Its inverse, a 7 x 6 table: whether the disks of each slot of the
-# block cross each local edge.
-CROSSES = np.array([[k in slots for slots in WEIGHT_SLOTS]
-                    for k in range(SLOTS_PER_TET)])
+# Per slot of a tetrahedron's block, whether its disks cross each local
+# edge, a 7 x 6 table: the trigon at corner k crosses the three edges at
+# k, and a quad of type j the four edges outside its partition pairs.
+CROSSES = np.array(
+    [[k in edge for edge in LOCAL_EDGES] for k in (TOP, BOT, LEFT, RIGHT)]
+    + [[edge not in QUAD_PAIRS[j] for edge in LOCAL_EDGES]
+       for j in QUAD_TYPES])
 # Per row of ``CORNER_TEMPLATE``, whether the quad copies of side a and
 # of side b ascend toward the corner (step 1): whether the corner lies
 # on the first side of its quad's partition.
@@ -273,14 +269,16 @@ def edge_weights(tri: LensTriangulation, full: FullCoordinates):
     """Crossing count of the surface with each edge class.
 
     Every (tetrahedron, local edge) slot of a class must report the
-    same value: the two trigon counts at the edge's ends plus the two
-    quad types not parallel to it (``WEIGHT_SLOTS``).  The first slot
+    same value: the sum of the block's entries whose disks cross that
+    local edge (``CROSSES``), the two trigons at the edge's ends and the
+    two quad types not parallel to it.  The first slot
     that disagrees with its class's first slot raises
     InconsistentWeights; a surface of another (p,q) raises
     InvalidParams.
     """
     check_same_pair(tri, full.tri, "surface")
-    slot = full.array.reshape(-1, SLOTS_PER_TET)[:, WEIGHT_SLOTS].sum(axis=2)
+    block = full.array.reshape(-1, SLOTS_PER_TET)
+    slot = block @ CROSSES.astype(block.dtype)
     slot, edge = slot.ravel(), tri.slot_edges.ravel()
     # Every class has a slot, so its weight is one of its slots'; it is
     # the class's weight when all its slots agree with it.
@@ -557,7 +555,15 @@ class SurfaceReport:
 
     @property
     def haken_fundamental_criterion(self) -> bool:
-        """See :func:`haken_fundamental_criterion`."""
+        """Sufficient condition for minimality in the full-coordinate
+        system: the surface crosses each core circle exactly once and
+        has a quad of type 2 or 3 somewhere.
+
+        Such a surface cannot split off the core-avoiding torus (the
+        only normal surface disjoint from both cores), because that
+        torus fills every tetrahedron with type-1 quads, which the
+        square condition forbids next to a type-2 or type-3 quad.
+        """
         return self.meets_cores_once and self.has_type23_quad
 
 
@@ -611,37 +617,15 @@ def classify(tri: LensTriangulation, v, matrix: QMatrix | None = None,
             f"component Euler sum {total_euler} != cell count "
             f"{formula_euler}")
 
-    meets_cores_once, has_type23_quad = _criterion_parts(full, weights)
     return SurfaceReport(
         euler=total_euler,
         orientable=all(o for _, o in components),
         components=components,
         edge_weights=weights,
-        meets_cores_once=meets_cores_once,
-        has_type23_quad=has_type23_quad,
+        meets_cores_once=weights["Ev"] == 1 and weights["Eh"] == 1,
+        has_type23_quad=bool(np.count_nonzero(
+            full.array.reshape(-1, SLOTS_PER_TET)[:, 5:])),
     )
-
-
-def _criterion_parts(full: FullCoordinates, weights):
-    """(crosses each core circle once, has a type-2 or type-3 quad)."""
-    quads = full.array.reshape(-1, SLOTS_PER_TET)[:, 5:]
-    return (weights["Ev"] == 1 and weights["Eh"] == 1,
-            bool(np.count_nonzero(quads)))
-
-
-def haken_fundamental_criterion(tri: LensTriangulation, v,
-                                matrix: QMatrix | None = None) -> bool:
-    """Sufficient condition for minimality in the full-coordinate
-    system: the surface crosses each core circle exactly once and has a
-    quad of type 2 or 3 somewhere.
-
-    Such a surface cannot split off the core-avoiding torus (the only
-    normal surface disjoint from both cores), because that torus fills
-    every tetrahedron with type-1 quads, which the square condition
-    forbids next to a type-2 or type-3 quad.
-    """
-    full = reconstruct_trigons(tri, v, matrix=matrix)
-    return all(_criterion_parts(full, edge_weights(tri, full)))
 
 
 def surface_name(euler: int, orientable: bool) -> str:

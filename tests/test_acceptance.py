@@ -34,7 +34,6 @@ from lensq.qsystem import (
 )
 from lensq.surface import (
     classify,
-    haken_fundamental_criterion,
     haken_residual,
     reconstruct_trigons,
     surface_name,
@@ -165,13 +164,11 @@ def test_criterion_6_worked_example_fixtures():
         for f in group:
             name = f.tags[0]
             # solution + square condition were re-verified on load
-            if f.has("haken-criterion"):
-                if not haken_fundamental_criterion(tri, f.vector,
-                                                   matrix=matrix):
-                    failures.append((name, "criterion"))
+            r = classify(tri, f.vector, matrix=matrix)
+            if f.has("haken-criterion") and not r.haken_fundamental_criterion:
+                failures.append((name, "criterion"))
             if p == 418:
                 continue
-            r = classify(tri, f.vector, matrix=matrix)
             want_euler = next(int(t.split("=")[1]) for t in f.tags
                               if t.startswith("euler="))
             if r.euler != want_euler:

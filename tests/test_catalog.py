@@ -4,6 +4,7 @@ the theorem verification suite.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -26,6 +27,8 @@ from lensq.errors import (
     InvalidParams,
     LensQError,
     NoExpectation,
+    NotASolution,
+    SquareConditionViolated,
 )
 from lensq.qsystem import (
     basis_vectors,
@@ -200,7 +203,6 @@ def test_verify_theorems_includes_vertex_check_for_even_q1():
 # ---------------------------------------------------------------- fixtures
 
 def test_fixture_file_checksum_is_pinned():
-    import hashlib
     assert hashlib.sha256(
         fixture_text().encode()).hexdigest() == FIXTURE_SHA256
 
@@ -210,6 +212,40 @@ def test_fixtures_load_and_verify():
     assert len(records) == 9
     pairs = {(f.params.p, f.params.q) for f in records}
     assert pairs == {(8, 3), (16, 3), (18, 7), (30, 11), (418, 153)}
+
+
+def load_damaged(monkeypatch, text, digest=None):
+    """``fixtures()`` read from ``text`` in place of the shipped file,
+    with the pinned checksum set to ``digest``, by default the text's."""
+    monkeypatch.setattr(catalog_module, "fixture_text", lambda: text)
+    monkeypatch.setattr(catalog_module, "FIXTURE_SHA256", digest or (
+        hashlib.sha256(text.encode()).hexdigest()))
+    return fixtures()
+
+
+def test_fixtures_refuse_a_file_that_fails_its_checksum(monkeypatch):
+    text = fixture_text().replace("euler=-2", "euler=-4", 1)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    with pytest.raises(NotASolution,
+                       match=f"^fixture file checksum mismatch: {digest}$"):
+        load_damaged(monkeypatch, text, FIXTURE_SHA256)
+
+
+def test_fixtures_refuse_a_record_off_the_matching_equations(monkeypatch):
+    text = fixture_text() + "5 2 1,0,0,0,0,0,0,0,0,0,0,0,0,0,0 bad\n"
+    with pytest.raises(NotASolution, match=(
+            r"^fixture \(5,2\) fails the matching equations$")):
+        load_damaged(monkeypatch, text)
+
+
+def test_fixtures_refuse_a_record_without_the_square_condition(monkeypatch):
+    # The first basis vector of (7,2) solves the matching equations with
+    # three quad types in its first tetrahedron.
+    s_vecs, _ = basis_vectors(build_triangulation(7, 2))
+    text = fixture_text() + f"7 2 {','.join(map(str, s_vecs[0]))} s1\n"
+    with pytest.raises(SquareConditionViolated, match=(
+            r"^fixture \(7,2\) violates the square condition$")):
+        load_damaged(monkeypatch, text)
 
 
 def test_misspelled_fixture_tags_fail_instead_of_passing_unchecked():

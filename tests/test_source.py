@@ -1,12 +1,23 @@
 """
-Guards on the package source itself.
+Guards on the package source itself and on the test settings.
 """
 
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
-SOURCES = sorted(
-    (Path(__file__).resolve().parents[1] / "src" / "lensq").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "lensq").glob("*.py"))
+
+
+def assigned_names(node):
+    """The plain names an assignment statement binds."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(
+                   node, (ast.AnnAssign, ast.AugAssign)) else [])
+    return [target.id for target in targets if isinstance(target, ast.Name)]
 
 
 def test_package_has_no_assert_statements():
@@ -65,17 +76,73 @@ def test_one_full_coordinate_layout_and_no_corner_slot_twins():
     layouts, twins = [], []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target] if isinstance(
-                           node, (ast.AnnAssign, ast.AugAssign)) else [])
-            if any(isinstance(target, ast.Name)
-                   and target.id == "SLOTS_PER_TET" for target in targets):
+            if "SLOTS_PER_TET" in assigned_names(node):
                 layouts.append(path.name)
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and node.name == "_corner_slots"):
                 twins.append(f"{path.name}:{node.lineno}")
     assert layouts == ["triangulation.py"]
     assert twins == []
+
+
+def test_one_crossing_table_and_one_haken_criterion():
+    # Which disk slots cross which local edges is one table, CROSSES, and
+    # the Haken criterion is answered only by SurfaceReport: no module
+    # keeps the per-edge inverse (WEIGHT_SLOTS) or a module-level
+    # function of the criterion's name.
+    assigned, criteria = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            assigned += [(name, path.name) for name in assigned_names(node)
+                         if name in ("CROSSES", "WEIGHT_SLOTS")]
+        criteria += [f"{path.name}:{node.lineno}" for node in tree.body
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                     and node.name == "haken_fundamental_criterion"]
+    assert assigned == [("CROSSES", "surface.py")]
+    assert criteria == []
+
+
+def test_a_failing_property_test_does_not_abort_the_run(tmp_path):
+    # Reporting a failed @given test imports third-party modules whose
+    # import warnings must not become errors (an INTERNALERROR that ends
+    # the run), while a scalar overflow inside the package still fails
+    # its test.
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(textwrap.dedent("""
+        import numpy as np
+        from hypothesis import given, settings, strategies as st
+
+        from lensq.surface import surface_name
+
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_property_fails(n):
+            assert n < 5
+
+
+        def test_passes():
+            pass
+
+
+        def test_overflow_in_package():
+            surface_name(np.int64(np.iinfo(np.int64).min), True)
+        """))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(ROOT), "-p", "no:cacheprovider", "-q", "-rf",
+         str(probe)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert "INTERNALERROR" not in out
+    assert run.returncode == 1
+    failed = sorted(line.split("::")[1].split()[0]
+                    for line in out.splitlines()
+                    if line.startswith("FAILED "))
+    assert failed == ["test_overflow_in_package", "test_property_fails"]
+    assert "2 failed, 1 passed" in out.splitlines()[-1]
 
 
 def test_benchmark_imports_resolve():
@@ -91,7 +158,7 @@ def test_benchmark_imports_resolve():
         except ImportError:
             return None
 
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    bench = ROOT / "perfbench"
     missing, seen = [], 0
     for path in sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

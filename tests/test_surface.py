@@ -32,6 +32,7 @@ from lensq.errors import (
 from lensq.qsystem import (
     BasisCoefficients,
     basis_vectors,
+    decompose,
     expand,
     is_q_solution,
     q_matrix,
@@ -46,7 +47,6 @@ from lensq.surface import (
     edge_weights,
     euler_characteristic,
     glue_disks,
-    haken_fundamental_criterion,
     haken_matrix,
     haken_residual,
     least_labels,
@@ -146,7 +146,7 @@ def test_half_integer_vector_is_not_a_solution():
     # but is not integral; truncating it would give the empty surface.
     tri = build_triangulation(4, 1)
     half = [Fraction(x, 2) for x in alternating_vector(4, 3)]
-    for admit in (reconstruct_trigons, classify, haken_fundamental_criterion):
+    for admit in (reconstruct_trigons, classify):
         with pytest.raises(NotASolution):
             admit(tri, half)
 
@@ -839,11 +839,12 @@ def test_sum_with_block_conflict_is_rejected():
 
 
 @pytest.mark.parametrize("entry", [
-    reconstruct_trigons, classify, haken_fundamental_criterion])
+    reconstruct_trigons, classify, decompose])
 def test_a_matrix_of_another_pair_is_refused(entry):
     # The (7,3) matrix passes its own first fundamental, so without the
     # pair check the trigon walk over the (7,2) gluings fails its
     # matching equations and reports a bug (InconsistentPropagation).
+    # decompose shares the one guard, refused before any residual.
     other = q_matrix(build_triangulation(7, 3))
     v = square_fundamental_solutions(other)[0]
     with pytest.raises(InvalidParams, match=r"^matrix of \(p,q\)=\(7,3\) "
@@ -869,12 +870,16 @@ def test_a_surface_of_another_pair_is_refused(entry, p, q):
 def test_criterion_on_the_alternating_surface():
     tri = build_triangulation(8, 3)
     v = (0, 0, 1, 0, 1, 0) * 4
-    assert haken_fundamental_criterion(tri, v)
+    report = classify(tri, v)
+    assert report.meets_cores_once and report.has_type23_quad
+    assert report.haken_fundamental_criterion
 
 
 def test_criterion_fails_for_core_avoiding_torus():
     tri = build_triangulation(5, 1)
-    assert not haken_fundamental_criterion(tri, (1, 0, 0) * 5)
+    report = classify(tri, (1, 0, 0) * 5)
+    assert not report.has_type23_quad
+    assert not report.haken_fundamental_criterion
 
 
 # ---------------------------------------------------------------- naming
