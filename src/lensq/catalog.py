@@ -23,7 +23,7 @@ against the matching equations and the square condition before use.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -53,7 +53,7 @@ from .qsystem import (
     square_fundamental_solutions,
 )
 from .surface import classify, surface_name
-from .triangulation import LensParams, build_triangulation
+from .triangulation import LensParams, LensTriangulation, build_triangulation
 
 FIXTURE_FILE = "fixtures.txt"
 FIXTURE_SHA256 = (
@@ -286,11 +286,15 @@ def verify_theorems(p: int, q: int, budget: Budget | None = None):
 @dataclass(frozen=True)
 class Fixture:
     """One worked-example record: parameters, quad vector, and the
-    property tags asserted for it."""
+    property tags asserted for it, with the triangulation and quad
+    matrix it was checked against on load, which ``verify_fixture``
+    reads instead of building them again."""
 
     params: LensParams
     vector: tuple
     tags: tuple
+    tri: LensTriangulation = field(compare=False, repr=False)
+    matrix: QMatrix = field(compare=False, repr=False)
 
     def has(self, tag: str) -> bool:
         return tag in self.tags
@@ -335,14 +339,16 @@ def fixtures():
         raise NotASolution(f"fixture file checksum mismatch: {digest}")
     out = []
     for p, q, vector, tags in read_records(text, FIXTURE_FILE):
-        if not is_q_solution(q_matrix(build_triangulation(p, q)), vector):
+        tri = build_triangulation(p, q)
+        matrix = q_matrix(tri)
+        if not is_q_solution(matrix, vector):
             raise NotASolution(
                 f"fixture ({p},{q}) fails the matching equations")
         if not square_condition(vector):
             raise SquareConditionViolated(
                 f"fixture ({p},{q}) violates the square condition")
         out.append(Fixture(params=LensParams(p, q), vector=vector,
-                           tags=tags))
+                           tags=tags, tri=tri, matrix=matrix))
     return tuple(out)
 
 
@@ -354,8 +360,8 @@ def verify_fixture(fixture: Fixture, budget: Budget | None = None):
     tag after the record's name that no check knows gives a failed
     CheckResult, so a misspelled tag cannot pass unchecked."""
     p, q = fixture.params.p, fixture.params.q
-    tri = build_triangulation(p, q)
-    matrix = q_matrix(tri)
+    tri = fixture.tri
+    matrix = matrix_for(tri, fixture.matrix)
     name = fixture.tags[0]
     checks = []
     # Unbudgeted: the (418,153) fixture's 1,086 disks would trip a

@@ -158,6 +158,16 @@ def cmd_enum(args) -> int:
     return EXIT_OK
 
 
+def _strings(values):
+    """``str`` of each value, made once per value object: ``decompose``
+    shares one Fraction between equal coefficients
+    (``qsystem._fractions``), and hashing a Fraction costs more than
+    formatting it."""
+    keys = list(map(id, values))
+    text = {key: str(x) for key, x in dict(zip(keys, values)).items()}
+    return list(map(text.__getitem__, keys))
+
+
 def cmd_classify(args) -> int:
     budget = budget_from(args)
     # Bad parameters, then a vector of the wrong length, are rejected
@@ -176,8 +186,8 @@ def cmd_classify(args) -> int:
         "vector": list(vector),
         **_report_payload(report),
         "coefficients": {
-            "a": [str(x) for x in coeffs.a],
-            "b": [str(x) for x in coeffs.b],
+            "a": _strings(coeffs.a),
+            "b": _strings(coeffs.b),
         },
         "integrality": integrality_class(coeffs, tri.p),
         "haken_fundamental_criterion": report.haken_fundamental_criterion,

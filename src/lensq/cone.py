@@ -25,20 +25,28 @@ and Devie: grow candidate vectors breadth first from the zero vector,
 extending x by a unit e_j only when the residual A x moves closer to
 zero in the direction of column j (formally <A x, A e_j> < 0), and
 discard any candidate that already dominates a known minimal solution
-or leaves the box spanned by the extreme rays.  A level is extended as
-(parent, column) pairs, in chunks with the budget read between them.
-Both discards are decided on the pair: the box test reads one entry,
-and a value-indexed bitset table over the minimal solutions gives each
-parent the AND of its bitsets over all columns but j, so the verdict on
-x + e_j costs one more AND.  Only the surviving children are made, once
-each, in the lexicographic order of mixed-radix int64 keys over the
-box, so the output does not depend on chunk size.  The completion runs
-on ``symmetries`` orbits (the identity alone without them): each level
-holds one representative per orbit, the least-key image, and every new
-solution enters the minimal set with all its images, so the frontier
-cap counts representatives.  A unimodular simplicial cone skips the
-completion: a lattice certificate on its extreme rays
-(``exact.maximal_minor_gcd``) shows they are the basis.
+or leaves the box spanned by the extreme rays.  A level is held as its
+rows alone, in the narrowest unsigned dtype that holds the box, and is
+extended as (parent, column) pairs a chunk of rows at a time, with the
+budget read between chunks; a chunk's temporaries are bounded in bytes
+(``_CHUNK_BYTES``), not in rows.  What the tests read of a row, its dot
+products and its keys, is linear in it, so a chunk makes both as it is
+read, as ``chunk @ A^T A`` and ``chunk @ step``.  Both discards are
+decided on the pair: the box test reads one entry, and a value-indexed
+bitset table over the minimal solutions gives each parent the AND of
+its bitsets over all columns but j, so the verdict on x + e_j costs one
+more AND.  A surviving child is held as its parent, its column and its
+key; only the distinct children are made, once each, in the
+lexicographic order of mixed-radix int64 keys over the box, so the
+output does not depend on chunk size.  The completion runs on
+``symmetries`` orbits (the identity alone without them): a child's key
+is the least of its keys under the group, the same for every member of
+its orbit, so each level holds one member per orbit, as it was met,
+with no rotation to a representative; every new solution enters the
+minimal set with all its images, so the frontier cap counts orbits.
+A unimodular simplicial cone skips the completion: a lattice
+certificate on its extreme rays (``exact.maximal_minor_gcd``) shows
+they are the basis.
 
 Alongside the enumerator there are direct, definition-level tests, each
 admitting its vector once: ``is_vertex`` checks that the rational kernel
@@ -71,8 +79,9 @@ from .rays import extreme_rays
 # domination table holds a row per box value.
 _SAFE_MAGNITUDE = 2 ** 30
 
-# Frontier rows extended between two budget checks.
-_CHUNK_ROWS = 2048
+# The bytes of one chunk's temporaries in a completion level's
+# extension pass (``_chunk_rows``); the budget is read between chunks.
+_CHUNK_BYTES = 1 << 20
 
 # Above every mixed-radix key word, which stays below 2^62.
 _NO_KEY = np.iinfo(np.int64).max
@@ -400,12 +409,13 @@ class _Orbits:
     They are the cone's ``symmetries`` R_k, (R_k x)_c = x_(turns[k, c]),
     a group of column permutations; a cone without them has the
     identity, the 1 x n table ``turns``, and takes the same steps, only
-    ``least`` and ``rotate`` skip their gathers there.  The extreme-ray
-    box ``bound`` is checked to be invariant under every R_k, and every
-    product R_k R_t to be a row of ``turns`` (InternalInvariantError
-    otherwise).  Each candidate carries its mixed-radix keys over the
-    box under every R_k, one run of ``width`` words per k, and
-    ``step[j]`` is what the unit e_j adds to them.
+    ``least`` skips its minimum there.  The extreme-ray box ``bound`` is
+    checked to be invariant under every R_k, and every product R_k R_t
+    to be a row of ``turns`` (InternalInvariantError otherwise): over a
+    closed group every member of an orbit has the same least key, so a
+    level may hold any member.  The keys of x over the box under every
+    R_k, one run of ``width`` words per k, are ``x @ step``, linear in
+    x, and ``step[j]`` is what the unit e_j adds to them.
     """
 
     def __init__(self, cone: SolutionCone, bound: np.ndarray):
@@ -424,53 +434,47 @@ class _Orbits:
         # inverse reads it.
         back = np.argsort(self.turns, axis=1)
         self.step = strides.T[back].transpose(1, 0, 2).reshape(n, -1)
-        # R_k R_t x reads x at turns[t, turns[k]], the row m of turns
-        # that holds it: run k of the keys of R_t x is run m of the keys
-        # of x, so runs[t] lists the key columns R_t reads.
-        index = {turn.tobytes(): m for m, turn in enumerate(self.turns)}
-        try:
-            products = [[index[t[k].tobytes()] for k in self.turns]
-                        for t in self.turns]
-        except KeyError:
+        # R_k R_t x reads x at turns[t, turns[k]], which must be a row.
+        known = {turn.tobytes() for turn in self.turns}
+        if any(t[k].tobytes() not in known
+               for t in self.turns for k in self.turns):
             raise InternalInvariantError(
                 f"the symmetries of {cone!r} are not closed under "
-                f"products") from None
-        runs = np.arange(self.order * self.width).reshape(self.order, -1)
-        self.runs = runs[products].reshape(self.order, -1)
+                f"products")
 
-    def least(self, keys: np.ndarray):
-        """Per row of ``keys``, the symmetry with the lexicographically
-        least key (the first of them on a tie), and that key."""
+    def least(self, keys: np.ndarray) -> np.ndarray:
+        """Per row of ``keys``, the lexicographically least of its runs:
+        the key of the orbit."""
         if self.order == 1:
-            # The identity: the keys themselves, and a read-only view of
-            # zero turns that holds no memory per row.
-            return np.broadcast_to(np.intp(0), keys.shape[:1]), keys
+            return keys
         runs = keys.reshape(keys.shape[0], self.order, self.width)
-        tied = np.ones(runs.shape[:2], dtype=bool)
-        for w in range(self.width):
-            word = np.where(tied, runs[:, :, w], _NO_KEY)
-            tied &= word == word.min(axis=1, keepdims=True)
-        turn = tied.argmax(axis=1)
-        return turn, runs[np.arange(turn.size), turn]
+        # Word w of the least key is the least word w among the runs
+        # that tie with it on the words before; the others read _NO_KEY.
+        word = runs[:, :, 0]
+        least = [word.min(axis=1)]
+        for w in range(1, self.width):
+            word = np.where(word == least[-1][:, None], runs[:, :, w],
+                            _NO_KEY)
+            least.append(word.min(axis=1))
+        return np.stack(least, axis=1)
 
-    def rotate(self, turn, pick, frontier, dots, keys):
-        """Row i of each array moved by R_t, t = turn[pick[i]]: the
-        rows and dots read their columns at ``turns[t]`` (A^T A commutes
-        with every R_t), and the key runs at ``runs[t]``."""
-        if self.order == 1:
-            # The identity moves nothing, and the gather would copy the
-            # widest level's rows, dots and keys once more.
-            return frontier, dots, keys
-        turn = turn[pick]
-        i = np.arange(turn.size)[:, None]
-        at = self.turns[turn]
-        return frontier[i, at], dots[i, at], keys[i, self.runs[turn]]
-
-    def all_images(self, rows, keys):
+    def all_images(self, rows):
         """Every distinct image of the given rows."""
+        keys = rows @ self.step
         pick = _distinct_sorted(keys.reshape(-1, self.width))
         row, turn = np.divmod(pick, self.order)
         return rows[row[:, None], self.turns[turn]]
+
+
+def _chunk_rows(n: int, words: int, keys: int) -> int:
+    """Frontier rows per chunk of a level: ``_CHUNK_BYTES`` over one
+    row's share of the temporaries, for n columns, ``words`` uint64 per
+    bitset and ``keys`` int64 words of keys under the whole group.  A
+    row has the 2n + 2 prefix and suffix ANDs and the n table reads of
+    ``_DominationIndex.child_dominates``, its own keys and those of up
+    to n children."""
+    return max(1, _CHUNK_BYTES // (8 * ((3 * n + 2) * words
+                                        + (n + 1) * keys)))
 
 
 def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
@@ -495,11 +499,15 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     extreme-ray box is checked to be invariant under them
     (InternalInvariantError otherwise).  They then keep A^T A, the box
     and the minimal set, so every level is a union of orbits and holds
-    one representative of each: its image with the least key.  A
-    child's keys under all symmetries are its parent's plus one row of
-    the permuted strides, which finds the representative before the
-    child is made.  Each new solution enters the minimal set with all
-    its distinct images.  The frontier cap counts orbits.
+    one member of each, the first child met with the orbit's least key;
+    no member is rotated to a representative.  A level is its rows
+    alone, in the narrowest unsigned dtype of the box: each chunk of
+    ``_chunk_rows`` rows, its temporaries bounded by ``_CHUNK_BYTES``,
+    makes its residuals A x, its dot products and its keys under all
+    symmetries when it is read, and a surviving child is kept as its
+    parent, its column and its least key until the level is
+    deduplicated.  Each new solution enters the minimal set with all its
+    distinct images.  The frontier cap counts orbits.
 
     The budget is read before any set-up, the extreme rays, unless
     already cached, come from a double description that reads it too,
@@ -534,65 +542,69 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
     A, gram = _dense(cone, int(bound.max()))
     minimal = np.array(rays, dtype=np.int64)
     index = _DominationIndex(minimal, budget)
-    # Per frontier row x: its keys under every symmetry, and dots[x, j]
-    # = <A x, A e_j>; the child x + e_j adds row j of the permuted
-    # strides and of A^T A to them.  The first level's one parent is
-    # zero, and its pairs are the (0, j) inside the box that dominate no
-    # ray.
-    frontier = np.zeros((1, cone.ncols), dtype=np.int64)
-    dots = np.zeros((1, cone.ncols), dtype=gram.dtype)
-    keys = np.zeros((1, orbits.order * orbits.width), dtype=np.int64)
+    # A level is its rows alone, in the narrowest unsigned dtype of the
+    # box.  A child x + e_j is a (parent, column) pair with its orbit's
+    # least key, made only once the level's pairs are deduplicated.  The
+    # first level's one parent is zero, and its pairs are the (0, j)
+    # inside the box that dominate no ray.
+    frontier = np.zeros((1, cone.ncols),
+                        dtype=np.min_scalar_type(int(bound.max())))
     columns = np.flatnonzero(bound)
     parents = np.zeros(columns.size, dtype=np.intp)
     alive = ~index.child_dominates(frontier, parents, columns)
     parents, columns = parents[alive], columns[alive]
+    least = orbits.least(orbits.step[columns])
 
     while parents.size:
-        # Make each distinct child once, in the lexicographic order of
-        # its orbit representative.
-        keys = keys[parents] + orbits.step[columns]
-        turn, least = orbits.least(keys)
+        # Make each distinct orbit once, in the lexicographic order of
+        # its least key, as whichever member was met first.
         pick = _distinct_sorted(least)
         budget.check(pick.size)  # the next level, before it is made
-        parents, columns, keys = parents[pick], columns[pick], keys[pick]
-        dots = dots[parents] + gram[columns]
+        parents, columns = parents[pick], columns[pick]
         frontier = frontier[parents]
         frontier[np.arange(pick.size), columns] += 1
-        frontier, dots, keys = orbits.rotate(turn, pick, frontier, dots,
-                                             keys)
-        # A^T A x = 0 exactly when A x = 0, as then |A x|^2 = 0.
-        sol_mask = (dots == 0).all(axis=1)
+        # A x = 0 is read a chunk at a time, as the pairs are below.
+        rows = _chunk_rows(cone.ncols, index.table.shape[1],
+                           orbits.step.shape[1])
+        sol_mask = np.concatenate([
+            (frontier[lo: lo + rows] @ A.T == 0).all(axis=1)
+            for lo in range(0, pick.size, rows)])
         if sol_mask.any():
             # Every frontier row has passed the domination filter against
             # the seeded rays and all solutions of lower degree, and the
-            # rows of one level are distinct, so each solution is
-            # minimal; so is each of its images.
-            solutions = orbits.all_images(frontier[sol_mask],
-                                          keys[sol_mask])
+            # rows of one level lie in distinct orbits, so each solution
+            # is minimal; so is each of its images.
+            solutions = orbits.all_images(frontier[sol_mask])
             if (solutions @ A.T).any() or index.dominates(solutions).any():
                 raise InternalInvariantError(
                     "a new solution is not a minimal solution of A x = 0")
             minimal = np.concatenate([minimal, solutions])
             index = _DominationIndex(minimal, budget)
         # The pairs (x, j) with <A x, A e_j> < 0 (a solution has none),
-        # a chunk of parents at a time so that the deadline is read
-        # often.  Only x_j moves, so the box test reads x_j alone; the
+        # a chunk at a time so that the deadline is read often; the
+        # chunk makes its dot products and keys, both linear in x, as it
+        # is read.  Only x_j moves, so the box test reads x_j alone; the
         # domination test needs no child either.
-        none = np.zeros(0, dtype=np.intp)
-        parents, columns = [none], [none]
+        rows = _chunk_rows(cone.ncols, index.table.shape[1],
+                           orbits.step.shape[1])
+        parents, columns, least = [], [], []
         extended = 0
-        for lo in range(0, frontier.shape[0], _CHUNK_ROWS):
-            chunk = frontier[lo: lo + _CHUNK_ROWS]
-            i, j = np.nonzero(dots[lo: lo + _CHUNK_ROWS] < 0)
+        for lo in range(0, pick.size, rows):
+            chunk = frontier[lo: lo + rows]
+            i, j = np.nonzero(chunk @ gram < 0)
             extended += i.size
             budget.check(extended, what="extension set")
             inside = chunk[i, j] < bound[j]
             i, j = i[inside], j[inside]
             alive = ~index.child_dominates(chunk, i, j)
-            parents.append(lo + i[alive])
-            columns.append(j[alive])
+            i, j = i[alive], j[alive]
+            parents.append(lo + i)
+            columns.append(j)
+            least.append(orbits.least((chunk @ orbits.step)[i]
+                                      + orbits.step[j]))
         parents = np.concatenate(parents)
         columns = np.concatenate(columns)
+        least = np.concatenate(least)
 
     out = [tuple(int(x) for x in m) for m in minimal]
     out.sort(key=graded_lex_key)

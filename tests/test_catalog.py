@@ -10,6 +10,8 @@ import math
 import pytest
 
 from lensq import catalog as catalog_module
+from lensq import cli
+from lensq import qsystem as qsystem_module
 from lensq.catalog import (
     FIXTURE_SHA256,
     alternating_vector,
@@ -246,6 +248,40 @@ def test_fixtures_refuse_a_record_without_the_square_condition(monkeypatch):
     with pytest.raises(SquareConditionViolated, match=(
             r"^fixture \(7,2\) violates the square condition$")):
         load_damaged(monkeypatch, text)
+
+
+def test_verify_fixtures_builds_one_system_per_fixture(monkeypatch, capsys):
+    # fixtures() builds each record's triangulation and matrix to check
+    # it on load, and verify_fixture reads them from the record: nine
+    # fixtures, nine of each (eighteen when verify_fixture built its own).
+    records = fixtures()
+    calls = []
+
+    def spy(module, name):
+        built = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return built(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(catalog_module, "build_triangulation")
+    spy(catalog_module, "q_matrix")
+    spy(qsystem_module, "q_matrix")
+    assert cli.main(["verify", "--fixtures"]) == 0
+    assert capsys.readouterr().out.endswith("verification passed\n")
+    assert len(records) == 9
+    assert calls.count("q_matrix") == calls.count("build_triangulation") == 9
+
+
+def test_verify_fixture_refuses_a_matrix_of_another_pair():
+    record = next(f for f in fixtures() if f.tags[0] == "h-t1")
+    other = dataclasses.replace(
+        record, matrix=q_matrix(build_triangulation(7, 2)))
+    with pytest.raises(InvalidParams, match=(
+            r"^matrix of \(p,q\)=\(7,2\) given for \(8,3\)$")):
+        verify_fixture(other)
 
 
 def test_misspelled_fixture_tags_fail_instead_of_passing_unchecked():

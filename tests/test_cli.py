@@ -363,6 +363,27 @@ def test_enum_determinism_and_threads():
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_classify_formats_each_distinct_coefficient_once(monkeypatch,
+                                                        capsys):
+    # At p = 1000 the a-coefficients of the alternating vector take one
+    # value and the b-coefficients two; the 2p entries share them.
+    from fractions import Fraction
+    from lensq import cli
+
+    made = []
+    text = Fraction.__str__
+    monkeypatch.setattr(Fraction, "__str__",
+                        lambda x: made.append(x) or text(x))
+    vector = ",".join(map(str, alternating_vector(1000, 3)))
+    assert cli.main(["classify", "--p", "1000", "--q", "3", "--vector",
+                     vector, "--format", "json"]) == 0
+    coefficients = json.loads(capsys.readouterr().out)["payload"][
+        "coefficients"]
+    assert len(coefficients["a"]) == len(coefficients["b"]) == 1000
+    assert len(made) == len(set(coefficients["a"])) + len(
+        set(coefficients["b"])) == 3
+
+
 def test_classify_inline_vector():
     result = run_cli("classify", "--p", "7", "--q", "1", "--vector",
                      ",".join(["1", "0", "0"] * 7), "--format", "json")

@@ -6,15 +6,16 @@ suite also imports: the completion enumerator on infeasible and
 0-column cones, against the grid oracle and against a box search, its
 dihedral orbits against the unreduced completion and their symmetry
 checks, its domination index, child verdicts, key deduplication and
-sparse dense set-up against plain numpy references, its memory peaks,
-the box-search minimality test and its vertex shortcut, the
-support-rank vertex test against bounded search and against the exact
-extreme rays, the maximal-face search against the plain 3^p pattern
-loop and against the necklace walk (``necklace_oracle``), its square
-rays, faces, one solve per dihedral orbit and budget reads, the
-oracle's necklace and bracelet representatives, the symmetry tables
-and their guards, the lattice certificate for unimodular cones against
-a box search, and budget/determinism behaviour.
+sparse dense set-up against plain numpy references, its memory peaks
+and its independence of the chunk size, the box-search minimality test
+and its vertex shortcut, the support-rank vertex test against bounded
+search and against the exact extreme rays, the maximal-face search
+against the plain 3^p pattern loop and against the necklace walk
+(``necklace_oracle``), its square rays, faces, one solve per dihedral
+orbit and budget reads, the oracle's necklace and bracelet
+representatives, the symmetry tables and their guards, the lattice
+certificate for unimodular cones against a box search, and
+budget/determinism behaviour.
 """
 
 import itertools
@@ -266,18 +267,33 @@ def test_budget_exhaustion_raises():
         hilbert_basis(cone, Budget(max_frontier=3))
 
 
-def test_five_two_completion_memory_peak():
-    # The widest level sets the peak; only its surviving children are
-    # made, so it stays near 6 MiB.
-    cone = SolutionCone(q_matrix(build_triangulation(5, 2)))
+def completion_peak(cone):
+    """The tracemalloc peak of ``hilbert_basis`` on ``cone``, its
+    extreme rays and symmetries read beforehand."""
     cone.extreme_rays
+    cone.symmetries
     tracemalloc.start()
     try:
         hilbert_basis(cone, Budget(**UNLIMITED))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 2 ** 20
+
+
+def test_five_two_completion_memory_peak():
+    # The widest level sets the peak: its rows, one byte per entry, and
+    # its surviving children, each a parent, a column and a key; the
+    # dot products and keys of a row are made per chunk.  It stays near
+    # 2 MiB (6.2 MiB when a level carried its int64 dots and keys).
+    cone = SolutionCone(q_matrix(build_triangulation(5, 2)))
+    assert completion_peak(cone) < 4 * 2 ** 20
+
+
+def test_five_one_raw_completion_memory_peak():
+    # The raw (5,1) basis on the dihedral orbits peaks near 1.2 MiB; a
+    # level that carried int64 rows, dots and keys under all ten
+    # symmetries, and made every child's keys at once, peaked at 9.4 MiB.
+    assert completion_peak(q_matrix(build_triangulation(5, 1))) < 5 * 2 ** 20
 
 
 def test_dense_set_up_holds_two_square_arrays():
@@ -431,6 +447,28 @@ def test_dihedral_orbits_keep_the_five_two_extension_set_under_8000():
     # representatives; on the p block rotations alone it held 11,796.
     matrix = q_matrix(build_triangulation(5, 2))
     assert len(hilbert_basis(matrix, Budget(max_frontier=8000))) == 161
+
+
+@pytest.mark.parametrize("orbits", [True, False],
+                         ids=["dihedral", "identity"])
+def test_chunking_does_not_change_the_completion(monkeypatch, orbits):
+    # Chunks of one row and chunks of a whole level find the same basis,
+    # and the frontier cap stops both with the same message, on the
+    # (5,2) matrix's dihedral orbits and on its identity group alone.
+    # The widest extension set of either holds more than 5,907 pairs.
+    matrix = q_matrix(build_triangulation(5, 2))
+    cone = matrix if orbits else SolutionCone(matrix)
+    seen = []
+    for chunk_bytes, least_rows in ((1, 1), (10 ** 12, 10 ** 8)):
+        monkeypatch.setattr(cone_module, "_CHUNK_BYTES", chunk_bytes)
+        assert cone_module._chunk_rows(15, 3, 10) >= least_rows
+        with pytest.raises(BudgetExceeded) as stopped:
+            hilbert_basis(cone, Budget(max_seconds=None, max_frontier=5907))
+        seen.append((hilbert_basis(cone, Budget(**UNLIMITED)),
+                     str(stopped.value)))
+    assert seen[0] == seen[1]
+    assert len(seen[0][0]) == 161
+    assert seen[0][1] == "extension set grew past 5907 states"
 
 
 def test_orbit_completion_takes_any_group_of_symmetries():
