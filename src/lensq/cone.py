@@ -11,10 +11,12 @@ gathers the subsystem on chosen columns.  ``SolutionCone.admit`` is the
 one admission of a caller's vector.  The walkers that take one column
 at a time, the box search and ``exact.push_column``, read it through
 ``SolutionCone.column``.  A system may publish ``symmetries``, a group of
-column permutations, each of which only permutes its rows, as a table
-of one row per element: the quad system ``qsystem.QMatrix`` does, and
-a plain SolutionCone, such as a face subcone, does not.  Nothing here
-knows the quad blocks.  Every sum over A, in the admission, the
+column permutations, each of which only permutes its rows up to one
+sign, as a table of one row per element: the quad system
+``qsystem.QMatrix`` publishes its dihedral group, with the core
+exchange when q^2 = +-1 (mod p), the face search gives each face
+subcone its stabilizer, and a plain SolutionCone has none.  Nothing
+here knows the quad blocks.  Every sum over A, in the admission, the
 residual and the completion's dot products, is formed in
 ``exact.value_dtype`` of a bound on it: int64 when that fits, Python
 ints otherwise, on the same code path.
@@ -152,8 +154,9 @@ class SolutionCone:
         self.nrows, self.ncols = len(rows), len(self.col_start) - 1
 
     # A group of column permutations, each of which only permutes the
-    # rows of A, when A has one (see qsystem.QMatrix): row k lists the
-    # columns that element k reads, position by position.
+    # rows of A up to one sign, when A has one (see qsystem.QMatrix):
+    # row k lists the columns that element k reads, position by
+    # position.
     symmetries = None
 
     # Names of the rows in error messages, when A has them (see
@@ -494,18 +497,19 @@ def hilbert_basis(cone: SolutionCone, budget: Budget | None = None):
 
     The completion runs on the orbits of the cone's ``symmetries``
     (``_Orbits``): the identity, a group of order 1, on a cone without
-    them, and the 2p block rotations and reflections on a QMatrix, whose
-    first read of them checks that they permute the rows.  The
+    them, the 2p or 4p elements of ``QMatrix.symmetries`` on a QMatrix,
+    whose first read of them checks that they permute the rows up to
+    sign, and the face's stabilizer on a face of the quad search.  The
     extreme-ray box is checked to be invariant under them
-    (InternalInvariantError otherwise).  They then keep A^T A, the box
-    and the minimal set, so every level is a union of orbits and holds
-    one member of each, the first child met with the orbit's least key;
-    no member is rotated to a representative.  A level is its rows
-    alone, in the narrowest unsigned dtype of the box: each chunk of
-    ``_chunk_rows`` rows, its temporaries bounded by ``_CHUNK_BYTES``,
-    makes its residuals A x, its dot products and its keys under all
-    symmetries when it is read, and a surviving child is kept as its
-    parent, its column and its least key until the level is
+    (InternalInvariantError otherwise).  A row permutation up to sign
+    keeps A^T A, the box and the minimal set, so every level is a union
+    of orbits and holds one member of each, the first child met with the
+    orbit's least key; no member is rotated to a representative.  A
+    level is its rows alone, in the narrowest unsigned dtype of the
+    box: each chunk of ``_chunk_rows`` rows, its temporaries bounded by
+    ``_CHUNK_BYTES``, makes its residuals A x, its dot products and its
+    keys under all symmetries when it is read, and a surviving child is
+    kept as its parent, its column and its least key until the level is
     deduplicated.  Each new solution enters the minimal set with all its
     distinct images.  The frontier cap counts orbits.
 

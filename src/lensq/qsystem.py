@@ -25,12 +25,17 @@ one pair guard, ``triangulation.check_same_pair``.
 
 The triangulation is a cyclic chain, so shifting every block by one
 tetrahedron permutes the matching equations, and so does reflecting
-the blocks, i -> -i with the quad types kept.  The dihedral group they
-generate is held once, as two tables: ``QMatrix.symmetries`` lists
-the 2p column permutations and ``QMatrix.edge_renamings`` their
-renamings of the rows, and one guard (``_symmetry_guard``) checks the
-two generators exactly on the first read.  Every reader of the group
-reads these rows and composes nothing itself.
+the blocks, i -> -i with the quad types kept.  When q^2 = +-1 and
+q != +-1 (mod p), the core exchange kappa, block i -> q i with quad
+types 2 and 3 swapped when q^2 = -1, permutes them too, up to one sign
+on every row (``_core_exchange``; the lens-space symmetry exchanging
+the two core circles, Bonahon, Topology 1983).  The group they
+generate, dihedral of order 2p or with kappa of order 4p, is held
+once: ``QMatrix.symmetries`` lists its column permutations, the 2p
+dihedral rows first, and ``QMatrix.edge_renamings`` the renamings of
+the rows under those 2p; one guard (``_symmetry_guard``) checks the
+generators exactly on the first read.  Every reader of the group reads
+these rows and composes nothing itself.
 
 The square-condition fundamentals are the union of the Hilbert bases
 of the maximal admissible faces of the solution cone, the faces
@@ -40,10 +45,12 @@ square rays by one double description of the whole cone that never
 combines a pair whose union breaks the square condition
 (``rays.extreme_rays`` with one column class per block), takes the
 maximal cliques of the compatibility graph as the faces, solves one
-face per dihedral orbit with ``cone.hilbert_basis``, which settles a
-unimodular simplicial face by its rays and completes the rest, and
-closes the answers under the group once (``dihedral_images``, which
-also gives each image's row renaming).  Every step reads the budget:
+face per orbit of the whole group with ``cone.hilbert_basis``, which
+settles a unimodular simplicial face by its rays and completes the
+rest on the orbits of the face's stabilizer, and closes the answers
+under the group once.  Reports move between surfaces only along the
+dihedral rows (``dihedral_images``, which also gives each image's row
+renaming).  Every step reads the budget:
 the double description at every row and every chunk of pairs, the
 clique search at every node.
 """
@@ -91,8 +98,9 @@ class QMatrix(SolutionCone):
     Column c holds at most four entries, since a quad meets four edges,
     in its quad type's sense-template order.  The dense ``rows``, the
     extreme rays, ``residual`` and ``restrict`` are the SolutionCone's
-    own; ``symmetries``, the dihedral group of the blocks, and
-    ``edge_renamings``, its renamings of the rows, are the QMatrix's.
+    own; ``symmetries``, the dihedral group of the blocks with the core
+    exchange when there is one, and ``edge_renamings``, the dihedral
+    renamings of the rows, are the QMatrix's.
     """
 
     def __init__(self, tri: LensTriangulation):
@@ -116,13 +124,17 @@ class QMatrix(SolutionCone):
 
     @cached_property
     def symmetries(self):
-        """The dihedral group of the blocks as a read-only 2p x 3p
-        column table.  Row k < p is rotation k: position c reads column
-        (c + 3k) mod 3p.  Row p + k is the block reflection after it:
+        """The symmetry group of the system as a read-only column table
+        of 2p rows, or 4p when q^2 = +-1 and q != +-1 (mod p).  Row
+        k < p is rotation k: position c reads column (c + 3k) mod 3p.
+        Row p + k is the block reflection after it:
         reflection[(c + 3k) mod 3p], the reflection sending block i to
-        block -i mod p with the quad type kept.  Row m renames the rows
-        of the matching equations as ``edge_renamings[m]``.  The first
-        read checks the two generators, rows 1 and p, against their
+        block -i mod p with the quad type kept.  These 2p dihedral rows
+        rename the rows of the matching equations as
+        ``edge_renamings``.  When the core exchange kappa exists
+        (``_core_exchange``), row 2p + m is kappa then row m:
+        kappa[symmetries[m]], so row 2p is kappa itself.  The first read
+        checks the generators, rows 1, p and 2p, against their
         renamings (``_symmetry_guard``); the other rows are their
         products."""
         p, n = self.p, self.ncols
@@ -132,15 +144,20 @@ class QMatrix(SolutionCone):
         table = np.concatenate((rotations, reflection[rotations]))
         for name, m in (("block shift", 1), ("block reflection", p)):
             _symmetry_guard(self, name, table[m], self.edge_renamings[m])
+        exchange = _core_exchange(p, self.q)
+        if exchange is not None:
+            kappa, rename, sign = exchange
+            _symmetry_guard(self, "core exchange", kappa, rename, sign)
+            table = np.concatenate((table, kappa[table]))
         table.flags.writeable = False
         return table
 
     @cached_property
     def edge_renamings(self):
-        """The row renamings of ``symmetries`` as a read-only
-        2p x (p+2) table over the rows e_1 .. e_p, Eh, Ev, indices from
-        0 and mod p: row k maps e_r -> e_(r+k), row p + k maps
-        e_r -> e_(1-q-r-k), and Eh, Ev are fixed."""
+        """The row renamings of the 2p dihedral rows of ``symmetries``
+        as a read-only 2p x (p+2) table over the rows e_1 .. e_p, Eh,
+        Ev, indices from 0 and mod p: row k maps e_r -> e_(r+k), row
+        p + k maps e_r -> e_(1-q-r-k), and Eh, Ev are fixed."""
         p = self.p
         e = (np.arange(p) + np.arange(p)[:, None]) % p
         table = np.hstack((np.concatenate((e, (1 - self.q - e) % p)),
@@ -152,20 +169,46 @@ class QMatrix(SolutionCone):
         return f"QMatrix(p={self.p}, q={self.q})"
 
 
-def _symmetry_guard(matrix, name, image, rename):
+def _core_exchange(p, q):
+    """The core exchange kappa of the (p,q) system, or None unless
+    q^2 = +-1 and q != +-1 (mod p), as (columns, rename, sign):
+    position (i, t) reads column (q i mod p, tau(t)), and column
+    kappa[c] is column c with each row r renamed rename[r] and each
+    coefficient times ``sign``, as ``_symmetry_guard`` reads them.
+    When q^2 = 1, tau is the identity, e_r is renamed e_(q r + 1 - q)
+    and the sign is +1; when q^2 = -1, tau swaps quad types 2 and 3,
+    e_r is renamed e_(q r - q) and the sign is -1 (indices from 0, mod
+    p).  Eh and Ev, whose rows coincide, stay fixed.  It is the
+    lens-space symmetry exchanging the two core circles (Bonahon,
+    Topology 1983), read on the triangulation."""
+    square = q * q % p
+    if q in (1, p - 1) or square not in (1, p - 1):
+        return None
+    i = np.arange(p)
+    if square == 1:
+        types, rows, sign = (0, 1, 2), q * i + 1 - q, 1
+    else:
+        types, rows, sign = (0, 2, 1), q * i - q, -1
+    columns = (3 * (q * i % p)[:, None] + np.array(types)).ravel()
+    return columns, np.concatenate((rows % p, (p, p + 1))), sign
+
+
+def _symmetry_guard(matrix, name, image, rename, sign=1):
     """Check that the column permutation c -> ``image[c]`` permutes the
-    matching equations of the QMatrix ``matrix``: column image[c] must
-    be column c with each row r renamed ``rename[r]``, over all p + 2
-    rows.  Then the permuted vector of a solution is again a solution.
-    Both sides are read from the column arrays as (column, row,
-    coefficient) entries, column image[c]'s under the name c, and
-    compared after one sort of each, O(p log p) in all.
+    matching equations of the QMatrix ``matrix`` up to ``sign``: column
+    image[c] must be column c with each row r renamed ``rename[r]`` and
+    each coefficient times ``sign``, over all p + 2 rows.  Then the
+    permuted vector of a solution is again a solution.  Both sides are
+    read from the column arrays as (column, row, coefficient) entries,
+    column image[c]'s under the name c, and compared after one sort of
+    each, O(p log p) in all.
 
     Raises InternalInvariantError, naming the symmetry and the first
     column c that fails, when it does not hold.
     """
     length, take = matrix.column_entries(image)
-    sides = ((matrix.col_index, rename[matrix.col_rows], matrix.col_coefs),
+    sides = ((matrix.col_index, rename[matrix.col_rows],
+              sign * matrix.col_coefs),
              (np.repeat(np.arange(len(image)), length),
               matrix.col_rows[take], matrix.col_coefs[take]))
     # A permutation moves every entry, so both sides hold them all, and
@@ -185,16 +228,18 @@ def dihedral_images(matrix, v):
     """The 2p images of the quad vector ``v`` under the block symmetries
     of the QMatrix ``matrix``, each with its row renaming.
 
-    Yields pairs (w, rows) of tuples, one per row m of
+    Yields pairs (w, rows) of tuples, one per dihedral row m < 2p of
     ``matrix.symmetries``: w is v[symmetries[m]], and row r of w's
     matching equations is row rows[r] = ``edge_renamings[m, r]`` of
     v's, over all p + 2 rows.  So the surface of w meets edge class r
     as often as the surface of v meets edge class rows[r].  The first p
     images are v's rotations, the last p those of its reflection.
-    Images repeat when part of the group fixes v.
+    Images repeat when part of the group fixes v.  The core exchange
+    rows are not read.
     """
-    for columns, rows in zip(matrix.symmetries.tolist(),
-                             matrix.edge_renamings.tolist()):
+    renamings = matrix.edge_renamings.tolist()
+    for columns, rows in zip(
+            matrix.symmetries[:len(renamings)].tolist(), renamings):
         yield itemgetter(*columns)(v), tuple(rows)
 
 
@@ -461,22 +506,25 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
     Shifting every block by one tetrahedron maps column c to column
     c + 3 and renames the rows e_i -> e_(i+1) while fixing Eh and Ev;
     reflecting the blocks, (i, t) -> (-i, t), renames them
-    e_r -> e_(1-q-r) (from 0, mod p).  The first read of
-    ``matrix.symmetries``, the 2p elements of the group they generate,
-    checks both exactly (InternalInvariantError otherwise).  A row
-    permutation keeps the solution cone and the square condition, so it
-    permutes the maximal faces, and the image of a face's Hilbert basis
-    is the Hilbert basis of the image face.  A face is solved unless its
+    e_r -> e_(1-q-r) (from 0, mod p); the core exchange, when q^2 = +-1
+    and q != +-1 (mod p), permutes them up to one sign
+    (``_core_exchange``).  The first read of ``matrix.symmetries``, the
+    group they generate, checks the generators exactly
+    (InternalInvariantError otherwise).  A row permutation up to sign
+    keeps the solution cone and the square condition, so it permutes
+    the maximal faces, and the image of a face's Hilbert basis is the
+    Hilbert basis of the image face.  A face is solved unless its
     support is a row of ``indicator[symmetries]`` for a face already
-    solved, so one face per dihedral orbit reaches ``hilbert_basis``,
-    which returns the rays of a unimodular simplicial face without a
-    completion.  The solved basis vectors are then closed under the
-    group once by ``dihedral_images``, with one budget read per vector.
-    The answer is thus a union of dihedral orbits, and
-    ``catalog.enumerate_q_fundamental`` classifies one surface per orbit
-    and gives every other image the same report, its edge weights
-    renamed by the image's row renaming.  Returns a tuple in graded
-    lexicographic order.
+    solved, so one face per orbit of the group reaches
+    ``hilbert_basis``, which returns the rays of a unimodular simplicial
+    face without a completion and completes any other face on the
+    orbits of its stabilizer, the elements that map the face to
+    itself.  The solved basis vectors are then closed under
+    the whole group once, with one budget read per vector.  The answer
+    is thus a union of orbits, and ``catalog.enumerate_q_fundamental``
+    classifies one surface per dihedral orbit and gives every other
+    image the same report, its edge weights renamed by
+    ``dihedral_images``.  Returns a tuple in graded lexicographic order.
     """
     budget = budget or Budget()
     rays = _square_rays(matrix, budget)
@@ -490,16 +538,26 @@ def square_fundamental_solutions(matrix, budget: Budget | None = None):
         indicator[support] = True
         if indicator.tobytes() in images:
             continue  # the image of a face already solved
-        images.update(map(np.ndarray.tobytes, indicator[symmetries]))
+        moved = indicator[symmetries]
+        images.update(map(np.ndarray.tobytes, moved))
         cone = matrix.restrict(support)
         cone.extreme_rays = tuple(sorted(
             (tuple(rays[i].get(c, 0) for c in support) for i in face),
             key=graded_lex_key))
+        # The face's stabilizer, the rows that map its support to
+        # itself, read on its columns; elements that agree there give
+        # one row.
+        fixed = np.searchsorted(support, symmetries[
+            (moved == indicator).all(axis=1)][:, support])
+        cone.symmetries = np.array(list(
+            {turn.tobytes(): turn for turn in fixed}.values()))
         for small in hilbert_basis(cone, budget):
             entries = dict(zip(support, small))
             solved.add(tuple(entries.get(c, 0) for c in range(matrix.ncols)))
     found = set()
+    turns = symmetries.tolist()
     for v in solved:
         budget.check()
-        found.update(image for image, _ in dihedral_images(matrix, v))
+        found.update(itemgetter(*turn)(v) for turn in turns)
     return tuple(sorted(found, key=graded_lex_key))
+

@@ -120,6 +120,17 @@ def block_reflection(p):
     return [3 * (-i % p) + t for i in range(p) for t in range(3)]
 
 
+def core_exchange(p, q):
+    """The core exchange as a column table when q^2 = +-1 and
+    q != +-1 (mod p), else None: position (i, t) reads column
+    (q i mod p, tau(t)), tau swapping quad types 2 and 3 (t = 1, 2)
+    when q^2 = -1 and fixing them when q^2 = 1."""
+    if q in (1, p - 1) or q * q % p not in (1, p - 1):
+        return None
+    tau = (0, 1, 2) if q * q % p == 1 else (0, 2, 1)
+    return [3 * (q * i % p) + tau[t] for i in range(p) for t in range(3)]
+
+
 def extreme_rays_of_kernel(basis):
     """Primitive extreme rays of the non-negative part of the span of
     ``basis``, a kernel basis in the form ``exact.kernel_basis`` gives.

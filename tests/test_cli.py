@@ -15,6 +15,9 @@ import pytest
 
 import lensq
 from lensq.catalog import FIXTURE_FILE, alternating_vector
+from lensq.cone import is_fundamental
+from lensq.qsystem import q_matrix
+from lensq.triangulation import build_triangulation
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -231,6 +234,15 @@ PINNED = {
     "verify-10-3": (
         ["verify", "--p", "10", "--q", "3"],
         "f6ba4d631c32876ec370f43dfb726756719bbac8bbb0543c4ba40e73bbbc3317"),
+    # Two searches through the core exchange (q^2 = 1 at (12,5), -1 at
+    # (13,5)), as printed when the faces were solved per dihedral orbit
+    # and completed without their stabilizers.
+    "enum-12-5-json": (
+        ["enum", "--p", "12", "--q", "5", "--format", "json"],
+        "a5baded732002c5e7391b428d2d442576e173e2557c7839d8a00be19962ba64c"),
+    "enum-13-5-json": (
+        ["enum", "--p", "13", "--q", "5", "--format", "json"],
+        "39d8cf876aafc6668431ad0693d172dc7ac0d8c186608f767d8ac52ae245089c"),
 }
 
 
@@ -280,6 +292,17 @@ def test_enum_six_one_count():
     assert len(payload["fundamental"]) == 9
 
 
+def test_enum_sixteen_seven_finishes_under_the_default_budget():
+    # Its widest face completes on its stabilizer; completed without
+    # one, it grew past the default frontier cap.
+    result = run_cli("enum", "--p", "16", "--q", "7", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    found = json.loads(result.stdout)["payload"]["fundamental"]
+    assert len(found) == 33
+    matrix = q_matrix(build_triangulation(16, 7))
+    assert all(is_fundamental(matrix, record["vector"]) for record in found)
+
+
 def test_enum_raw_hilbert():
     result = run_cli("enum", "--p", "3", "--q", "1", "--raw-hilbert",
                      "--format", "json")
@@ -299,8 +322,10 @@ def test_enum_budget_exit_code():
 
 
 def test_enum_budget_message_names_the_users_limit():
-    # The (14,3) search runs for seconds, far past the limit.
-    result = run_cli("enum", "--p", "14", "--q", "3", "--max-seconds", "0.2")
+    # The (16,3) search runs past the default 60 s budget, far past the
+    # limit; the (14,3) search, once seconds long, now takes about half
+    # a second.
+    result = run_cli("enum", "--p", "16", "--q", "3", "--max-seconds", "0.2")
     assert result.returncode == 3
     assert "0.2 seconds" in result.stderr
     assert result.stderr.count("\n") == 1

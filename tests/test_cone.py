@@ -4,15 +4,16 @@ oracles they compare against (``brute_force_minimal_solutions``,
 ``minimal_elements``, ``is_vertex_by_search``), which the acceptance
 suite also imports: the completion enumerator on infeasible and
 0-column cones, against the grid oracle and against a box search, its
-dihedral orbits against the unreduced completion and their symmetry
+orbits under the dihedral group and the core exchange, and under each
+face's stabilizer, against the unreduced completion, and their symmetry
 checks, its domination index, child verdicts, key deduplication and
 sparse dense set-up against plain numpy references, its memory peaks
 and its independence of the chunk size, the box-search minimality test
 and its vertex shortcut, the support-rank vertex test against bounded
 search and against the exact extreme rays, the maximal-face search
 against the plain 3^p pattern loop and against the necklace walk
-(``necklace_oracle``), its square rays, faces, one solve per dihedral
-orbit and budget reads, the oracle's necklace and bracelet
+(``necklace_oracle``), its square rays, faces, one solve per orbit
+and budget reads, the oracle's necklace and bracelet
 representatives, the symmetry tables and their guards, the lattice
 certificate for unimodular cones against a box search, and
 budget/determinism behaviour.
@@ -70,6 +71,7 @@ from lensq.triangulation import QUAD_TYPES, build_triangulation
 from necklace_oracle import (
     block_reflection,
     block_rotation,
+    core_exchange,
     least_rotation,
     necklace_kernels,
     necklace_square_fundamentals,
@@ -395,11 +397,44 @@ def test_certified_pattern_bases_match_the_box_search(p, q):
 @pytest.mark.parametrize("p,q", coprime_pairs(5))
 def test_orbit_completion_matches_the_unreduced_completion(p, q):
     # A plain SolutionCone has the identity alone, so it completes every
-    # image of every candidate: the oracle for the QMatrix's orbits.
+    # image of every candidate: the oracle for the QMatrix's orbits,
+    # which at (5,2) and (5,3) include the core exchange's.
     matrix = q_matrix(build_triangulation(p, q))
+    exchange = (p, q) in ((5, 2), (5, 3))
+    assert len(matrix.symmetries) == (4 if exchange else 2) * p
     budget = Budget(max_seconds=300)
     assert hilbert_basis(matrix, budget) == hilbert_basis(
         SolutionCone(matrix), budget)
+
+
+@pytest.mark.parametrize("p,q", [(10, 3), (12, 5)])
+def test_face_completion_on_its_stabilizer_is_the_identity_completion(
+        monkeypatch, p, q):
+    # Each solved face carries its stabilizer; a copy of the face with
+    # its rays and no symmetries completes every image of every
+    # candidate, the oracle for the face's orbits.
+    faces = []
+    solve = qsystem_module.hilbert_basis
+
+    def recorded(cone, budget):
+        faces.append((cone, solve(cone, budget)))
+        return faces[-1][1]
+
+    monkeypatch.setattr(qsystem_module, "hilbert_basis", recorded)
+    square_fundamental_solutions(q_matrix(build_triangulation(p, q)))
+    assert len(faces) == 3
+    orders = []
+    for face, basis in faces:
+        plain = SolutionCone(face)
+        assert plain.symmetries is None
+        plain.extreme_rays = face.extreme_rays
+        assert hilbert_basis(plain) == basis
+        orders.append(len(face.symmetries))
+        # The stabilizer fixes the face's rays as a set.
+        rays = set(face.extreme_rays)
+        assert all({tuple(np.array(r)[turn]) for r in rays} == rays
+                   for turn in face.symmetries)
+    assert orders == {(10, 3): [40, 8, 20], (12, 5): [48, 16, 24]}[p, q]
 
 
 def test_orbit_completion_obeys_the_budget():
@@ -442,33 +477,57 @@ def test_orbit_completion_checks_the_box():
         hilbert_basis(matrix)
 
 
+def dihedral_only(matrix):
+    """``matrix`` with its group cut to the 2p dihedral rows, a
+    subgroup, so that the completion runs on dihedral orbits."""
+    matrix.symmetries = matrix.symmetries[:2 * matrix.p]
+    return matrix
+
+
 def test_dihedral_orbits_keep_the_five_two_extension_set_under_8000():
     # On the 2p dihedral images the widest extension set holds 5,908
     # representatives; on the p block rotations alone it held 11,796.
-    matrix = q_matrix(build_triangulation(5, 2))
+    matrix = dihedral_only(q_matrix(build_triangulation(5, 2)))
     assert len(hilbert_basis(matrix, Budget(max_frontier=8000))) == 161
+    with pytest.raises(BudgetExceeded):
+        hilbert_basis(matrix, Budget(max_frontier=5907))
 
 
-@pytest.mark.parametrize("orbits", [True, False],
-                         ids=["dihedral", "identity"])
-def test_chunking_does_not_change_the_completion(monkeypatch, orbits):
+def test_whole_group_keeps_the_five_two_extension_set_under_4000():
+    # The core exchange doubles the (5,2) group to 20 elements, and the
+    # widest extension set falls to 2,954 representatives.
+    matrix = q_matrix(build_triangulation(5, 2))
+    assert len(matrix.symmetries) == 20
+    assert len(hilbert_basis(matrix, Budget(max_frontier=2954))) == 161
+    with pytest.raises(BudgetExceeded):
+        hilbert_basis(matrix, Budget(max_frontier=2953))
+
+
+@pytest.mark.parametrize("group,cap", [(20, 2953), (10, 5907), (1, 5907)],
+                         ids=["group", "dihedral", "identity"])
+def test_chunking_does_not_change_the_completion(monkeypatch, group, cap):
     # Chunks of one row and chunks of a whole level find the same basis,
     # and the frontier cap stops both with the same message, on the
-    # (5,2) matrix's dihedral orbits and on its identity group alone.
-    # The widest extension set of either holds more than 5,907 pairs.
-    matrix = q_matrix(build_triangulation(5, 2))
-    cone = matrix if orbits else SolutionCone(matrix)
+    # (5,2) matrix's orbits under its whole group of 20, under the
+    # dihedral group of 10 and under the identity alone.  The widest
+    # extension set holds 2,954 pairs on the whole group's orbits, 5,908
+    # on the dihedral ones and more on the identity's.
+    cone = q_matrix(build_triangulation(5, 2))
+    if group == 10:
+        dihedral_only(cone)
+    elif group == 1:
+        cone = SolutionCone(cone)
     seen = []
     for chunk_bytes, least_rows in ((1, 1), (10 ** 12, 10 ** 8)):
         monkeypatch.setattr(cone_module, "_CHUNK_BYTES", chunk_bytes)
-        assert cone_module._chunk_rows(15, 3, 10) >= least_rows
+        assert cone_module._chunk_rows(15, 3, 20) >= least_rows
         with pytest.raises(BudgetExceeded) as stopped:
-            hilbert_basis(cone, Budget(max_seconds=None, max_frontier=5907))
+            hilbert_basis(cone, Budget(max_seconds=None, max_frontier=cap))
         seen.append((hilbert_basis(cone, Budget(**UNLIMITED)),
                      str(stopped.value)))
     assert seen[0] == seen[1]
     assert len(seen[0][0]) == 161
-    assert seen[0][1] == "extension set grew past 5907 states"
+    assert seen[0][1] == f"extension set grew past {cap} states"
 
 
 def test_orbit_completion_takes_any_group_of_symmetries():
@@ -659,16 +718,20 @@ def face_supports(matrix):
             for face in _maximal_faces(rays, Budget())]
 
 
-def dihedral_images(matrix, support):
+def group_images(matrix, support):
     """The supports of the images of the face on ``support`` under the
-    block rotations and the reflection, from their closed forms: the
-    image v[reflection][rotation] reads column reflection[rotation[c]]
-    at c."""
+    block rotations, the reflection and the core exchange when there is
+    one, from their closed forms: the image v[g][rotation] reads column
+    g[rotation[c]] at c, for g the identity, the reflection, the core
+    exchange kappa and kappa then the reflection."""
     p, support = matrix.p, set(support)
     turns = [block_rotation(p, k) for k in range(p)]
+    firsts = [range(3 * p), block_reflection(p)]
+    kappa = core_exchange(p, matrix.q)
+    if kappa is not None:
+        firsts += [kappa, [kappa[c] for c in block_reflection(p)]]
     return {frozenset(c for c in range(3 * p) if image[turn[c]] in support)
-            for image in (range(3 * p), block_reflection(p))
-            for turn in turns}
+            for image in firsts for turn in turns}
 
 
 def record_faces(monkeypatch, matrix):
@@ -685,11 +748,13 @@ def record_faces(monkeypatch, matrix):
     return supports
 
 
-@pytest.mark.parametrize("p,q,orbits", [(7, 2, 2), (8, 3, 2)])
+@pytest.mark.parametrize("p,q,orbits", [(7, 2, 2), (8, 3, 2), (13, 5, 4)])
 def test_face_search_solves_one_face_per_orbit(monkeypatch, p, q, orbits):
-    # Of the maximal faces (8 at (7,2), 3 at (8,3)) only one per
-    # dihedral orbit reaches hilbert_basis; every other one is an image
-    # of a solved face.
+    # Of the maximal faces (8 at (7,2), 3 at (8,3), 66 at (13,5)) only
+    # one per orbit of the whole group reaches hilbert_basis; every
+    # other one is an image of a solved face.  At (13,5) the core
+    # exchange joins dihedral orbits: 6 faces would be solved without
+    # it.
     calls = []
     solve = qsystem_module.hilbert_basis
 
@@ -703,8 +768,8 @@ def test_face_search_solves_one_face_per_orbit(monkeypatch, p, q, orbits):
     square_fundamental_solutions(matrix)
     assert len(calls) == len(solved) == orbits
     faces = face_supports(matrix)
-    assert len(faces) == {7: 8, 8: 3}[p]
-    orbit_of = [dihedral_images(matrix, support) for support in solved]
+    assert len(faces) == {7: 8, 8: 3, 13: 66}[p]
+    orbit_of = [group_images(matrix, support) for support in solved]
     for face in faces:
         assert sum(face in orbit for orbit in orbit_of) == 1
     assert all(frozenset(support) in faces for support in solved)
@@ -822,7 +887,9 @@ def test_block_reflection_guard_holds_below_forty():
 def test_symmetry_tables_compose_the_generators_below_forty():
     # Row k applies the block shift k times and row p + k applies it
     # after the block reflection, to the columns and the row renamings
-    # alike: T then S reads T[S], in both tables.
+    # alike: T then S reads T[S], in both tables.  Row 2p + m, when the
+    # core exchange kappa exists, applies row m after kappa; the row
+    # renamings cover the 2p dihedral rows only.
     for p, q in coprime_pairs(39):
         matrix = q_matrix(build_triangulation(p, q))
         fixed = [p, p + 1]
@@ -836,12 +903,63 @@ def test_symmetry_tables_compose_the_generators_below_forty():
                 columns.append(table[0])
                 rows.append(table[1])
                 table = tuple([t[s] for s in g] for t, g in zip(table, shift))
+        # The core exchange rows follow: kappa, then row m.
+        kappa = core_exchange(p, q)
+        if kappa is not None:
+            columns += [[kappa[c] for c in turn] for turn in columns]
         assert matrix.symmetries.tolist() == columns
         assert matrix.edge_renamings.tolist() == rows
         assert not matrix.symmetries.flags.writeable
         assert not matrix.edge_renamings.flags.writeable
         assert (np.sort(matrix.symmetries, axis=1)
                 == np.arange(3 * p)).all()
+
+
+def test_core_exchange_doubles_the_group_exactly_when_q_squared_is_one():
+    # 4p distinct rows exactly when q^2 = +-1 and q != +-1 (mod p), 2p
+    # otherwise, and every product of two rows is a row.
+    exchanges = 0
+    for p, q in coprime_pairs(39):
+        symmetries = q_matrix(build_triangulation(p, q)).symmetries
+        n = 3 * p
+        if q not in (1, p - 1) and q * q % p in (1, p - 1):
+            exchanges += 1
+            assert len(symmetries) == 4 * p
+            assert len(np.unique(symmetries, axis=0)) == 4 * p
+            assert symmetries[2 * p].tolist() == core_exchange(p, q)
+        else:
+            assert len(symmetries) == 2 * p
+            assert core_exchange(p, q) is None
+        products = symmetries[:, symmetries].reshape(-1, n)
+        assert (np.unique(products, axis=0)
+                == np.unique(symmetries, axis=0)).all()
+    assert exchanges == 50
+
+
+def swap_first_two_columns(columns, rename, sign):
+    columns = columns.copy()
+    columns[[0, 1]] = columns[[1, 0]]
+    return columns, rename, sign
+
+
+def flip_the_sign(columns, rename, sign):
+    return columns, rename, -sign
+
+
+@pytest.mark.parametrize("tamper", [swap_first_two_columns, flip_the_sign])
+@pytest.mark.parametrize("p,q", [(5, 2), (8, 3)])
+def test_broken_core_exchange_raises(monkeypatch, p, q, tamper):
+    # (5,2) has q^2 = -1, whose exchange flips the sign of every row;
+    # (8,3) has q^2 = 1, whose exchange keeps the signs.  The dihedral
+    # generators, checked first, still hold.
+    exchange = qsystem_module._core_exchange
+    monkeypatch.setattr(qsystem_module, "_core_exchange",
+                        lambda p, q: tamper(*exchange(p, q)))
+    matrix = q_matrix(build_triangulation(p, q))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^quad column \d+ is not the core exchange of "
+                             rf"column 0 for \(p,q\)=\({p},{q}\)$"):
+        matrix.symmetries
 
 
 def test_block_rotation_guard_runs_once_per_matrix(monkeypatch):
@@ -870,7 +988,8 @@ def test_block_rotation_guard_runs_once_per_matrix(monkeypatch):
 
 def test_enum_raw_hilbert_builds_one_matrix(monkeypatch, capsys):
     # The enumeration and the raw completion share one QMatrix, so its
-    # two generators are checked once.
+    # three generators, (5,2) having the core exchange, are checked
+    # once.
     calls = []
     guard = qsystem_module._symmetry_guard
 
@@ -882,8 +1001,9 @@ def test_enum_raw_hilbert_builds_one_matrix(monkeypatch, capsys):
     assert cli.main(["enum", "--p", "5", "--q", "2", "--raw-hilbert",
                      "--format", "json"]) == 0
     capsys.readouterr()
-    assert [name for _, name in calls] == ["block shift", "block reflection"]
-    assert calls[0][0] is calls[1][0]
+    assert [name for _, name in calls] == ["block shift", "block reflection",
+                                           "core exchange"]
+    assert calls[0][0] is calls[1][0] is calls[2][0]
 
 
 def test_enum_at_p_3000_stops_without_reading_the_symmetries(
@@ -1008,9 +1128,10 @@ def test_search_adds_the_rotations_of_each_basis_and_its_reflection(
     # The real face bases here hold the reflection of each element
     # among its rotations, so only a fake basis with distinct entries
     # (1, ..., k) on a face of k columns shows the reflected images.
-    # The search closes its solved vectors under the whole dihedral
-    # group, so every solved face adds them, a face whose reflected
-    # orbit is its own too.
+    # The search closes its solved vectors under the whole group, so
+    # every solved face adds them, a face whose reflected orbit is its
+    # own too, and, (8,3) having the core exchange, their images under
+    # it.
     p = 8
     matrix = q_matrix(build_triangulation(p, 3))
     solved = record_faces(monkeypatch, matrix)
@@ -1031,6 +1152,8 @@ def test_search_adds_the_rotations_of_each_basis_and_its_reflection(
             symmetric.append(support)
             assert set(images[0]) != set(images[1])
         expected.update(*images)
+        expected.update(tuple(w[c] for c in core_exchange(p, 3))
+                        for side in images for w in side)
         return (fake,)
 
     monkeypatch.setattr(qsystem_module, "hilbert_basis", fake_basis)

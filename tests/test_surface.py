@@ -60,6 +60,7 @@ from lensq.triangulation import (
     QUAD_TYPES,
     build_triangulation,
 )
+from necklace_oracle import core_exchange
 from test_triangulation import (
     bfs_classes,
     reference_corner_gluings,
@@ -613,6 +614,28 @@ def test_classify_is_equivariant_under_block_rotation(case):
         label if label in ("Eh", "Ev") else f"e{int(label[1:]) % p + 1}": w
         for label, w in base.edge_weights.items()}
     assert turned.edge_weights == relabelled
+
+
+@pytest.mark.parametrize("p,q,count", [
+    (5, 2, 6), (8, 3, 17), (10, 3, 21), (12, 5, 25), (13, 5, 53)])
+def test_classify_is_invariant_under_the_core_exchange(p, q, count):
+    # The search closes its answers under the core exchange kappa, a
+    # symmetry of the matching equations; that it is the lens-space
+    # symmetry exchanging the two core circles shows in the surfaces:
+    # each square fundamental and its kappa image have the same Euler
+    # characteristic, orientability and components.
+    tri = build_triangulation(p, q)
+    matrix = q_matrix(tri)
+    kappa = core_exchange(p, q)
+    found = square_fundamental_solutions(matrix)
+    assert len(found) == count
+    for v in found:
+        image = tuple(v[c] for c in kappa)
+        assert image in found
+        base, moved = classify(tri, v), classify(tri, image)
+        assert (moved.euler, moved.orientable) == (base.euler,
+                                                   base.orientable)
+        assert sorted(moved.components) == sorted(base.components)
 
 
 @PROPERTY_SETTINGS
